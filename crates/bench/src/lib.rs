@@ -1,8 +1,8 @@
 //! # eyeorg-bench
 //!
 //! The reproduction harness: one module (and one binary) per table and
-//! figure of the paper's evaluation, plus criterion benches for the
-//! pipeline and for DESIGN.md's ablation candidates.
+//! figure of the paper's evaluation, plus the `perf_*` timing binaries
+//! and the `ablation_quality` binary for DESIGN.md's ablation candidates.
 //!
 //! Each `figN_*` module exposes a function that builds whatever campaigns
 //! it needs at the requested [`Scale`], computes the paper's quantity,

@@ -62,11 +62,12 @@
 use eyeorg_crowd::RecruitmentService;
 use eyeorg_stats::{resolve_threads, Seed};
 
+use crate::checkpoint::ShardKind;
 use crate::digest::{DigestParams, StimulusDigest, TimelineDigest};
 use crate::experiment::{AdaptiveConfig, ExperimentConfig, TimelineStimulus};
 use crate::filtering::ParticipantFilter;
 use crate::flat::{flat_tl_epoch, FlatTlCtx};
-use crate::stream::{merge_tl_shards, stream_tl_epoch, tl_frames, StreamConfig, TlCtx, TlShard};
+use crate::stream::{merge_shards, stream_tl_epoch, tl_frames, StreamConfig, TlCtx, TlShard};
 
 /// Critical value for the stopping rule's confidence intervals (~95%
 /// two-sided normal). A fixed constant, not a knob: epsilon is the
@@ -198,29 +199,44 @@ pub fn adaptive_timeline_campaign(
 ) -> AdaptiveOutcome {
     assert!(!stimuli.is_empty(), "campaign needs stimuli");
     let _t = eyeorg_obs::phase_timer("core.adaptive_timeline");
+    with_tl_epochs(stimuli, service, cfg, filters, seed, sc, backend, |run_epoch| {
+        match drive_resumable(stimuli, service, budget, sc, ac, None, &mut |_| true, run_epoch) {
+            DriveEnd::Complete(outcome) => *outcome,
+            DriveEnd::Interrupted(_) => unreachable!("an always-continue barrier never interrupts"),
+        }
+    })
+}
+
+/// Build `backend`'s read-only campaign state and hand its epoch
+/// function — `(lo, hi, base_admitted, live)` to the range's folds in
+/// shard order and its gate-admission count — to `body`: the one place
+/// both backends are set up, shared by the adaptive driver and the
+/// checkpoint layer.
+#[allow(clippy::too_many_arguments)] // the engine entry points' shared arguments
+pub(crate) fn with_tl_epochs<R>(
+    stimuli: &[TimelineStimulus],
+    service: &dyn RecruitmentService,
+    cfg: &ExperimentConfig,
+    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
+    seed: Seed,
+    sc: &StreamConfig,
+    backend: AdaptiveBackend,
+    body: impl FnOnce(&mut dyn FnMut(usize, usize, u64, &[bool]) -> (Vec<TlShard>, u64)) -> R,
+) -> R {
     let threads = resolve_threads(cfg.threads);
     let shard = sc.shard_size.max(1);
     match backend {
         AdaptiveBackend::Streaming => {
             let pop = service.population();
             let frames = tl_frames(stimuli, threads);
-            let ctx = TlCtx::new(
-                stimuli,
-                &frames,
-                &pop,
-                cfg,
-                filters,
-                seed.derive("recruit"),
-                seed.derive("timeline"),
-                sc.params,
-            );
-            drive(stimuli, service, budget, sc, ac, |lo, hi, base, live| {
+            let ctx = TlCtx::new(stimuli, &frames, &pop, cfg, filters, seed, sc.params);
+            body(&mut |lo, hi, base, live| {
                 stream_tl_epoch(&ctx, lo, hi, threads, shard, base, live)
             })
         }
         AdaptiveBackend::Flat => {
             let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-            drive(stimuli, service, budget, sc, ac, |lo, hi, base, live| {
+            body(&mut |lo, hi, base, live| {
                 flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live)
             })
         }
@@ -276,28 +292,9 @@ pub(crate) enum DriveEnd {
 
 /// The backend-agnostic epoch loop: recruit an epoch, merge its folds
 /// in shard order, evaluate the stopping rule at the barrier, repeat.
-fn drive<F>(
-    stimuli: &[TimelineStimulus],
-    service: &dyn RecruitmentService,
-    budget: usize,
-    sc: &StreamConfig,
-    ac: &AdaptiveConfig,
-    run_epoch: F,
-) -> AdaptiveOutcome
-where
-    F: FnMut(usize, usize, u64, &[bool]) -> (Vec<TlShard>, u64),
-{
-    match drive_resumable(stimuli, service, budget, sc, ac, None, &mut |_| true, run_epoch) {
-        DriveEnd::Complete(outcome) => *outcome,
-        DriveEnd::Interrupted(_) => unreachable!("an always-continue barrier never interrupts"),
-    }
-}
-
-/// [`drive`] with two extra affordances for the checkpoint layer:
-/// start from a prior [`DriveState`] instead of scratch, and consult
-/// `barrier` after every epoch's stopping evaluation — a `false`
-/// return stops the loop and hands the state back as
-/// [`DriveEnd::Interrupted`].
+/// It starts from `resume` (or scratch) and consults `barrier` after
+/// every epoch's stopping evaluation — a `false` return stops the loop
+/// and hands the state back as [`DriveEnd::Interrupted`].
 ///
 /// The interrupted→resumed composition is byte-identical to the
 /// uninterrupted run because the loop's entire mutable state lives in
@@ -307,7 +304,7 @@ where
 /// budget tail fires only on natural completion, so an interrupted
 /// run's counter totals equal the uninterrupted run's totals *at that
 /// barrier* (which is what the checkpoint records).
-#[allow(clippy::too_many_arguments)] // `drive` plus the two resume affordances
+#[allow(clippy::too_many_arguments)] // the run's arguments plus the two resume affordances
 pub(crate) fn drive_resumable<F>(
     stimuli: &[TimelineStimulus],
     service: &dyn RecruitmentService,
@@ -331,7 +328,8 @@ where
         let hi = (lo + epoch).min(budget);
         let (folds, range_admitted) = run_epoch(lo, hi, st.admitted, &st.live);
         for fold in &folds {
-            st.acc.merge_from(fold);
+            // lint:allow(D4): same-campaign shard folds share one construction site
+            st.acc.merge_checked(fold).expect("same-campaign shard folds agree by construction");
         }
         st.admitted += range_admitted;
         st.processed = hi;
@@ -367,7 +365,7 @@ where
 
     let pruned = st.acc.pruned;
     let digest =
-        merge_tl_shards(stimuli, service, st.processed, &sc.params, std::slice::from_ref(&st.acc));
+        merge_shards(stimuli, service, st.processed, &sc.params, std::slice::from_ref(&st.acc));
     DriveEnd::Complete(Box::new(AdaptiveOutcome {
         digest,
         budget: budget as u64,

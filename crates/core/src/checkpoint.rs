@@ -3,7 +3,7 @@
 //! A checkpoint is the full accumulator state of a campaign over a
 //! participant index range `[range_lo, range_hi)` — every per-stimulus
 //! digest, the behaviour moments, the filter/control tallies, the shard
-//! totals, the adaptive driver's mask/decision state (driver
+//! totals, the adaptive driver's mask/decision state (timeline driver
 //! checkpoints only), and the obs counter totals at the barrier —
 //! serialized as versioned JSONL through the vendored serde shim, so
 //! the format is hermetic and byte-stable. The contract is strict
@@ -11,6 +11,16 @@
 //! fingerprint and counter fingerprint as the uninterrupted run, at any
 //! shard size and thread count (pinned by `checkpoint_roundtrip` tests
 //! and the `merge_digests` verify gates).
+//!
+//! One codec serves both test kinds. [`Checkpoint<K>`] is generic over
+//! the shard accumulator `K` (`TlShard` for timeline campaigns,
+//! `AbShard` for A/B), driven by a small crate-private trait that
+//! supplies the kind tag, a fresh accumulator, the totals and stimulus
+//! line codec, an all-or-nothing checked merge, and the fallible digest
+//! assembly (which the engines' shard merges reuse). `save`, `load`,
+//! `merge`, `finalize`, the resume probe, and the worker body are
+//! written once; [`TimelineCheckpoint`] and [`AbCheckpoint`] are
+//! aliases of the two instances.
 //!
 //! Three workflows build on that:
 //!
@@ -21,36 +31,43 @@
 //!   remaining index range, byte-identical to never stopping.
 //! * **Multi-process merge** — [`timeline_worker_checkpoint`] /
 //!   [`ab_worker_checkpoint`] fold a disjoint index range in an
-//!   independent process; [`TimelineCheckpoint::merge`] stitches the
-//!   written files back together (range-adjacency and admitted-index
+//!   independent process; [`Checkpoint::merge`] stitches the written
+//!   files back together (range-adjacency and admitted-index
 //!   continuity checked), and `finalize` yields the single-run digest.
-//! * **Live mode** — the driver emits an incremental JSONL line per
-//!   barrier ([`CheckpointEvent::Live`]) with per-stimulus UPLT
-//!   percentile/CI read-outs; the final line equals the end-of-run
+//! * **Live mode** — the timeline driver emits an incremental JSONL
+//!   line per barrier ([`CheckpointEvent::Live`]) with per-stimulus
+//!   UPLT percentile/CI read-outs; the final line equals the end-of-run
 //!   digest's read-outs ([`live_line_from_digest`]).
 //!
 //! ## Format (version 1)
 //!
-//! One JSON object per line. Timeline files are `S + 6` lines (header,
-//! totals, behaviour, `S` stimulus lines, drive, counters, end); A/B
-//! files are `S + 5` (no drive line). Floats are carried as
-//! `f64::to_bits()` integers (canonical — `±inf` sentinels and `-0.0`
-//! round-trip exactly), the `Moments` fixed-point sums as decimal
-//! `i128` strings (the shim has no native i128). The header pins the
-//! [`DigestParams`] the accumulators were built with; loading validates
-//! every per-stimulus state against it. See DESIGN.md §3i.
+//! One JSON object per line: header, totals, behaviour, `S` stimulus
+//! lines, drive (timeline only), counters, end — `S + 6` lines for
+//! timeline files, `S + 5` for A/B. The generic codec keeps version 1
+//! byte for byte (golden files in `tests/fixtures/` pin it). Floats are
+//! carried as `f64::to_bits()` integers (canonical — `±inf` sentinels
+//! and `-0.0` round-trip exactly), the `Moments` fixed-point sums as
+//! decimal `i128` strings (the shim has no native i128). The header
+//! pins the [`DigestParams`] the accumulators were built with (all zero
+//! for A/B, which has no histogram or sketch); loading validates every
+//! per-stimulus state against it. The totals line must satisfy
+//! `admitted + rejected + pruned == range_hi - range_lo` (A/B files
+//! have no `pruned`: 0), since every participant index in the range is
+//! exactly one of the three. See DESIGN.md §3i.
 //!
 //! ## Error discipline
 //!
 //! Checkpoint bytes are **untrusted input**: every malformed,
 //! truncated, or inconsistent file surfaces as a typed
-//! [`CheckpointError`] — never a panic. The accumulator rebuilds go
-//! through the validating `from_state` constructors of `eyeorg_stats`,
-//! and cross-checkpoint merges go through the fallible
-//! [`MergeError`]-returning digest merges. Resume additionally
-//! **probe-merges** the loaded state against a freshly constructed
-//! accumulator before the epoch loop starts, so the engine-internal
-//! infallible shard merges stay unreachable from disk.
+//! [`CheckpointError`] — never a panic. The loader walks the lines with
+//! an iterator (no indexing), checks the totals invariant in checked
+//! arithmetic, rebuilds accumulators through the validating
+//! `from_state` constructors of `eyeorg_stats`, and cross-checkpoint
+//! merges go through the fallible [`MergeError`]-returning digest
+//! merges. Resume additionally **probe-merges** the loaded state
+//! against a freshly constructed accumulator before the run starts, so
+//! the engine-internal infallible shard merges stay unreachable from
+//! disk.
 //!
 //! ## Obs counter contract
 //!
@@ -74,19 +91,18 @@ use eyeorg_stats::{
 use serde::{Deserialize, Serialize, Value};
 
 use crate::adaptive::{
-    drive_resumable, AdaptiveBackend, AdaptiveOutcome, DriveEnd, DriveState, StopCause,
-    StopDecision, ADAPTIVE_Z,
+    drive_resumable, with_tl_epochs, AdaptiveBackend, AdaptiveOutcome, DriveEnd, DriveState,
+    StopCause, StopDecision, ADAPTIVE_Z,
 };
+use crate::analysis::AbTally;
 use crate::digest::{
     AbDigest, AbStimulusDigest, BehaviorDigest, ControlTally, DigestParams, MergeError,
     StimulusDigest, TimelineDigest,
 };
 use crate::experiment::{AbStimulus, AdaptiveConfig, ExperimentConfig, TimelineStimulus};
 use crate::filtering::{FilterTally, ParticipantFilter};
-use crate::flat::{flat_tl_epoch, FlatTlCtx};
 use crate::stream::{
-    admitted_bases_range, merge_ab_shards, stream_ab_epoch, stream_tl_epoch, tl_frames, AbCtx,
-    AbShard, StreamConfig, TlCtx, TlShard,
+    admitted_bases_range, stream_ab_epoch, AbCtx, AbShard, StreamConfig, TlShard,
 };
 
 /// Checkpoint format version this build writes and accepts.
@@ -277,28 +293,14 @@ struct SketchLine {
 }
 
 #[derive(Serialize, Deserialize)]
-struct FiltersLine {
-    engagement: u64,
-    soft: u64,
-    control: u64,
-    kept: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ControlsLine {
-    passed: u64,
-    failed: u64,
-}
-
-#[derive(Serialize, Deserialize)]
 struct TotalsLine {
     admitted: u64,
     rejected: u64,
     collected: u64,
     skipped: u64,
     pruned: u64,
-    filters: FiltersLine,
-    controls: ControlsLine,
+    filters: FilterTally,
+    controls: ControlTally,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -307,8 +309,8 @@ struct AbTotalsLine {
     rejected: u64,
     cast: u64,
     skipped: u64,
-    filters: FiltersLine,
-    controls: ControlsLine,
+    filters: FilterTally,
+    controls: ControlTally,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -387,6 +389,12 @@ struct EndLine {
 /// as `to_bits()` integers), so the `Result` is vacuous.
 fn json_line<T: Serialize>(v: &T) -> String {
     serde_json::to_string(v).unwrap_or_default()
+}
+
+/// Append `v` as one JSONL line.
+fn put<T: Serialize>(out: &mut String, v: &T) {
+    out.push_str(&json_line(v));
+    out.push('\n');
 }
 
 fn parse_line<T: Deserialize>(s: &str, line: usize) -> Result<T, CheckpointError> {
@@ -494,22 +502,6 @@ fn behavior_of(l: &BehaviorLine, line: usize) -> Result<BehaviorDigest, Checkpoi
     })
 }
 
-fn filters_line(t: &FilterTally) -> FiltersLine {
-    FiltersLine { engagement: t.engagement, soft: t.soft, control: t.control, kept: t.kept }
-}
-
-fn filters_of(l: &FiltersLine) -> FilterTally {
-    FilterTally { engagement: l.engagement, soft: l.soft, control: l.control, kept: l.kept }
-}
-
-fn controls_line(t: &ControlTally) -> ControlsLine {
-    ControlsLine { passed: t.passed, failed: t.failed }
-}
-
-fn controls_of(l: &ControlsLine) -> ControlTally {
-    ControlTally { passed: l.passed, failed: l.failed }
-}
-
 // ---------------------------------------------------------------------
 // Counter state
 // ---------------------------------------------------------------------
@@ -608,7 +600,350 @@ impl CounterState {
 }
 
 // ---------------------------------------------------------------------
-// Timeline checkpoints
+// The kind trait
+// ---------------------------------------------------------------------
+
+pub(crate) use kind::ShardKind;
+
+/// The trait lives in a private module, nominally `pub`, so the public
+/// [`Checkpoint`] methods can be bounded by it without it becoming
+/// reachable from outside the crate.
+mod kind {
+    use super::*;
+
+    /// What the generic checkpoint codec needs from a shard accumulator.
+    pub trait ShardKind: Clone + std::fmt::Debug {
+        /// The header's `kind` tag.
+        const TAG: &'static str;
+        /// Whether files carry a drive line (adaptive driver state).
+        const DRIVE_LINE: bool;
+        /// What a campaign of this kind shows.
+        type Stimulus;
+        /// The finished campaign's digest.
+        type Digest;
+        /// The [`DigestParams`] a checkpoint records for accumulators
+        /// built under `p`.
+        fn params(p: DigestParams) -> DigestParams;
+        /// An empty accumulator sized for `stimuli`.
+        fn fresh(stimuli: &[Self::Stimulus], params: &DigestParams) -> Self;
+        /// Participant indices folded: `(admitted, rejected, pruned)`.
+        fn gate(&self) -> (u64, u64, u64);
+        /// Append lines 2 and 3: the totals and the behaviour moments.
+        fn write_head(&self, out: &mut String);
+        /// Append one line per stimulus; returns how many.
+        fn write_stimuli(&self, out: &mut String) -> usize;
+        /// Decode lines 2 and 3 into an accumulator with room for
+        /// `n_stimuli` stimuli and none pushed yet.
+        fn of_head(totals: &str, behavior: &str, n_stimuli: usize) -> Result<Self, CheckpointError>;
+        /// Decode stimulus line `ln` and append it.
+        fn push_stimulus(
+            &mut self,
+            line: &str,
+            ln: usize,
+            params: &DigestParams,
+        ) -> Result<(), CheckpointError>;
+        /// Fold `other` in, checking every stimulus's identity and
+        /// configuration. On error `self` may be part-merged; callers
+        /// that keep it merge into a clone ([`Checkpoint::merge`]).
+        fn merge_checked(&mut self, other: &Self) -> Result<(), MergeError>;
+        /// The digest of this fold as a run of `n_participants` from
+        /// `service`.
+        fn into_digest(self, service: &dyn RecruitmentService, n_participants: usize)
+            -> Self::Digest;
+    }
+}
+
+/// The final digest of `folds`, merged in order into a fresh
+/// accumulator: the one digest assembly, behind both
+/// [`Checkpoint::finalize`] and the engines' `stream::merge_shards`.
+pub(crate) fn digest_of<K: ShardKind>(
+    stimuli: &[K::Stimulus],
+    service: &dyn RecruitmentService,
+    n_participants: usize,
+    params: &DigestParams,
+    folds: &[K],
+) -> Result<K::Digest, MergeError> {
+    let mut acc = K::fresh(stimuli, params);
+    for fold in folds {
+        acc.merge_checked(fold)?;
+    }
+    Ok(acc.into_digest(service, n_participants))
+}
+
+/// Merge `from` into `into` stimulus by stimulus; the counts must agree.
+fn merge_stimuli<S>(
+    into: &mut [S],
+    from: &[S],
+    merge: impl Fn(&mut S, &S) -> Result<(), MergeError>,
+) -> Result<(), MergeError> {
+    if into.len() != from.len() {
+        return Err(MergeError::StimulusCount { left: into.len(), right: from.len() });
+    }
+    for (a, b) in into.iter_mut().zip(from) {
+        merge(a, b)?;
+    }
+    Ok(())
+}
+
+/// Recruitment economics of a run of `n` participants from `service`:
+/// (cost in USD, drive duration in seconds).
+fn recruitment(service: &dyn RecruitmentService, n: usize) -> (f64, f64) {
+    let duration = if n == 0 { 0.0 } else { service.arrival(n - 1).as_secs_f64() };
+    (service.cost_per_participant() * n as f64, duration)
+}
+
+fn behavior_at(line: &str) -> Result<BehaviorDigest, CheckpointError> {
+    behavior_of(&parse_line::<BehaviorLine>(line, 3)?, 3)
+}
+
+impl ShardKind for TlShard {
+    const TAG: &'static str = "timeline";
+    const DRIVE_LINE: bool = true;
+    type Stimulus = TimelineStimulus;
+    type Digest = TimelineDigest;
+
+    fn params(p: DigestParams) -> DigestParams {
+        p
+    }
+
+    fn fresh(stimuli: &[TimelineStimulus], params: &DigestParams) -> TlShard {
+        TlShard::new(stimuli, params)
+    }
+
+    fn gate(&self) -> (u64, u64, u64) {
+        (self.admitted, self.rejected, self.pruned)
+    }
+
+    fn write_head(&self, out: &mut String) {
+        put(
+            out,
+            &TotalsLine {
+                admitted: self.admitted,
+                rejected: self.rejected,
+                collected: self.collected,
+                skipped: self.skipped,
+                pruned: self.pruned,
+                filters: self.filters,
+                controls: self.controls,
+            },
+        );
+        put(out, &behavior_line(&self.behavior));
+    }
+
+    fn write_stimuli(&self, out: &mut String) -> usize {
+        for s in &self.stimuli {
+            put(
+                out,
+                &StimulusLine {
+                    name: s.name.clone(),
+                    uplt: moments_line(&s.uplt),
+                    hist: hist_line(&s.hist),
+                    sketch: sketch_line(&s.sketch),
+                },
+            );
+        }
+        self.stimuli.len()
+    }
+
+    fn of_head(totals: &str, behavior: &str, n: usize) -> Result<TlShard, CheckpointError> {
+        let t: TotalsLine = parse_line(totals, 2)?;
+        Ok(TlShard {
+            stimuli: Vec::with_capacity(n),
+            behavior: behavior_at(behavior)?,
+            filters: t.filters,
+            controls: t.controls,
+            admitted: t.admitted,
+            rejected: t.rejected,
+            collected: t.collected,
+            skipped: t.skipped,
+            pruned: t.pruned,
+        })
+    }
+
+    fn push_stimulus(
+        &mut self,
+        line: &str,
+        ln: usize,
+        params: &DigestParams,
+    ) -> Result<(), CheckpointError> {
+        let sl: StimulusLine = parse_line(line, ln)?;
+        let hist = hist_of(&sl.hist, ln)?;
+        if hist.counts().len() != params.hist_bins {
+            return Err(CheckpointError::State {
+                line: ln,
+                detail: format!(
+                    "histogram has {} bins, header pins {}",
+                    hist.counts().len(),
+                    params.hist_bins
+                ),
+            });
+        }
+        let sketch = sketch_of(&sl.sketch, ln)?;
+        if sketch.bins() != params.sketch_bins || sketch.exact_cap() != params.exact_cap {
+            return Err(CheckpointError::State {
+                line: ln,
+                detail: format!(
+                    "sketch built with bins={}/cap={}, header pins bins={}/cap={}",
+                    sketch.bins(),
+                    sketch.exact_cap(),
+                    params.sketch_bins,
+                    params.exact_cap
+                ),
+            });
+        }
+        self.stimuli.push(StimulusDigest {
+            name: sl.name,
+            uplt: moments_of(&sl.uplt, ln)?,
+            hist,
+            sketch,
+        });
+        Ok(())
+    }
+
+    fn merge_checked(&mut self, other: &TlShard) -> Result<(), MergeError> {
+        merge_stimuli(&mut self.stimuli, &other.stimuli, StimulusDigest::merge)?;
+        self.behavior.merge(&other.behavior);
+        self.filters.merge(&other.filters);
+        self.controls.merge(&other.controls);
+        self.admitted = self.admitted.saturating_add(other.admitted);
+        self.rejected = self.rejected.saturating_add(other.rejected);
+        self.collected = self.collected.saturating_add(other.collected);
+        self.skipped = self.skipped.saturating_add(other.skipped);
+        self.pruned = self.pruned.saturating_add(other.pruned);
+        Ok(())
+    }
+
+    fn into_digest(self, service: &dyn RecruitmentService, n: usize) -> TimelineDigest {
+        let (recruitment_cost_usd, recruitment_duration_secs) = recruitment(service, n);
+        TimelineDigest {
+            stimuli: self.stimuli,
+            recruited: n as u64,
+            admitted: self.admitted,
+            rejected: self.rejected,
+            recruitment_cost_usd,
+            recruitment_duration_secs,
+            responses_collected: self.collected,
+            responses_skipped: self.skipped,
+            behavior: self.behavior,
+            filters: self.filters,
+            controls: self.controls,
+        }
+    }
+}
+
+impl ShardKind for AbShard {
+    const TAG: &'static str = "ab";
+    const DRIVE_LINE: bool = false;
+    type Stimulus = AbStimulus;
+    type Digest = AbDigest;
+
+    /// A/B digests carry no histogram/sketch accumulators.
+    fn params(_: DigestParams) -> DigestParams {
+        DigestParams { hist_bins: 0, sketch_bins: 0, exact_cap: 0 }
+    }
+
+    fn fresh(stimuli: &[AbStimulus], _: &DigestParams) -> AbShard {
+        AbShard::new(stimuli)
+    }
+
+    fn gate(&self) -> (u64, u64, u64) {
+        (self.admitted, self.rejected, 0)
+    }
+
+    fn write_head(&self, out: &mut String) {
+        put(
+            out,
+            &AbTotalsLine {
+                admitted: self.admitted,
+                rejected: self.rejected,
+                cast: self.cast,
+                skipped: self.skipped,
+                filters: self.filters,
+                controls: self.controls,
+            },
+        );
+        put(out, &behavior_line(&self.behavior));
+    }
+
+    fn write_stimuli(&self, out: &mut String) -> usize {
+        for s in &self.stimuli {
+            put(
+                out,
+                &AbStimulusLine {
+                    name: s.name.clone(),
+                    a: s.tally.a,
+                    b: s.tally.b,
+                    nd: s.tally.nd,
+                    shows: s.shows,
+                    a_left_shows: s.a_left_shows,
+                },
+            );
+        }
+        self.stimuli.len()
+    }
+
+    fn of_head(totals: &str, behavior: &str, n: usize) -> Result<AbShard, CheckpointError> {
+        let t: AbTotalsLine = parse_line(totals, 2)?;
+        Ok(AbShard {
+            stimuli: Vec::with_capacity(n),
+            behavior: behavior_at(behavior)?,
+            filters: t.filters,
+            controls: t.controls,
+            admitted: t.admitted,
+            rejected: t.rejected,
+            cast: t.cast,
+            skipped: t.skipped,
+        })
+    }
+
+    fn push_stimulus(
+        &mut self,
+        line: &str,
+        ln: usize,
+        _: &DigestParams,
+    ) -> Result<(), CheckpointError> {
+        let sl: AbStimulusLine = parse_line(line, ln)?;
+        self.stimuli.push(AbStimulusDigest {
+            name: sl.name,
+            tally: AbTally { a: sl.a, b: sl.b, nd: sl.nd },
+            shows: sl.shows,
+            a_left_shows: sl.a_left_shows,
+        });
+        Ok(())
+    }
+
+    fn merge_checked(&mut self, other: &AbShard) -> Result<(), MergeError> {
+        merge_stimuli(&mut self.stimuli, &other.stimuli, AbStimulusDigest::merge)?;
+        self.behavior.merge(&other.behavior);
+        self.filters.merge(&other.filters);
+        self.controls.merge(&other.controls);
+        self.admitted = self.admitted.saturating_add(other.admitted);
+        self.rejected = self.rejected.saturating_add(other.rejected);
+        self.cast = self.cast.saturating_add(other.cast);
+        self.skipped = self.skipped.saturating_add(other.skipped);
+        Ok(())
+    }
+
+    fn into_digest(self, service: &dyn RecruitmentService, n: usize) -> AbDigest {
+        let (recruitment_cost_usd, recruitment_duration_secs) = recruitment(service, n);
+        AbDigest {
+            stimuli: self.stimuli,
+            recruited: n as u64,
+            admitted: self.admitted,
+            rejected: self.rejected,
+            recruitment_cost_usd,
+            recruitment_duration_secs,
+            votes_cast: self.cast,
+            votes_skipped: self.skipped,
+            behavior: self.behavior,
+            filters: self.filters,
+            controls: self.controls,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Checkpoints
 // ---------------------------------------------------------------------
 
 /// The adaptive driver's inter-epoch state as carried by a driver
@@ -621,23 +956,32 @@ pub(crate) struct DriveCkpt {
     pub(crate) decisions: Vec<StopDecision>,
 }
 
-/// A timeline campaign's accumulator state over `[range_lo, range_hi)`.
+/// A campaign's accumulator state over `[range_lo, range_hi)`, for
+/// either test kind ([`TimelineCheckpoint`], [`AbCheckpoint`]).
 ///
-/// Two flavours share the type: **driver** checkpoints (`range_lo = 0`,
-/// drive state present — what [`checkpointed_timeline_campaign`] emits
-/// and resumes from) and **worker** checkpoints (any range, no drive
-/// state — what [`timeline_worker_checkpoint`] emits and
-/// [`merge`](TimelineCheckpoint::merge) stitches together).
+/// Two flavours share the type: **driver** checkpoints (`range_lo = 0`
+/// — what the checkpointed drivers emit and resume from; timeline ones
+/// carry the adaptive drive state) and **worker** checkpoints (any
+/// range — what the worker entry points emit and
+/// [`merge`](Checkpoint::merge) stitches together). A/B runs have no
+/// adaptive driver, so every A/B checkpoint is both resumable and
+/// mergeable; timeline driver checkpoints only resume.
 #[derive(Debug)]
-pub struct TimelineCheckpoint {
+pub struct Checkpoint<K> {
     params: DigestParams,
     range_lo: u64,
     range_hi: u64,
     admitted_before: u64,
-    acc: TlShard,
+    acc: K,
     drive: Option<DriveCkpt>,
     counters: CounterState,
 }
+
+/// A timeline campaign's checkpoint.
+pub type TimelineCheckpoint = Checkpoint<TlShard>;
+
+/// An A/B campaign's checkpoint.
+pub type AbCheckpoint = Checkpoint<AbShard>;
 
 fn stop_cause_tag(c: StopCause) -> &'static str {
     match c {
@@ -657,77 +1001,68 @@ fn stop_cause_of(tag: &str, line: usize) -> Result<StopCause, CheckpointError> {
     }
 }
 
-/// Split a document into its non-empty lines and parse+validate the
-/// shared header. Returns (lines, header, expected line count).
-fn split_and_header<'a>(
-    text: &'a str,
-    kind: &str,
-    extra_lines: usize,
-) -> Result<(Vec<&'a str>, HeaderLine), CheckpointError> {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    if lines.is_empty() {
-        return Err(CheckpointError::Truncated { expected: 1, found: 0 });
+fn adaptive_line(d: &DriveCkpt) -> AdaptiveLine {
+    AdaptiveLine {
+        live: d.live.clone(),
+        epochs: d.epochs,
+        stopped_at: d.stopped_at.clone(),
+        decisions: d
+            .decisions
+            .iter()
+            .map(|dec| DecisionLine {
+                epoch: dec.epoch,
+                stimulus: dec.stimulus,
+                name: dec.name.clone(),
+                retained: dec.retained,
+                half_width: dec.half_width.to_bits(),
+                cause: stop_cause_tag(dec.cause).to_string(),
+            })
+            .collect(),
     }
-    // lint:allow(D7): the is_empty check above guarantees lines[0] exists
-    let h: HeaderLine = parse_line(lines[0], 1)?;
-    if h.format != FORMAT_TAG {
+}
+
+fn drive_of(a: AdaptiveLine, n_stimuli: usize, line: usize) -> Result<DriveCkpt, CheckpointError> {
+    if a.live.len() != n_stimuli || a.stopped_at.len() != n_stimuli {
         return Err(CheckpointError::Format {
-            line: 1,
-            detail: format!("not a checkpoint file (format {:?})", h.format),
-        });
-    }
-    if h.version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::Version { found: h.version, supported: CHECKPOINT_VERSION });
-    }
-    if h.kind != kind {
-        return Err(CheckpointError::Format {
-            line: 1,
-            detail: format!("expected a {kind:?} checkpoint, found {:?}", h.kind),
-        });
-    }
-    let expected = h.stimuli.saturating_add(extra_lines);
-    if h.lines != expected {
-        return Err(CheckpointError::Format {
-            line: 1,
+            line,
             detail: format!(
-                "header announces {} lines but {} stimuli imply {expected}",
-                h.lines, h.stimuli
+                "drive state sized for {} stimuli, header has {n_stimuli}",
+                a.live.len().max(a.stopped_at.len())
             ),
         });
     }
-    if lines.len() < expected {
-        return Err(CheckpointError::Truncated { expected, found: lines.len() });
-    }
-    if lines.len() > expected {
-        return Err(CheckpointError::Format {
-            line: expected + 1,
-            detail: "trailing data after the end line".to_string(),
+    let mut decisions = Vec::with_capacity(a.decisions.len());
+    for d in a.decisions {
+        if d.stimulus >= n_stimuli {
+            return Err(CheckpointError::Format {
+                line,
+                detail: format!("decision names stimulus {} of {n_stimuli}", d.stimulus),
+            });
+        }
+        decisions.push(StopDecision {
+            epoch: d.epoch,
+            stimulus: d.stimulus,
+            name: d.name,
+            retained: d.retained,
+            half_width: f64::from_bits(d.half_width),
+            cause: stop_cause_of(&d.cause, line)?,
         });
     }
-    if h.range_lo > h.range_hi {
-        return Err(CheckpointError::Format {
-            line: 1,
-            detail: format!("inverted range [{}, {})", h.range_lo, h.range_hi),
-        });
-    }
-    Ok((lines, h))
+    Ok(DriveCkpt { live: a.live, epochs: a.epochs, stopped_at: a.stopped_at, decisions })
 }
 
-fn check_end(line_str: &str, line: usize) -> Result<(), CheckpointError> {
-    let end: EndLine = parse_line(line_str, line)?;
-    if end.end != FORMAT_TAG {
-        return Err(CheckpointError::Format { line, detail: "bad end marker".to_string() });
-    }
-    Ok(())
-}
+impl<K: ShardKind> Checkpoint<K> {
+    /// Lines besides the stimulus lines: header, totals, behaviour,
+    /// (drive,) counters, end.
+    const FIXED_LINES: usize = 5 + K::DRIVE_LINE as usize;
 
-impl TimelineCheckpoint {
     /// The index range `[lo, hi)` this checkpoint covers.
     pub fn range(&self) -> (u64, u64) {
         (self.range_lo, self.range_hi)
     }
 
-    /// The [`DigestParams`] the accumulators were built under.
+    /// The [`DigestParams`] the accumulators were built under (all zero
+    /// for A/B checkpoints).
     pub fn params(&self) -> DigestParams {
         self.params
     }
@@ -738,10 +1073,10 @@ impl TimelineCheckpoint {
         self.admitted_before
     }
 
-    /// Whether this is a driver checkpoint (carries the epoch-loop
-    /// state a resume needs); worker checkpoints can only be merged.
+    /// Whether this checkpoint can seed a resume: timeline ones need
+    /// the drive state only driver checkpoints carry; every A/B one can.
     pub fn is_resumable(&self) -> bool {
-        self.drive.is_some()
+        !K::DRIVE_LINE || self.drive.is_some()
     }
 
     /// Re-apply the recorded obs totals (see the module-docs contract).
@@ -751,198 +1086,135 @@ impl TimelineCheckpoint {
 
     /// Serialize to the versioned JSONL format (ends with a newline).
     pub fn save(&self) -> String {
-        let n_stim = self.acc.stimuli.len();
-        let header = HeaderLine {
-            format: FORMAT_TAG.to_string(),
-            version: CHECKPOINT_VERSION,
-            kind: "timeline".to_string(),
-            hist_bins: self.params.hist_bins,
-            sketch_bins: self.params.sketch_bins,
-            exact_cap: self.params.exact_cap,
-            range_lo: self.range_lo,
-            range_hi: self.range_hi,
-            admitted_before: self.admitted_before,
-            stimuli: n_stim,
-            lines: n_stim + 6,
-        };
-        let mut out = String::new();
-        out.push_str(&json_line(&header));
-        out.push('\n');
-        out.push_str(&json_line(&TotalsLine {
-            admitted: self.acc.admitted,
-            rejected: self.acc.rejected,
-            collected: self.acc.collected,
-            skipped: self.acc.skipped,
-            pruned: self.acc.pruned,
-            filters: filters_line(&self.acc.filters),
-            controls: controls_line(&self.acc.controls),
-        }));
-        out.push('\n');
-        out.push_str(&json_line(&behavior_line(&self.acc.behavior)));
-        out.push('\n');
-        for s in &self.acc.stimuli {
-            out.push_str(&json_line(&StimulusLine {
-                name: s.name.clone(),
-                uplt: moments_line(&s.uplt),
-                hist: hist_line(&s.hist),
-                sketch: sketch_line(&s.sketch),
-            }));
-            out.push('\n');
+        let mut body = String::new();
+        self.acc.write_head(&mut body);
+        let n_stim = self.acc.write_stimuli(&mut body);
+        if K::DRIVE_LINE {
+            put(&mut body, &DriveLine { adaptive: self.drive.as_ref().map(adaptive_line) });
         }
-        let adaptive = self.drive.as_ref().map(|d| AdaptiveLine {
-            live: d.live.clone(),
-            epochs: d.epochs,
-            stopped_at: d.stopped_at.clone(),
-            decisions: d
-                .decisions
-                .iter()
-                .map(|dec| DecisionLine {
-                    epoch: dec.epoch,
-                    stimulus: dec.stimulus,
-                    name: dec.name.clone(),
-                    retained: dec.retained,
-                    half_width: dec.half_width.to_bits(),
-                    cause: stop_cause_tag(dec.cause).to_string(),
-                })
-                .collect(),
-        });
-        out.push_str(&json_line(&DriveLine { adaptive }));
-        out.push('\n');
-        out.push_str(&json_line(&self.counters.to_line()));
-        out.push('\n');
-        out.push_str(&json_line(&EndLine { end: FORMAT_TAG.to_string() }));
-        out.push('\n');
+        put(&mut body, &self.counters.to_line());
+        put(&mut body, &EndLine { end: FORMAT_TAG.to_string() });
+        let mut out = String::new();
+        put(
+            &mut out,
+            &HeaderLine {
+                format: FORMAT_TAG.to_string(),
+                version: CHECKPOINT_VERSION,
+                kind: K::TAG.to_string(),
+                hist_bins: self.params.hist_bins,
+                sketch_bins: self.params.sketch_bins,
+                exact_cap: self.params.exact_cap,
+                range_lo: self.range_lo,
+                range_hi: self.range_hi,
+                admitted_before: self.admitted_before,
+                stimuli: n_stim,
+                lines: n_stim + Self::FIXED_LINES,
+            },
+        );
+        out.push_str(&body);
         out
     }
 
-    /// Parse and validate a serialized timeline checkpoint.
+    /// Parse and validate a serialized checkpoint of this kind.
     /// `load(save(state))` is bit-identical to `state`; any malformed
     /// input comes back as a typed [`CheckpointError`], never a panic.
     // lint:entrypoint(untrusted)
-    pub fn load(text: &str) -> Result<TimelineCheckpoint, CheckpointError> {
-        let (lines, h) = split_and_header(text, "timeline", 6)?;
+    pub fn load(text: &str) -> Result<Checkpoint<K>, CheckpointError> {
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let found = lines.clone().count();
+        let h: HeaderLine =
+            parse_line(lines.next().ok_or(CheckpointError::Truncated { expected: 1, found })?, 1)?;
+        let header_err = |detail: String| CheckpointError::Format { line: 1, detail };
+        if h.format != FORMAT_TAG {
+            return Err(header_err(format!("not a checkpoint file (format {:?})", h.format)));
+        }
+        if h.version != CHECKPOINT_VERSION {
+            let supported = CHECKPOINT_VERSION;
+            return Err(CheckpointError::Version { found: h.version, supported });
+        }
+        if h.kind != K::TAG {
+            let found = &h.kind;
+            return Err(header_err(format!("expected a {:?} checkpoint, found {found:?}", K::TAG)));
+        }
+        let expected = h.stimuli.saturating_add(Self::FIXED_LINES);
+        if h.lines != expected {
+            return Err(header_err(format!(
+                "header announces {} lines but {} stimuli imply {expected}",
+                h.lines, h.stimuli
+            )));
+        }
+        if found < expected {
+            return Err(CheckpointError::Truncated { expected, found });
+        }
+        if found > expected {
+            return Err(CheckpointError::Format {
+                line: expected + 1,
+                detail: "trailing data after the end line".to_string(),
+            });
+        }
+        if h.range_lo > h.range_hi {
+            return Err(header_err(format!("inverted range [{}, {})", h.range_lo, h.range_hi)));
+        }
         let params = DigestParams {
             hist_bins: h.hist_bins,
             sketch_bins: h.sketch_bins,
             exact_cap: h.exact_cap,
         };
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        let totals: TotalsLine = parse_line(lines[1], 2)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        let behavior = behavior_of(&parse_line::<BehaviorLine>(lines[2], 3)?, 3)?;
-        let mut stimuli = Vec::with_capacity(h.stimuli);
-        for i in 0..h.stimuli {
-            let ln = 4 + i;
-            // lint:allow(D7): i < h.stimuli and lines.len() == stimuli + 6 (split_and_header)
-            let sl: StimulusLine = parse_line(lines[3 + i], ln)?;
-            let hist = hist_of(&sl.hist, ln)?;
-            if hist.counts().len() != params.hist_bins {
-                return Err(CheckpointError::State {
-                    line: ln,
-                    detail: format!(
-                        "histogram has {} bins, header pins {}",
-                        hist.counts().len(),
-                        params.hist_bins
-                    ),
-                });
-            }
-            let sketch = sketch_of(&sl.sketch, ln)?;
-            if sketch.bins() != params.sketch_bins || sketch.exact_cap() != params.exact_cap {
-                return Err(CheckpointError::State {
-                    line: ln,
-                    detail: format!(
-                        "sketch built with bins={}/cap={}, header pins bins={}/cap={}",
-                        sketch.bins(),
-                        sketch.exact_cap(),
-                        params.sketch_bins,
-                        params.exact_cap
-                    ),
-                });
-            }
-            stimuli.push(StimulusDigest {
-                name: sl.name,
-                uplt: moments_of(&sl.uplt, ln)?,
-                hist,
-                sketch,
+
+        // Every remaining line, numbered from 2. The count check above
+        // bounds `h.stimuli` (and the allocations it sizes) by the
+        // lines present and means `next` cannot run dry; it stays a
+        // typed error all the same.
+        let mut rest = lines.zip(2usize..);
+        let mut next = || rest.next().ok_or(CheckpointError::Truncated { expected, found });
+        let (totals, _) = next()?;
+        let (behavior, _) = next()?;
+        let mut acc = K::of_head(totals, behavior, h.stimuli)?;
+        let (admitted, rejected, pruned) = acc.gate();
+        let span = h.range_hi - h.range_lo;
+        if admitted.checked_add(rejected).and_then(|n| n.checked_add(pruned)) != Some(span) {
+            return Err(CheckpointError::Format {
+                line: 2,
+                detail: format!(
+                    "totals admit {admitted}, reject {rejected}, and prune {pruned} participants; \
+                     the range holds {span}"
+                ),
             });
         }
-        let drive_ln = 4 + h.stimuli;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        let dl: DriveLine = parse_line(lines[3 + h.stimuli], drive_ln)?;
-        let drive = match dl.adaptive {
-            None => None,
-            Some(a) => {
-                if a.live.len() != h.stimuli || a.stopped_at.len() != h.stimuli {
-                    return Err(CheckpointError::Format {
-                        line: drive_ln,
-                        detail: format!(
-                            "drive state sized for {} stimuli, header has {}",
-                            a.live.len().max(a.stopped_at.len()),
-                            h.stimuli
-                        ),
-                    });
-                }
-                let mut decisions = Vec::with_capacity(a.decisions.len());
-                for d in &a.decisions {
-                    if d.stimulus >= h.stimuli {
-                        return Err(CheckpointError::Format {
-                            line: drive_ln,
-                            detail: format!(
-                                "decision names stimulus {} of {}",
-                                d.stimulus, h.stimuli
-                            ),
-                        });
-                    }
-                    decisions.push(StopDecision {
-                        epoch: d.epoch,
-                        stimulus: d.stimulus,
-                        name: d.name.clone(),
-                        retained: d.retained,
-                        half_width: f64::from_bits(d.half_width),
-                        cause: stop_cause_of(&d.cause, drive_ln)?,
-                    });
-                }
-                Some(DriveCkpt {
-                    live: a.live,
-                    epochs: a.epochs,
-                    stopped_at: a.stopped_at,
-                    decisions,
-                })
-            }
-        };
-        let counters_ln = 5 + h.stimuli;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        let cl: CountersLine = parse_line(lines[4 + h.stimuli], counters_ln)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 6
-        check_end(lines[5 + h.stimuli], 6 + h.stimuli)?;
-        Ok(TimelineCheckpoint {
+        for _ in 0..h.stimuli {
+            let (line, ln) = next()?;
+            acc.push_stimulus(line, ln, &params)?;
+        }
+        let mut drive = None;
+        if K::DRIVE_LINE {
+            let (line, ln) = next()?;
+            let dl: DriveLine = parse_line(line, ln)?;
+            drive = dl.adaptive.map(|a| drive_of(a, h.stimuli, ln)).transpose()?;
+        }
+        let (line, ln) = next()?;
+        let counters = CounterState::of_line(parse_line(line, ln)?);
+        let (line, ln) = next()?;
+        if parse_line::<EndLine>(line, ln)?.end != FORMAT_TAG {
+            return Err(CheckpointError::Format { line: ln, detail: "bad end marker".to_string() });
+        }
+        Ok(Checkpoint {
             params,
             range_lo: h.range_lo,
             range_hi: h.range_hi,
             admitted_before: h.admitted_before,
-            acc: TlShard {
-                stimuli,
-                behavior,
-                filters: filters_of(&totals.filters),
-                controls: controls_of(&totals.controls),
-                admitted: totals.admitted,
-                rejected: totals.rejected,
-                collected: totals.collected,
-                skipped: totals.skipped,
-                pruned: totals.pruned,
-            },
+            acc,
             drive,
-            counters: CounterState::of_line(cl),
+            counters,
         })
     }
 
     /// Append an adjacent worker checkpoint's range. Checks digest
     /// params, range adjacency, admitted-index continuity, and every
     /// per-stimulus identity/config before mutating, so a failed merge
-    /// leaves `self` unchanged. Driver checkpoints refuse to merge
-    /// (their drive state is not rangewise-composable).
+    /// leaves `self` unchanged. Timeline driver checkpoints refuse to
+    /// merge (their drive state is not rangewise-composable).
     // lint:entrypoint(untrusted)
-    pub fn merge(&mut self, other: &TimelineCheckpoint) -> Result<(), CheckpointError> {
+    pub fn merge(&mut self, other: &Checkpoint<K>) -> Result<(), CheckpointError> {
         if self.drive.is_some() || other.drive.is_some() {
             return Err(CheckpointError::Config {
                 detail: "driver checkpoints cannot be merged; merge worker checkpoints and \
@@ -961,35 +1233,17 @@ impl TimelineCheckpoint {
                 right_lo: other.range_lo,
             });
         }
-        let expected = self
-            .admitted_before
-            .saturating_add(self.acc.admitted)
-            .saturating_add(self.acc.pruned);
+        // Pruned participants consumed an admitted index unserved.
+        let (admitted, _, pruned) = self.acc.gate();
+        let expected = self.admitted_before.saturating_add(admitted).saturating_add(pruned);
         if other.admitted_before != expected {
             return Err(CheckpointError::AdmittedGap { expected, found: other.admitted_before });
         }
-        if self.acc.stimuli.len() != other.acc.stimuli.len() {
-            return Err(MergeError::StimulusCount {
-                left: self.acc.stimuli.len(),
-                right: other.acc.stimuli.len(),
-            }
-            .into());
-        }
         // Merge into a clone and commit only on full success, so a
         // mid-way config mismatch cannot leave a half-merged state.
-        let mut merged = self.acc.stimuli.clone();
-        for (a, b) in merged.iter_mut().zip(&other.acc.stimuli) {
-            a.merge(b)?;
-        }
-        self.acc.stimuli = merged;
-        self.acc.behavior.merge(&other.acc.behavior);
-        self.acc.filters.merge(&other.acc.filters);
-        self.acc.controls.merge(&other.acc.controls);
-        self.acc.admitted = self.acc.admitted.saturating_add(other.acc.admitted);
-        self.acc.rejected = self.acc.rejected.saturating_add(other.acc.rejected);
-        self.acc.collected = self.acc.collected.saturating_add(other.acc.collected);
-        self.acc.skipped = self.acc.skipped.saturating_add(other.acc.skipped);
-        self.acc.pruned = self.acc.pruned.saturating_add(other.acc.pruned);
+        let mut acc = self.acc.clone();
+        acc.merge_checked(&other.acc)?;
+        self.acc = acc;
         self.counters.merge_from(&other.counters);
         self.range_hi = other.range_hi;
         Ok(())
@@ -1000,53 +1254,96 @@ impl TimelineCheckpoint {
     /// single-process run of `range_hi` participants returns.
     pub fn finalize(
         &self,
-        stimuli: &[TimelineStimulus],
+        stimuli: &[K::Stimulus],
         service: &dyn RecruitmentService,
-    ) -> Result<TimelineDigest, CheckpointError> {
+    ) -> Result<K::Digest, CheckpointError> {
         if self.range_lo != 0 {
             return Err(CheckpointError::PartialRange { lo: self.range_lo });
         }
-        tl_digest_of(&self.acc, stimuli, service, self.range_hi, &self.params)
+        let n = self.range_hi as usize;
+        Ok(digest_of(stimuli, service, n, &self.params, std::slice::from_ref(&self.acc))?)
+    }
+
+    /// Check that this checkpoint can seed a resumed run of `budget`
+    /// participants over `stimuli` under `params`. Probe-merging the
+    /// untrusted accumulator into a fresh one runs the full fallible
+    /// identity/config checks, after which the run's infallible shard
+    /// merges are unreachable from disk. (A loaded drive state is sized
+    /// to the file's stimuli, which the probe pins to the run's.)
+    fn check_resume(
+        &self,
+        stimuli: &[K::Stimulus],
+        budget: usize,
+        params: &DigestParams,
+    ) -> Result<(), CheckpointError> {
+        let params = K::params(*params);
+        if self.params != params {
+            return Err(CheckpointError::ParamsMismatch {
+                detail: format!("checkpoint {:?} vs run {params:?}", self.params),
+            });
+        }
+        if self.range_lo != 0 {
+            return Err(CheckpointError::PartialRange { lo: self.range_lo });
+        }
+        if self.range_hi > budget as u64 {
+            return Err(CheckpointError::Config {
+                detail: format!(
+                    "checkpoint covers {} participants, budget is {budget}",
+                    self.range_hi
+                ),
+            });
+        }
+        K::fresh(stimuli, &params).merge_checked(&self.acc)?;
+        Ok(())
     }
 }
 
-/// Fallible counterpart of `stream::merge_tl_shards` for accumulators
-/// that came from disk: a fresh digest is built from `stimuli` +
-/// `params` and the untrusted state merged in through the
-/// [`MergeError`]-returning path.
-fn tl_digest_of(
-    acc: &TlShard,
-    stimuli: &[TimelineStimulus],
+/// The shared body of both worker entry points: validate the range,
+/// recompute its admitted-index base from the seed (the same pre-pass
+/// both engines run), fold it with `fold(base)`, and wrap the merged
+/// folds with this process's counter totals.
+#[allow(clippy::too_many_arguments)] // the worker entry points' shared arguments
+fn worker_checkpoint<K: ShardKind>(
+    stimuli: &[K::Stimulus],
     service: &dyn RecruitmentService,
-    n_participants: u64,
-    params: &DigestParams,
-) -> Result<TimelineDigest, CheckpointError> {
-    if stimuli.len() != acc.stimuli.len() {
-        return Err(
-            MergeError::StimulusCount { left: stimuli.len(), right: acc.stimuli.len() }.into()
-        );
+    lo: usize,
+    hi: usize,
+    cfg: &ExperimentConfig,
+    seed: Seed,
+    sc: &StreamConfig,
+    fold: impl FnOnce(u64) -> Vec<K>,
+) -> Result<Checkpoint<K>, CheckpointError> {
+    if stimuli.is_empty() {
+        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
     }
-    let n = n_participants as usize;
-    let mut digest = TimelineDigest {
-        stimuli: stimuli
-            .iter()
-            .map(|st| StimulusDigest::new(&st.name, st.video.duration().as_secs_f64(), params))
-            .collect(),
-        recruited: n_participants,
-        admitted: acc.admitted,
-        rejected: acc.rejected,
-        recruitment_cost_usd: service.cost_per_participant() * n as f64,
-        recruitment_duration_secs: if n == 0 { 0.0 } else { service.arrival(n - 1).as_secs_f64() },
-        responses_collected: acc.collected,
-        responses_skipped: acc.skipped,
-        behavior: acc.behavior.clone(),
-        filters: acc.filters,
-        controls: acc.controls,
+    if lo > hi {
+        return Err(CheckpointError::Config {
+            detail: format!("inverted worker range [{lo}, {hi})"),
+        });
+    }
+    let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
+    let threads = resolve_threads(cfg.threads);
+    let admitted_before = if lo == 0 {
+        0
+    } else {
+        let pop = service.population();
+        admitted_bases_range(0, lo, sc.shard_size.max(1), threads, &pop, seed.derive("recruit"), 0)
+            .1
     };
-    for (a, b) in digest.stimuli.iter_mut().zip(&acc.stimuli) {
-        a.merge(b)?;
+    let params = K::params(sc.params);
+    let mut acc = K::fresh(stimuli, &params);
+    for f in &fold(admitted_before) {
+        acc.merge_checked(f)?;
     }
-    Ok(digest)
+    Ok(Checkpoint {
+        params,
+        range_lo: lo as u64,
+        range_hi: hi as u64,
+        admitted_before,
+        acc,
+        drive: None,
+        counters: CounterState::capture(threads),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1157,70 +1454,6 @@ pub enum RunOutcome {
     Interrupted(Box<TimelineCheckpoint>),
 }
 
-fn validate_tl_resume(
-    resume: &TimelineCheckpoint,
-    stimuli: &[TimelineStimulus],
-    budget: usize,
-    sc: &StreamConfig,
-) -> Result<DriveState, CheckpointError> {
-    if resume.params != sc.params {
-        return Err(CheckpointError::ParamsMismatch {
-            detail: format!("checkpoint {:?} vs run {:?}", resume.params, sc.params),
-        });
-    }
-    if resume.range_lo != 0 {
-        return Err(CheckpointError::PartialRange { lo: resume.range_lo });
-    }
-    if resume.range_hi > budget as u64 {
-        return Err(CheckpointError::Config {
-            detail: format!(
-                "checkpoint covers {} participants, budget is {budget}",
-                resume.range_hi
-            ),
-        });
-    }
-    let Some(drive) = &resume.drive else {
-        return Err(CheckpointError::Config {
-            detail: "a worker checkpoint cannot seed a resume (no drive state)".to_string(),
-        });
-    };
-    if drive.live.len() != stimuli.len() || drive.stopped_at.len() != stimuli.len() {
-        return Err(CheckpointError::Config {
-            detail: format!(
-                "drive state sized for {} stimuli, run has {}",
-                drive.live.len().max(drive.stopped_at.len()),
-                stimuli.len()
-            ),
-        });
-    }
-    // Probe-merge the untrusted accumulator against a freshly
-    // constructed one: this runs the full fallible identity/config
-    // checks, after which the epoch loop's infallible internal shard
-    // merges are genuinely unreachable from disk.
-    let mut probe = TlShard::new(stimuli, &sc.params);
-    if probe.stimuli.len() != resume.acc.stimuli.len() {
-        return Err(MergeError::StimulusCount {
-            left: probe.stimuli.len(),
-            right: resume.acc.stimuli.len(),
-        }
-        .into());
-    }
-    for (a, b) in probe.stimuli.iter_mut().zip(&resume.acc.stimuli) {
-        a.merge(b)?;
-    }
-    Ok(DriveState {
-        live: drive.live.clone(),
-        acc: resume.acc.clone(),
-        // Gate admissions over [0, processed): pruned participants
-        // consumed an admitted index without being served.
-        admitted: resume.acc.admitted.saturating_add(resume.acc.pruned),
-        processed: resume.range_hi as usize,
-        epochs: drive.epochs,
-        decisions: drive.decisions.clone(),
-        stopped_at: drive.stopped_at.clone(),
-    })
-}
-
 /// Run a timeline campaign (adaptive or plain) with checkpoint/resume
 /// and live incremental analytics.
 ///
@@ -1258,23 +1491,38 @@ pub fn checkpointed_timeline_campaign(
     }
     let _t = eyeorg_obs::phase_timer("core.checkpointed_timeline");
     let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
     // Barrier spacing: adaptive runs keep their decision epoch (the
     // decision sequence must not depend on checkpointing); plain runs
     // get a barrier every `every_shards` shards.
     let eff_epoch = if ac.is_active() {
         ac.epoch.max(1)
     } else {
-        ck.every_shards.max(1).saturating_mul(shard)
+        ck.every_shards.max(1).saturating_mul(sc.shard_size.max(1))
     };
     let eff_ac = AdaptiveConfig { epoch: eff_epoch, ..*ac };
 
-    let resume_state = match resume {
+    let start = match resume {
         None => None,
         Some(c) => {
-            let st = validate_tl_resume(c, stimuli, budget, sc)?;
+            c.check_resume(stimuli, budget, &sc.params)?;
+            let Some(drive) = &c.drive else {
+                return Err(CheckpointError::Config {
+                    detail: "a worker checkpoint cannot seed a resume (no drive state)"
+                        .to_string(),
+                });
+            };
             c.restore_counters();
-            Some(st)
+            Some(DriveState {
+                live: drive.live.clone(),
+                acc: c.acc.clone(),
+                // Gate admissions over [0, processed): pruned participants
+                // consumed an admitted index without being served.
+                admitted: c.acc.admitted + c.acc.pruned,
+                processed: c.range_hi as usize,
+                epochs: drive.epochs,
+                decisions: drive.decisions.clone(),
+                stopped_at: drive.stopped_at.clone(),
+            })
         }
     };
 
@@ -1293,45 +1541,9 @@ pub fn checkpointed_timeline_campaign(
             observer(CheckpointEvent::Live(&live));
             observer(CheckpointEvent::Checkpoint(&tl_driver_ckpt(sc.params, st, threads)))
         };
-        match backend {
-            AdaptiveBackend::Streaming => {
-                let pop = service.population();
-                let frames = tl_frames(stimuli, threads);
-                let ctx = TlCtx::new(
-                    stimuli,
-                    &frames,
-                    &pop,
-                    cfg,
-                    filters,
-                    seed.derive("recruit"),
-                    seed.derive("timeline"),
-                    sc.params,
-                );
-                drive_resumable(
-                    stimuli,
-                    service,
-                    budget,
-                    sc,
-                    &eff_ac,
-                    resume_state,
-                    &mut barrier,
-                    |lo, hi, base, live| stream_tl_epoch(&ctx, lo, hi, threads, shard, base, live),
-                )
-            }
-            AdaptiveBackend::Flat => {
-                let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-                drive_resumable(
-                    stimuli,
-                    service,
-                    budget,
-                    sc,
-                    &eff_ac,
-                    resume_state,
-                    &mut barrier,
-                    |lo, hi, base, live| flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live),
-                )
-            }
-        }
+        with_tl_epochs(stimuli, service, cfg, filters, seed, sc, backend, |run_epoch| {
+            drive_resumable(stimuli, service, budget, sc, &eff_ac, start, &mut barrier, run_epoch)
+        })
     };
 
     match end {
@@ -1351,7 +1563,7 @@ pub fn checkpointed_timeline_campaign(
 /// A driver checkpoint of the epoch loop's current state (obs totals
 /// captured from the live registry).
 fn tl_driver_ckpt(params: DigestParams, st: &DriveState, threads: usize) -> TimelineCheckpoint {
-    TimelineCheckpoint {
+    Checkpoint {
         params,
         range_lo: 0,
         range_hi: st.processed as u64,
@@ -1367,16 +1579,10 @@ fn tl_driver_ckpt(params: DigestParams, st: &DriveState, threads: usize) -> Time
     }
 }
 
-// ---------------------------------------------------------------------
-// Worker checkpoints (multi-process split)
-// ---------------------------------------------------------------------
-
 /// Fold the participant index range `[lo, hi)` of a timeline campaign
 /// and return it as a mergeable worker checkpoint — the unit of
-/// multi-process splitting. The worker recomputes the range's
-/// admitted-index base from the seed (the same pre-pass both engines
-/// run), so independently launched workers over adjacent ranges merge
-/// into exactly the single-process run's state.
+/// multi-process splitting. Independently launched workers over
+/// adjacent ranges merge into exactly the single-process run's state.
 ///
 /// Obs contract: reset the registry first; the checkpoint's counters
 /// are then this range's contribution.
@@ -1392,277 +1598,12 @@ pub fn timeline_worker_checkpoint(
     sc: &StreamConfig,
     backend: AdaptiveBackend,
 ) -> Result<TimelineCheckpoint, CheckpointError> {
-    if stimuli.is_empty() {
-        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
-    }
-    if lo > hi {
-        return Err(CheckpointError::Config {
-            detail: format!("inverted worker range [{lo}, {hi})"),
-        });
-    }
-    let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
-    let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
-    let pop = service.population();
-    let recruit_seed = seed.derive("recruit");
-    let admitted_before = if lo == 0 {
-        0
-    } else {
-        admitted_bases_range(0, lo, shard, threads, &pop, recruit_seed, 0).1
-    };
     let live = vec![true; stimuli.len()];
-    let (folds, _) = match backend {
-        AdaptiveBackend::Streaming => {
-            let frames = tl_frames(stimuli, threads);
-            let ctx = TlCtx::new(
-                stimuli,
-                &frames,
-                &pop,
-                cfg,
-                filters,
-                recruit_seed,
-                seed.derive("timeline"),
-                sc.params,
-            );
-            stream_tl_epoch(&ctx, lo, hi, threads, shard, admitted_before, &live)
-        }
-        AdaptiveBackend::Flat => {
-            let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-            flat_tl_epoch(&ctx, lo, hi, threads, shard, admitted_before, &live)
-        }
-    };
-    let mut acc = TlShard::new(stimuli, &sc.params);
-    for fold in &folds {
-        acc.merge_from(fold);
-    }
-    Ok(TimelineCheckpoint {
-        params: sc.params,
-        range_lo: lo as u64,
-        range_hi: hi as u64,
-        admitted_before,
-        acc,
-        drive: None,
-        counters: CounterState::capture(threads),
-    })
-}
-
-// ---------------------------------------------------------------------
-// A/B checkpoints
-// ---------------------------------------------------------------------
-
-/// An A/B campaign's accumulator state over `[range_lo, range_hi)` —
-/// the A/B counterpart of [`TimelineCheckpoint`]. A/B runs have no
-/// adaptive driver, so every A/B checkpoint is both resumable and
-/// mergeable.
-#[derive(Debug)]
-pub struct AbCheckpoint {
-    range_lo: u64,
-    range_hi: u64,
-    admitted_before: u64,
-    acc: AbShard,
-    counters: CounterState,
-}
-
-impl AbCheckpoint {
-    /// The index range `[lo, hi)` this checkpoint covers.
-    pub fn range(&self) -> (u64, u64) {
-        (self.range_lo, self.range_hi)
-    }
-
-    /// Gate admissions in `[0, range_lo)`.
-    pub fn admitted_before(&self) -> u64 {
-        self.admitted_before
-    }
-
-    /// Re-apply the recorded obs totals (see the module-docs contract).
-    pub fn restore_counters(&self) {
-        self.counters.restore();
-    }
-
-    /// Serialize to the versioned JSONL format (ends with a newline).
-    pub fn save(&self) -> String {
-        let n_stim = self.acc.stimuli.len();
-        let header = HeaderLine {
-            format: FORMAT_TAG.to_string(),
-            version: CHECKPOINT_VERSION,
-            kind: "ab".to_string(),
-            // A/B digests carry no histogram/sketch accumulators.
-            hist_bins: 0,
-            sketch_bins: 0,
-            exact_cap: 0,
-            range_lo: self.range_lo,
-            range_hi: self.range_hi,
-            admitted_before: self.admitted_before,
-            stimuli: n_stim,
-            lines: n_stim + 5,
-        };
-        let mut out = String::new();
-        out.push_str(&json_line(&header));
-        out.push('\n');
-        out.push_str(&json_line(&AbTotalsLine {
-            admitted: self.acc.admitted,
-            rejected: self.acc.rejected,
-            cast: self.acc.cast,
-            skipped: self.acc.skipped,
-            filters: filters_line(&self.acc.filters),
-            controls: controls_line(&self.acc.controls),
-        }));
-        out.push('\n');
-        out.push_str(&json_line(&behavior_line(&self.acc.behavior)));
-        out.push('\n');
-        for s in &self.acc.stimuli {
-            out.push_str(&json_line(&AbStimulusLine {
-                name: s.name.clone(),
-                a: s.tally.a,
-                b: s.tally.b,
-                nd: s.tally.nd,
-                shows: s.shows,
-                a_left_shows: s.a_left_shows,
-            }));
-            out.push('\n');
-        }
-        out.push_str(&json_line(&self.counters.to_line()));
-        out.push('\n');
-        out.push_str(&json_line(&EndLine { end: FORMAT_TAG.to_string() }));
-        out.push('\n');
-        out
-    }
-
-    /// Parse and validate a serialized A/B checkpoint. Same contract as
-    /// [`TimelineCheckpoint::load`].
-    // lint:entrypoint(untrusted)
-    pub fn load(text: &str) -> Result<AbCheckpoint, CheckpointError> {
-        let (lines, h) = split_and_header(text, "ab", 5)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 5
-        let totals: AbTotalsLine = parse_line(lines[1], 2)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 5
-        let behavior = behavior_of(&parse_line::<BehaviorLine>(lines[2], 3)?, 3)?;
-        let mut stimuli = Vec::with_capacity(h.stimuli);
-        for i in 0..h.stimuli {
-            // lint:allow(D7): i < h.stimuli and lines.len() == stimuli + 5 (split_and_header)
-            let sl: AbStimulusLine = parse_line(lines[3 + i], 4 + i)?;
-            stimuli.push(AbStimulusDigest {
-                name: sl.name,
-                tally: crate::analysis::AbTally { a: sl.a, b: sl.b, nd: sl.nd },
-                shows: sl.shows,
-                a_left_shows: sl.a_left_shows,
-            });
-        }
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 5
-        let cl: CountersLine = parse_line(lines[3 + h.stimuli], 4 + h.stimuli)?;
-        // lint:allow(D7): split_and_header pinned lines.len() to stimuli + 5
-        check_end(lines[4 + h.stimuli], 5 + h.stimuli)?;
-        Ok(AbCheckpoint {
-            range_lo: h.range_lo,
-            range_hi: h.range_hi,
-            admitted_before: h.admitted_before,
-            acc: AbShard {
-                stimuli,
-                behavior,
-                filters: filters_of(&totals.filters),
-                controls: controls_of(&totals.controls),
-                admitted: totals.admitted,
-                rejected: totals.rejected,
-                cast: totals.cast,
-                skipped: totals.skipped,
-            },
-            counters: CounterState::of_line(cl),
+    worker_checkpoint(stimuli, service, lo, hi, cfg, seed, sc, |base| {
+        with_tl_epochs(stimuli, service, cfg, filters, seed, sc, backend, |run_epoch| {
+            run_epoch(lo, hi, base, &live).0
         })
-    }
-
-    /// Append an adjacent checkpoint's range; same contract as
-    /// [`TimelineCheckpoint::merge`] (A/B folds never prune, so the
-    /// admitted-continuity check uses admissions alone).
-    // lint:entrypoint(untrusted)
-    pub fn merge(&mut self, other: &AbCheckpoint) -> Result<(), CheckpointError> {
-        if other.range_lo != self.range_hi {
-            return Err(CheckpointError::RangeGap {
-                left_hi: self.range_hi,
-                right_lo: other.range_lo,
-            });
-        }
-        let expected = self.admitted_before.saturating_add(self.acc.admitted);
-        if other.admitted_before != expected {
-            return Err(CheckpointError::AdmittedGap { expected, found: other.admitted_before });
-        }
-        if self.acc.stimuli.len() != other.acc.stimuli.len() {
-            return Err(MergeError::StimulusCount {
-                left: self.acc.stimuli.len(),
-                right: other.acc.stimuli.len(),
-            }
-            .into());
-        }
-        let mut merged = self.acc.stimuli.clone();
-        for (a, b) in merged.iter_mut().zip(&other.acc.stimuli) {
-            a.merge(b)?;
-        }
-        self.acc.stimuli = merged;
-        self.acc.behavior.merge(&other.acc.behavior);
-        self.acc.filters.merge(&other.acc.filters);
-        self.acc.controls.merge(&other.acc.controls);
-        self.acc.admitted = self.acc.admitted.saturating_add(other.acc.admitted);
-        self.acc.rejected = self.acc.rejected.saturating_add(other.acc.rejected);
-        self.acc.cast = self.acc.cast.saturating_add(other.acc.cast);
-        self.acc.skipped = self.acc.skipped.saturating_add(other.acc.skipped);
-        self.counters.merge_from(&other.counters);
-        self.range_hi = other.range_hi;
-        Ok(())
-    }
-
-    /// Produce the final digest of a complete (`range_lo = 0`)
-    /// checkpoint; see [`TimelineCheckpoint::finalize`].
-    pub fn finalize(
-        &self,
-        stimuli: &[AbStimulus],
-        service: &dyn RecruitmentService,
-    ) -> Result<AbDigest, CheckpointError> {
-        if self.range_lo != 0 {
-            return Err(CheckpointError::PartialRange { lo: self.range_lo });
-        }
-        ab_digest_of(&self.acc, stimuli, service, self.range_hi)
-    }
-}
-
-/// Fallible counterpart of `stream::merge_ab_shards` for accumulators
-/// that came from disk.
-fn ab_digest_of(
-    acc: &AbShard,
-    stimuli: &[AbStimulus],
-    service: &dyn RecruitmentService,
-    n_participants: u64,
-) -> Result<AbDigest, CheckpointError> {
-    if stimuli.len() != acc.stimuli.len() {
-        return Err(
-            MergeError::StimulusCount { left: stimuli.len(), right: acc.stimuli.len() }.into()
-        );
-    }
-    let n = n_participants as usize;
-    let mut digest = AbDigest {
-        stimuli: stimuli.iter().map(|st| AbStimulusDigest::new(&st.name)).collect(),
-        recruited: n_participants,
-        admitted: acc.admitted,
-        rejected: acc.rejected,
-        recruitment_cost_usd: service.cost_per_participant() * n as f64,
-        recruitment_duration_secs: if n == 0 { 0.0 } else { service.arrival(n - 1).as_secs_f64() },
-        votes_cast: acc.cast,
-        votes_skipped: acc.skipped,
-        behavior: acc.behavior.clone(),
-        filters: acc.filters,
-        controls: acc.controls,
-    };
-    for (a, b) in digest.stimuli.iter_mut().zip(&acc.stimuli) {
-        a.merge(b)?;
-    }
-    Ok(digest)
-}
-
-/// How a checkpointed A/B run ended.
-#[derive(Debug)]
-pub enum AbRunOutcome {
-    /// Ran to its natural end.
-    Complete(Box<AbDigest>),
-    /// The observer interrupted at a barrier.
-    Interrupted(Box<AbCheckpoint>),
+    })
 }
 
 /// Fold the participant index range `[lo, hi)` of an A/B campaign into
@@ -1680,77 +1621,21 @@ pub fn ab_worker_checkpoint(
     seed: Seed,
     sc: &StreamConfig,
 ) -> Result<AbCheckpoint, CheckpointError> {
-    if stimuli.is_empty() {
-        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
-    }
-    if lo > hi {
-        return Err(CheckpointError::Config {
-            detail: format!("inverted worker range [{lo}, {hi})"),
-        });
-    }
-    let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
-    let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
-    let pop = service.population();
-    let recruit_seed = seed.derive("recruit");
-    let admitted_before = if lo == 0 {
-        0
-    } else {
-        admitted_bases_range(0, lo, shard, threads, &pop, recruit_seed, 0).1
-    };
-    let ctx = AbCtx::new(
-        stimuli,
-        &pop,
-        cfg,
-        filters,
-        recruit_seed,
-        seed.derive("ab-assign"),
-        seed.derive("ab-side"),
-    );
-    let (folds, _) = stream_ab_epoch(&ctx, lo, hi, threads, shard, admitted_before);
-    let mut acc = AbShard::new(stimuli);
-    for fold in &folds {
-        acc.merge_from(fold);
-    }
-    Ok(AbCheckpoint {
-        range_lo: lo as u64,
-        range_hi: hi as u64,
-        admitted_before,
-        acc,
-        counters: CounterState::capture(threads),
+    worker_checkpoint(stimuli, service, lo, hi, cfg, seed, sc, |base| {
+        let pop = service.population();
+        let ctx = AbCtx::new(stimuli, &pop, cfg, filters, seed);
+        let threads = resolve_threads(cfg.threads);
+        stream_ab_epoch(&ctx, lo, hi, threads, sc.shard_size.max(1), base).0
     })
 }
 
-fn validate_ab_resume(
-    resume: &AbCheckpoint,
-    stimuli: &[AbStimulus],
-    n_participants: usize,
-) -> Result<(), CheckpointError> {
-    if resume.range_lo != 0 {
-        return Err(CheckpointError::PartialRange { lo: resume.range_lo });
-    }
-    if resume.range_hi > n_participants as u64 {
-        return Err(CheckpointError::Config {
-            detail: format!(
-                "checkpoint covers {} participants, target is {n_participants}",
-                resume.range_hi
-            ),
-        });
-    }
-    // Probe-merge against a fresh accumulator (names), as on the
-    // timeline side.
-    let mut probe = AbShard::new(stimuli);
-    if probe.stimuli.len() != resume.acc.stimuli.len() {
-        return Err(MergeError::StimulusCount {
-            left: probe.stimuli.len(),
-            right: resume.acc.stimuli.len(),
-        }
-        .into());
-    }
-    for (a, b) in probe.stimuli.iter_mut().zip(&resume.acc.stimuli) {
-        a.merge(b)?;
-    }
-    Ok(())
+/// How a checkpointed A/B run ended.
+#[derive(Debug)]
+pub enum AbRunOutcome {
+    /// Ran to its natural end.
+    Complete(Box<AbDigest>),
+    /// The observer interrupted at a barrier.
+    Interrupted(Box<AbCheckpoint>),
 }
 
 /// Run an A/B campaign (streaming engine) with checkpoint/resume: the
@@ -1779,19 +1664,11 @@ pub fn checkpointed_ab_campaign(
     let shard = sc.shard_size.max(1);
     let chunk = ck.every_shards.max(1).saturating_mul(shard);
     let pop = service.population();
-    let ctx = AbCtx::new(
-        stimuli,
-        &pop,
-        cfg,
-        filters,
-        seed.derive("recruit"),
-        seed.derive("ab-assign"),
-        seed.derive("ab-side"),
-    );
+    let ctx = AbCtx::new(stimuli, &pop, cfg, filters, seed);
     let (mut acc, mut processed) = match resume {
         None => (AbShard::new(stimuli), 0usize),
         Some(c) => {
-            validate_ab_resume(c, stimuli, n_participants)?;
+            c.check_resume(stimuli, n_participants, &sc.params)?;
             c.restore_counters();
             (c.acc.clone(), c.range_hi as usize)
         }
@@ -1802,21 +1679,23 @@ pub fn checkpointed_ab_campaign(
         let (folds, range_admitted) =
             stream_ab_epoch(&ctx, processed, hi, threads, shard, admitted);
         for fold in &folds {
-            acc.merge_from(fold);
+            acc.merge_checked(fold)?;
         }
         admitted += range_admitted;
         processed = hi;
-        let ckpt = AbCheckpoint {
+        let ckpt = Checkpoint {
+            params: AbShard::params(sc.params),
             range_lo: 0,
             range_hi: processed as u64,
             admitted_before: 0,
             acc: acc.clone(),
+            drive: None,
             counters: CounterState::capture(threads),
         };
         if !observer(&ckpt) {
             return Ok(AbRunOutcome::Interrupted(Box::new(ckpt)));
         }
     }
-    let digest = merge_ab_shards(stimuli, service, n_participants, std::slice::from_ref(&acc));
+    let digest = digest_of(stimuli, service, n_participants, &sc.params, &[acc])?;
     Ok(AbRunOutcome::Complete(Box::new(digest)))
 }

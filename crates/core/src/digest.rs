@@ -341,8 +341,9 @@ impl BehaviorDigest {
     }
 }
 
-/// Control-question outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Control-question outcomes. Checkpoint totals lines serialize it
+/// as-is, so its field names are part of checkpoint format v1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct ControlTally {
     /// Controls answered correctly.
     pub passed: u64,

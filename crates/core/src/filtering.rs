@@ -163,8 +163,9 @@ pub enum FilterDecision {
 
 /// Streaming-friendly filter outcome counts: [`FilterReport`] minus the
 /// materialized kept-index set, so a shard can carry it in O(1) memory
-/// and merge by integer addition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// and merge by integer addition. Checkpoint totals lines serialize it
+/// as-is, so its field names are part of checkpoint format v1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct FilterTally {
     /// Participants dropped by the engagement filters (actions + focus).
     pub engagement: u64,

@@ -66,8 +66,7 @@ use crate::digest::{AbDigest, TimelineDigest};
 use crate::experiment::{a_on_left, assign_into, AbStimulus, ExperimentConfig, TimelineStimulus};
 use crate::filtering::{decide, FilterDecision, ParticipantFilter};
 use crate::stream::{
-    admitted_bases, admitted_bases_range, behavior_point_persona, merge_ab_shards,
-    merge_tl_shards, AbShard, StreamConfig, TlShard,
+    admitted_bases_range, behavior_point_persona, merge_shards, AbShard, StreamConfig, TlShard,
 };
 
 /// Per-stimulus constants of a timeline campaign, hoisted out of the
@@ -430,32 +429,11 @@ pub fn flat_timeline_campaign(
     assert!(!stimuli.is_empty(), "campaign needs stimuli");
     let _t = eyeorg_obs::phase_timer("core.flat_timeline");
     let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
-    let shards = n_participants.div_ceil(shard);
-
     let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-
-    // Pass 1 (same as the streaming engine): admitted-index bases.
-    let bases = admitted_bases(shards, shard, n_participants, threads, &ctx.pop,
-        ctx.recruit_seed);
-
     let live = vec![true; stimuli.len()];
-
-    // Pass 2: stimulus-blocked shard folds out of per-worker arenas.
-    let folds: Vec<TlShard> = par_map_range_scratch(
-        shards,
-        threads,
-        || ctx.new_scratch(),
-        |arena, s| {
-            let lo = s * shard;
-            let hi = (lo + shard).min(n_participants);
-            let fold = ctx.fold_range(arena, lo, hi, bases[s], &live);
-            crate::stream::bump_shard_counters(&fold);
-            fold
-        },
-    );
-
-    merge_tl_shards(stimuli, service, n_participants, &sc.params, &folds)
+    let (folds, _) =
+        flat_tl_epoch(&ctx, 0, n_participants, threads, sc.shard_size.max(1), 0, &live);
+    merge_shards(stimuli, service, n_participants, &sc.params, &folds)
 }
 
 /// Per-stimulus constants of an A/B campaign: the label, both sides'
@@ -553,7 +531,7 @@ pub fn flat_ab_campaign(
     let side_seed = seed.derive("ab-side");
     let k = cfg.videos_per_participant.min(stimuli.len());
 
-    let bases = admitted_bases(shards, shard, n_participants, threads, &pop, recruit_seed);
+    let bases = admitted_bases_range(0, n_participants, shard, threads, &pop, recruit_seed, 0).0;
 
     let planes: Vec<AbPlane> =
         par_map_range(stimuli.len(), threads, |si| AbPlane::of(si, &stimuli[si]));
@@ -702,5 +680,5 @@ pub fn flat_ab_campaign(
         },
     );
 
-    merge_ab_shards(stimuli, service, n_participants, &folds)
+    merge_shards(stimuli, service, n_participants, &sc.params, &folds)
 }

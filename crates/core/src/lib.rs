@@ -25,7 +25,9 @@
 //! * [`checkpoint`] — versioned JSONL serialization of the full
 //!   accumulator state: interrupt/resume, multi-process split/merge,
 //!   and live incremental analytics, all byte-identical to the
-//!   uninterrupted single-process run.
+//!   uninterrupted single-process run. One codec, `Checkpoint<K>`,
+//!   generic over the test kind; `TimelineCheckpoint` and
+//!   `AbCheckpoint` are its two instances.
 //! * [`validation`] — §3.3's hard rules: the humanness (captcha) gate.
 //! * [`filtering`] — the §4.3 validation pipeline: engagement (actions &
 //!   focus), soft rules, control questions, wisdom-of-the-crowd bands.

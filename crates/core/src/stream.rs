@@ -38,12 +38,10 @@ use eyeorg_video::FrameTimeline;
 
 use crate::analysis::BehaviorPoint;
 use crate::campaign::{AbVerdict, ControlRow};
-use crate::digest::{
-    AbDigest, AbStimulusDigest, BehaviorDigest, ControlTally, DigestParams, StimulusDigest,
-    TimelineDigest,
-};
+use crate::checkpoint::{digest_of, ShardKind};
+use crate::digest::{AbDigest, DigestParams, TimelineDigest};
 use crate::experiment::{a_on_left, assign, AbStimulus, ExperimentConfig, TimelineStimulus};
-use crate::filtering::{decide, FilterDecision, FilterTally, ParticipantFilter};
+use crate::filtering::{decide, FilterDecision, ParticipantFilter};
 
 /// Sharding configuration for the streaming engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,63 +59,100 @@ impl Default for StreamConfig {
     }
 }
 
-/// One shard's fold of a timeline campaign. Shared with the flat
-/// engine (`crate::flat`), which fills the same accumulators from its
-/// column passes, with the adaptive driver (`crate::adaptive`), which
-/// additionally accumulates epochs of folds into one, and with the
-/// checkpoint layer (`crate::checkpoint`), which snapshots a clone of
-/// the running accumulator at shard barriers.
-#[derive(Debug, Clone)]
-pub(crate) struct TlShard {
-    pub(crate) stimuli: Vec<StimulusDigest>,
-    pub(crate) behavior: BehaviorDigest,
-    pub(crate) filters: FilterTally,
-    pub(crate) controls: ControlTally,
-    pub(crate) admitted: u64,
-    pub(crate) rejected: u64,
-    pub(crate) collected: u64,
-    pub(crate) skipped: u64,
-    /// Gate-admitted participants never served because every stimulus
-    /// they were assigned had already stopped recruiting (adaptive runs
-    /// only; always 0 under an all-live mask). They still consume an
-    /// admitted index so later assignments match the full run.
-    pub(crate) pruned: u64,
-}
+pub(crate) use shard::{AbShard, TlShard};
 
-impl TlShard {
-    /// An empty shard fold sized for `stimuli`.
-    pub(crate) fn new(stimuli: &[TimelineStimulus], params: &DigestParams) -> TlShard {
-        TlShard {
-            stimuli: stimuli
-                .iter()
-                .map(|st| StimulusDigest::new(&st.name, st.video.duration().as_secs_f64(), params))
-                .collect(),
-            behavior: BehaviorDigest::default(),
-            filters: FilterTally::default(),
-            controls: ControlTally::default(),
-            admitted: 0,
-            rejected: 0,
-            collected: 0,
-            skipped: 0,
-            pruned: 0,
+/// The shard accumulators, nominally `pub` inside this private module:
+/// the public checkpoint aliases (`checkpoint::TimelineCheckpoint` is
+/// `Checkpoint<TlShard>`) can name them, nothing outside the crate can
+/// reach them.
+mod shard {
+    use crate::digest::{
+        AbStimulusDigest, BehaviorDigest, ControlTally, DigestParams, StimulusDigest,
+    };
+    use crate::experiment::{AbStimulus, TimelineStimulus};
+    use crate::filtering::FilterTally;
+
+    /// One shard's fold of a timeline campaign. Shared with the flat
+    /// engine (`crate::flat`), which fills the same accumulators from its
+    /// column passes, with the adaptive driver (`crate::adaptive`), which
+    /// additionally accumulates epochs of folds into one, and with the
+    /// checkpoint layer (`crate::checkpoint`), which snapshots a clone of
+    /// the running accumulator at shard barriers.
+    #[derive(Debug, Clone)]
+    pub struct TlShard {
+        pub(crate) stimuli: Vec<StimulusDigest>,
+        pub(crate) behavior: BehaviorDigest,
+        pub(crate) filters: FilterTally,
+        pub(crate) controls: ControlTally,
+        pub(crate) admitted: u64,
+        pub(crate) rejected: u64,
+        pub(crate) collected: u64,
+        pub(crate) skipped: u64,
+        /// Gate-admitted participants never served because every stimulus
+        /// they were assigned had already stopped recruiting (adaptive runs
+        /// only; always 0 under an all-live mask). They still consume an
+        /// admitted index so later assignments match the full run.
+        pub(crate) pruned: u64,
+    }
+
+    impl TlShard {
+        /// An empty shard fold sized for `stimuli`.
+        pub(crate) fn new(stimuli: &[TimelineStimulus], params: &DigestParams) -> TlShard {
+            TlShard {
+                stimuli: stimuli
+                    .iter()
+                    .map(|st| {
+                        StimulusDigest::new(&st.name, st.video.duration().as_secs_f64(), params)
+                    })
+                    .collect(),
+                behavior: BehaviorDigest::default(),
+                filters: FilterTally::default(),
+                controls: ControlTally::default(),
+                admitted: 0,
+                rejected: 0,
+                collected: 0,
+                skipped: 0,
+                pruned: 0,
+            }
         }
     }
 
-    /// Fold another shard's state into this one (order-pinned by the
-    /// caller; exact because every accumulator is multiset-determined).
-    pub(crate) fn merge_from(&mut self, other: &TlShard) {
-        for (acc, o) in self.stimuli.iter_mut().zip(&other.stimuli) {
-            // lint:allow(D4): same-campaign shard folds share one construction site lint:allow(D7): checkpoint merge validates equal configs before folding
-            acc.merge(o).expect("same-campaign shard folds agree by construction");
+    /// One shard's fold of an A/B campaign. Shared with the flat engine
+    /// and the checkpoint layer.
+    #[derive(Debug, Clone)]
+    pub struct AbShard {
+        pub(crate) stimuli: Vec<AbStimulusDigest>,
+        pub(crate) behavior: BehaviorDigest,
+        pub(crate) filters: FilterTally,
+        pub(crate) controls: ControlTally,
+        pub(crate) admitted: u64,
+        pub(crate) rejected: u64,
+        pub(crate) cast: u64,
+        pub(crate) skipped: u64,
+    }
+
+    impl AbShard {
+        /// An empty shard fold sized for `stimuli`.
+        pub(crate) fn new(stimuli: &[AbStimulus]) -> AbShard {
+            AbShard {
+                stimuli: stimuli.iter().map(|st| AbStimulusDigest::new(&st.name)).collect(),
+                behavior: BehaviorDigest::default(),
+                filters: FilterTally::default(),
+                controls: ControlTally::default(),
+                admitted: 0,
+                rejected: 0,
+                cast: 0,
+                skipped: 0,
+            }
         }
-        self.behavior.merge(&other.behavior);
-        self.filters.merge(&other.filters);
-        self.controls.merge(&other.controls);
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.collected += other.collected;
-        self.skipped += other.skipped;
-        self.pruned += other.pruned;
+
+        /// Bump the A/B engine's obs counters from this shard's totals.
+        pub(crate) fn bump_counters(&self) {
+            eyeorg_obs::metrics::CORE_GATE_ADMITTED.add(self.admitted);
+            eyeorg_obs::metrics::CORE_GATE_REJECTED.add(self.rejected);
+            eyeorg_obs::metrics::CORE_AB_VOTES.add(self.cast);
+            eyeorg_obs::metrics::CORE_AB_SKIPS.add(self.skipped);
+        }
     }
 }
 
@@ -153,8 +188,7 @@ impl<'a> TlCtx<'a> {
         pop: &'a eyeorg_crowd::PopulationProfile,
         cfg: &'a ExperimentConfig,
         filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
-        recruit_seed: Seed,
-        assign_seed: Seed,
+        seed: Seed,
         params: DigestParams,
     ) -> TlCtx<'a> {
         let labels = (0..stimuli.len()).map(|si| format!("tl-{si}")).collect();
@@ -167,8 +201,8 @@ impl<'a> TlCtx<'a> {
             pop,
             cfg,
             filters,
-            recruit_seed,
-            assign_seed,
+            recruit_seed: seed.derive("recruit"),
+            assign_seed: seed.derive("timeline"),
             params,
             labels,
             ctrl_labels,
@@ -325,79 +359,31 @@ pub fn stream_timeline_campaign(
     assert!(!stimuli.is_empty(), "campaign needs stimuli");
     let _t = eyeorg_obs::phase_timer("core.stream_timeline");
     let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
-    let shards = n_participants.div_ceil(shard);
     let pop = service.population();
-    let recruit_seed = seed.derive("recruit");
-    let assign_seed = seed.derive("timeline");
-
-    // Pass 1: gate admissions per shard (pure; no counters).
-    let bases = admitted_bases(shards, shard, n_participants, threads, &pop, recruit_seed);
-
     // Shared read-only frame timelines, as in the parallel engine.
     let frames = tl_frames(stimuli, threads);
-
+    let ctx = TlCtx::new(stimuli, &frames, &pop, cfg, filters, seed, sc.params);
     let live = vec![true; stimuli.len()];
-    let ctx =
-        TlCtx::new(stimuli, &frames, &pop, cfg, filters, recruit_seed, assign_seed, sc.params);
-
-    // Pass 2: generate, serve, filter, fold.
-    let folds: Vec<TlShard> = par_map_range(shards, threads, |s| {
-        let lo = s * shard;
-        let hi = (lo + shard).min(n_participants);
-        let fold = tl_fold_range(&ctx, lo, hi, bases[s], &live);
-        bump_shard_counters(&fold);
-        fold
-    });
-
-    merge_tl_shards(stimuli, service, n_participants, &sc.params, &folds)
+    let (folds, _) =
+        stream_tl_epoch(&ctx, 0, n_participants, threads, sc.shard_size.max(1), 0, &live);
+    merge_shards(stimuli, service, n_participants, &sc.params, &folds)
 }
 
-/// Order-pinned merge of timeline shard folds into the final digest
-/// (the accumulators are multiset-determined, so the pinning is
-/// belt-and-braces on top of exact associativity). Shared by the
-/// streaming and flat engines.
-pub(crate) fn merge_tl_shards(
-    stimuli: &[TimelineStimulus],
+/// Order-pinned merge of shard folds into the final digest (the
+/// accumulators are multiset-determined, so the pinning is
+/// belt-and-braces on top of exact associativity). Shared by every
+/// engine; the same assembly as `Checkpoint::finalize`, whose error
+/// path same-campaign folds cannot reach.
+pub(crate) fn merge_shards<K: ShardKind>(
+    stimuli: &[K::Stimulus],
     service: &dyn RecruitmentService,
     n_participants: usize,
     params: &DigestParams,
-    folds: &[TlShard],
-) -> TimelineDigest {
-    let mut digest = TimelineDigest {
-        stimuli: stimuli
-            .iter()
-            .map(|st| StimulusDigest::new(&st.name, st.video.duration().as_secs_f64(), params))
-            .collect(),
-        recruited: n_participants as u64,
-        admitted: 0,
-        rejected: 0,
-        recruitment_cost_usd: service.cost_per_participant() * n_participants as f64,
-        recruitment_duration_secs: if n_participants == 0 {
-            0.0
-        } else {
-            service.arrival(n_participants - 1).as_secs_f64()
-        },
-        responses_collected: 0,
-        responses_skipped: 0,
-        behavior: BehaviorDigest::default(),
-        filters: FilterTally::default(),
-        controls: ControlTally::default(),
-    };
-    for fold in folds {
-        for (acc, shard_acc) in digest.stimuli.iter_mut().zip(&fold.stimuli) {
-            // lint:allow(D4): same-campaign shard folds share one construction site
-            acc.merge(shard_acc).expect("same-campaign shard folds agree by construction");
-        }
-        digest.behavior.merge(&fold.behavior);
-        digest.filters.merge(&fold.filters);
-        digest.controls.merge(&fold.controls);
-        digest.admitted += fold.admitted;
-        digest.rejected += fold.rejected;
-        digest.responses_collected += fold.collected;
-        digest.responses_skipped += fold.skipped;
-    }
-    digest
+    folds: &[K],
+) -> K::Digest {
+    let digest = digest_of(stimuli, service, n_participants, params, folds);
+    // lint:allow(D4): same-campaign shard folds share one construction site
+    digest.expect("same-campaign shard folds agree by construction")
 }
 
 pub(crate) fn bump_shard_counters(fold: &TlShard) {
@@ -414,60 +400,6 @@ pub(crate) fn bump_shard_counters(fold: &TlShard) {
         for s in &fold.stimuli {
             eyeorg_obs::metrics::CORE_RETAINED_PER_SITE.add(&s.name, s.retained());
         }
-    }
-}
-
-/// One shard's fold of an A/B campaign. Shared with the flat engine
-/// and the checkpoint layer.
-#[derive(Debug, Clone)]
-pub(crate) struct AbShard {
-    pub(crate) stimuli: Vec<AbStimulusDigest>,
-    pub(crate) behavior: BehaviorDigest,
-    pub(crate) filters: FilterTally,
-    pub(crate) controls: ControlTally,
-    pub(crate) admitted: u64,
-    pub(crate) rejected: u64,
-    pub(crate) cast: u64,
-    pub(crate) skipped: u64,
-}
-
-impl AbShard {
-    /// An empty shard fold sized for `stimuli`.
-    pub(crate) fn new(stimuli: &[AbStimulus]) -> AbShard {
-        AbShard {
-            stimuli: stimuli.iter().map(|st| AbStimulusDigest::new(&st.name)).collect(),
-            behavior: BehaviorDigest::default(),
-            filters: FilterTally::default(),
-            controls: ControlTally::default(),
-            admitted: 0,
-            rejected: 0,
-            cast: 0,
-            skipped: 0,
-        }
-    }
-
-    /// Bump the A/B engine's obs counters from this shard's totals.
-    pub(crate) fn bump_counters(&self) {
-        eyeorg_obs::metrics::CORE_GATE_ADMITTED.add(self.admitted);
-        eyeorg_obs::metrics::CORE_GATE_REJECTED.add(self.rejected);
-        eyeorg_obs::metrics::CORE_AB_VOTES.add(self.cast);
-        eyeorg_obs::metrics::CORE_AB_SKIPS.add(self.skipped);
-    }
-
-    /// Fold another shard's state into this one (order-pinned by the
-    /// caller; exact because every accumulator is multiset-determined).
-    pub(crate) fn merge_from(&mut self, other: &AbShard) {
-        for (acc, o) in self.stimuli.iter_mut().zip(&other.stimuli) {
-            // lint:allow(D4): same-campaign shard folds share one construction site lint:allow(D7): checkpoint merge validates equal configs before folding
-            acc.merge(o).expect("same-campaign shard folds agree by construction");
-        }
-        self.behavior.merge(&other.behavior);
-        self.filters.merge(&other.filters);
-        self.controls.merge(&other.controls);
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.cast += other.cast;
-        self.skipped += other.skipped;
     }
 }
 
@@ -498,9 +430,7 @@ impl<'a> AbCtx<'a> {
         pop: &'a eyeorg_crowd::PopulationProfile,
         cfg: &'a ExperimentConfig,
         filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
-        recruit_seed: Seed,
-        assign_seed: Seed,
-        side_seed: Seed,
+        seed: Seed,
     ) -> AbCtx<'a> {
         let labels = (0..stimuli.len()).map(|si| format!("ab-{si}")).collect();
         let profiles = stimuli
@@ -510,7 +440,17 @@ impl<'a> AbCtx<'a> {
                 SessionProfile::of(longer, TestKind::Ab)
             })
             .collect();
-        AbCtx { stimuli, pop, cfg, filters, recruit_seed, assign_seed, side_seed, labels, profiles }
+        AbCtx {
+            stimuli,
+            pop,
+            cfg,
+            filters,
+            recruit_seed: seed.derive("recruit"),
+            assign_seed: seed.derive("ab-assign"),
+            side_seed: seed.derive("ab-side"),
+            labels,
+            profiles,
+        }
     }
 }
 
@@ -627,75 +567,18 @@ pub fn stream_ab_campaign(
     assert!(!stimuli.is_empty(), "campaign needs stimuli");
     let _t = eyeorg_obs::phase_timer("core.stream_ab");
     let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
     let pop = service.population();
-    let recruit_seed = seed.derive("recruit");
-    let assign_seed = seed.derive("ab-assign");
-    let side_seed = seed.derive("ab-side");
-
-    let ctx = AbCtx::new(stimuli, &pop, cfg, filters, recruit_seed, assign_seed, side_seed);
+    let ctx = AbCtx::new(stimuli, &pop, cfg, filters, seed);
+    let shard = sc.shard_size.max(1);
     let (folds, _) = stream_ab_epoch(&ctx, 0, n_participants, threads, shard, 0);
 
-    merge_ab_shards(stimuli, service, n_participants, &folds)
+    merge_shards(stimuli, service, n_participants, &sc.params, &folds)
 }
 
-/// Order-pinned merge of A/B shard folds into the final digest. Shared
-/// by the streaming and flat engines.
-pub(crate) fn merge_ab_shards(
-    stimuli: &[AbStimulus],
-    service: &dyn RecruitmentService,
-    n_participants: usize,
-    folds: &[AbShard],
-) -> AbDigest {
-    let mut digest = AbDigest {
-        stimuli: stimuli.iter().map(|st| AbStimulusDigest::new(&st.name)).collect(),
-        recruited: n_participants as u64,
-        admitted: 0,
-        rejected: 0,
-        recruitment_cost_usd: service.cost_per_participant() * n_participants as f64,
-        recruitment_duration_secs: if n_participants == 0 {
-            0.0
-        } else {
-            service.arrival(n_participants - 1).as_secs_f64()
-        },
-        votes_cast: 0,
-        votes_skipped: 0,
-        behavior: BehaviorDigest::default(),
-        filters: FilterTally::default(),
-        controls: ControlTally::default(),
-    };
-    for fold in folds {
-        for (acc, shard_acc) in digest.stimuli.iter_mut().zip(&fold.stimuli) {
-            // lint:allow(D4): same-campaign shard folds share one construction site
-            acc.merge(shard_acc).expect("same-campaign shard folds agree by construction");
-        }
-        digest.behavior.merge(&fold.behavior);
-        digest.filters.merge(&fold.filters);
-        digest.controls.merge(&fold.controls);
-        digest.admitted += fold.admitted;
-        digest.rejected += fold.rejected;
-        digest.votes_cast += fold.cast;
-        digest.votes_skipped += fold.skipped;
-    }
-    digest
-}
-
-/// Pass 1 of both engines: gate admissions per shard, prefix-summed
-/// into each shard's base admitted index.
-pub(crate) fn admitted_bases(
-    shards: usize,
-    shard: usize,
-    n_participants: usize,
-    threads: usize,
-    pop: &eyeorg_crowd::PopulationProfile,
-    recruit_seed: Seed,
-) -> Vec<u64> {
-    let _ = shards;
-    admitted_bases_range(0, n_participants, shard, threads, pop, recruit_seed, 0).0
-}
-
-/// [`admitted_bases`] over the index range `[lo, hi)`, continuing the
-/// admitted-index sequence from `base` (the admissions in `[0, lo)`).
+/// Pass 1 of every engine: gate admissions per shard over the index
+/// range `[lo, hi)`, prefix-summed into each shard's base admitted
+/// index, continuing the sequence from `base` (the admissions in
+/// `[0, lo)`).
 /// Returns the per-shard bases and the range's total admission count —
 /// what the adaptive driver carries from epoch to epoch.
 pub(crate) fn admitted_bases_range(

@@ -7,10 +7,13 @@
 //!   per-stimulus digest set — checked through the digest fingerprint
 //!   (canonical `Debug`) after a worker-checkpoint round trip.
 //! * Interrupt → save → load → resume composes to the uninterrupted
-//!   run's digest fingerprint, both backends, adaptive and plain.
+//!   run's digest fingerprint, both backends, adaptive and plain,
+//!   including an interruption after participants have been pruned.
 //! * Split ranges merged through checkpoints equal the single run.
 //! * Truncated or corrupted bytes come back as typed
-//!   [`CheckpointError`]s — never a panic (D4 discipline end to end).
+//!   [`CheckpointError`]s — never a panic (D4 discipline end to end),
+//!   including totals that break `admitted + rejected + pruned ==
+//!   range_hi - range_lo` and would overflow a resumed run.
 //!
 //! Counter-fingerprint equivalence needs a process-global obs registry
 //! and lives in `merge_digests --smoke` / `scripts/verify.sh`.
@@ -236,18 +239,23 @@ fn merge_rejects_gaps_and_mismatches() {
 // Interrupt / resume
 // -------------------------------------------------------------------
 
+/// Sees the `k`-th barrier's checkpoint (`k` is 1-based) and interrupts
+/// the run by returning `true`.
+type Stop = dyn Fn(usize, &TimelineCheckpoint) -> bool;
+
 fn run_checkpointed(
+    ec: &ExperimentConfig,
     ac: &AdaptiveConfig,
     backend: AdaptiveBackend,
     resume: Option<&TimelineCheckpoint>,
-    stop_after: Option<usize>,
+    stop: &Stop,
 ) -> RunOutcome {
     let mut seen = 0usize;
     checkpointed_timeline_campaign(
         tl_stimuli(),
         &CrowdFlower,
         N,
-        &cfg(),
+        ec,
         &paper_pipeline(),
         Seed(1440),
         &sc(32, 2048),
@@ -256,9 +264,9 @@ fn run_checkpointed(
         resume,
         &CheckpointConfig { every_shards: 2 },
         &mut |ev| match ev {
-            CheckpointEvent::Checkpoint(_) => {
+            CheckpointEvent::Checkpoint(ck) => {
                 seen += 1;
-                stop_after.is_none_or(|k| seen < k)
+                !stop(seen, ck)
             }
             CheckpointEvent::Live(_) => true,
         },
@@ -266,35 +274,68 @@ fn run_checkpointed(
     .expect("checkpointed run")
 }
 
-/// Interrupt at the first barrier, serialize, reload, resume: the
-/// composition's digest fingerprint equals the uninterrupted run, for
-/// both backends and for plain + adaptive configs.
+fn never(_: usize, _: &TimelineCheckpoint) -> bool {
+    false
+}
+
+fn first_barrier(k: usize, _: &TimelineCheckpoint) -> bool {
+    k == 1
+}
+
+/// The `pruned` count on a checkpoint's totals line (line 2).
+fn pruned(ck: &TimelineCheckpoint) -> u64 {
+    let doc = ck.save();
+    let key = "\"pruned\":";
+    let at = doc.find(key).expect("totals line") + key.len();
+    let end = at + doc[at..].find(',').expect("pruned value");
+    doc[at..end].parse().expect("pruned is a count")
+}
+
+/// Interrupt at a barrier, serialize, reload, resume: the composition's
+/// digest fingerprint equals the uninterrupted run, for both backends
+/// and for plain + adaptive configs. Every case is interrupted at the
+/// first barrier, where nothing has stopped yet (`pruned == 0`). The
+/// one-video adaptive case is also interrupted at the first barrier
+/// after a stop decision: participants whose only stimulus stopped are
+/// pruned there, so the reloaded totals carry `pruned > 0` through the
+/// loader's `admitted + rejected + pruned == range_hi - range_lo` check.
 #[test]
 fn interrupt_resume_composes_to_uninterrupted_fingerprint() {
     let active = AdaptiveConfig { epoch: 64, epsilon: 0.25, min_n: 16, max_n: 0 };
+    let one_video = ExperimentConfig { videos_per_participant: 1, ..cfg() };
+    let after_stop = |_: usize, ck: &TimelineCheckpoint| pruned(ck) > 0;
+    let cases = [(cfg(), inactive(), false), (cfg(), active, false), (one_video, active, true)];
     for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        for ac in [inactive(), active] {
-            let RunOutcome::Complete(full) = run_checkpointed(&ac, backend, None, None) else {
+        for (ec, ac, prunes) in cases {
+            let RunOutcome::Complete(full) = run_checkpointed(&ec, &ac, backend, None, &never)
+            else {
                 panic!("uninterrupted run must complete");
             };
-            let RunOutcome::Interrupted(ck) = run_checkpointed(&ac, backend, None, Some(1))
-            else {
-                panic!("observer interrupts at the first barrier");
-            };
-            assert!(ck.is_resumable());
-            let reloaded = TimelineCheckpoint::load(&ck.save()).expect("driver checkpoint loads");
-            let RunOutcome::Complete(resumed) =
-                run_checkpointed(&ac, backend, Some(&reloaded), None)
-            else {
-                panic!("resumed run must complete");
-            };
-            assert_eq!(
-                resumed.digest.fingerprint(),
-                full.digest.fingerprint(),
-                "backend {backend:?}, epsilon {}",
-                ac.epsilon
-            );
-            assert_eq!(resumed.decision_fingerprint(), full.decision_fingerprint());
+            let stops: &[&Stop] =
+                if prunes { &[&first_barrier, &after_stop] } else { &[&first_barrier] };
+            for (i, stop) in stops.iter().enumerate() {
+                let RunOutcome::Interrupted(ck) = run_checkpointed(&ec, &ac, backend, None, *stop)
+                else {
+                    panic!("observer interrupts (point {i})");
+                };
+                assert!(ck.is_resumable());
+                assert_eq!(pruned(&ck) > 0, i == 1, "point {i}");
+                let reloaded =
+                    TimelineCheckpoint::load(&ck.save()).expect("driver checkpoint loads");
+                let RunOutcome::Complete(resumed) =
+                    run_checkpointed(&ec, &ac, backend, Some(&reloaded), &never)
+                else {
+                    panic!("resumed run must complete");
+                };
+                assert_eq!(
+                    resumed.digest.fingerprint(),
+                    full.digest.fingerprint(),
+                    "backend {backend:?}, epsilon {}, videos {}, point {i}",
+                    ac.epsilon,
+                    ec.videos_per_participant
+                );
+                assert_eq!(resumed.decision_fingerprint(), full.decision_fingerprint());
+            }
         }
     }
 }
@@ -465,10 +506,11 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
     assert!(matches!(err, CheckpointError::Config { .. }), "{err:?}");
 
     let RunOutcome::Interrupted(driver) = run_checkpointed(
+        &cfg(),
         &inactive(),
         AdaptiveBackend::Streaming,
         None,
-        Some(1),
+        &first_barrier,
     ) else {
         panic!("interrupts")
     };
@@ -488,4 +530,73 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
     )
     .expect_err("params drift must be refused");
     assert!(matches!(err, CheckpointError::ParamsMismatch { .. }), "{err:?}");
+}
+
+/// `doc` with its totals line's `admitted` count replaced by
+/// `u64::MAX - 1` (the header's `admitted_before` key does not match).
+fn forge_admitted(doc: &str) -> String {
+    let key = "{\"admitted\":";
+    let at = doc.find(key).expect("totals line") + key.len();
+    let end = at + doc[at..].find(',').expect("admitted value");
+    format!("{}{}{}", &doc[..at], u64::MAX - 1, &doc[end..])
+}
+
+/// Every fold satisfies `admitted + rejected + pruned == range_hi -
+/// range_lo`; a totals line that breaks it is refused at load time
+/// (line 2) instead of overflowing the resumed timeline driver's
+/// admitted-index arithmetic.
+#[test]
+fn forged_totals_are_refused_before_a_timeline_resume() {
+    let RunOutcome::Interrupted(ck) =
+        run_checkpointed(&cfg(), &inactive(), AdaptiveBackend::Streaming, None, &first_barrier)
+    else {
+        panic!("interrupts")
+    };
+    let forged = forge_admitted(&ck.save());
+    let err = match TimelineCheckpoint::load(&forged) {
+        Err(e) => e,
+        Ok(loaded) => checkpointed_timeline_campaign(
+            tl_stimuli(),
+            &CrowdFlower,
+            N,
+            &cfg(),
+            &paper_pipeline(),
+            Seed(1440),
+            &sc(32, 2048),
+            &inactive(),
+            AdaptiveBackend::Streaming,
+            Some(&loaded),
+            &CheckpointConfig { every_shards: 2 },
+            &mut |_| true,
+        )
+        .expect_err("forged totals must not resume"),
+    };
+    assert!(matches!(err, CheckpointError::Format { line: 2, .. }), "{err:?}");
+}
+
+/// The A/B counterpart: a forged A/B driver checkpoint is refused at
+/// load time instead of panicking in the resumed run.
+#[test]
+fn forged_totals_are_refused_before_an_ab_resume() {
+    let run = |resume: Option<&AbCheckpoint>, stop: bool| {
+        checkpointed_ab_campaign(
+            ab_stimuli(),
+            &CrowdFlower,
+            N,
+            &cfg(),
+            &paper_pipeline(),
+            Seed(1441),
+            &sc(32, 2048),
+            resume,
+            &CheckpointConfig { every_shards: 2 },
+            &mut |_| !stop,
+        )
+    };
+    let Ok(AbRunOutcome::Interrupted(ck)) = run(None, true) else { panic!("interrupts") };
+    let forged = forge_admitted(&ck.save());
+    let err = match AbCheckpoint::load(&forged) {
+        Err(e) => e,
+        Ok(loaded) => run(Some(&loaded), false).expect_err("forged totals must not resume"),
+    };
+    assert!(matches!(err, CheckpointError::Format { line: 2, .. }), "{err:?}");
 }

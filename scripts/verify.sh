@@ -13,6 +13,10 @@ trap 'rm -f results/.RUN_fp_* results/.SCALE_fp_* results/.ADAPT_fp_* \
 
 cargo build --release
 cargo test -q --workspace
+# perfbench/ is a Cargo workspace of its own, so the two lines above
+# never compile it. Its self-test builds it against the current crates
+# and checks its smoke-size outputs against perfbench/fingerprints.txt.
+cargo test --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 # Determinism/panic-surface/taint static analysis (rules D1-D8,
 # DESIGN.md §3e/§3j): exits non-zero with path:line diagnostics on any
