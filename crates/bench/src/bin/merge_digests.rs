@@ -9,17 +9,18 @@
 //! * `--smoke [--fingerprint-out PATH] [--live-out PATH]` — in-process
 //!   gates, exiting non-zero on any failure:
 //!   (a) the checkpointed driver with an inactive rule equals the
-//!   plain streaming engine (digest + counters) for both backends;
+//!   streaming timeline reference (digest + counters);
 //!   (b) interrupt at the first barrier → `save` → `load` in a
 //!   simulated fresh process (obs registry reset) → resume equals the
 //!   uninterrupted run, plain and adaptive (decision fingerprint
-//!   included), both backends — and the same for the A/B driver;
+//!   included) — and the A/B driver's resume equals the materializing
+//!   engine's A/B digest and counters;
 //!   (c) `save` → `load` → `save` is a byte-level fixed point.
 //!   `--fingerprint-out` writes the run's fingerprints so
 //!   `scripts/verify.sh` can `cmp` runs at different `EYEORG_THREADS`
 //!   values; `--live-out` writes the live JSONL stream (one line per
 //!   barrier, final line checked against the end-of-run digest).
-//! * `--worker LO HI --out PATH [--flat]` — run the worker slice
+//! * `--worker LO HI --out PATH` — run the worker slice
 //!   `[LO, HI)` of the same campaign in *this* process and write its
 //!   checkpoint file. `verify.sh` launches several of these as real
 //!   child processes over disjoint ranges.
@@ -29,7 +30,6 @@
 
 use eyeorg_bench::campaigns::capture_browser;
 use eyeorg_core::prelude::*;
-use eyeorg_core::adaptive::AdaptiveBackend;
 use eyeorg_crowd::CrowdFlower;
 use eyeorg_stats::Seed;
 use eyeorg_video::CaptureConfig;
@@ -93,7 +93,6 @@ fn counters() -> String {
 fn run_ck(
     stimuli: &[TimelineStimulus],
     ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
     resume: Option<&TimelineCheckpoint>,
     stop_after: Option<usize>,
 ) -> (RunOutcome, Vec<String>) {
@@ -108,7 +107,7 @@ fn run_ck(
         seed().derive("run"),
         &scfg(),
         ac,
-        backend,
+        AdaptiveBackend::Flat,
         resume,
         &ck_cfg(),
         &mut |ev| match ev {
@@ -137,7 +136,7 @@ fn smoke(fp_out: Option<String>, live_out: Option<String>) {
     let stimuli = smoke_stimuli();
     let mut identical = true;
 
-    // Reference: the plain streaming engine, digest and counters.
+    // Reference: the streaming timeline reference, digest and counters.
     eyeorg_obs::reset();
     let reference = stream_timeline_campaign(
         &stimuli,
@@ -152,68 +151,63 @@ fn smoke(fp_out: Option<String>, live_out: Option<String>) {
     let reference_counters = counters();
 
     // Gate (a): the checkpointed driver with an inactive rule equals
-    // the plain engine — and gate (b): interrupt at the first barrier,
+    // the reference — and gate (b): interrupt at the first barrier,
     // reload the bytes with a reset obs registry, resume, and land on
-    // the same fingerprints. Both backends.
-    let mut live_lines = Vec::new();
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        eyeorg_obs::reset();
-        let (out, live) = run_ck(&stimuli, &inactive(), backend, None, None);
-        let RunOutcome::Complete(outcome) = out else {
-            eprintln!("DIVERGENCE: {backend:?} uninterrupted run did not complete");
-            std::process::exit(1);
-        };
-        if outcome.digest.fingerprint() != reference_fp {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} checkpointed digest != streaming engine");
-        }
-        if counters() != reference_counters {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} checkpointed counters != streaming engine");
-        }
-        let last = live.last().cloned().unwrap_or_default();
-        let expect_last = live_line_from_digest(&outcome.digest, PARTICIPANTS as u64, true);
-        if last != expect_last {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} final live line != end-of-run digest read-out");
-        }
-        println!("smoke {backend:?} uninterrupted: {} live lines", live.len());
-        live_lines = live;
-
-        // Interrupt → save → load → resume.
-        eyeorg_obs::reset();
-        let (out, _) = run_ck(&stimuli, &inactive(), backend, None, Some(1));
-        let RunOutcome::Interrupted(ck) = out else {
-            eprintln!("DIVERGENCE: {backend:?} run did not stop at the first barrier");
-            std::process::exit(1);
-        };
-        let bytes = ck.save();
-        let reloaded = TimelineCheckpoint::load(&bytes).expect("reload checkpoint");
-        if reloaded.save() != bytes {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} save/load is not a fixed point");
-        }
-        eyeorg_obs::reset(); // simulate the resuming process starting fresh
-        let (out, _) = run_ck(&stimuli, &inactive(), backend, Some(&reloaded), None);
-        let RunOutcome::Complete(outcome) = out else {
-            eprintln!("DIVERGENCE: {backend:?} resumed run did not complete");
-            std::process::exit(1);
-        };
-        if outcome.digest.fingerprint() != reference_fp {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} resumed digest != uninterrupted run");
-        }
-        if counters() != reference_counters {
-            identical = false;
-            eprintln!("DIVERGENCE: {backend:?} resumed counters != uninterrupted run");
-        }
-        println!("smoke {backend:?} interrupt/resume: ok={identical}");
+    // the same fingerprints.
+    eyeorg_obs::reset();
+    let (out, live_lines) = run_ck(&stimuli, &inactive(), None, None);
+    let RunOutcome::Complete(outcome) = out else {
+        eprintln!("DIVERGENCE: uninterrupted run did not complete");
+        std::process::exit(1);
+    };
+    if outcome.digest.fingerprint() != reference_fp {
+        identical = false;
+        eprintln!("DIVERGENCE: checkpointed digest != streaming reference");
     }
+    if counters() != reference_counters {
+        identical = false;
+        eprintln!("DIVERGENCE: checkpointed counters != streaming reference");
+    }
+    let last = live_lines.last().cloned().unwrap_or_default();
+    if last != live_line_from_digest(&outcome.digest, PARTICIPANTS as u64, true) {
+        identical = false;
+        eprintln!("DIVERGENCE: final live line != end-of-run digest read-out");
+    }
+    println!("smoke uninterrupted: {} live lines", live_lines.len());
+
+    // Interrupt → save → load → resume.
+    eyeorg_obs::reset();
+    let (out, _) = run_ck(&stimuli, &inactive(), None, Some(1));
+    let RunOutcome::Interrupted(ck) = out else {
+        eprintln!("DIVERGENCE: run did not stop at the first barrier");
+        std::process::exit(1);
+    };
+    let bytes = ck.save();
+    let reloaded = TimelineCheckpoint::load(&bytes).expect("reload checkpoint");
+    if reloaded.save() != bytes {
+        identical = false;
+        eprintln!("DIVERGENCE: save/load is not a fixed point");
+    }
+    eyeorg_obs::reset(); // simulate the resuming process starting fresh
+    let (out, _) = run_ck(&stimuli, &inactive(), Some(&reloaded), None);
+    let RunOutcome::Complete(outcome) = out else {
+        eprintln!("DIVERGENCE: resumed run did not complete");
+        std::process::exit(1);
+    };
+    if outcome.digest.fingerprint() != reference_fp {
+        identical = false;
+        eprintln!("DIVERGENCE: resumed digest != uninterrupted run");
+    }
+    if counters() != reference_counters {
+        identical = false;
+        eprintln!("DIVERGENCE: resumed counters != uninterrupted run");
+    }
+    println!("smoke interrupt/resume: ok={identical}");
 
     // Gate (b), adaptive: the stopping rule's decision sequence must
     // survive interruption too.
     eyeorg_obs::reset();
-    let (out, _) = run_ck(&stimuli, &active(), AdaptiveBackend::Streaming, None, None);
+    let (out, _) = run_ck(&stimuli, &active(), None, None);
     let RunOutcome::Complete(act_ref) = out else {
         eprintln!("DIVERGENCE: adaptive uninterrupted run did not complete");
         std::process::exit(1);
@@ -225,43 +219,37 @@ fn smoke(fp_out: Option<String>, live_out: Option<String>) {
         identical = false;
         eprintln!("DIVERGENCE: smoke epsilon never fired (calibration broken)");
     }
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        eyeorg_obs::reset();
-        let (out, _) = run_ck(&stimuli, &active(), backend, None, Some(1));
-        let RunOutcome::Interrupted(ck) = out else {
-            eprintln!("DIVERGENCE: adaptive {backend:?} did not stop at the first barrier");
-            std::process::exit(1);
-        };
-        let reloaded = TimelineCheckpoint::load(&ck.save()).expect("reload adaptive checkpoint");
-        eyeorg_obs::reset();
-        let (out, _) = run_ck(&stimuli, &active(), backend, Some(&reloaded), None);
-        let RunOutcome::Complete(outcome) = out else {
-            eprintln!("DIVERGENCE: adaptive {backend:?} resumed run did not complete");
-            std::process::exit(1);
-        };
-        if outcome.digest.fingerprint() != act_fp
-            || outcome.decision_fingerprint() != act_decisions
-            || counters() != act_counters
-        {
-            identical = false;
-            eprintln!("DIVERGENCE: adaptive {backend:?} resume differs from uninterrupted run");
-        }
-        println!("smoke adaptive {backend:?} interrupt/resume: {} decisions", outcome.decisions.len());
+    eyeorg_obs::reset();
+    let (out, _) = run_ck(&stimuli, &active(), None, Some(1));
+    let RunOutcome::Interrupted(ck) = out else {
+        eprintln!("DIVERGENCE: adaptive run did not stop at the first barrier");
+        std::process::exit(1);
+    };
+    let reloaded = TimelineCheckpoint::load(&ck.save()).expect("reload adaptive checkpoint");
+    eyeorg_obs::reset();
+    let (out, _) = run_ck(&stimuli, &active(), Some(&reloaded), None);
+    let RunOutcome::Complete(outcome) = out else {
+        eprintln!("DIVERGENCE: adaptive resumed run did not complete");
+        std::process::exit(1);
+    };
+    if outcome.digest.fingerprint() != act_fp
+        || outcome.decision_fingerprint() != act_decisions
+        || counters() != act_counters
+    {
+        identical = false;
+        eprintln!("DIVERGENCE: adaptive resume differs from uninterrupted run");
     }
+    println!("smoke adaptive interrupt/resume: {} decisions", outcome.decisions.len());
 
     // The A/B driver: same interrupt → save → load → resume contract.
+    // Its reference is the materializing engine (campaign + filter +
+    // digest fold).
     let ab = smoke_ab_stimuli();
     eyeorg_obs::reset();
-    let ab_ref = stream_ab_campaign(
-        &ab,
-        &CrowdFlower,
-        PARTICIPANTS,
-        &cfg(),
-        &paper_pipeline(),
-        seed().derive("ab-run"),
-        &scfg(),
-    );
-    let ab_fp = ab_ref.fingerprint();
+    let campaign =
+        run_ab_campaign(ab.clone(), &CrowdFlower, PARTICIPANTS, &cfg(), seed().derive("ab-run"));
+    let report = filter_ab(&campaign, &paper_pipeline());
+    let ab_fp = digest_ab(&campaign, &report, PARTICIPANTS).fingerprint();
     let ab_counters = counters();
     eyeorg_obs::reset();
     let mut seen = 0usize;
@@ -316,7 +304,7 @@ fn smoke(fp_out: Option<String>, live_out: Option<String>) {
     }
     if let Some(path) = fp_out {
         // Everything a cross-process / cross-thread-count `cmp` needs:
-        // plain digest + counters (== the streaming engine's, and ==
+        // plain digest + counters (== the streaming reference's, and ==
         // what `--merge` emits), then the adaptive run's digest,
         // decision, and counter fingerprints.
         let contents = format!(
@@ -337,12 +325,10 @@ fn worker(args: &[String]) {
     let mut lo = None;
     let mut hi = None;
     let mut out = None;
-    let mut backend = AdaptiveBackend::Streaming;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => out = Some(it.next().expect("--out needs a path").clone()),
-            "--flat" => backend = AdaptiveBackend::Flat,
             v => {
                 let n: usize = v.parse().unwrap_or_else(|_| {
                     eprintln!("unknown --worker argument: {v}");
@@ -357,7 +343,7 @@ fn worker(args: &[String]) {
         }
     }
     let (Some(lo), Some(hi), Some(out)) = (lo, hi, out) else {
-        eprintln!("usage: merge_digests --worker LO HI --out PATH [--flat]");
+        eprintln!("usage: merge_digests --worker LO HI --out PATH");
         std::process::exit(2);
     };
     // Build stimuli before the reset: the captured counter state must
@@ -373,14 +359,13 @@ fn worker(args: &[String]) {
         &paper_pipeline(),
         seed().derive("run"),
         &scfg(),
-        backend,
     )
     .unwrap_or_else(|e| {
         eprintln!("FAIL: worker [{lo}, {hi}) checkpoint: {e}");
         std::process::exit(1);
     });
     write_file(&out, &ck.save());
-    println!("worker [{lo}, {hi}) ({backend:?}) wrote {out}");
+    println!("worker [{lo}, {hi}) wrote {out}");
 }
 
 fn merge(args: &[String]) {
@@ -460,7 +445,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: merge_digests --smoke [--fingerprint-out PATH] [--live-out PATH]\n\
-                 \x20      merge_digests --worker LO HI --out PATH [--flat]\n\
+                 \x20      merge_digests --worker LO HI --out PATH\n\
                  \x20      merge_digests --merge OUT_FP FILE..."
             );
             std::process::exit(2);

@@ -8,14 +8,14 @@
 //! * `--smoke` — small configuration used by `scripts/verify.sh` and
 //!   CI. Gates, exiting non-zero on any failure:
 //!   (a) an **inactive** adaptive config (`epsilon = 0`, `max_n = 0`)
-//!   is byte-identical to the plain streaming engine — digest *and*
-//!   observability-counter fingerprint — for both backends across
-//!   shard sizes, thread knobs, and epoch sizes (this is the
+//!   is byte-identical to the streaming timeline reference — digest
+//!   *and* observability-counter fingerprint — across shard sizes,
+//!   thread knobs, and epoch sizes (this is the
 //!   counter-fingerprint half of the ε=0 gate; it owns the process
 //!   because the obs registry is global);
 //!   (b) with an **active** rule, the decision sequence, digest, and
-//!   counter fingerprints are invariant across backends, shard sizes,
-//!   thread knobs, and chaos seeds. With `--fingerprint-out PATH` it
+//!   counter fingerprints are invariant across shard sizes, thread
+//!   knobs, and chaos seeds. With `--fingerprint-out PATH` it
 //!   writes the fingerprints so the caller can `cmp` runs at different
 //!   `EYEORG_THREADS` values.
 //! * full (default) — the headline measurement: the 1,000,000 × 20
@@ -116,7 +116,6 @@ fn flat_run(
     (digest, t.elapsed().as_secs_f64())
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors the engine entry point
 fn adaptive_run(
     stimuli: &[TimelineStimulus],
     budget: usize,
@@ -124,7 +123,6 @@ fn adaptive_run(
     shard: usize,
     threads: usize,
     ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
 ) -> (AdaptiveOutcome, f64) {
     eyeorg_obs::reset();
     let cfg = ExperimentConfig { threads, ..ExperimentConfig::default() };
@@ -138,7 +136,7 @@ fn adaptive_run(
         seed,
         &StreamConfig { shard_size: shard, ..StreamConfig::default() },
         ac,
-        backend,
+        AdaptiveBackend::Flat,
     );
     (out, t.elapsed().as_secs_f64())
 }
@@ -150,56 +148,44 @@ fn smoke(fp_out: Option<String>) {
     let run_seed = seed.derive("run");
     let mut identical = true;
 
-    // Reference: the plain streaming engine.
+    // Reference: the streaming timeline reference.
     let (reference, ref_secs) = stream_run(&stimuli, n, run_seed, 64, 0);
     let reference_fp = reference.fingerprint();
     let reference_counters = eyeorg_obs::snapshot("adaptive-smoke", 0).counter_fingerprint();
     println!("smoke streaming reference: {ref_secs:.3}s");
 
-    // Gate (a): inactive config == streaming engine, digest and
-    // counters, for both backends x shards x threads x epoch sizes.
+    // Gate (a): inactive config == streaming reference, digest and
+    // counters, for shards x threads x epoch sizes.
     let inactive = AdaptiveConfig { epoch: 37, epsilon: 0.0, min_n: 256, max_n: 0 };
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        for shard in [64usize, n + 1] {
-            for threads in [1usize, 2, 0] {
-                for epoch in [37usize, 256] {
-                    let ac = AdaptiveConfig { epoch, ..inactive };
-                    let (out, secs) =
-                        adaptive_run(&stimuli, n, run_seed, shard, threads, &ac, backend);
-                    let counters =
-                        eyeorg_obs::snapshot("adaptive-smoke", threads).counter_fingerprint();
-                    if out.digest.fingerprint() != reference_fp {
-                        identical = false;
-                        eprintln!(
-                            "DIVERGENCE: eps=0 {backend:?} shard={shard} threads={threads} \
-                             epoch={epoch} digest differs from streaming engine"
-                        );
-                    }
-                    if counters != reference_counters {
-                        identical = false;
-                        eprintln!(
-                            "DIVERGENCE: eps=0 {backend:?} shard={shard} threads={threads} \
-                             epoch={epoch} counters differ from streaming engine"
-                        );
-                    }
-                    if !out.decisions.is_empty() || out.participants_saved() != 0 {
-                        identical = false;
-                        eprintln!("DIVERGENCE: inactive config took decisions");
-                    }
-                    println!(
-                        "smoke eps=0 {backend:?} shard={shard:>4} threads={threads} \
-                         epoch={epoch:>3}: {secs:.3}s"
-                    );
+    for shard in [64usize, n + 1] {
+        for threads in [1usize, 2, 0] {
+            for epoch in [37usize, 256] {
+                let ac = AdaptiveConfig { epoch, ..inactive };
+                let (out, secs) = adaptive_run(&stimuli, n, run_seed, shard, threads, &ac);
+                let counters =
+                    eyeorg_obs::snapshot("adaptive-smoke", threads).counter_fingerprint();
+                let ctx = format!("eps=0 shard={shard} threads={threads} epoch={epoch}");
+                if out.digest.fingerprint() != reference_fp {
+                    identical = false;
+                    eprintln!("DIVERGENCE: {ctx} digest differs from streaming reference");
                 }
+                if counters != reference_counters {
+                    identical = false;
+                    eprintln!("DIVERGENCE: {ctx} counters differ from streaming reference");
+                }
+                if !out.decisions.is_empty() || out.participants_saved() != 0 {
+                    identical = false;
+                    eprintln!("DIVERGENCE: inactive config took decisions");
+                }
+                println!("smoke {ctx}: {secs:.3}s");
             }
         }
     }
 
     // Gate (b): active rule — decisions, digest, and counters invariant
-    // across backends, shards, threads, and chaos seeds.
+    // across shards, threads, and chaos seeds.
     let active = AdaptiveConfig { epoch: 50, epsilon: 0.5, min_n: 50, max_n: 0 };
-    let (act_ref, _) =
-        adaptive_run(&stimuli, n, run_seed, 64, 1, &active, AdaptiveBackend::Streaming);
+    let (act_ref, _) = adaptive_run(&stimuli, n, run_seed, 64, 1, &active);
     let act_counters = eyeorg_obs::snapshot("adaptive-smoke", 1).counter_fingerprint();
     let act_decisions = act_ref.decision_fingerprint();
     let act_fp = act_ref.digest.fingerprint();
@@ -213,40 +199,35 @@ fn smoke(fp_out: Option<String>) {
         act_ref.participants_saved(),
         act_ref.budget
     );
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        for shard in [64usize, n + 1] {
-            for threads in [1usize, 2, 0] {
-                for chaos in [0u64, 5] {
-                    set_chaos_seed(chaos);
-                    let (out, secs) =
-                        adaptive_run(&stimuli, n, run_seed, shard, threads, &active, backend);
-                    set_chaos_seed(0);
-                    let counters =
-                        eyeorg_obs::snapshot("adaptive-smoke", threads).counter_fingerprint();
-                    let ctx = format!(
-                        "active {backend:?} shard={shard} threads={threads} chaos={chaos}"
-                    );
-                    if out.decision_fingerprint() != act_decisions {
-                        identical = false;
-                        eprintln!("DIVERGENCE: {ctx} decision sequence differs");
-                    }
-                    if out.digest.fingerprint() != act_fp {
-                        identical = false;
-                        eprintln!("DIVERGENCE: {ctx} digest differs");
-                    }
-                    if counters != act_counters {
-                        identical = false;
-                        eprintln!("DIVERGENCE: {ctx} counters differ");
-                    }
-                    println!("smoke {ctx}: {secs:.3}s");
+    for shard in [64usize, n + 1] {
+        for threads in [1usize, 2, 0] {
+            for chaos in [0u64, 5] {
+                set_chaos_seed(chaos);
+                let (out, secs) = adaptive_run(&stimuli, n, run_seed, shard, threads, &active);
+                set_chaos_seed(0);
+                let counters =
+                    eyeorg_obs::snapshot("adaptive-smoke", threads).counter_fingerprint();
+                let ctx = format!("active shard={shard} threads={threads} chaos={chaos}");
+                if out.decision_fingerprint() != act_decisions {
+                    identical = false;
+                    eprintln!("DIVERGENCE: {ctx} decision sequence differs");
                 }
+                if out.digest.fingerprint() != act_fp {
+                    identical = false;
+                    eprintln!("DIVERGENCE: {ctx} digest differs");
+                }
+                if counters != act_counters {
+                    identical = false;
+                    eprintln!("DIVERGENCE: {ctx} counters differ");
+                }
+                println!("smoke {ctx}: {secs:.3}s");
             }
         }
     }
 
     if let Some(path) = fp_out {
         // Everything a cross-process `cmp` needs: ε=0 digest/counters
-        // (== the streaming engine's) and the active run's decision,
+        // (== the streaming reference's) and the active run's decision,
         // digest, and counter fingerprints.
         let contents = format!(
             "{reference_fp}\n{reference_counters}\n{act_decisions}\n{act_fp}\n{act_counters}\n"
@@ -262,7 +243,7 @@ fn smoke(fp_out: Option<String>) {
         eprintln!("FAIL: adaptive engine diverged");
         std::process::exit(1);
     }
-    println!("smoke OK: adaptive == streaming at eps=0; decisions invariant when active");
+    println!("smoke OK: adaptive == streaming reference at eps=0; decisions invariant when active");
 }
 
 fn full() {
@@ -286,15 +267,8 @@ fn full() {
         min_n: FULL_MIN_N,
         max_n: 0,
     };
-    let (out, adaptive_secs) = adaptive_run(
-        &stimuli,
-        FULL_PARTICIPANTS,
-        run_seed,
-        FULL_SHARD,
-        0,
-        &ac,
-        AdaptiveBackend::Flat,
-    );
+    let (out, adaptive_secs) =
+        adaptive_run(&stimuli, FULL_PARTICIPANTS, run_seed, FULL_SHARD, 0, &ac);
     let simulated = out.recruited - out.pruned;
     let reduction = out.budget as f64 / simulated.max(1) as f64;
     let speedup = full_secs / adaptive_secs.max(1e-9);

@@ -12,8 +12,9 @@
 //! ## How recruitment proceeds
 //!
 //! Participants are processed in index order in fixed-size **epochs**
-//! ([`AdaptiveConfig::epoch`]). Within an epoch the work is sharded and
-//! parallelised exactly like the streaming/flat engines; at the epoch
+//! ([`AdaptiveConfig::epoch`]). Each epoch is one [`crate::flat`]
+//! kernel epoch over the next index range, sharded and parallelised
+//! like any other flat run; at the epoch
 //! **barrier** the epoch's shard folds are merged (shard order) into a
 //! cumulative fold, and the stopping rule runs on that merged state:
 //! a live stimulus stops when its UPLT confidence half-width — the max
@@ -37,8 +38,7 @@
 //!
 //! ## Why live digests equal the truncated full run
 //!
-//! Mask semantics (shared by [`crate::stream::tl_fold_range`] and the
-//! flat engine's column passes):
+//! Mask semantics (the flat kernel's column passes):
 //!
 //! * a served participant runs **all** assigned sessions, the control,
 //!   the filters, and the behaviour push exactly as the full run —
@@ -57,17 +57,17 @@
 //! monotone in `epsilon` and independent of the rest of the mask.
 //! With `epsilon = 0` and `max_n = 0` no rule can fire, nothing is
 //! pruned, and the driver is byte-identical — digest *and* counter
-//! fingerprint — to the plain streaming engine.
+//! fingerprint — to the plain flat and streaming engines.
 
 use eyeorg_crowd::RecruitmentService;
-use eyeorg_stats::{resolve_threads, Seed};
+use eyeorg_stats::Seed;
 
 use crate::checkpoint::ShardKind;
 use crate::digest::{DigestParams, StimulusDigest, TimelineDigest};
-use crate::experiment::{AdaptiveConfig, ExperimentConfig, TimelineStimulus};
+use crate::experiment::{assert_runnable, AdaptiveConfig, ExperimentConfig, TimelineStimulus};
 use crate::filtering::ParticipantFilter;
-use crate::flat::{flat_tl_epoch, FlatTlCtx};
-use crate::stream::{merge_shards, stream_tl_epoch, tl_frames, StreamConfig, TlCtx, TlShard};
+use crate::flat::TlKernel;
+use crate::stream::{merge_shards, StreamConfig, TlShard};
 
 /// Critical value for the stopping rule's confidence intervals (~95%
 /// two-sided normal). A fixed constant, not a knob: epsilon is the
@@ -75,11 +75,12 @@ use crate::stream::{merge_shards, stream_tl_epoch, tl_frames, StreamConfig, TlCt
 /// comparable across runs.
 pub const ADAPTIVE_Z: f64 = 1.96;
 
-/// Which engine executes the epochs.
+/// Which engine executes the epochs: always the flat kernel. The
+/// single-variant type exists so existing callers of
+/// [`adaptive_timeline_campaign`] and
+/// [`crate::checkpoint::checkpointed_timeline_campaign`] keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptiveBackend {
-    /// Participant-at-a-time shard folds ([`crate::stream`]).
-    Streaming,
     /// Structure-of-arrays column passes ([`crate::flat`]).
     Flat,
 }
@@ -182,9 +183,9 @@ fn should_stop(d: &StimulusDigest, ac: &AdaptiveConfig) -> Option<(StopCause, f6
 /// the exact semantics and the determinism argument).
 ///
 /// With an inactive config (`epsilon = 0`, `max_n = 0`) this is
-/// byte-identical to [`crate::stream::stream_timeline_campaign`] /
-/// [`crate::flat::flat_timeline_campaign`] on the same inputs, digest
-/// and counter fingerprint alike.
+/// byte-identical to [`crate::flat::flat_timeline_campaign`] /
+/// [`crate::stream::stream_timeline_campaign`] on the same inputs,
+/// digest and counter fingerprint alike.
 #[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
 pub fn adaptive_timeline_campaign(
     stimuli: &[TimelineStimulus],
@@ -195,51 +196,14 @@ pub fn adaptive_timeline_campaign(
     seed: Seed,
     sc: &StreamConfig,
     ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
+    _backend: AdaptiveBackend,
 ) -> AdaptiveOutcome {
-    assert!(!stimuli.is_empty(), "campaign needs stimuli");
+    assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.adaptive_timeline");
-    with_tl_epochs(stimuli, service, cfg, filters, seed, sc, backend, |run_epoch| {
-        match drive_resumable(stimuli, service, budget, sc, ac, None, &mut |_| true, run_epoch) {
-            DriveEnd::Complete(outcome) => *outcome,
-            DriveEnd::Interrupted(_) => unreachable!("an always-continue barrier never interrupts"),
-        }
-    })
-}
-
-/// Build `backend`'s read-only campaign state and hand its epoch
-/// function — `(lo, hi, base_admitted, live)` to the range's folds in
-/// shard order and its gate-admission count — to `body`: the one place
-/// both backends are set up, shared by the adaptive driver and the
-/// checkpoint layer.
-#[allow(clippy::too_many_arguments)] // the engine entry points' shared arguments
-pub(crate) fn with_tl_epochs<R>(
-    stimuli: &[TimelineStimulus],
-    service: &dyn RecruitmentService,
-    cfg: &ExperimentConfig,
-    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
-    seed: Seed,
-    sc: &StreamConfig,
-    backend: AdaptiveBackend,
-    body: impl FnOnce(&mut dyn FnMut(usize, usize, u64, &[bool]) -> (Vec<TlShard>, u64)) -> R,
-) -> R {
-    let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
-    match backend {
-        AdaptiveBackend::Streaming => {
-            let pop = service.population();
-            let frames = tl_frames(stimuli, threads);
-            let ctx = TlCtx::new(stimuli, &frames, &pop, cfg, filters, seed, sc.params);
-            body(&mut |lo, hi, base, live| {
-                stream_tl_epoch(&ctx, lo, hi, threads, shard, base, live)
-            })
-        }
-        AdaptiveBackend::Flat => {
-            let ctx = FlatTlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-            body(&mut |lo, hi, base, live| {
-                flat_tl_epoch(&ctx, lo, hi, threads, shard, base, live)
-            })
-        }
+    let kernel = TlKernel::new(stimuli, service, cfg, filters, seed, sc);
+    match drive_resumable(&kernel, service, budget, sc, ac, None, &mut |_| true) {
+        DriveEnd::Complete(outcome) => *outcome,
+        DriveEnd::Interrupted(_) => unreachable!("an always-continue barrier never interrupts"),
     }
 }
 
@@ -290,7 +254,7 @@ pub(crate) enum DriveEnd {
     Interrupted(Box<DriveState>),
 }
 
-/// The backend-agnostic epoch loop: recruit an epoch, merge its folds
+/// The epoch loop: recruit an epoch through `kernel`, merge its folds
 /// in shard order, evaluate the stopping rule at the barrier, repeat.
 /// It starts from `resume` (or scratch) and consults `barrier` after
 /// every epoch's stopping evaluation — a `false` return stops the loop
@@ -304,20 +268,16 @@ pub(crate) enum DriveEnd {
 /// budget tail fires only on natural completion, so an interrupted
 /// run's counter totals equal the uninterrupted run's totals *at that
 /// barrier* (which is what the checkpoint records).
-#[allow(clippy::too_many_arguments)] // the run's arguments plus the two resume affordances
-pub(crate) fn drive_resumable<F>(
-    stimuli: &[TimelineStimulus],
+pub(crate) fn drive_resumable(
+    kernel: &TlKernel<'_>,
     service: &dyn RecruitmentService,
     budget: usize,
     sc: &StreamConfig,
     ac: &AdaptiveConfig,
     resume: Option<DriveState>,
     barrier: &mut dyn FnMut(&DriveState) -> bool,
-    mut run_epoch: F,
-) -> DriveEnd
-where
-    F: FnMut(usize, usize, u64, &[bool]) -> (Vec<TlShard>, u64),
-{
+) -> DriveEnd {
+    let stimuli = kernel.stimuli;
     let epoch = ac.epoch.max(1);
     let active = ac.is_active();
     let n_stim = stimuli.len();
@@ -326,7 +286,7 @@ where
     while st.processed < budget && st.live.iter().any(|&l| l) {
         let lo = st.processed;
         let hi = (lo + epoch).min(budget);
-        let (folds, range_admitted) = run_epoch(lo, hi, st.admitted, &st.live);
+        let (folds, range_admitted) = kernel.epoch(lo, hi, st.admitted, &st.live);
         for fold in &folds {
             // lint:allow(D4): same-campaign shard folds share one construction site
             st.acc.merge_checked(fold).expect("same-campaign shard folds agree by construction");

@@ -120,7 +120,7 @@ impl AbTally {
     }
 
     /// Fold another shard's tally for the same stimulus in. Integer
-    /// adds are exact and associative, so the streaming engine's merge
+    /// adds are exact and associative, so the sharded engines' merge
     /// reproduces the materializing tally byte for byte.
     pub fn merge(&mut self, other: &AbTally) {
         self.a += other.a;

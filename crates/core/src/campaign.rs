@@ -11,8 +11,8 @@
 //! This is the **materializing** engine: every showing is retained as a
 //! row, which row-level consumers (viz, dataset export, ablations) need
 //! but which makes memory grow with the crowd. Campaigns that only need
-//! the aggregate digest should use [`crate::stream`], the sharded
-//! streaming engine — byte-identical results (pinned by the
+//! the aggregate digest should use the sharded flat kernel
+//! ([`crate::flat`]) — byte-identical results (pinned by the
 //! `streaming_equivalence` tests) in memory proportional to a shard.
 
 use std::sync::Arc;
@@ -25,7 +25,9 @@ use eyeorg_net::SimTime;
 use eyeorg_stats::{effective_pool, par_map_range, resolve_threads, Seed};
 use eyeorg_video::{FrameTimeline, Video};
 
-use crate::experiment::{a_on_left, assign, AbStimulus, ExperimentConfig, TimelineStimulus};
+use crate::experiment::{
+    a_on_left, assert_runnable, assign, AbStimulus, ExperimentConfig, TimelineStimulus,
+};
 
 /// One timeline showing: participant × video with the full
 /// instrumentation.
@@ -127,7 +129,7 @@ pub fn run_timeline_campaign(
     cfg: &ExperimentConfig,
     seed: Seed,
 ) -> TimelineCampaign {
-    assert!(!stimuli.is_empty(), "campaign needs stimuli");
+    assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.timeline_campaign");
     let threads = resolve_threads(cfg.threads);
     let recruitment: Recruitment = service.recruit(seed.derive("recruit"), n_participants);
@@ -255,7 +257,7 @@ pub fn run_ab_campaign(
     cfg: &ExperimentConfig,
     seed: Seed,
 ) -> AbCampaign {
-    assert!(!stimuli.is_empty(), "campaign needs stimuli");
+    assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.ab_campaign");
     let threads = resolve_threads(cfg.threads);
     let recruitment: Recruitment = service.recruit(seed.derive("recruit"), n_participants);

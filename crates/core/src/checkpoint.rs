@@ -91,19 +91,20 @@ use eyeorg_stats::{
 use serde::{Deserialize, Serialize, Value};
 
 use crate::adaptive::{
-    drive_resumable, with_tl_epochs, AdaptiveBackend, AdaptiveOutcome, DriveEnd, DriveState,
-    StopCause, StopDecision, ADAPTIVE_Z,
+    drive_resumable, AdaptiveBackend, AdaptiveOutcome, DriveEnd, DriveState, StopCause,
+    StopDecision, ADAPTIVE_Z,
 };
 use crate::analysis::AbTally;
 use crate::digest::{
     AbDigest, AbStimulusDigest, BehaviorDigest, ControlTally, DigestParams, MergeError,
     StimulusDigest, TimelineDigest,
 };
-use crate::experiment::{AbStimulus, AdaptiveConfig, ExperimentConfig, TimelineStimulus};
-use crate::filtering::{FilterTally, ParticipantFilter};
-use crate::stream::{
-    admitted_bases_range, stream_ab_epoch, AbCtx, AbShard, StreamConfig, TlShard,
+use crate::experiment::{
+    campaign_defect, AbStimulus, AdaptiveConfig, ExperimentConfig, TimelineStimulus,
 };
+use crate::filtering::{FilterTally, ParticipantFilter};
+use crate::flat::{AbKernel, AbPlane, Kernel, Plane, TlKernel, TlPlane};
+use crate::stream::{AbShard, StreamConfig, TlShard};
 
 /// Checkpoint format version this build writes and accepts.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -1298,41 +1299,43 @@ impl<K: ShardKind> Checkpoint<K> {
     }
 }
 
+/// The campaign preconditions the one-shot engines assert, as the
+/// typed error every `Result`-returning entry point reports.
+fn check_campaign(n_stimuli: usize, cfg: &ExperimentConfig) -> Result<(), CheckpointError> {
+    match campaign_defect(n_stimuli, cfg) {
+        Some(why) => Err(CheckpointError::Config { detail: why.to_string() }),
+        None => Ok(()),
+    }
+}
+
 /// The shared body of both worker entry points: validate the range,
 /// recompute its admitted-index base from the seed (the same pre-pass
-/// both engines run), fold it with `fold(base)`, and wrap the merged
-/// folds with this process's counter totals.
+/// every epoch runs), fold it through the flat kernel under an
+/// all-live mask, and wrap the merged folds with this process's counter
+/// totals.
 #[allow(clippy::too_many_arguments)] // the worker entry points' shared arguments
-fn worker_checkpoint<K: ShardKind>(
-    stimuli: &[K::Stimulus],
+fn worker_checkpoint<P: Plane>(
+    stimuli: &[P::Stimulus],
     service: &dyn RecruitmentService,
     lo: usize,
     hi: usize,
     cfg: &ExperimentConfig,
+    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
     seed: Seed,
     sc: &StreamConfig,
-    fold: impl FnOnce(u64) -> Vec<K>,
-) -> Result<Checkpoint<K>, CheckpointError> {
-    if stimuli.is_empty() {
-        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
-    }
+) -> Result<Checkpoint<P::Shard>, CheckpointError> {
+    check_campaign(stimuli.len(), cfg)?;
     if lo > hi {
         return Err(CheckpointError::Config {
             detail: format!("inverted worker range [{lo}, {hi})"),
         });
     }
     let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
-    let threads = resolve_threads(cfg.threads);
-    let admitted_before = if lo == 0 {
-        0
-    } else {
-        let pop = service.population();
-        admitted_bases_range(0, lo, sc.shard_size.max(1), threads, &pop, seed.derive("recruit"), 0)
-            .1
-    };
-    let params = K::params(sc.params);
-    let mut acc = K::fresh(stimuli, &params);
-    for f in &fold(admitted_before) {
+    let kernel = Kernel::<P>::new(stimuli, service, cfg, filters, seed, sc);
+    let admitted_before = kernel.admitted_before(lo);
+    let params = P::Shard::params(sc.params);
+    let mut acc = P::Shard::fresh(stimuli, &params);
+    for f in &kernel.epoch(lo, hi, admitted_before, &vec![true; stimuli.len()]).0 {
         acc.merge_checked(f)?;
     }
     Ok(Checkpoint {
@@ -1342,7 +1345,7 @@ fn worker_checkpoint<K: ShardKind>(
         admitted_before,
         acc,
         drive: None,
-        counters: CounterState::capture(threads),
+        counters: CounterState::capture(kernel.threads),
     })
 }
 
@@ -1465,8 +1468,9 @@ pub enum RunOutcome {
 /// replays only the remaining participant range: the composition is
 /// byte-identical, digest and counter fingerprint, to the
 /// uninterrupted run. With an inactive `ac` the run equals
-/// `stream_timeline_campaign`/`flat_timeline_campaign`; barriers then
-/// fall every [`CheckpointConfig::every_shards`] shards.
+/// `flat_timeline_campaign`/`stream_timeline_campaign`; barriers then
+/// fall every [`CheckpointConfig::every_shards`] shards. Epochs run
+/// through the flat kernel (the only [`AdaptiveBackend`]).
 ///
 /// Obs contract: the caller resets (and optionally enables) the obs
 /// registry before calling; on resume the driver restores the
@@ -1481,14 +1485,12 @@ pub fn checkpointed_timeline_campaign(
     seed: Seed,
     sc: &StreamConfig,
     ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
+    _backend: AdaptiveBackend,
     resume: Option<&TimelineCheckpoint>,
     ck: &CheckpointConfig,
     observer: &mut dyn FnMut(CheckpointEvent<'_>) -> bool,
 ) -> Result<RunOutcome, CheckpointError> {
-    if stimuli.is_empty() {
-        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
-    }
+    check_campaign(stimuli.len(), cfg)?;
     let _t = eyeorg_obs::phase_timer("core.checkpointed_timeline");
     let threads = resolve_threads(cfg.threads);
     // Barrier spacing: adaptive runs keep their decision epoch (the
@@ -1541,9 +1543,8 @@ pub fn checkpointed_timeline_campaign(
             observer(CheckpointEvent::Live(&live));
             observer(CheckpointEvent::Checkpoint(&tl_driver_ckpt(sc.params, st, threads)))
         };
-        with_tl_epochs(stimuli, service, cfg, filters, seed, sc, backend, |run_epoch| {
-            drive_resumable(stimuli, service, budget, sc, &eff_ac, start, &mut barrier, run_epoch)
-        })
+        let kernel = TlKernel::new(stimuli, service, cfg, filters, seed, sc);
+        drive_resumable(&kernel, service, budget, sc, &eff_ac, start, &mut barrier)
     };
 
     match end {
@@ -1596,20 +1597,13 @@ pub fn timeline_worker_checkpoint(
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
     seed: Seed,
     sc: &StreamConfig,
-    backend: AdaptiveBackend,
 ) -> Result<TimelineCheckpoint, CheckpointError> {
-    let live = vec![true; stimuli.len()];
-    worker_checkpoint(stimuli, service, lo, hi, cfg, seed, sc, |base| {
-        with_tl_epochs(stimuli, service, cfg, filters, seed, sc, backend, |run_epoch| {
-            run_epoch(lo, hi, base, &live).0
-        })
-    })
+    worker_checkpoint::<TlPlane>(stimuli, service, lo, hi, cfg, filters, seed, sc)
 }
 
 /// Fold the participant index range `[lo, hi)` of an A/B campaign into
 /// a mergeable worker checkpoint — the A/B counterpart of
-/// [`timeline_worker_checkpoint`] (streaming engine; A/B has no flat
-/// epoch driver).
+/// [`timeline_worker_checkpoint`].
 #[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
 pub fn ab_worker_checkpoint(
     stimuli: &[AbStimulus],
@@ -1621,12 +1615,7 @@ pub fn ab_worker_checkpoint(
     seed: Seed,
     sc: &StreamConfig,
 ) -> Result<AbCheckpoint, CheckpointError> {
-    worker_checkpoint(stimuli, service, lo, hi, cfg, seed, sc, |base| {
-        let pop = service.population();
-        let ctx = AbCtx::new(stimuli, &pop, cfg, filters, seed);
-        let threads = resolve_threads(cfg.threads);
-        stream_ab_epoch(&ctx, lo, hi, threads, sc.shard_size.max(1), base).0
-    })
+    worker_checkpoint::<AbPlane>(stimuli, service, lo, hi, cfg, filters, seed, sc)
 }
 
 /// How a checkpointed A/B run ended.
@@ -1638,7 +1627,7 @@ pub enum AbRunOutcome {
     Interrupted(Box<AbCheckpoint>),
 }
 
-/// Run an A/B campaign (streaming engine) with checkpoint/resume: the
+/// Run an A/B campaign (flat kernel) with checkpoint/resume: the
 /// observer sees a checkpoint every [`CheckpointConfig::every_shards`]
 /// shards and can interrupt by returning `false`; resuming replays only
 /// the remaining range, byte-identical to never stopping. Same obs
@@ -1656,15 +1645,9 @@ pub fn checkpointed_ab_campaign(
     ck: &CheckpointConfig,
     observer: &mut dyn FnMut(&AbCheckpoint) -> bool,
 ) -> Result<AbRunOutcome, CheckpointError> {
-    if stimuli.is_empty() {
-        return Err(CheckpointError::Config { detail: "campaign needs stimuli".to_string() });
-    }
+    check_campaign(stimuli.len(), cfg)?;
     let _t = eyeorg_obs::phase_timer("core.checkpointed_ab");
-    let threads = resolve_threads(cfg.threads);
-    let shard = sc.shard_size.max(1);
-    let chunk = ck.every_shards.max(1).saturating_mul(shard);
-    let pop = service.population();
-    let ctx = AbCtx::new(stimuli, &pop, cfg, filters, seed);
+    let chunk = ck.every_shards.max(1).saturating_mul(sc.shard_size.max(1));
     let (mut acc, mut processed) = match resume {
         None => (AbShard::new(stimuli), 0usize),
         Some(c) => {
@@ -1673,11 +1656,12 @@ pub fn checkpointed_ab_campaign(
             (c.acc.clone(), c.range_hi as usize)
         }
     };
+    let kernel = AbKernel::new(stimuli, service, cfg, filters, seed, sc);
+    let live = vec![true; stimuli.len()];
     let mut admitted = acc.admitted;
     while processed < n_participants {
         let hi = processed.saturating_add(chunk).min(n_participants);
-        let (folds, range_admitted) =
-            stream_ab_epoch(&ctx, processed, hi, threads, shard, admitted);
+        let (folds, range_admitted) = kernel.epoch(processed, hi, admitted, &live);
         for fold in &folds {
             acc.merge_checked(fold)?;
         }
@@ -1690,7 +1674,7 @@ pub fn checkpointed_ab_campaign(
             admitted_before: 0,
             acc: acc.clone(),
             drive: None,
-            counters: CounterState::capture(threads),
+            counters: CounterState::capture(kernel.threads),
         };
         if !observer(&ckpt) {
             return Ok(AbRunOutcome::Interrupted(Box::new(ckpt)));

@@ -11,9 +11,10 @@
 //! * [`digest_timeline`] / [`digest_ab`] fold a **materialized**
 //!   campaign plus its filter report — the small-campaign path, exact
 //!   by construction;
-//! * `stream::stream_timeline_campaign` / `stream::stream_ab_campaign`
-//!   build the same digest shard by shard without ever materializing
-//!   the rows.
+//! * the sharded engines (`flat::flat_timeline_campaign` /
+//!   `flat::flat_ab_campaign`, and the `stream::stream_timeline_campaign`
+//!   reference) build the same digest shard by shard without ever
+//!   materializing the rows.
 //!
 //! Equality of digests is compared through [`TimelineDigest::fingerprint`]
 //! (the canonical `Debug` rendering of the full accumulator state), so

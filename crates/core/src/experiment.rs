@@ -67,6 +67,28 @@ impl Default for ExperimentConfig {
     }
 }
 
+/// Why a campaign over `n_stimuli` stimuli cannot run under `cfg`, or
+/// `None` when it can: the precondition every engine shares. The
+/// one-shot engines assert it ([`assert_runnable`]); the checkpoint
+/// entry points return it as `CheckpointError::Config`.
+pub(crate) fn campaign_defect(n_stimuli: usize, cfg: &ExperimentConfig) -> Option<&'static str> {
+    if n_stimuli == 0 {
+        Some("campaign needs stimuli")
+    } else if cfg.with_controls && cfg.videos_per_participant == 0 {
+        // The control question reuses one of the participant's videos.
+        Some("control questions need at least one video per participant")
+    } else {
+        None
+    }
+}
+
+/// Panic with the [`campaign_defect`] of `n_stimuli` stimuli under
+/// `cfg`, if there is one.
+pub(crate) fn assert_runnable(n_stimuli: usize, cfg: &ExperimentConfig) {
+    let defect = campaign_defect(n_stimuli, cfg);
+    assert!(defect.is_none(), "{}", defect.unwrap_or_default());
+}
+
 /// Knobs for the adaptive early-stopping campaign driver
 /// (`crate::adaptive`, DESIGN.md §3h): recruitment proceeds in
 /// fixed-size epochs, and at each epoch barrier a stimulus whose UPLT
@@ -76,7 +98,7 @@ impl Default for ExperimentConfig {
 /// the decision sequence — and everything downstream of it — is
 /// byte-identical across shard sizes, thread counts, and chaos seeds.
 /// With `epsilon = 0` and `max_n = 0` no rule can ever fire and the
-/// adaptive engine is byte-identical to the plain streaming engine.
+/// adaptive engine is byte-identical to the plain flat kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Participants recruited between stopping evaluations. Values `< 1`
@@ -104,7 +126,7 @@ impl Default for AdaptiveConfig {
 
 impl AdaptiveConfig {
     /// Whether any stopping rule is in force. When `false` the adaptive
-    /// driver degenerates to the streaming engine (and records none of
+    /// driver degenerates to the plain flat kernel (and records none of
     /// the `adaptive.*` counters, keeping fingerprints identical).
     pub fn is_active(&self) -> bool {
         self.epsilon > 0.0 || self.max_n > 0

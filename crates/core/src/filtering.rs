@@ -144,7 +144,7 @@ impl FilterReport {
 }
 
 /// A filter pipeline: boxed filters applied in order. The `Send + Sync`
-/// bounds let the streaming engine evaluate the same pipeline from
+/// bounds let the sharded engines evaluate the same pipeline from
 /// shard workers (every filter here is a plain `Copy` struct).
 pub type FilterPipeline = Vec<Box<dyn ParticipantFilter + Send + Sync>>;
 
@@ -227,7 +227,7 @@ pub fn paper_pipeline() -> FilterPipeline {
 /// Run the pipeline over one participant and bump the filter counters.
 ///
 /// Both engines funnel through this: the materializing [`filter_timeline`]
-/// per retained participant, the streaming engine inline per shard — which
+/// per retained participant, the sharded engines inline per shard — which
 /// is what keeps their `counter_fingerprint`s byte-identical.
 pub fn decide(
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],

@@ -13,15 +13,20 @@
 //!   types (PLT timeline, H1-vs-H2 A/B, ad-blocker A/B).
 //! * [`campaign`] — recruitment + serving + response collection (the
 //!   materializing engine: full rows retained for row-level analysis).
-//! * [`stream`] — the streaming, sharded engine: the same seeded
-//!   pipeline folded shard-by-shard into bounded-memory digests —
-//!   byte-identical results, memory proportional to a shard.
-//! * [`flat`] — the flat data-plane engine: the streaming pipeline in
-//!   structure-of-arrays form (per-stimulus planes, per-worker arena
-//!   scratch, stimulus-blocked inner loop) — byte-identical digests,
-//!   allocation-free inner loop.
+//! * [`flat`] — the flat data-plane kernel, the one production kernel
+//!   for both test kinds: the same seeded pipeline folded shard by
+//!   shard into bounded-memory digests, in structure-of-arrays form
+//!   (per-stimulus planes, per-worker arena scratch, stimulus-blocked
+//!   inner loop) — byte-identical digests, memory proportional to a
+//!   shard, allocation-free inner loop.
+//! * [`stream`] — what the sharded entry points share (shard folds,
+//!   admitted-index pre-pass, order-pinned merge) and the streaming
+//!   timeline reference, a participant-at-a-time loop the kernel is
+//!   checked against at sizes the materializing engine cannot reach.
+//! * [`adaptive`] — adaptive early stopping: epochs of the kernel with
+//!   a per-stimulus stopping rule at each barrier.
 //! * [`digest`] — mergeable campaign digests and the materializing
-//!   folds that pin the two engines to each other.
+//!   folds that pin the sharded engines to the materializing one.
 //! * [`checkpoint`] — versioned JSONL serialization of the full
 //!   accumulator state: interrupt/resume, multi-process split/merge,
 //!   and live incremental analytics, all byte-identical to the
@@ -123,6 +128,6 @@ pub mod prelude {
     pub use crate::dataset::{crowd_uplt_from_dataset, read_ab, read_timeline, scores_from_dataset};
     pub use crate::report::{export_ab, export_timeline, render_table1, table1_row, to_json};
     pub use crate::flat::{flat_ab_campaign, flat_timeline_campaign};
-    pub use crate::stream::{stream_ab_campaign, stream_timeline_campaign, StreamConfig};
+    pub use crate::stream::{stream_timeline_campaign, StreamConfig};
     pub use crate::validation::{captcha_admits, captcha_gate, GateReport};
 }

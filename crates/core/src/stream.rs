@@ -1,27 +1,36 @@
-//! The streaming, sharded campaign engine.
+//! The sharded engines' shared types, and the streaming timeline
+//! reference.
 //!
 //! `campaign::run_timeline_campaign` materializes every showing before
-//! the filter/analysis layers touch it, so memory grows with the crowd
-//! and the row-scanning filters go quadratic. This module runs the same
-//! seeded per-participant generation **shard by shard**: the participant
-//! range is split into fixed-size shards, each shard worker regenerates
-//! its participants from the campaign seed (`generate_one` is
-//! index-addressed, so no participant list is ever materialized), runs
-//! the gate → assignment → behaviour → perception → filter pipeline
-//! inline, and folds the results into the mergeable accumulators of
-//! [`crate::digest`]. Shards execute via `par_map_range` and merge in
-//! shard-index order; since every accumulator's state is
-//! multiset-determined, the digest — and the obs `counter_fingerprint` —
-//! is byte-identical at any thread count and any shard size, and equal
-//! to the materializing path's digest (pinned by the
-//! `streaming_equivalence` tests).
+//! the filter/analysis layers touch it, so memory grows with the crowd.
+//! The sharded engines run the same seeded per-participant generation
+//! **shard by shard** instead: the participant range is split into
+//! fixed-size shards, each shard worker regenerates its participants
+//! from the campaign seed (`generate_one` is index-addressed, so no
+//! participant list is ever materialized), runs the gate → assignment
+//! → behaviour → perception → filter pipeline inline, and folds the
+//! results into the mergeable accumulators of [`crate::digest`]. Shards
+//! execute via `par_map_range` and merge in shard-index order; since
+//! every accumulator's state is multiset-determined, the digest — and
+//! the obs `counter_fingerprint` — is byte-identical at any thread
+//! count and any shard size, and equal to the materializing path's
+//! digest (pinned by the `streaming_equivalence` tests).
+//!
+//! This module holds what every sharded entry point shares: the
+//! [`StreamConfig`], the shard accumulators, the admitted-index
+//! pre-pass, the order-pinned shard merge, and the behaviour point.
+//! Production runs go through the flat kernel ([`crate::flat`]).
+//! [`stream_timeline_campaign`] keeps the participant-at-a-time loop as
+//! the timeline reference the kernel is checked against at sizes the
+//! materializing engine cannot reach (the 1M-participant divergence
+//! checks).
 //!
 //! ## The admitted-index pre-pass
 //!
 //! Stimulus assignment is keyed by the participant's *admitted* index
 //! (the count of gate-admitted participants before them), which depends
 //! on every earlier gate decision. A shard can't know its base offset
-//! locally, so the engine runs two passes: pass 1 counts gate
+//! locally, so the engines run two passes: pass 1 counts gate
 //! admissions per shard (pure — `validation::captcha_admits` draws only
 //! from the participant's own seed stream and bumps nothing), a
 //! sequential prefix sum turns the counts into per-shard bases, and
@@ -32,18 +41,18 @@
 use eyeorg_crowd::fastpath::{
     self, timeline_control_seeded, timeline_response_shared_seeded, video_session_seeded,
 };
-use eyeorg_crowd::{AbAnswer, ModelSeeds, Persona, RecruitmentService, SessionProfile, TestKind};
+use eyeorg_crowd::{ModelSeeds, Persona, RecruitmentService, SessionProfile, TestKind};
 use eyeorg_stats::{par_map_range, resolve_threads, Seed};
 use eyeorg_video::FrameTimeline;
 
 use crate::analysis::BehaviorPoint;
-use crate::campaign::{AbVerdict, ControlRow};
+use crate::campaign::ControlRow;
 use crate::checkpoint::{digest_of, ShardKind};
-use crate::digest::{AbDigest, DigestParams, TimelineDigest};
-use crate::experiment::{a_on_left, assign, AbStimulus, ExperimentConfig, TimelineStimulus};
+use crate::digest::{DigestParams, TimelineDigest};
+use crate::experiment::{assert_runnable, assign, ExperimentConfig, TimelineStimulus};
 use crate::filtering::{decide, FilterDecision, ParticipantFilter};
 
-/// Sharding configuration for the streaming engine.
+/// Sharding configuration for the sharded engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Participants per shard. Memory is proportional to this (plus
@@ -72,12 +81,11 @@ mod shard {
     use crate::experiment::{AbStimulus, TimelineStimulus};
     use crate::filtering::FilterTally;
 
-    /// One shard's fold of a timeline campaign. Shared with the flat
-    /// engine (`crate::flat`), which fills the same accumulators from its
-    /// column passes, with the adaptive driver (`crate::adaptive`), which
-    /// additionally accumulates epochs of folds into one, and with the
-    /// checkpoint layer (`crate::checkpoint`), which snapshots a clone of
-    /// the running accumulator at shard barriers.
+    /// One shard's fold of a timeline campaign. Filled by the flat
+    /// kernel (`crate::flat`) and the streaming reference below,
+    /// accumulated epoch by epoch by the adaptive driver
+    /// (`crate::adaptive`), and snapshotted at barriers by the
+    /// checkpoint layer (`crate::checkpoint`).
     #[derive(Debug, Clone)]
     pub struct TlShard {
         pub(crate) stimuli: Vec<StimulusDigest>,
@@ -115,10 +123,28 @@ mod shard {
                 pruned: 0,
             }
         }
+
+        /// Bump the timeline obs counters from this shard's totals.
+        pub(crate) fn bump_counters(&self) {
+            eyeorg_obs::metrics::CORE_GATE_ADMITTED.add(self.admitted);
+            eyeorg_obs::metrics::CORE_GATE_REJECTED.add(self.rejected);
+            eyeorg_obs::metrics::CORE_RESPONSES_COLLECTED.add(self.collected);
+            eyeorg_obs::metrics::CORE_RESPONSES_SKIPPED.add(self.skipped);
+            // Zero under an all-live mask, so non-adaptive runs (and
+            // ε = 0 adaptive runs) leave the counter untouched.
+            eyeorg_obs::metrics::ADAPTIVE_PARTICIPANTS_SAVED.add(self.pruned);
+            if eyeorg_obs::enabled() {
+                // Zero-adds materialise the per-site label, mirroring
+                // the materializing path (`digest_timeline`).
+                for s in &self.stimuli {
+                    eyeorg_obs::metrics::CORE_RETAINED_PER_SITE.add(&s.name, s.retained());
+                }
+            }
+        }
     }
 
-    /// One shard's fold of an A/B campaign. Shared with the flat engine
-    /// and the checkpoint layer.
+    /// One shard's fold of an A/B campaign, filled by the flat kernel
+    /// and snapshotted by the checkpoint layer.
     #[derive(Debug, Clone)]
     pub struct AbShard {
         pub(crate) stimuli: Vec<AbStimulusDigest>,
@@ -146,7 +172,7 @@ mod shard {
             }
         }
 
-        /// Bump the A/B engine's obs counters from this shard's totals.
+        /// Bump the A/B obs counters from this shard's totals.
         pub(crate) fn bump_counters(&self) {
             eyeorg_obs::metrics::CORE_GATE_ADMITTED.add(self.admitted);
             eyeorg_obs::metrics::CORE_GATE_REJECTED.add(self.rejected);
@@ -156,96 +182,74 @@ mod shard {
     }
 }
 
-/// Everything a timeline shard fold reads: the shared read-only
-/// campaign state, bundled so the streaming engine and the adaptive
-/// epoch driver run the *same* inner loop.
-pub(crate) struct TlCtx<'a> {
-    pub(crate) stimuli: &'a [TimelineStimulus],
-    pub(crate) frames: &'a [FrameTimeline],
-    pub(crate) pop: &'a eyeorg_crowd::PopulationProfile,
-    pub(crate) cfg: &'a ExperimentConfig,
-    pub(crate) filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
-    pub(crate) recruit_seed: Seed,
-    pub(crate) assign_seed: Seed,
-    pub(crate) params: DigestParams,
+/// Everything the reference's timeline shard fold reads: the shared
+/// read-only campaign state, with the per-stimulus frame timelines,
+/// labels and session profiles built once per campaign.
+struct TlCtx<'a> {
+    stimuli: &'a [TimelineStimulus],
+    frames: Vec<FrameTimeline>,
+    pop: eyeorg_crowd::PopulationProfile,
+    cfg: &'a ExperimentConfig,
+    filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
+    recruit_seed: Seed,
+    assign_seed: Seed,
+    params: DigestParams,
     /// Per-stimulus `"tl-{si}"` labels, formatted once per campaign
     /// instead of once per (participant, stimulus) cell.
-    pub(crate) labels: Vec<String>,
+    labels: Vec<String>,
     /// Per-stimulus `"ctrl-tl-{si}"` control labels.
-    pub(crate) ctrl_labels: Vec<String>,
+    ctrl_labels: Vec<String>,
     /// Per-stimulus behaviour-model constants.
-    pub(crate) profiles: Vec<SessionProfile>,
+    profiles: Vec<SessionProfile>,
 }
 
 impl<'a> TlCtx<'a> {
-    /// Bundle the shared read-only campaign state, precomputing the
-    /// per-stimulus label and session-profile caches the inner loops
-    /// used to rebuild per cell.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
+    fn new(
         stimuli: &'a [TimelineStimulus],
-        frames: &'a [FrameTimeline],
-        pop: &'a eyeorg_crowd::PopulationProfile,
+        service: &dyn RecruitmentService,
         cfg: &'a ExperimentConfig,
         filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
         seed: Seed,
         params: DigestParams,
+        threads: usize,
     ) -> TlCtx<'a> {
-        let labels = (0..stimuli.len()).map(|si| format!("tl-{si}")).collect();
-        let ctrl_labels = (0..stimuli.len()).map(|si| format!("ctrl-tl-{si}")).collect();
-        let profiles =
-            stimuli.iter().map(|st| SessionProfile::of(&st.video, TestKind::Timeline)).collect();
+        // Shared read-only frame timelines, as in the parallel
+        // materializing engine.
+        let frames = par_map_range(stimuli.len(), threads, |si| {
+            let mut tl = FrameTimeline::of(&stimuli[si].video);
+            tl.precompute_rewinds();
+            tl
+        });
         TlCtx {
             stimuli,
             frames,
-            pop,
+            pop: service.population(),
             cfg,
             filters,
             recruit_seed: seed.derive("recruit"),
             assign_seed: seed.derive("timeline"),
             params,
-            labels,
-            ctrl_labels,
-            profiles,
+            labels: (0..stimuli.len()).map(|si| format!("tl-{si}")).collect(),
+            ctrl_labels: (0..stimuli.len()).map(|si| format!("ctrl-tl-{si}")).collect(),
+            profiles: stimuli
+                .iter()
+                .map(|st| SessionProfile::of(&st.video, TestKind::Timeline))
+                .collect(),
         }
     }
 }
 
-/// The timeline engine's inner loop over participant indices
-/// `[lo, hi)` with admitted-index base `base`, folding into one
-/// [`TlShard`] under a per-stimulus `live` mask.
-///
-/// Mask semantics (the determinism backbone of `crate::adaptive`):
-///
-/// * **Serve all picks** — a served participant runs every assigned
-///   session, control, filter, and behaviour draw exactly as the full
-///   run would, even for stopped stimuli, so filter outcomes never
-///   depend on *other* stimuli's masks.
-/// * **Push only live** — kept responses are folded only into live
-///   stimuli, so a live stimulus's digest is the full run's digest
-///   truncated at its own stop point.
-/// * **Prune whole participants** — when *no* assigned stimulus is
-///   live, the participant is never trait-generated or served (that is
-///   the saving), but still consumes their admitted index.
-///
-/// Under an all-live mask this is byte-identical (draws, pushes, and
-/// counter totals) to the pre-adaptive streaming loop.
-pub(crate) fn tl_fold_range(
-    ctx: &TlCtx<'_>,
-    lo: usize,
-    hi: usize,
-    base: u64,
-    live: &[bool],
-) -> TlShard {
-    let all_live = live.iter().all(|&l| l);
+/// The reference's inner loop over participant indices `[lo, hi)` with
+/// admitted-index base `base`, folding into one [`TlShard`] one
+/// participant at a time.
+fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> TlShard {
     let mut fold = TlShard::new(ctx.stimuli, &ctx.params);
     let mut pi = base;
     for i in lo..hi {
         // Demand-driven generation: pause the trait stream at the class
         // draw, gate on the (independent) captcha stream, and pay for
         // the remaining trait draws only when the participant is
-        // actually served. Gate-rejected and adaptive-pruned
-        // participants skip the model work their outputs never reach.
+        // actually served.
         let cur = ctx.pop.start_traits(ctx.recruit_seed, i as u64);
         if !crate::validation::captcha_admits_gate(cur.seed(), cur.class()) {
             fold.rejected += 1;
@@ -255,11 +259,7 @@ pub(crate) fn tl_fold_range(
         pi += 1;
         let picks =
             assign(ctx.assign_seed, my_pi, ctx.stimuli.len(), ctx.cfg.videos_per_participant);
-        if !all_live && !picks.iter().any(|&si| live[si]) {
-            fold.pruned += 1;
-            continue;
-        }
-        let p = cur.finish(ctx.pop);
+        let p = cur.finish(&ctx.pop);
         let mseeds = ModelSeeds::of(p.seed);
         fold.admitted += 1;
         let mut sessions = Vec::with_capacity(picks.len());
@@ -295,9 +295,7 @@ pub(crate) fn tl_fold_range(
         fold.filters.record(d);
         if d == FilterDecision::Kept {
             for &(si, secs) in &responses {
-                if live[si] {
-                    fold.stimuli[si].push(secs);
-                }
+                fold.stimuli[si].push(secs);
             }
         }
         fold.behavior.push(&behavior_point_persona(my_pi as usize, &sessions, &p, &mseeds));
@@ -305,48 +303,17 @@ pub(crate) fn tl_fold_range(
     fold
 }
 
-/// Precompute the shared read-only frame timelines for a stimulus set.
-pub(crate) fn tl_frames(stimuli: &[TimelineStimulus], threads: usize) -> Vec<FrameTimeline> {
-    par_map_range(stimuli.len(), threads, |si| {
-        let mut tl = FrameTimeline::of(&stimuli[si].video);
-        tl.precompute_rewinds();
-        tl
-    })
-}
-
-/// One adaptive epoch through the streaming engine: shard the index
-/// range `[lo, hi)`, fold each shard under `live` (pass 1 computes the
-/// range's admitted bases, continuing from `base_admitted`), and return
-/// the folds in shard order plus the range's gate-admission count.
-pub(crate) fn stream_tl_epoch(
-    ctx: &TlCtx<'_>,
-    lo: usize,
-    hi: usize,
-    threads: usize,
-    shard: usize,
-    base_admitted: u64,
-    live: &[bool],
-) -> (Vec<TlShard>, u64) {
-    let shards = (hi - lo).div_ceil(shard);
-    let (bases, range_admitted) =
-        admitted_bases_range(lo, hi, shard, threads, ctx.pop, ctx.recruit_seed, base_admitted);
-    let folds: Vec<TlShard> = par_map_range(shards, threads, |s| {
-        let slo = lo + s * shard;
-        let shi = (slo + shard).min(hi);
-        let fold = tl_fold_range(ctx, slo, shi, bases[s], live);
-        bump_shard_counters(&fold);
-        fold
-    });
-    (folds, range_admitted)
-}
-
-/// Run a timeline campaign through the streaming engine: `n`
+/// Run a timeline campaign through the streaming reference: `n`
 /// participants from `service`, gated, served, filtered by `filters`,
-/// and folded into a [`TimelineDigest`] — without materializing rows.
+/// and folded shard by shard into a [`TimelineDigest`] — without
+/// materializing rows, one participant at a time.
 ///
 /// Byte-identical to `run_timeline_campaign` + `filter_timeline` +
-/// `digest_timeline` on the same inputs (digest *and* counter
-/// fingerprint), at any thread count and shard size.
+/// `digest_timeline` and to [`crate::flat::flat_timeline_campaign`] on
+/// the same inputs (digest *and* counter fingerprint), at any thread
+/// count and shard size. Production runs use the flat kernel; this is
+/// the reference it is checked against at sizes the materializing
+/// engine cannot reach.
 pub fn stream_timeline_campaign(
     stimuli: &[TimelineStimulus],
     service: &dyn RecruitmentService,
@@ -356,16 +323,19 @@ pub fn stream_timeline_campaign(
     seed: Seed,
     sc: &StreamConfig,
 ) -> TimelineDigest {
-    assert!(!stimuli.is_empty(), "campaign needs stimuli");
+    assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.stream_timeline");
     let threads = resolve_threads(cfg.threads);
-    let pop = service.population();
-    // Shared read-only frame timelines, as in the parallel engine.
-    let frames = tl_frames(stimuli, threads);
-    let ctx = TlCtx::new(stimuli, &frames, &pop, cfg, filters, seed, sc.params);
-    let live = vec![true; stimuli.len()];
-    let (folds, _) =
-        stream_tl_epoch(&ctx, 0, n_participants, threads, sc.shard_size.max(1), 0, &live);
+    let shard = sc.shard_size.max(1);
+    let ctx = TlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
+    let (bases, _) =
+        admitted_bases_range(0, n_participants, shard, threads, &ctx.pop, ctx.recruit_seed, 0);
+    let folds: Vec<TlShard> = par_map_range(bases.len(), threads, |s| {
+        let lo = s * shard;
+        let fold = tl_fold_range(&ctx, lo, (lo + shard).min(n_participants), bases[s]);
+        fold.bump_counters();
+        fold
+    });
     merge_shards(stimuli, service, n_participants, &sc.params, &folds)
 }
 
@@ -384,195 +354,6 @@ pub(crate) fn merge_shards<K: ShardKind>(
     let digest = digest_of(stimuli, service, n_participants, params, folds);
     // lint:allow(D4): same-campaign shard folds share one construction site
     digest.expect("same-campaign shard folds agree by construction")
-}
-
-pub(crate) fn bump_shard_counters(fold: &TlShard) {
-    eyeorg_obs::metrics::CORE_GATE_ADMITTED.add(fold.admitted);
-    eyeorg_obs::metrics::CORE_GATE_REJECTED.add(fold.rejected);
-    eyeorg_obs::metrics::CORE_RESPONSES_COLLECTED.add(fold.collected);
-    eyeorg_obs::metrics::CORE_RESPONSES_SKIPPED.add(fold.skipped);
-    // Zero under an all-live mask, so non-adaptive runs (and ε = 0
-    // adaptive runs) leave the counter untouched.
-    eyeorg_obs::metrics::ADAPTIVE_PARTICIPANTS_SAVED.add(fold.pruned);
-    if eyeorg_obs::enabled() {
-        // Zero-adds materialise the per-site label, mirroring the
-        // materializing path (`digest_timeline`).
-        for s in &fold.stimuli {
-            eyeorg_obs::metrics::CORE_RETAINED_PER_SITE.add(&s.name, s.retained());
-        }
-    }
-}
-
-/// Everything an A/B shard fold reads — the A/B counterpart of
-/// [`TlCtx`], shared by the streaming engine and the checkpoint
-/// workers so both run the *same* inner loop.
-pub(crate) struct AbCtx<'a> {
-    pub(crate) stimuli: &'a [AbStimulus],
-    pub(crate) pop: &'a eyeorg_crowd::PopulationProfile,
-    pub(crate) cfg: &'a ExperimentConfig,
-    pub(crate) filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
-    pub(crate) recruit_seed: Seed,
-    pub(crate) assign_seed: Seed,
-    pub(crate) side_seed: Seed,
-    /// Per-stimulus `"ab-{si}"` labels, formatted once per campaign.
-    pub(crate) labels: Vec<String>,
-    /// Per-stimulus behaviour profile of the longer capture (what the
-    /// participant must sit through).
-    pub(crate) profiles: Vec<SessionProfile>,
-}
-
-impl<'a> AbCtx<'a> {
-    /// Bundle the shared read-only campaign state, precomputing the
-    /// per-stimulus label and session-profile caches.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        stimuli: &'a [AbStimulus],
-        pop: &'a eyeorg_crowd::PopulationProfile,
-        cfg: &'a ExperimentConfig,
-        filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
-        seed: Seed,
-    ) -> AbCtx<'a> {
-        let labels = (0..stimuli.len()).map(|si| format!("ab-{si}")).collect();
-        let profiles = stimuli
-            .iter()
-            .map(|st| {
-                let longer = if st.a.duration() >= st.b.duration() { &st.a } else { &st.b };
-                SessionProfile::of(longer, TestKind::Ab)
-            })
-            .collect();
-        AbCtx {
-            stimuli,
-            pop,
-            cfg,
-            filters,
-            recruit_seed: seed.derive("recruit"),
-            assign_seed: seed.derive("ab-assign"),
-            side_seed: seed.derive("ab-side"),
-            labels,
-            profiles,
-        }
-    }
-}
-
-/// The A/B engine's inner loop over participant indices `[lo, hi)`
-/// with admitted-index base `base`, folding into one [`AbShard`].
-pub(crate) fn ab_fold_range(ctx: &AbCtx<'_>, lo: usize, hi: usize, base: u64) -> AbShard {
-    let mut fold = AbShard::new(ctx.stimuli);
-    let mut pi = base;
-    for i in lo..hi {
-        // Demand-driven generation, as in the timeline loop: gate on
-        // the class-only trait prefix; rejected participants never pay
-        // for the rest of their trait draws.
-        let cur = ctx.pop.start_traits(ctx.recruit_seed, i as u64);
-        if !crate::validation::captcha_admits_gate(cur.seed(), cur.class()) {
-            fold.rejected += 1;
-            continue;
-        }
-        let my_pi = pi;
-        pi += 1;
-        fold.admitted += 1;
-        let p = cur.finish(ctx.pop);
-        let mseeds = ModelSeeds::of(p.seed);
-        let picks =
-            assign(ctx.assign_seed, my_pi, ctx.stimuli.len(), ctx.cfg.videos_per_participant);
-        let mut sessions = Vec::with_capacity(picks.len());
-        let mut verdicts: Vec<(usize, AbVerdict)> = Vec::with_capacity(picks.len());
-        for &si in &picks {
-            let label = &ctx.labels[si];
-            let a_left = a_on_left(ctx.side_seed, my_pi, si);
-            let st = &ctx.stimuli[si];
-            let session =
-                video_session_seeded(&ctx.profiles[si], &p, TestKind::Ab, &mseeds, label);
-            let acc = &mut fold.stimuli[si];
-            acc.shows += 1;
-            if a_left {
-                acc.a_left_shows += 1;
-            }
-            if session.skipped {
-                fold.skipped += 1;
-            } else {
-                let (left, right) = if a_left { (&st.a, &st.b) } else { (&st.b, &st.a) };
-                let answer = fastpath::ab_response_seeded(left, right, &p, &mseeds, label);
-                fold.cast += 1;
-                verdicts.push((
-                    si,
-                    match (answer, a_left) {
-                        (AbAnswer::NoDifference, _) => AbVerdict::NoDifference,
-                        (AbAnswer::Left, true) | (AbAnswer::Right, false) => AbVerdict::AFaster,
-                        (AbAnswer::Left, false) | (AbAnswer::Right, true) => AbVerdict::BFaster,
-                    },
-                ));
-            }
-            sessions.push(session);
-        }
-        let control = ctx.cfg.with_controls.then(|| {
-            let ctrl = picks[0];
-            let ready = eyeorg_crowd::true_ready_time(&ctx.stimuli[ctrl].a, p.readiness);
-            let (_, passed) = fastpath::ab_control_seeded(ready, &p, &mseeds, &ctx.labels[ctrl]);
-            ControlRow { participant: my_pi as usize, passed }
-        });
-        if let Some(c) = &control {
-            fold.controls.record(c.passed);
-        }
-        let ctrl_refs: Vec<&ControlRow> = control.iter().collect();
-        let d = decide(ctx.filters, &sessions, &ctrl_refs);
-        fold.filters.record(d);
-        if d == FilterDecision::Kept {
-            for &(si, v) in &verdicts {
-                fold.stimuli[si].tally.record(v);
-            }
-        }
-        fold.behavior.push(&behavior_point_persona(my_pi as usize, &sessions, &p, &mseeds));
-    }
-    fold
-}
-
-/// One epoch through the A/B streaming engine: shard the index range
-/// `[lo, hi)`, fold each shard (pass 1 computes the range's admitted
-/// bases, continuing from `base_admitted`), and return the folds in
-/// shard order plus the range's gate-admission count — the A/B
-/// counterpart of [`stream_tl_epoch`].
-pub(crate) fn stream_ab_epoch(
-    ctx: &AbCtx<'_>,
-    lo: usize,
-    hi: usize,
-    threads: usize,
-    shard: usize,
-    base_admitted: u64,
-) -> (Vec<AbShard>, u64) {
-    let shards = (hi - lo).div_ceil(shard);
-    let (bases, range_admitted) =
-        admitted_bases_range(lo, hi, shard, threads, ctx.pop, ctx.recruit_seed, base_admitted);
-    let folds: Vec<AbShard> = par_map_range(shards, threads, |s| {
-        let slo = lo + s * shard;
-        let shi = (slo + shard).min(hi);
-        let fold = ab_fold_range(ctx, slo, shi, bases[s]);
-        fold.bump_counters();
-        fold
-    });
-    (folds, range_admitted)
-}
-
-/// Run an A/B campaign through the streaming engine. Byte-identical to
-/// `run_ab_campaign` + `filter_ab` + `digest_ab` on the same inputs.
-pub fn stream_ab_campaign(
-    stimuli: &[AbStimulus],
-    service: &dyn RecruitmentService,
-    n_participants: usize,
-    cfg: &ExperimentConfig,
-    filters: &[Box<dyn ParticipantFilter + Send + Sync>],
-    seed: Seed,
-    sc: &StreamConfig,
-) -> AbDigest {
-    assert!(!stimuli.is_empty(), "campaign needs stimuli");
-    let _t = eyeorg_obs::phase_timer("core.stream_ab");
-    let threads = resolve_threads(cfg.threads);
-    let pop = service.population();
-    let ctx = AbCtx::new(stimuli, &pop, cfg, filters, seed);
-    let shard = sc.shard_size.max(1);
-    let (folds, _) = stream_ab_epoch(&ctx, 0, n_participants, threads, shard, 0);
-
-    merge_shards(stimuli, service, n_participants, &sc.params, &folds)
 }
 
 /// Pass 1 of every engine: gate admissions per shard over the index

@@ -1,13 +1,13 @@
 //! Adaptive early-stopping properties (DESIGN.md §3h).
 //!
 //! * `epsilon = 0, max_n = 0` (inactive) ⇒ the adaptive driver is
-//!   byte-identical to the plain streaming engine for both backends,
+//!   byte-identical to the plain streaming timeline reference for
 //!   every shard size, thread count, and epoch size. (The matching
 //!   counter-fingerprint check lives in `perf_adaptive --smoke`, which
 //!   owns its process — the obs registry is global.)
 //! * With an active rule, the decision sequence and the final digest
-//!   are invariant under shard size, thread count, backend, epoch-vs-
-//!   budget alignment, and the PR 4 chaos-seed exerciser.
+//!   are invariant under shard size, thread count, epoch-vs-budget
+//!   alignment, and the chaos-seed exerciser.
 //! * Decisions are monotone in `epsilon`, never fire before `min_n`,
 //!   and always fire by `max_n`.
 
@@ -44,13 +44,7 @@ fn inactive(epoch: usize) -> AdaptiveConfig {
     AdaptiveConfig { epoch, epsilon: 0.0, min_n: 256, max_n: 0 }
 }
 
-fn run_adaptive(
-    n: usize,
-    threads: usize,
-    shard: usize,
-    ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
-) -> AdaptiveOutcome {
+fn run_adaptive(n: usize, threads: usize, shard: usize, ac: &AdaptiveConfig) -> AdaptiveOutcome {
     adaptive_timeline_campaign(
         tl_stimuli(),
         &CrowdFlower,
@@ -60,7 +54,7 @@ fn run_adaptive(
         Seed(970),
         &stream_cfg(shard),
         ac,
-        backend,
+        AdaptiveBackend::Flat,
     )
 }
 
@@ -83,20 +77,17 @@ fn inactive_config_is_byte_identical_to_streaming() {
                 // The epoch size must be invisible when no rule can fire
                 // — including epochs that straddle shard boundaries.
                 for epoch in [37usize, 256] {
-                    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-                        let out =
-                            run_adaptive(n, threads, shard, &inactive(epoch), backend);
-                        assert_eq!(
-                            out.digest.fingerprint(),
-                            reference,
-                            "n={n} threads={threads} shard={shard} epoch={epoch} {backend:?}"
-                        );
-                        assert_eq!(out.recruited, n as u64);
-                        assert_eq!(out.pruned, 0);
-                        assert_eq!(out.participants_saved(), 0);
-                        assert!(out.decisions.is_empty());
-                        assert!(out.stopped_at.iter().all(Option::is_none));
-                    }
+                    let out = run_adaptive(n, threads, shard, &inactive(epoch));
+                    assert_eq!(
+                        out.digest.fingerprint(),
+                        reference,
+                        "n={n} threads={threads} shard={shard} epoch={epoch}"
+                    );
+                    assert_eq!(out.recruited, n as u64);
+                    assert_eq!(out.pruned, 0);
+                    assert_eq!(out.participants_saved(), 0);
+                    assert!(out.decisions.is_empty());
+                    assert!(out.stopped_at.iter().all(Option::is_none));
                 }
             }
         }
@@ -111,36 +102,27 @@ fn active() -> AdaptiveConfig {
 }
 
 #[test]
-fn decisions_and_digest_invariant_under_shards_threads_chaos_and_backend() {
+fn decisions_and_digest_invariant_under_shards_threads_and_chaos() {
     let n = 1200usize;
-    let reference = run_adaptive(n, 1, 16, &active(), AdaptiveBackend::Streaming);
+    let reference = run_adaptive(n, 1, 16, &active());
     assert!(
         !reference.decisions.is_empty(),
         "calibration: epsilon must fire on this workload"
     );
     let ref_decisions = reference.decision_fingerprint();
     let ref_digest = reference.digest.fingerprint();
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        for threads in [1usize, 2, 0] {
-            for shard in [16usize, 64, n + 1] {
-                for chaos in [0u64, 7, 23] {
-                    set_chaos_seed(chaos);
-                    let out = run_adaptive(n, threads, shard, &active(), backend);
-                    set_chaos_seed(0);
-                    assert_eq!(
-                        out.decision_fingerprint(),
-                        ref_decisions,
-                        "{backend:?} threads={threads} shard={shard} chaos={chaos}"
-                    );
-                    assert_eq!(
-                        out.digest.fingerprint(),
-                        ref_digest,
-                        "{backend:?} threads={threads} shard={shard} chaos={chaos}"
-                    );
-                    assert_eq!(out.recruited, reference.recruited);
-                    assert_eq!(out.pruned, reference.pruned);
-                    assert_eq!(out.stopped_at, reference.stopped_at);
-                }
+    for threads in [1usize, 2, 0] {
+        for shard in [16usize, 64, n + 1] {
+            for chaos in [0u64, 7, 23] {
+                set_chaos_seed(chaos);
+                let out = run_adaptive(n, threads, shard, &active());
+                set_chaos_seed(0);
+                let ctx = format!("threads={threads} shard={shard} chaos={chaos}");
+                assert_eq!(out.decision_fingerprint(), ref_decisions, "{ctx}");
+                assert_eq!(out.digest.fingerprint(), ref_digest, "{ctx}");
+                assert_eq!(out.recruited, reference.recruited);
+                assert_eq!(out.pruned, reference.pruned);
+                assert_eq!(out.stopped_at, reference.stopped_at);
             }
         }
     }
@@ -152,7 +134,7 @@ fn stopping_is_monotone_in_epsilon() {
     let mut prev: Option<AdaptiveOutcome> = None;
     for epsilon in [0.3f64, 0.5, 0.9] {
         let ac = AdaptiveConfig { epsilon, ..active() };
-        let out = run_adaptive(n, 1, 64, &ac, AdaptiveBackend::Streaming);
+        let out = run_adaptive(n, 1, 64, &ac);
         if let Some(p) = &prev {
             for si in 0..tl_stimuli().len() {
                 // A looser epsilon stops every stimulus no later.
@@ -179,7 +161,7 @@ fn convergence_never_fires_before_min_n() {
     // A huge epsilon would stop everything at the first barrier were it
     // not for the min_n guard.
     let ac = AdaptiveConfig { epoch: 50, epsilon: 100.0, min_n: 300, max_n: 0 };
-    let out = run_adaptive(1200, 0, 64, &ac, AdaptiveBackend::Flat);
+    let out = run_adaptive(1200, 0, 64, &ac);
     assert!(!out.decisions.is_empty());
     for d in &out.decisions {
         assert_eq!(d.cause, StopCause::Converged);
@@ -190,7 +172,7 @@ fn convergence_never_fires_before_min_n() {
 #[test]
 fn max_n_always_fires_even_without_epsilon() {
     let ac = AdaptiveConfig { epoch: 50, epsilon: 0.0, min_n: 256, max_n: 60 };
-    let out = run_adaptive(1200, 0, 64, &ac, AdaptiveBackend::Streaming);
+    let out = run_adaptive(1200, 0, 64, &ac);
     // Every stimulus must stop (budget is ample), via the cap.
     assert!(out.stopped_at.iter().all(Option::is_some), "{:?}", out.stopped_at);
     assert_eq!(out.decisions.len(), tl_stimuli().len());
@@ -215,7 +197,7 @@ fn live_digest_equals_full_run_truncated_at_stop() {
     let ac = AdaptiveConfig { epoch: 100, epsilon: 0.0, min_n: 256, max_n: 120 };
     // Cap only takes effect per stimulus; run the full engine for the
     // truncation reference at each stop point's processed count.
-    let out = run_adaptive(n, 1, 64, &ac, AdaptiveBackend::Streaming);
+    let out = run_adaptive(n, 1, 64, &ac);
     for (si, stopped) in out.stopped_at.iter().enumerate() {
         let Some(epoch_idx) = stopped else { continue };
         let processed = (*epoch_idx as usize * ac.epoch).min(n);

@@ -1,12 +1,16 @@
 //! Golden checkpoint bytes (DESIGN.md §3i, format version 1).
 //!
-//! Three small checkpoints are rebuilt from fixed seeds and compared
+//! Four small checkpoints are rebuilt from fixed seeds and compared
 //! byte for byte against files checked in under `tests/fixtures/`:
 //!
 //! * `ckpt_tl_worker.jsonl` — a timeline worker slice over `[40, 120)`
 //!   with a 4-sample exact cap, so every sketch has spilled to bins;
 //! * `ckpt_tl_driver.jsonl` — an adaptive timeline driver checkpoint
 //!   interrupted at the first barrier that took a stop decision;
+//! * `ckpt_tl_driver_pruned.jsonl` — a one-video-per-participant
+//!   adaptive driver checkpoint interrupted at the first barrier with
+//!   pruned participants (`pruned > 0`), pinning the masked kernel's
+//!   pruning;
 //! * `ckpt_ab_worker.jsonl` — an A/B worker slice over `[30, 90)`.
 //!
 //! Each must also be a fixed point of `load` → `save`. The obs registry
@@ -72,34 +76,47 @@ fn tl_worker() -> TimelineCheckpoint {
         &paper_pipeline(),
         Seed(2210),
         &sc(),
-        AdaptiveBackend::Streaming,
     )
     .expect("timeline worker checkpoint")
 }
 
-fn tl_driver() -> TimelineCheckpoint {
+/// An adaptive driver run of 200 participants, interrupted at the first
+/// barrier whose checkpoint `stop` accepts.
+fn tl_driver(
+    cfg: &ExperimentConfig,
+    seed: Seed,
+    stop: impl Fn(&TimelineCheckpoint) -> bool,
+) -> TimelineCheckpoint {
     let ac = AdaptiveConfig { epoch: 32, epsilon: 0.5, min_n: 4, max_n: 0 };
     let outcome = checkpointed_timeline_campaign(
         tl_stimuli(),
         &CrowdFlower,
         200,
-        &cfg(),
+        cfg,
         &paper_pipeline(),
-        Seed(2211),
+        seed,
         &sc(),
         &ac,
-        AdaptiveBackend::Streaming,
+        AdaptiveBackend::Flat,
         None,
         &CheckpointConfig::default(),
-        // Interrupt at the first barrier that has taken a decision.
         &mut |ev| match ev {
-            CheckpointEvent::Checkpoint(ck) => !ck.save().contains("\"cause\":"),
+            CheckpointEvent::Checkpoint(ck) => !stop(ck),
             CheckpointEvent::Live(_) => true,
         },
     )
     .expect("checkpointed run");
-    let RunOutcome::Interrupted(ck) = outcome else { panic!("a decision interrupts the run") };
+    let RunOutcome::Interrupted(ck) = outcome else { panic!("the stop predicate interrupts") };
     *ck
+}
+
+/// The `pruned` count on a checkpoint's totals line (line 2).
+fn pruned(ck: &TimelineCheckpoint) -> u64 {
+    let doc = ck.save();
+    let key = "\"pruned\":";
+    let at = doc.find(key).expect("totals line") + key.len();
+    let end = at + doc[at..].find(',').expect("pruned value");
+    doc[at..end].parse().expect("pruned is a count")
 }
 
 fn ab_worker() -> AbCheckpoint {
@@ -130,7 +147,8 @@ fn timeline_worker_slice_matches_golden_bytes() {
 #[test]
 fn timeline_driver_with_decisions_matches_golden_bytes() {
     let golden = fixture("ckpt_tl_driver.jsonl");
-    let ck = tl_driver();
+    // Interrupt at the first barrier that has taken a decision.
+    let ck = tl_driver(&cfg(), Seed(2211), |ck| ck.save().contains("\"cause\":"));
     assert!(ck.is_resumable());
     assert!(golden.contains("\"cause\":\"converged\""), "fixture carries stop decisions");
     assert_eq!(ck.save(), golden);
@@ -145,5 +163,17 @@ fn ab_worker_slice_matches_golden_bytes() {
     assert_eq!(ck.range(), (30, 90));
     assert_eq!(ck.save(), golden);
     let reloaded = AbCheckpoint::load(&golden).expect("golden loads");
+    assert_eq!(reloaded.save(), golden, "load → save is a fixed point");
+}
+
+#[test]
+fn timeline_driver_with_pruning_matches_golden_bytes() {
+    let golden = fixture("ckpt_tl_driver_pruned.jsonl");
+    let one_video = ExperimentConfig { videos_per_participant: 1, ..cfg() };
+    let ck = tl_driver(&one_video, Seed(2213), |ck| pruned(ck) > 0);
+    assert!(ck.is_resumable());
+    assert!(pruned(&ck) > 0, "fixture carries pruned participants");
+    assert_eq!(ck.save(), golden);
+    let reloaded = TimelineCheckpoint::load(&golden).expect("golden loads");
     assert_eq!(reloaded.save(), golden, "load → save is a fixed point");
 }

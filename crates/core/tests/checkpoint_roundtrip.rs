@@ -7,13 +7,15 @@
 //!   per-stimulus digest set — checked through the digest fingerprint
 //!   (canonical `Debug`) after a worker-checkpoint round trip.
 //! * Interrupt → save → load → resume composes to the uninterrupted
-//!   run's digest fingerprint, both backends, adaptive and plain,
-//!   including an interruption after participants have been pruned.
+//!   run's digest fingerprint, adaptive and plain, including an
+//!   interruption after participants have been pruned.
 //! * Split ranges merged through checkpoints equal the single run.
 //! * Truncated or corrupted bytes come back as typed
 //!   [`CheckpointError`]s — never a panic (D4 discipline end to end),
 //!   including totals that break `admitted + rejected + pruned ==
 //!   range_hi - range_lo` and would overflow a resumed run.
+//! * Configs no engine can serve are refused as typed errors by every
+//!   `Result`-returning entry point.
 //!
 //! Counter-fingerprint equivalence needs a process-global obs registry
 //! and lives in `merge_digests --smoke` / `scripts/verify.sh`.
@@ -75,7 +77,6 @@ fn tl_worker(lo: usize, hi: usize, shard: usize, exact_cap: usize) -> TimelineCh
         &paper_pipeline(),
         Seed(1440),
         &sc(shard, exact_cap),
-        AdaptiveBackend::Streaming,
     )
     .expect("worker checkpoint")
 }
@@ -142,8 +143,8 @@ fn empty_checkpoint_round_trips_inf_sentinels() {
     assert_eq!(digest.fingerprint(), direct.fingerprint());
 }
 
-/// A/B worker checkpoints round-trip and finalize to the streaming
-/// A/B digest.
+/// A/B worker checkpoints round-trip and finalize to the materializing
+/// engine's A/B digest.
 #[test]
 fn ab_save_load_round_trip_is_bit_exact() {
     let ck = ab_worker_checkpoint(
@@ -163,16 +164,9 @@ fn ab_save_load_round_trip_is_bit_exact() {
         .finalize(ab_stimuli(), &CrowdFlower)
         .expect("finalize ab checkpoint")
         .fingerprint();
-    let direct = stream_ab_campaign(
-        ab_stimuli(),
-        &CrowdFlower,
-        N,
-        &cfg(),
-        &paper_pipeline(),
-        Seed(1441),
-        &sc(64, 2048),
-    );
-    assert_eq!(fp, direct.fingerprint());
+    let campaign = run_ab_campaign(ab_stimuli().clone(), &CrowdFlower, N, &cfg(), Seed(1441));
+    let report = filter_ab(&campaign, &paper_pipeline());
+    assert_eq!(fp, digest_ab(&campaign, &report, N).fingerprint());
 }
 
 // -------------------------------------------------------------------
@@ -246,7 +240,6 @@ type Stop = dyn Fn(usize, &TimelineCheckpoint) -> bool;
 fn run_checkpointed(
     ec: &ExperimentConfig,
     ac: &AdaptiveConfig,
-    backend: AdaptiveBackend,
     resume: Option<&TimelineCheckpoint>,
     stop: &Stop,
 ) -> RunOutcome {
@@ -260,7 +253,7 @@ fn run_checkpointed(
         Seed(1440),
         &sc(32, 2048),
         ac,
-        backend,
+        AdaptiveBackend::Flat,
         resume,
         &CheckpointConfig { every_shards: 2 },
         &mut |ev| match ev {
@@ -292,8 +285,8 @@ fn pruned(ck: &TimelineCheckpoint) -> u64 {
 }
 
 /// Interrupt at a barrier, serialize, reload, resume: the composition's
-/// digest fingerprint equals the uninterrupted run, for both backends
-/// and for plain + adaptive configs. Every case is interrupted at the
+/// digest fingerprint equals the uninterrupted run, for plain +
+/// adaptive configs. Every case is interrupted at the
 /// first barrier, where nothing has stopped yet (`pruned == 0`). The
 /// one-video adaptive case is also interrupted at the first barrier
 /// after a stop decision: participants whose only stimulus stopped are
@@ -305,37 +298,31 @@ fn interrupt_resume_composes_to_uninterrupted_fingerprint() {
     let one_video = ExperimentConfig { videos_per_participant: 1, ..cfg() };
     let after_stop = |_: usize, ck: &TimelineCheckpoint| pruned(ck) > 0;
     let cases = [(cfg(), inactive(), false), (cfg(), active, false), (one_video, active, true)];
-    for backend in [AdaptiveBackend::Streaming, AdaptiveBackend::Flat] {
-        for (ec, ac, prunes) in cases {
-            let RunOutcome::Complete(full) = run_checkpointed(&ec, &ac, backend, None, &never)
-            else {
-                panic!("uninterrupted run must complete");
+    for (ec, ac, prunes) in cases {
+        let RunOutcome::Complete(full) = run_checkpointed(&ec, &ac, None, &never) else {
+            panic!("uninterrupted run must complete");
+        };
+        let stops: &[&Stop] =
+            if prunes { &[&first_barrier, &after_stop] } else { &[&first_barrier] };
+        for (i, stop) in stops.iter().enumerate() {
+            let RunOutcome::Interrupted(ck) = run_checkpointed(&ec, &ac, None, *stop) else {
+                panic!("observer interrupts (point {i})");
             };
-            let stops: &[&Stop] =
-                if prunes { &[&first_barrier, &after_stop] } else { &[&first_barrier] };
-            for (i, stop) in stops.iter().enumerate() {
-                let RunOutcome::Interrupted(ck) = run_checkpointed(&ec, &ac, backend, None, *stop)
-                else {
-                    panic!("observer interrupts (point {i})");
-                };
-                assert!(ck.is_resumable());
-                assert_eq!(pruned(&ck) > 0, i == 1, "point {i}");
-                let reloaded =
-                    TimelineCheckpoint::load(&ck.save()).expect("driver checkpoint loads");
-                let RunOutcome::Complete(resumed) =
-                    run_checkpointed(&ec, &ac, backend, Some(&reloaded), &never)
-                else {
-                    panic!("resumed run must complete");
-                };
-                assert_eq!(
-                    resumed.digest.fingerprint(),
-                    full.digest.fingerprint(),
-                    "backend {backend:?}, epsilon {}, videos {}, point {i}",
-                    ac.epsilon,
-                    ec.videos_per_participant
-                );
-                assert_eq!(resumed.decision_fingerprint(), full.decision_fingerprint());
-            }
+            assert!(ck.is_resumable());
+            assert_eq!(pruned(&ck) > 0, i == 1, "point {i}");
+            let reloaded = TimelineCheckpoint::load(&ck.save()).expect("driver checkpoint loads");
+            let RunOutcome::Complete(resumed) = run_checkpointed(&ec, &ac, Some(&reloaded), &never)
+            else {
+                panic!("resumed run must complete");
+            };
+            assert_eq!(
+                resumed.digest.fingerprint(),
+                full.digest.fingerprint(),
+                "epsilon {}, videos {}, point {i}",
+                ac.epsilon,
+                ec.videos_per_participant
+            );
+            assert_eq!(resumed.decision_fingerprint(), full.decision_fingerprint());
         }
     }
 }
@@ -355,7 +342,7 @@ fn live_lines_progress_and_final_matches_digest() {
         Seed(1440),
         &sc(32, 2048),
         &inactive(),
-        AdaptiveBackend::Streaming,
+        AdaptiveBackend::Flat,
         None,
         &CheckpointConfig { every_shards: 2 },
         &mut |ev| {
@@ -384,8 +371,8 @@ fn live_lines_progress_and_final_matches_digest() {
     );
 }
 
-/// The A/B driver interrupt/resume composition equals the plain
-/// streaming A/B run.
+/// The A/B driver interrupt/resume composition equals the uninterrupted
+/// A/B run.
 #[test]
 fn ab_interrupt_resume_composes() {
     let run = |resume: Option<&AbCheckpoint>, stop_after: Option<usize>| {
@@ -497,7 +484,7 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
         Seed(1440),
         &sc(32, 2048),
         &inactive(),
-        AdaptiveBackend::Streaming,
+        AdaptiveBackend::Flat,
         Some(&worker),
         &CheckpointConfig::default(),
         &mut |_| true,
@@ -505,13 +492,9 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
     .expect_err("worker checkpoint must not resume");
     assert!(matches!(err, CheckpointError::Config { .. }), "{err:?}");
 
-    let RunOutcome::Interrupted(driver) = run_checkpointed(
-        &cfg(),
-        &inactive(),
-        AdaptiveBackend::Streaming,
-        None,
-        &first_barrier,
-    ) else {
+    let RunOutcome::Interrupted(driver) =
+        run_checkpointed(&cfg(), &inactive(), None, &first_barrier)
+    else {
         panic!("interrupts")
     };
     let err = checkpointed_timeline_campaign(
@@ -523,7 +506,7 @@ fn resume_rejects_worker_checkpoints_and_params_drift() {
         Seed(1440),
         &sc(32, 4), // different exact_cap than the checkpoint's params
         &inactive(),
-        AdaptiveBackend::Streaming,
+        AdaptiveBackend::Flat,
         Some(&driver),
         &CheckpointConfig::default(),
         &mut |_| true,
@@ -547,8 +530,7 @@ fn forge_admitted(doc: &str) -> String {
 /// admitted-index arithmetic.
 #[test]
 fn forged_totals_are_refused_before_a_timeline_resume() {
-    let RunOutcome::Interrupted(ck) =
-        run_checkpointed(&cfg(), &inactive(), AdaptiveBackend::Streaming, None, &first_barrier)
+    let RunOutcome::Interrupted(ck) = run_checkpointed(&cfg(), &inactive(), None, &first_barrier)
     else {
         panic!("interrupts")
     };
@@ -564,7 +546,7 @@ fn forged_totals_are_refused_before_a_timeline_resume() {
             Seed(1440),
             &sc(32, 2048),
             &inactive(),
-            AdaptiveBackend::Streaming,
+            AdaptiveBackend::Flat,
             Some(&loaded),
             &CheckpointConfig { every_shards: 2 },
             &mut |_| true,
@@ -599,4 +581,72 @@ fn forged_totals_are_refused_before_an_ab_resume() {
         Ok(loaded) => run(Some(&loaded), false).expect_err("forged totals must not resume"),
     };
     assert!(matches!(err, CheckpointError::Format { line: 2, .. }), "{err:?}");
+}
+
+/// Zero videos per participant with controls on (the control question
+/// reuses one of the participant's videos) is a typed config error from
+/// every `Result`-returning entry point, not an index-out-of-bounds
+/// panic inside the kernel.
+#[test]
+fn zero_videos_per_participant_is_a_config_error() {
+    let zero = ExperimentConfig { videos_per_participant: 0, ..cfg() };
+    let filters = paper_pipeline();
+    let errs = [
+        checkpointed_timeline_campaign(
+            tl_stimuli(),
+            &CrowdFlower,
+            N,
+            &zero,
+            &filters,
+            Seed(1440),
+            &sc(32, 2048),
+            &inactive(),
+            AdaptiveBackend::Flat,
+            None,
+            &CheckpointConfig::default(),
+            &mut |_| true,
+        )
+        .err(),
+        checkpointed_ab_campaign(
+            ab_stimuli(),
+            &CrowdFlower,
+            N,
+            &zero,
+            &filters,
+            Seed(1441),
+            &sc(32, 2048),
+            None,
+            &CheckpointConfig::default(),
+            &mut |_| true,
+        )
+        .err(),
+        timeline_worker_checkpoint(
+            tl_stimuli(),
+            &CrowdFlower,
+            0,
+            N,
+            &zero,
+            &filters,
+            Seed(1440),
+            &sc(32, 2048),
+        )
+        .err(),
+        ab_worker_checkpoint(
+            ab_stimuli(),
+            &CrowdFlower,
+            0,
+            N,
+            &zero,
+            &filters,
+            Seed(1441),
+            &sc(32, 2048),
+        )
+        .err(),
+    ];
+    for (i, err) in errs.into_iter().enumerate() {
+        assert!(
+            matches!(&err, Some(CheckpointError::Config { detail }) if detail.contains("video")),
+            "entry point {i}: {err:?}"
+        );
+    }
 }

@@ -115,3 +115,49 @@ fn ab_analysis_survives_all_votes_filtered() {
     let json = to_json(&export);
     assert!(serde_json::from_str::<serde_json::Value>(&json).is_ok());
 }
+
+/// Asserts that `run` panics with the zero-videos-with-controls message.
+fn assert_refused(engine: &str, run: impl Fn()) {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("zero videos with controls must be refused");
+    let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+    assert!(
+        msg.contains("control questions need at least one video per participant"),
+        "{engine}: {msg:?}"
+    );
+}
+
+/// Zero videos per participant with controls on (the control question
+/// reuses one of the participant's videos) is refused up front by every
+/// one-shot engine, with a message instead of an index-out-of-bounds
+/// panic deep inside the serving loop.
+#[test]
+fn zero_videos_per_participant_with_controls_is_refused() {
+    let sites = alexa_like(Seed(530), 2);
+    let tl = timeline_stimuli(&sites, &BrowserConfig::new(), &quick_capture(), Seed(531));
+    let ab = protocol_ab_stimuli(&sites, &BrowserConfig::new(), &quick_capture(), Seed(532));
+    let zero = ExperimentConfig { videos_per_participant: 0, ..ExperimentConfig::default() };
+    let filters = paper_pipeline();
+    let sc = StreamConfig::default();
+    let n = 20;
+    assert_refused("run_timeline", || {
+        run_timeline_campaign(tl.clone(), &CrowdFlower, n, &zero, Seed(9));
+    });
+    assert_refused("run_ab", || {
+        run_ab_campaign(ab.clone(), &CrowdFlower, n, &zero, Seed(9));
+    });
+    assert_refused("stream_timeline", || {
+        stream_timeline_campaign(&tl, &CrowdFlower, n, &zero, &filters, Seed(9), &sc);
+    });
+    assert_refused("flat_timeline", || {
+        flat_timeline_campaign(&tl, &CrowdFlower, n, &zero, &filters, Seed(9), &sc);
+    });
+    assert_refused("flat_ab", || {
+        flat_ab_campaign(&ab, &CrowdFlower, n, &zero, &filters, Seed(9), &sc);
+    });
+    assert_refused("adaptive", || {
+        let (idle, flat) = (AdaptiveConfig::default(), AdaptiveBackend::Flat);
+        let seed = Seed(9);
+        adaptive_timeline_campaign(&tl, &CrowdFlower, n, &zero, &filters, seed, &sc, &idle, flat);
+    });
+}

@@ -50,7 +50,7 @@ cargo run -q --release -p eyeorg-bench --bin run_report -- \
 cmp results/.RUN_fp_1 results/.RUN_fp_2
 cmp results/.RUN_fp_1 results/.RUN_fp_auto
 # Campaign-engine divergence gate: the smoke run exits non-zero when the
-# streaming engine (any shard size) or the flat data-plane engine (any
+# streaming timeline reference (any shard size) or the flat kernel (any
 # shard size x thread knob) produces a digest or counter fingerprint
 # that differs from the materializing engine, and the written
 # fingerprints — streaming and flat, digests and counters — must be
@@ -75,8 +75,8 @@ cmp results/.SCALE_fp_1 results/.SCALE_fp_auto
 cargo run -q --release -p eyeorg-bench --bin perf_model -- --smoke
 # Adaptive early-stopping divergence gate (DESIGN.md §3h): the smoke run
 # exits non-zero when an inactive rule (epsilon = 0) differs from the
-# streaming engine in digest or counter fingerprint, or when an active
-# rule's decision sequence / digest / counters vary across backends,
+# streaming timeline reference in digest or counter fingerprint, or when
+# an active rule's decision sequence / digest / counters vary across
 # shard sizes, thread knobs, or chaos seeds — and the written
 # fingerprints must be byte-identical at 1 thread, 2 threads, and the
 # hardware default. The full run then measures the 1M-participant
@@ -93,8 +93,8 @@ cmp results/.ADAPT_fp_1 results/.ADAPT_fp_2
 cmp results/.ADAPT_fp_1 results/.ADAPT_fp_auto
 cargo run -q --release -p eyeorg-bench --bin perf_adaptive
 # Checkpoint/resume gate (DESIGN.md §3i): the smoke run exits non-zero
-# when an interrupt → save → load → resume run (plain or adaptive, both
-# backends, A/B included) differs from the uninterrupted run in digest,
+# when an interrupt → save → load → resume run (plain or adaptive, A/B
+# included) differs from the uninterrupted run in digest,
 # decision, or counter fingerprint, or when the live JSONL stream's
 # final line differs from the end-of-run digest read-out. Fingerprints
 # must be byte-identical at 1 thread, 2 threads, and the hardware
@@ -108,14 +108,13 @@ cargo run -q --release -p eyeorg-bench --bin merge_digests -- \
 cmp results/.CKPT_fp_1 results/.CKPT_fp_2
 cmp results/.CKPT_fp_1 results/.CKPT_fp_auto
 # Multi-process split/merge gate: three real child processes each run a
-# disjoint slice of the same campaign — at different thread counts and
-# through different backends — and write checkpoint files; merging them
-# must reproduce the single-process digest AND counter fingerprints
-# byte for byte.
+# disjoint slice of the same campaign at different thread counts and
+# write checkpoint files; merging them must reproduce the single-process
+# digest AND counter fingerprints byte for byte.
 cargo run -q --release -p eyeorg-bench --bin merge_digests -- \
     --worker 0 150 --out results/.ckpt_w1.jsonl &
 EYEORG_THREADS=1 cargo run -q --release -p eyeorg-bench --bin merge_digests -- \
-    --worker 150 300 --out results/.ckpt_w2.jsonl --flat &
+    --worker 150 300 --out results/.ckpt_w2.jsonl &
 EYEORG_THREADS=2 cargo run -q --release -p eyeorg-bench --bin merge_digests -- \
     --worker 300 400 --out results/.ckpt_w3.jsonl &
 wait
