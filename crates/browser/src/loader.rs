@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use eyeorg_http::{FetchEngine, FetchEvent, HttpConfig, OriginId, Priority, Protocol, Request, RequestId};
 use eyeorg_net::event::EventQueue;
 use eyeorg_obs::metrics as obs;
-use eyeorg_net::{DnsConfig, Resolver, SimDuration, SimTime};
+use eyeorg_net::{ConnId, ConnLog, ConnStats, DnsConfig, Resolver, SimDuration, SimTime};
 use eyeorg_stats::Seed;
 use eyeorg_workload::{Discovery, Rect, ResourceId, ResourceKind, Website};
 
@@ -81,7 +81,25 @@ enum Ev {
 /// Load `site` under `cfg`; the seed controls network loss and DNS
 /// timing. Returns the full trace.
 pub fn load_page(site: &Website, cfg: &BrowserConfig, seed: Seed) -> LoadTrace {
-    Loader::new(site, cfg, seed, true).run()
+    Loader::new(site, cfg, seed, true).run().0
+}
+
+/// [`load_page`] plus the transport record of every connection the load
+/// opened, in open order: its statistics and its qlog. The trace is
+/// identical to [`load_page`]'s; logging only observes.
+pub fn load_page_with_conns(
+    site: &Website,
+    cfg: &BrowserConfig,
+    seed: Seed,
+) -> (LoadTrace, Vec<(ConnStats, ConnLog)>) {
+    let mut loader = Loader::new(site, cfg, seed, true);
+    loader.engine.set_net_logging(true);
+    let (trace, engine) = loader.run();
+    let mut net = engine.into_net();
+    let conns = (0..net.conn_count())
+        .map(|i| (net.conn_stats(ConnId(i)), net.take_log(ConnId(i)).unwrap_or_default()))
+        .collect();
+    (trace, conns)
 }
 
 /// [`load_page`] with the network simulator's burst batching disabled —
@@ -90,7 +108,7 @@ pub fn load_page(site: &Website, cfg: &BrowserConfig, seed: Seed) -> LoadTrace {
 /// gates on); this entry point only exists so the comparison can be
 /// made end to end.
 pub fn load_page_reference(site: &Website, cfg: &BrowserConfig, seed: Seed) -> LoadTrace {
-    Loader::new(site, cfg, seed, false).run()
+    Loader::new(site, cfg, seed, false).run().0
 }
 
 struct Loader<'a> {
@@ -200,7 +218,7 @@ impl<'a> Loader<'a> {
         }
     }
 
-    fn run(mut self) -> LoadTrace {
+    fn run(mut self) -> (LoadTrace, FetchEngine) {
         loop {
             let limit = self.tasks.peek_time().unwrap_or(SimTime::from_micros(u64::MAX));
             match self.engine.next_event_until(limit) {
@@ -680,7 +698,7 @@ impl<'a> Loader<'a> {
         }
     }
 
-    fn finalize(mut self) -> LoadTrace {
+    fn finalize(mut self) -> (LoadTrace, FetchEngine) {
         // Resources never discovered: their injection chain was cut.
         for r in &self.site.resources {
             let tr = &mut self.res[r.id.0 as usize];
@@ -714,6 +732,6 @@ impl<'a> Loader<'a> {
         obs::BROWSER_PAINT_EVENTS.add(trace.paints.len() as u64);
         obs::BROWSER_MAIN_THREAD_CPU_US.add(self.cpu_busy_us);
         obs::BROWSER_LOAD_CPU_MS.record(self.cpu_busy_us / 1000);
-        trace
+        (trace, self.engine)
     }
 }

@@ -23,8 +23,8 @@ use eyeorg_obs::metrics as obs;
 use eyeorg_net::{ConnId, NetEvent, NetSim, NetworkProfile, SimTime, TlsMode};
 use eyeorg_stats::Seed;
 
-use crate::h1::{H1Conn, H1Origin, QueuedRequest};
-use crate::h2::{ChunkKind, ChunkMap, H2Scheduler, H2SendStream, FRAME_OVERHEAD};
+use crate::h1::{H1Conn, H1Delivery, H1Origin, QueuedRequest};
+use crate::h2::{ChunkKind, ChunkMap, Delivery, H2Scheduler, H2SendStream, FRAME_OVERHEAD};
 use crate::hpack::HpackContext;
 use crate::request::{FetchEvent, OriginId, Request, RequestId, RequestTiming};
 
@@ -80,9 +80,9 @@ impl HttpConfig {
 struct Rec {
     req: Request,
     timing: RequestTiming,
-    /// `Some(parent)` when the server pushes this resource alongside the
-    /// parent's response instead of waiting for a client request.
-    pushed_by: Option<RequestId>,
+    /// Resources the server pushes alongside this response instead of
+    /// waiting for client requests, in ascending id order.
+    pushes: Vec<RequestId>,
     /// Index of the serving connection within the origin's H1 pool.
     h1_conn: Option<usize>,
     /// On-wire (HPACK-compressed) response header size, fixed when the
@@ -140,6 +140,9 @@ pub struct FetchEngine {
     timers: EventQueue<TimerEv>,
     out: VecDeque<(SimTime, FetchEvent)>,
     uplink_wire_bytes: u64,
+    /// Reused attribution buffers for delivered downlink bytes.
+    h1_deliveries: Vec<H1Delivery>,
+    h2_deliveries: Vec<Delivery>,
 }
 
 impl FetchEngine {
@@ -155,6 +158,8 @@ impl FetchEngine {
             timers: EventQueue::new(),
             out: VecDeque::new(),
             uplink_wire_bytes: 0,
+            h1_deliveries: Vec::new(),
+            h2_deliveries: Vec::new(),
         }
     }
 
@@ -163,6 +168,13 @@ impl FetchEngine {
     /// is the per-segment reference path benchmarks compare against.
     pub fn set_burst_batching(&mut self, on: bool) {
         self.net.set_burst_batching(on);
+    }
+
+    /// Enable or disable the network simulator's per-connection qlog
+    /// (see [`NetSim::set_logging`]); affects connections opened after
+    /// the call.
+    pub fn set_net_logging(&mut self, on: bool) {
+        self.net.set_logging(on);
     }
 
     /// Override the protocol for one origin (e.g. a third-party ad server
@@ -188,7 +200,7 @@ impl FetchEngine {
         self.recs.push(Rec {
             req,
             timing: RequestTiming { submitted: Some(at), ..RequestTiming::default() },
-            pushed_by: None,
+            pushes: Vec::new(),
             h1_conn: None,
             resp_header_wire: 0,
             header_received: 0,
@@ -263,7 +275,7 @@ impl FetchEngine {
         self.recs.push(Rec {
             req,
             timing: RequestTiming { submitted: Some(at), ..RequestTiming::default() },
-            pushed_by: Some(parent),
+            pushes: Vec::new(),
             h1_conn: None,
             resp_header_wire: 0,
             header_received: 0,
@@ -271,6 +283,7 @@ impl FetchEngine {
             headers_done: false,
             completed: false,
         });
+        self.recs[parent.0 as usize].pushes.push(id);
         id
     }
 
@@ -364,6 +377,12 @@ impl FetchEngine {
     /// per-connection statistics in HAR export.
     pub fn net(&self) -> &NetSim {
         &self.net
+    }
+
+    /// Consume the engine, returning the underlying network simulator
+    /// (e.g. to take its per-connection logs).
+    pub fn into_net(self) -> NetSim {
+        self.net
     }
 
     /// Number of transport connections opened to `origin` so far.
@@ -565,15 +584,9 @@ impl FetchEngine {
                 o.sched.add_stream(H2SendStream::new(id, wire_header, rec.req.body_bytes, weight));
                 // Pushed streams ride along: they become ready with the
                 // parent (the server already knows it will send them).
-                let push_ids: Vec<u64> = self
-                    .recs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.pushed_by == Some(id))
-                    .map(|(i, _)| i as u64)
-                    .collect();
+                let push_ids = std::mem::take(&mut rec.pushes);
                 for pid in push_ids {
-                    let prec = &mut self.recs[pid as usize];
+                    let prec = &mut self.recs[pid.0 as usize];
                     prec.timing.sent = Some(now);
                     prec.timing.request_at_server = Some(now);
                     let Some(OriginState::H2(o)) = self.origins.get_mut(&origin) else {
@@ -589,7 +602,7 @@ impl FetchEngine {
                     obs::HTTP_H2_STREAMS.incr();
                     obs::HTTP_H2_PUSHED_STREAMS.incr();
                     o.sched.add_stream(H2SendStream::new(
-                        RequestId(pid),
+                        pid,
                         wire_header,
                         prec.req.body_bytes,
                         weight,
@@ -621,29 +634,32 @@ impl FetchEngine {
             OriginState::H1(o) => {
                 // lint:allow(D4): the connection was added to the pool when it was opened
                 let c = o.conns.iter_mut().find(|c| c.conn == conn).expect("conn in pool");
-                let events = c.on_delivered(total);
+                let mut events = std::mem::take(&mut self.h1_deliveries);
+                c.on_delivered(total, &mut events);
                 let mut freed = false;
-                for ev in events {
+                for &ev in &events {
                     match ev {
-                        crate::h1::H1Delivery::Headers(id) => self.emit_headers(id, now),
-                        crate::h1::H1Delivery::Body(id, b) => {
+                        H1Delivery::Headers(id) => self.emit_headers(id, now),
+                        H1Delivery::Body(id, b) => {
                             self.recs[id.0 as usize].body_received = b;
                             self.out.push_back((now, FetchEvent::Data { id, body_bytes: b }));
                         }
-                        crate::h1::H1Delivery::Done(id) => {
+                        H1Delivery::Done(id) => {
                             self.emit_complete(id, now);
                             freed = true;
                         }
                     }
                 }
+                self.h1_deliveries = events;
                 if freed {
                     self.try_assign(origin, now);
                 }
             }
             OriginState::H2(o) => {
                 o.delivered = total;
-                let deliveries = o.chunks.advance(total);
-                for d in deliveries {
+                let mut deliveries = std::mem::take(&mut self.h2_deliveries);
+                o.chunks.advance(total, &mut deliveries);
+                for &d in &deliveries {
                     let rec = &mut self.recs[d.id.0 as usize];
                     match d.kind {
                         ChunkKind::Header => {
@@ -668,6 +684,7 @@ impl FetchEngine {
                         self.emit_complete(d.id, now);
                     }
                 }
+                self.h2_deliveries = deliveries;
                 self.pump_h2(origin, now);
             }
         }

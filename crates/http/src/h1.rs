@@ -127,14 +127,15 @@ impl H1Conn {
     }
 
     /// Attribute newly delivered downlink bytes (`total` is cumulative for
-    /// the connection) to the in-flight response.
-    pub fn on_delivered(&mut self, total: u64) -> Vec<H1Delivery> {
-        let mut out = Vec::new();
+    /// the connection) to the in-flight response. Replaces the contents
+    /// of `out` (a buffer the caller reuses) with the resulting events.
+    pub fn on_delivered(&mut self, total: u64, out: &mut Vec<H1Delivery>) {
+        out.clear();
         if total <= self.down_attributed {
-            return out;
+            return;
         }
         self.down_attributed = total;
-        let Some(cur) = self.current.as_mut() else { return out };
+        let Some(cur) = self.current.as_mut() else { return };
         if !cur.headers_emitted && total >= cur.header_end {
             cur.headers_emitted = true;
             out.push(H1Delivery::Headers(cur.id));
@@ -159,7 +160,6 @@ impl H1Conn {
             self.current = None;
             self.in_service = None;
         }
-        out
     }
 }
 
@@ -232,6 +232,12 @@ mod tests {
         c
     }
 
+    fn on_delivered(c: &mut H1Conn, total: u64) -> Vec<H1Delivery> {
+        let mut out = Vec::new();
+        c.on_delivered(total, &mut out);
+        out
+    }
+
     #[test]
     fn assign_and_request_arrival() {
         let mut c = conn();
@@ -255,14 +261,14 @@ mod tests {
         c.assign(RequestId(1), 100);
         c.response_scheduled(200, 1000);
         // Headers incomplete: nothing.
-        assert!(c.on_delivered(150).is_empty());
+        assert!(on_delivered(&mut c, 150).is_empty());
         // Headers complete at 200.
-        assert_eq!(c.on_delivered(200), vec![H1Delivery::Headers(RequestId(1))]);
+        assert_eq!(on_delivered(&mut c, 200), vec![H1Delivery::Headers(RequestId(1))]);
         // Partial body.
-        assert_eq!(c.on_delivered(700), vec![H1Delivery::Body(RequestId(1), 500)]);
+        assert_eq!(on_delivered(&mut c, 700), vec![H1Delivery::Body(RequestId(1), 500)]);
         // Completion.
         assert_eq!(
-            c.on_delivered(1200),
+            on_delivered(&mut c, 1200),
             vec![H1Delivery::Body(RequestId(1), 1000), H1Delivery::Done(RequestId(1))]
         );
         assert!(c.idle());
@@ -273,7 +279,7 @@ mod tests {
         let mut c = conn();
         c.assign(RequestId(3), 100);
         c.response_scheduled(200, 300);
-        let evs = c.on_delivered(500);
+        let evs = on_delivered(&mut c, 500);
         assert_eq!(
             evs,
             vec![
@@ -289,7 +295,7 @@ mod tests {
         let mut c = conn();
         c.assign(RequestId(4), 100);
         c.response_scheduled(150, 0);
-        let evs = c.on_delivered(150);
+        let evs = on_delivered(&mut c, 150);
         assert_eq!(evs, vec![H1Delivery::Headers(RequestId(4)), H1Delivery::Done(RequestId(4))]);
     }
 
@@ -298,13 +304,13 @@ mod tests {
         let mut c = conn();
         c.assign(RequestId(1), 100);
         c.response_scheduled(100, 100);
-        c.on_delivered(200);
+        on_delivered(&mut c, 200);
         assert!(c.idle());
         // Second exchange continues the cumulative stream.
         c.assign(RequestId(2), 100);
         assert_eq!(c.request_arrived(200), Some(RequestId(2)));
         c.response_scheduled(50, 50);
-        let evs = c.on_delivered(300);
+        let evs = on_delivered(&mut c, 300);
         assert!(evs.contains(&H1Delivery::Done(RequestId(2))));
     }
 
@@ -313,9 +319,9 @@ mod tests {
         let mut c = conn();
         c.assign(RequestId(1), 100);
         c.response_scheduled(100, 100);
-        c.on_delivered(150);
-        assert!(c.on_delivered(150).is_empty());
-        assert!(c.on_delivered(120).is_empty());
+        on_delivered(&mut c, 150);
+        assert!(on_delivered(&mut c, 150).is_empty());
+        assert!(on_delivered(&mut c, 120).is_empty());
     }
 
     #[test]

@@ -92,6 +92,10 @@ impl H2SendStream {
 /// makes every image finish simultaneously late and erases HTTP/2's
 /// time-to-content advantage; Chrome's chains exist precisely to avoid
 /// that.)
+///
+/// Only streams with unwritten bytes are kept, in the order they were
+/// added, so picking a frame scans the active streams, not every stream
+/// the connection ever carried.
 #[derive(Debug, Default)]
 pub struct H2Scheduler {
     streams: Vec<H2SendStream>,
@@ -105,12 +109,14 @@ impl H2Scheduler {
 
     /// Register a stream with response bytes ready at the server.
     pub fn add_stream(&mut self, stream: H2SendStream) {
-        self.streams.push(stream);
+        if stream.remaining() > 0 {
+            self.streams.push(stream);
+        }
     }
 
     /// Whether any stream still has unwritten bytes.
     pub fn has_pending(&self) -> bool {
-        self.streams.iter().any(|s| s.remaining() > 0)
+        !self.streams.is_empty()
     }
 
     /// Total unwritten bytes across streams.
@@ -133,23 +139,22 @@ impl H2Scheduler {
             .streams
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.remaining() > 0)
             .max_by(|(ia, a), (ib, b)| a.weight.cmp(&b.weight).then(ib.cmp(ia)))
             .map(|(i, _)| i)?;
         let s = &mut self.streams[idx];
-        if s.header_remaining > 0 {
+        let chunk = if s.header_remaining > 0 {
             let payload = s.header_remaining.min(max_payload.max(1)).min(MAX_FRAME_PAYLOAD);
             s.header_remaining -= payload;
-            return Some(Chunk {
-                id: s.id,
-                overhead: FRAME_OVERHEAD,
-                payload,
-                kind: ChunkKind::Header,
-            });
+            Chunk { id: s.id, overhead: FRAME_OVERHEAD, payload, kind: ChunkKind::Header }
+        } else {
+            let payload = s.body_remaining.min(max_payload).min(MAX_FRAME_PAYLOAD);
+            s.body_remaining -= payload;
+            Chunk { id: s.id, overhead: FRAME_OVERHEAD, payload, kind: ChunkKind::Body }
+        };
+        if s.remaining() == 0 {
+            self.streams.remove(idx);
         }
-        let payload = s.body_remaining.min(max_payload).min(MAX_FRAME_PAYLOAD);
-        s.body_remaining -= payload;
-        Some(Chunk { id: s.id, overhead: FRAME_OVERHEAD, payload, kind: ChunkKind::Body })
+        Some(chunk)
     }
 }
 
@@ -191,10 +196,11 @@ impl ChunkMap {
     }
 
     /// Attribute delivery progress: `total` is the cumulative downlink
-    /// bytes the transport has delivered in order. Returns per-stream
-    /// payload deltas in stream order.
-    pub fn advance(&mut self, total: u64) -> Vec<Delivery> {
-        let mut out: Vec<Delivery> = Vec::new();
+    /// bytes the transport has delivered in order. Replaces the contents
+    /// of `out` (a buffer the caller reuses) with per-stream payload
+    /// deltas in stream order.
+    pub fn advance(&mut self, total: u64, out: &mut Vec<Delivery>) {
+        out.clear();
         while self.attributed < total {
             let Some(front) = self.chunks.front().copied() else { break };
             let chunk_end = self.front_start + front.overhead + front.payload;
@@ -219,13 +225,18 @@ impl ChunkMap {
                 self.chunks.pop_front();
             }
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn advance(m: &mut ChunkMap, total: u64) -> Vec<Delivery> {
+        let mut out = Vec::new();
+        m.advance(total, &mut out);
+        out
+    }
 
     #[test]
     fn scheduler_headers_before_body() {
@@ -310,12 +321,12 @@ mod tests {
         let sz = m.push(Chunk { id: RequestId(1), overhead: 9, payload: 100, kind: ChunkKind::Header });
         assert_eq!(sz, 109);
         // First 5 bytes: all framing, no payload.
-        assert!(m.advance(5).is_empty());
+        assert!(advance(&mut m, 5).is_empty());
         // Through byte 59: 50 payload bytes.
-        let d = m.advance(59);
+        let d = advance(&mut m, 59);
         assert_eq!(d, vec![Delivery { id: RequestId(1), kind: ChunkKind::Header, payload_delta: 50 }]);
         // Rest of the chunk.
-        let d = m.advance(109);
+        let d = advance(&mut m, 109);
         assert_eq!(d[0].payload_delta, 50);
     }
 
@@ -325,7 +336,7 @@ mod tests {
         m.push(Chunk { id: RequestId(1), overhead: 9, payload: 100, kind: ChunkKind::Body });
         m.push(Chunk { id: RequestId(2), overhead: 9, payload: 50, kind: ChunkKind::Body });
         m.push(Chunk { id: RequestId(1), overhead: 9, payload: 100, kind: ChunkKind::Body });
-        let d = m.advance(9 + 100 + 9 + 50 + 9 + 10);
+        let d = advance(&mut m, 9 + 100 + 9 + 50 + 9 + 10);
         assert_eq!(
             d,
             vec![
@@ -341,7 +352,7 @@ mod tests {
         let mut m = ChunkMap::new();
         m.push(Chunk { id: RequestId(1), overhead: 0, payload: 10, kind: ChunkKind::Body });
         m.push(Chunk { id: RequestId(1), overhead: 0, payload: 10, kind: ChunkKind::Body });
-        let d = m.advance(20);
+        let d = advance(&mut m, 20);
         assert_eq!(d, vec![Delivery { id: RequestId(1), kind: ChunkKind::Body, payload_delta: 20 }]);
     }
 
@@ -349,8 +360,8 @@ mod tests {
     fn chunk_map_idempotent_on_stale_totals() {
         let mut m = ChunkMap::new();
         m.push(Chunk { id: RequestId(1), overhead: 9, payload: 10, kind: ChunkKind::Body });
-        m.advance(19);
-        assert!(m.advance(19).is_empty());
-        assert!(m.advance(5).is_empty());
+        advance(&mut m, 19);
+        assert!(advance(&mut m, 19).is_empty());
+        assert!(advance(&mut m, 5).is_empty());
     }
 }

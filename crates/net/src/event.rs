@@ -1,36 +1,28 @@
 //! Deterministic event queue.
 //!
-//! A bucketed *calendar queue* (Brown 1988, the structure behind ns-3's
-//! default scheduler) keyed on `(time, sequence)`. Events hash into
-//! `buckets.len()` time-slots of `2^shift` microseconds each; the wheel
-//! wraps, so a bucket holds every pending event whose time falls into
-//! that slot of *any* "year" (wheel revolution). Popping scans forward
-//! from a cursor one slot at a time and takes the `(time, seq)`-minimum
-//! event belonging to the current year; after a full empty revolution it
-//! falls back to a direct search (sparse far-future tails — think RTO
-//! timers parked 200 ms out — would otherwise spin the wheel).
+//! A binary min-heap keyed on `(time, sequence)`. Every event takes a
+//! sequence number from one monotone counter, which breaks ties in
+//! scheduling order: two events scheduled for the same instant always
+//! pop in the order they were scheduled. Determinism here is what makes
+//! every campaign in the reproduction replayable from a seed.
 //!
-//! The monotonically increasing sequence number breaks ties in insertion
-//! order, which makes event processing fully deterministic: two events
-//! scheduled for the same instant always pop in the order they were
-//! pushed, regardless of bucket internals. Determinism here is what makes
-//! every campaign in the reproduction replayable from a seed, and the
-//! test suite pins the pop order to a `BinaryHeap` reference
-//! implementation.
-//!
-//! Why a calendar instead of the previous binary heap: `schedule` is O(1)
-//! (hash into a bucket, push) instead of O(log n) sift-up, and the
-//! peek-then-pop pattern the simulator drives (`peek_time` to compare
-//! against a limit, then `pop`) is served by a cached minimum located
-//! once per event instead of twice through heap machinery. Profiling the
-//! page-load corpus put 37–55% of sim time inside heap push/pop before
-//! this change.
+//! A sequence number can also be *reserved* ([`EventQueue::reserve_seq`])
+//! and used later ([`EventQueue::schedule_seq`]). The simulator reserves
+//! one for every retransmission-timer arm but keeps at most one timer
+//! entry per connection in the queue, so a timer that is re-armed on
+//! every ACK costs a counter bump instead of a heap push and a later
+//! no-op pop; when the live timer is finally scheduled under its
+//! reserved number it pops exactly where a per-arm entry would have.
+//! Without parked timers the queue holds little beyond the packets in
+//! flight, small enough that a plain heap needs no bucketing.
 
-use std::cell::Cell;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A scheduled event carrying a payload of type `E`.
+/// A scheduled event carrying a payload of type `E`, ordered so that the
+/// `(time, seq)`-smallest event is the heap's maximum.
 #[derive(Debug)]
 struct Scheduled<E> {
     time: SimTime,
@@ -38,26 +30,26 @@ struct Scheduled<E> {
     payload: E,
 }
 
-/// Location of the cached minimum event inside the bucket array.
-///
-/// Slots stay valid between operations because `schedule` only appends
-/// to buckets and `pop` removes exactly the cached slot.
-#[derive(Debug, Clone, Copy)]
-struct MinLoc {
-    bucket: usize,
-    slot: usize,
-    time: SimTime,
-    seq: u64,
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
 }
 
-/// Initial / minimum number of buckets (power of two).
-const MIN_BUCKETS: usize = 32;
-/// Upper bound on the bucket count; beyond this the per-pop scan cost is
-/// already negligible relative to event processing.
-const MAX_BUCKETS: usize = 65_536;
-/// Initial bucket width: 2^9 µs = 512 µs, on the order of one segment
-/// serialisation time on the simulated access links.
-const DEFAULT_SHIFT: u32 = 9;
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    // lint:allow(D6): orders integer (time, seq) keys through the total `Ord` below; no floats
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
 
 /// A deterministic future-event list.
 ///
@@ -66,20 +58,9 @@ const DEFAULT_SHIFT: u32 = 9;
 /// violate causality and panics.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// log2 of the bucket time-width in microseconds.
-    shift: u32,
-    len: usize,
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     watermark: SimTime,
-    /// Lower µs edge of the wheel slot the forward scan starts from.
-    /// Invariant: no pending event is earlier than this edge. `Cell`
-    /// because advancing the cursor past verified-empty slots is a pure
-    /// optimisation `peek_time(&self)` is allowed to perform.
-    cursor: Cell<u64>,
-    /// Cached global minimum, if known. `None` means "unknown", not
-    /// "empty". Same interior-mutability rationale as `cursor`.
-    min_cache: Cell<Option<MinLoc>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -91,188 +72,71 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue with watermark at time zero.
     pub fn new() -> EventQueue<E> {
-        EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            shift: DEFAULT_SHIFT,
-            len: 0,
-            next_seq: 0,
-            watermark: SimTime::ZERO,
-            cursor: Cell::new(0),
-            min_cache: Cell::new(None),
-        }
+        EventQueue { heap: BinaryHeap::new(), next_seq: 0, watermark: SimTime::ZERO }
     }
 
-    fn bucket_width(&self) -> u64 {
-        1u64 << self.shift
-    }
-
-    fn bucket_index(&self, time_us: u64) -> usize {
-        ((time_us >> self.shift) as usize) & (self.buckets.len() - 1)
-    }
-
-    fn slot_floor(&self, time_us: u64) -> u64 {
-        time_us & !(self.bucket_width() - 1)
-    }
-
-    /// Schedule `payload` to fire at `time`.
+    /// Schedule `payload` to fire at `time`, after every event already
+    /// scheduled for the same instant.
     ///
     /// # Panics
     /// Panics if `time` is earlier than the watermark (the time of the
     /// last popped event).
     pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.schedule_seq(time, seq, payload);
+    }
+
+    /// Take the next sequence number without scheduling anything: an
+    /// event later scheduled under it with [`EventQueue::schedule_seq`]
+    /// sorts as if it had been scheduled now.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `payload` at `time` under a sequence number obtained from
+    /// [`EventQueue::reserve_seq`]. Each reserved number should be used
+    /// by at most one pending event.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the watermark.
+    pub fn schedule_seq(&mut self, time: SimTime, seq: u64, payload: E) {
         assert!(
             time >= self.watermark,
             "scheduling into the past: {} < watermark {}",
             time,
             self.watermark
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let t_us = time.as_micros();
-        // Keep the cursor invariant: the scan must start at or before the
-        // earliest pending event. (peek_time may have advanced the cursor
-        // past slots that were empty at the time.)
-        if t_us < self.cursor.get() {
-            self.cursor.set(self.slot_floor(t_us));
-        }
-        let b = self.bucket_index(t_us);
-        let slot = self.buckets[b].len();
-        self.buckets[b].push(Scheduled { time, seq, payload });
-        self.len += 1;
-        match self.min_cache.get() {
-            // Empty-queue push: the sole event is trivially the minimum.
-            None if self.len == 1 => {
-                self.min_cache.set(Some(MinLoc { bucket: b, slot, time, seq }))
-            }
-            Some(m) if (time, seq) < (m.time, m.seq) => {
-                self.min_cache.set(Some(MinLoc { bucket: b, slot, time, seq }))
-            }
-            _ => {}
-        }
-        if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-            self.rebucket();
-        }
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
+        self.heap.push(Scheduled { time, seq, payload });
     }
 
     /// Remove and return the earliest event, advancing the watermark.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let m = self.find_min()?;
-        self.min_cache.set(None);
-        let ev = self.buckets[m.bucket].swap_remove(m.slot);
-        debug_assert_eq!(ev.seq, m.seq, "min cache out of sync");
-        self.len -= 1;
+        let ev = self.heap.pop()?;
         self.watermark = ev.time;
-        if self.len < self.buckets.len() / 8 && self.buckets.len() > MIN_BUCKETS {
-            self.rebucket();
-        }
         Some((ev.time, ev.payload))
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.find_min().map(|m| m.time)
+        self.heap.peek().map(|ev| ev.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// The current watermark: no event earlier than this can exist.
     pub fn now(&self) -> SimTime {
         self.watermark
-    }
-
-    /// Locate the `(time, seq)`-minimum pending event, caching the
-    /// result so the peek-then-pop pattern pays for one search.
-    fn find_min(&self) -> Option<MinLoc> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(m) = self.min_cache.get() {
-            return Some(m);
-        }
-        let n = self.buckets.len();
-        let width = self.bucket_width();
-        let mut floor = self.cursor.get();
-        for _ in 0..n {
-            let b = self.bucket_index(floor);
-            let top = floor.saturating_add(width);
-            let mut best: Option<MinLoc> = None;
-            for (slot, ev) in self.buckets[b].iter().enumerate() {
-                let t = ev.time.as_micros();
-                // Only events of the current wheel revolution count; the
-                // bucket also holds events `k * n * width` later.
-                if t < top
-                    && best.is_none_or(|m| (ev.time, ev.seq) < (m.time, m.seq))
-                {
-                    debug_assert!(t >= floor, "event earlier than scan cursor");
-                    best = Some(MinLoc { bucket: b, slot, time: ev.time, seq: ev.seq });
-                }
-            }
-            if let Some(m) = best {
-                self.cursor.set(floor);
-                self.min_cache.set(Some(m));
-                return Some(m);
-            }
-            floor = floor.saturating_add(width);
-        }
-        // A full revolution came up empty: everything pending is at least
-        // one wheel span in the future (sparse tail). Direct search.
-        let mut best: Option<MinLoc> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (slot, ev) in bucket.iter().enumerate() {
-                if best.is_none_or(|m| (ev.time, ev.seq) < (m.time, m.seq)) {
-                    best = Some(MinLoc { bucket: b, slot, time: ev.time, seq: ev.seq });
-                }
-            }
-        }
-        // lint:allow(D4): callers checked len > 0, so some bucket holds an event
-        let m = best.expect("len > 0 but no event found");
-        self.cursor.set(self.slot_floor(m.time.as_micros()));
-        self.min_cache.set(Some(m));
-        Some(m)
-    }
-
-    /// Resize the wheel to fit the current population: bucket count ~2×
-    /// the number of events, bucket width ~the mean inter-event gap.
-    /// Deterministic — parameters depend only on queue contents.
-    fn rebucket(&mut self) {
-        let mut all: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            all.append(bucket);
-        }
-        let target = (2 * self.len.max(1))
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if self.buckets.len() != target {
-            self.buckets = (0..target).map(|_| Vec::new()).collect();
-        }
-        if !all.is_empty() {
-            // lint:allow(D4): `all` is non-empty, so min exists
-            let min_t = all.iter().map(|e| e.time.as_micros()).min().unwrap();
-            // lint:allow(D4): `all` is non-empty, so max exists
-            let max_t = all.iter().map(|e| e.time.as_micros()).max().unwrap();
-            let gap = (max_t - min_t) / all.len() as u64;
-            // Width = mean gap rounded up to a power of two, clamped to
-            // [64 µs, 131 ms]. A clustered population gets narrow
-            // buckets; one far-out timer cannot widen them past the cap.
-            self.shift = (64 - gap.max(1).leading_zeros()).clamp(6, 17);
-            self.cursor.set(self.slot_floor(min_t));
-        } else {
-            self.shift = DEFAULT_SHIFT;
-            self.cursor.set(self.slot_floor(self.watermark.as_micros()));
-        }
-        for ev in all {
-            let b = self.bucket_index(ev.time.as_micros());
-            self.buckets[b].push(ev);
-        }
-        self.min_cache.set(None);
     }
 }
 
@@ -334,10 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_after_empty_revolution() {
-        // An RTO parked several wheel revolutions out must still be
-        // found (direct-search fallback), and scheduling an earlier
-        // event afterwards must rewind the cursor.
+    fn far_future_event_pops_after_later_scheduled_earlier_one() {
+        // An RTO parked far out is the minimum until an earlier event
+        // arrives; the earlier one then pops first.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(30), "rto");
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(30)));
@@ -361,9 +224,11 @@ mod tests {
                 next_seq: 0,
             }
         }
-        fn schedule(&mut self, time: SimTime, payload: E) {
-            let seq = self.next_seq;
+        fn reserve_seq(&mut self) -> u64 {
             self.next_seq += 1;
+            self.next_seq - 1
+        }
+        fn schedule_seq(&mut self, time: SimTime, seq: u64, payload: E) {
             self.heap.push(std::cmp::Reverse((time, seq)));
             self.payloads.insert(seq, payload);
         }
@@ -376,10 +241,11 @@ mod tests {
         }
     }
 
-    /// Drive the calendar queue and the heap reference through an
-    /// identical randomized schedule/pop workload and demand identical
+    /// Drive the queue and the heap reference through an identical
+    /// randomized schedule/pop workload and demand identical
     /// `(time, payload)` streams. Deterministic seeds; covers bursts of
-    /// ties, far-future tails, interleaved peeks, and resize churn.
+    /// ties, far-future tails, interleaved peeks, and sequence numbers
+    /// reserved now and scheduled later (as the RTO timer uses them).
     #[test]
     fn matches_binary_heap_reference() {
         for seed in 0u64..8 {
@@ -388,9 +254,21 @@ mod tests {
             let mut heap: HeapRef<u64> = HeapRef::new();
             let mut now = 0u64;
             let mut payload = 0u64;
+            let mut reserved: Vec<u64> = Vec::new();
             for step in 0..4_000 {
                 let r = rng.next_u64() % 100;
-                if r < 55 || cal.is_empty() {
+                if r < 8 {
+                    let seq = cal.reserve_seq();
+                    assert_eq!(seq, heap.reserve_seq());
+                    reserved.push(seq);
+                } else if r < 16 && !reserved.is_empty() {
+                    // Use a reserved number, possibly an old one.
+                    let seq = reserved.swap_remove(rng.next_u64() as usize % reserved.len());
+                    let t = SimTime::from_micros(now + rng.next_u64() % 300_000);
+                    cal.schedule_seq(t, seq, payload);
+                    heap.schedule_seq(t, seq, payload);
+                    payload += 1;
+                } else if r < 55 || cal.is_empty() {
                     // Schedule 1..=4 events; occasionally ties, a far
                     // tail, or exactly-at-watermark.
                     for _ in 0..=(rng.next_u64() % 3) {
@@ -402,7 +280,8 @@ mod tests {
                         };
                         let t = SimTime::from_micros(now + dt);
                         cal.schedule(t, payload);
-                        heap.schedule(t, payload);
+                        let seq = heap.reserve_seq();
+                        heap.schedule_seq(t, seq, payload);
                         payload += 1;
                     }
                 } else {
@@ -425,7 +304,19 @@ mod tests {
     }
 
     #[test]
-    fn resize_preserves_all_events() {
+    fn reserved_seq_pops_before_later_same_time_event() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(200);
+        let early = q.reserve_seq();
+        q.schedule(t, "scheduled later");
+        q.schedule_seq(t, early, "reserved earlier");
+        q.schedule(SimTime::from_millis(100), "before");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, vec!["before", "reserved earlier", "scheduled later"]);
+    }
+
+    #[test]
+    fn drains_a_large_random_population_in_time_then_fifo_order() {
         let mut q = EventQueue::new();
         let mut rng = Rng::seed_from_u64(7);
         let mut times: Vec<(SimTime, u32)> = Vec::new();

@@ -22,7 +22,6 @@
 //!   contribution is the round trips, which are modelled through the real
 //!   queues so queueing delay still applies.
 
-use eyeorg_stats::rng::Rng;
 use std::collections::VecDeque;
 
 use eyeorg_obs::metrics as obs;
@@ -87,7 +86,9 @@ enum Ev {
     /// ACK in order (see `BurstPlan`). `generation` tombstones batches
     /// whose plan was flushed early.
     AckBatch { conn: usize, generation: u64 },
-    RtoCheck { conn: usize, epoch: u64 },
+    /// The connection's one queued retransmission-timer entry, identified
+    /// by its sequence number (see `Conn::rto_entry`).
+    RtoCheck { conn: usize, seq: u64 },
 }
 
 /// Maximum number of segments coalesced into one batch. Keeps the span
@@ -130,6 +131,18 @@ struct BurstPlan {
     created_at: SimTime,
 }
 
+/// The retransmission check armed by the most recent `rearm_rto`: where
+/// a per-arm timer model would have queued it, and the `rto_epoch` it
+/// belongs to.
+#[derive(Debug, Clone, Copy)]
+struct ArmedRto {
+    deadline: SimTime,
+    /// Reserved queue sequence number: the check pops at exactly
+    /// `(deadline, seq)`, as a per-arm queue entry would have.
+    seq: u64,
+    epoch: u64,
+}
+
 /// Per-connection bookkeeping around the TCP state machines.
 #[derive(Debug)]
 struct Conn {
@@ -141,7 +154,18 @@ struct Conn {
     opened_at: SimTime,
     up_sent: u64,
     up_delivered: u64,
+    /// Bumped by every rearm and every deferred ACK; a check armed in an
+    /// older epoch can no longer fire.
     rto_epoch: u64,
+    /// The armed retransmission check, `None` when disarmed.
+    rto_armed: Option<ArmedRto>,
+    /// The connection's one `Ev::RtoCheck` in the queue, as `(time,
+    /// seq)`; always at or before `rto_armed`'s deadline. An entry that
+    /// pops early re-queues itself at the armed `(deadline, seq)`, so a
+    /// timer re-armed on every ACK costs no queue traffic until it is
+    /// about to fire. Queued entries that are no longer this one are
+    /// orphans and pop as no-ops.
+    rto_entry: Option<(SimTime, u64)>,
     /// Active lossless-burst batch, if any.
     plan: Option<BurstPlan>,
     /// Monotone plan counter; stale `Ev::AckBatch` events carry an older
@@ -182,11 +206,9 @@ pub struct NetSim {
     /// The `false` path is the per-segment reference implementation the
     /// equivalence tests compare against.
     batching: bool,
-    /// Internal events processed since construction (for the hot-path
+    /// Internal events popped since construction (for the hot-path
     /// bench's events/sec metric).
     events_processed: u64,
-    #[allow(dead_code)] // reserved for future jitter modelling
-    rng: Rng,
 }
 
 impl NetSim {
@@ -206,7 +228,6 @@ impl NetSim {
             logging: false,
             batching: true,
             events_processed: 0,
-            rng: Rng::seed_from_u64(seed.derive("netsim").value()),
             profile,
         }
     }
@@ -230,9 +251,17 @@ impl NetSim {
         self.batching = on;
     }
 
-    /// Internal simulator events processed since construction.
+    /// Internal simulator events popped since construction. The
+    /// `net.events_processed` counter is larger: it also counts the
+    /// retransmission checks a re-arm retired without queueing them.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Number of connections opened so far; their ids are
+    /// `ConnId(0)..ConnId(conn_count())` in open order.
+    pub fn conn_count(&self) -> usize {
+        self.conns.len()
     }
 
     /// Take (consume) the event log of a connection; `None` when logging
@@ -267,6 +296,8 @@ impl NetSim {
             up_sent: 0,
             up_delivered: 0,
             rto_epoch: 0,
+            rto_armed: None,
+            rto_entry: None,
             plan: None,
             plan_generation: 0,
             log: self.logging.then(ConnLog::default),
@@ -343,7 +374,11 @@ impl NetSim {
 
     fn process(&mut self, now: SimTime, ev: Ev) {
         self.events_processed += 1;
-        obs::NET_EVENTS_PROCESSED.incr();
+        // Retransmission checks count when they fire or are retired (see
+        // `retire_rto`), not when a queue entry pops.
+        if !matches!(ev, Ev::RtoCheck { .. }) {
+            obs::NET_EVENTS_PROCESSED.incr();
+        }
         // Events that touch the sender while a burst plan is deferring
         // its ACKs must see the exact reference state: flush first.
         // (`RtoCheck` defers the flush until after its staleness test —
@@ -497,10 +532,25 @@ impl NetSim {
             Ev::AckArrive { conn, ack, sack } => {
                 self.apply_ack(conn, now, ack, sack);
             }
-            Ev::RtoCheck { conn, epoch } => {
-                if self.conns[conn].rto_epoch != epoch {
-                    return; // superseded by a later (re)arm
+            Ev::RtoCheck { conn, seq } => {
+                let c = &mut self.conns[conn];
+                if c.rto_entry.map(|(_, s)| s) != Some(seq) {
+                    return; // orphan: an earlier entry replaced it
                 }
+                c.rto_entry = None;
+                let Some(armed) = c.rto_armed else {
+                    return; // disarmed since the entry was queued
+                };
+                if (armed.deadline, armed.seq) != (now, seq) {
+                    // Queued for an earlier arm: wait for the armed one.
+                    let (deadline, seq) = (armed.deadline, armed.seq);
+                    c.rto_entry = Some((deadline, seq));
+                    self.queue.schedule_seq(deadline, seq, Ev::RtoCheck { conn, seq });
+                    return;
+                }
+                c.rto_armed = None;
+                obs::NET_EVENTS_PROCESSED.incr();
+                let epoch = armed.epoch;
                 // A live check during an active plan would act on the
                 // deferred sender state; restore exactness first. (Cannot
                 // happen — see the dispatch comment — but stay safe.)
@@ -568,7 +618,7 @@ impl NetSim {
             c.sender.next_segment().is_none(),
             "deferred ACK must not open the send window"
         );
-        c.rto_epoch += 1;
+        self.retire_rto(conn);
     }
 
     /// Deactivate a connection's burst plan, restoring the exact
@@ -699,12 +749,33 @@ impl NetSim {
     }
 
     /// Reset the retransmission timer after any sender activity.
+    ///
+    /// The new check takes its queue sequence number now, but is queued
+    /// only when the connection has no entry at or before its deadline;
+    /// otherwise the existing entry re-queues it when it pops.
     fn rearm_rto(&mut self, conn: usize, now: SimTime) {
+        self.retire_rto(conn);
         let c = &mut self.conns[conn];
-        c.rto_epoch += 1;
         if c.sender.in_flight() > 0 {
             let deadline = now + c.sender.current_rto();
-            self.queue.schedule(deadline, Ev::RtoCheck { conn, epoch: c.rto_epoch });
+            let seq = self.queue.reserve_seq();
+            c.rto_armed = Some(ArmedRto { deadline, seq, epoch: c.rto_epoch });
+            if c.rto_entry.is_none_or(|(t, _)| t > deadline) {
+                c.rto_entry = Some((deadline, seq));
+                self.queue.schedule_seq(deadline, seq, Ev::RtoCheck { conn, seq });
+            }
+        }
+    }
+
+    /// Start a new timer epoch, retiring the armed check. A retired check
+    /// counts as a processed event here, where a per-arm timer model
+    /// would have queued it and later popped it as a no-op; every load
+    /// runs to quiescence, so the totals agree.
+    fn retire_rto(&mut self, conn: usize) {
+        let c = &mut self.conns[conn];
+        c.rto_epoch += 1;
+        if c.rto_armed.take().is_some() {
+            obs::NET_EVENTS_PROCESSED.incr();
         }
     }
 
@@ -918,6 +989,87 @@ mod tests {
         assert!(six < ideal * 1.4, "sharing too inefficient: {six}s vs {ideal}s");
         // And the shared link means each flow is far slower than solo.
         assert!(six > 2.0 * one, "six flows at {six}s vs one at {one}s");
+    }
+
+    /// How each popped `RtoCheck` entry was handled.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct RtoPops {
+        /// Replaced by an earlier entry (the deadline moved earlier).
+        orphan: u64,
+        /// Popped before the armed deadline and re-queued there (the
+        /// deadline moved later).
+        early: u64,
+        /// The timer was disarmed (nothing in flight) while it waited.
+        disarmed: u64,
+        /// Fired at exactly the armed `(deadline, seq)`.
+        live: u64,
+    }
+
+    /// Serve one `bytes`-sized response on one connection, popping the
+    /// queue by hand to classify every timer entry against the
+    /// connection's armed check just before it is processed.
+    fn classify_rto_pops(profile: NetworkProfile, seed: Seed, bytes: u64) -> (RtoPops, ConnStats) {
+        let mut sim = NetSim::new(profile, seed);
+        let conn = sim.open(SimTime::ZERO, TlsMode::None);
+        let mut pops = RtoPops::default();
+        while let Some((now, ev)) = sim.queue.pop() {
+            if let Ev::RtoCheck { conn: c, seq } = ev {
+                let c = &sim.conns[c];
+                match c.rto_armed {
+                    _ if c.rto_entry.map(|(_, s)| s) != Some(seq) => pops.orphan += 1,
+                    None => pops.disarmed += 1,
+                    Some(a) if (a.deadline, a.seq) == (now, seq) => pops.live += 1,
+                    Some(a) => {
+                        assert!((now, seq) < (a.deadline, a.seq), "entry after its deadline");
+                        pops.early += 1;
+                    }
+                }
+            }
+            sim.process(now, ev);
+            while let Some((t, ev)) = sim.out.pop_front() {
+                match ev {
+                    NetEvent::Established { .. } => sim.client_send(conn, t, 300),
+                    NetEvent::RequestDelivered { total_bytes: 300, .. } => {
+                        sim.server_send(conn, t, bytes)
+                    }
+                    _ => {}
+                }
+            }
+            // The one entry never trails the armed check.
+            let c = &sim.conns[conn.0];
+            if let Some(a) = c.rto_armed {
+                let (t, s) = c.rto_entry.expect("armed check without an entry");
+                assert!((t, s) <= (a.deadline, a.seq));
+            }
+        }
+        let c = &sim.conns[conn.0];
+        assert!(c.rto_armed.is_none() && c.rto_entry.is_none(), "timer left behind");
+        (pops, sim.conn_stats(conn))
+    }
+
+    #[test]
+    fn one_rto_entry_follows_the_armed_deadline() {
+        let (pops, stats) = classify_rto_pops(lossless(), Seed(9), 300_000);
+        assert_eq!(stats.bytes_delivered, 300_000);
+        // The first RTT sample shrinks the RTO below the initial 1 s: the
+        // deadline moves earlier and the first entry is orphaned.
+        assert!(pops.orphan >= 1, "{pops:?}");
+        // ACK-clocked re-arms push the deadline later: the entry pops
+        // early and re-queues itself at the armed deadline.
+        assert!(pops.early >= 1, "{pops:?}");
+        // The final ACK leaves nothing in flight, disarming the timer.
+        assert!(pops.disarmed >= 1, "{pops:?}");
+        assert_eq!(pops.live, 0, "no loss, no timeout: {pops:?}");
+        assert_eq!(stats.timeouts, 0);
+    }
+
+    #[test]
+    fn live_rto_fires_once_per_timeout() {
+        let profile = NetworkProfile { loss: LossModel::Bernoulli { p: 0.1 }, ..lossless() };
+        let (pops, stats) = classify_rto_pops(profile, Seed(4), 500_000);
+        assert_eq!(stats.bytes_delivered, 500_000);
+        assert!(stats.timeouts > 0, "10% loss must time out at least once");
+        assert_eq!(pops.live, stats.timeouts, "{pops:?}");
     }
 
     #[test]

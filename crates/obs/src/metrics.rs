@@ -18,7 +18,10 @@ use crate::{Counter, Histogram, LabeledCounter};
 
 // --- net: the TCP/link simulator ---
 
-/// Events popped off the simulator's calendar queue.
+/// Simulator events processed, in the per-arm timer model: every popped
+/// event except retransmission-timer entries, plus each armed
+/// retransmission check once (when it fires, or when a re-arm retires
+/// it). This is what a queue holding one check per re-arm would pop.
 pub static NET_EVENTS_PROCESSED: Counter = Counter::new("net.events_processed");
 /// Data segments handed to the link (including retransmissions).
 pub static NET_SEGMENTS_SENT: Counter = Counter::new("net.segments_sent");
