@@ -10,7 +10,9 @@
 //!
 //! * [`config`] — the knob set (protocol, network, device, blockers).
 //! * [`loader`] — the page-load engine: preload scanner, parser blocking,
-//!   render blocking, progressive paint, script injection, onload.
+//!   render blocking, progressive paint, script injection, onload; and
+//!   [`load_repeats`], which loads one configuration under several seeds
+//!   while simulating their common prefix once.
 //! * [`extensions`] — the AdBlock/Ghostery/uBlock models of §5.4.
 //! * [`paint`] — paint events, the raw material of videos and metrics.
 //! * [`trace`] — [`trace::LoadTrace`], the full record of one load.
@@ -39,6 +41,6 @@ pub mod trace;
 pub use config::{BrowserConfig, CpuCosts, DeviceProfile};
 pub use extensions::AdBlocker;
 pub use har::{to_har, to_har_json};
-pub use loader::{load_page, load_page_reference, load_page_with_conns};
+pub use loader::{load_page, load_page_reference, load_page_with_conns, load_repeats};
 pub use paint::{PaintEvent, PaintKind};
 pub use trace::{LoadTrace, ResourceTrace, SkipReason};

@@ -30,13 +30,25 @@
 //!   children of a blocked injector are never discovered.
 //! * **onload** — fires when parsing is done and no started fetch is
 //!   outstanding.
+//!
+//! ## Repeated loads
+//!
+//! Only two things in a load consume its seed: the network's loss
+//! process and the DNS resolver. [`load_repeats`] exploits that. Repeats
+//! of one configuration are identical until their first differing loss
+//! draw, so it simulates their common prefix once. A *driver* load runs
+//! from the start and is cloned at loop boundaries shortly before each
+//! other repeat's divergence. Each clone then resumes with that repeat's
+//! own loss process and resolver. A repeat that never diverges within
+//! the driver's load is the driver's *twin* and takes its trace.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use eyeorg_http::{FetchEngine, FetchEvent, HttpConfig, OriginId, Priority, Protocol, Request, RequestId};
+use eyeorg_net::dns::Resolution;
 use eyeorg_net::event::EventQueue;
 use eyeorg_obs::metrics as obs;
-use eyeorg_net::{ConnId, ConnLog, ConnStats, DnsConfig, Resolver, SimDuration, SimTime};
+use eyeorg_net::{ConnId, ConnLog, ConnStats, DnsConfig, LossProcess, NetSim, Resolver, SimDuration, SimTime};
 use eyeorg_stats::Seed;
 use eyeorg_workload::{Discovery, Rect, ResourceId, ResourceKind, Website};
 
@@ -111,11 +123,167 @@ pub fn load_page_reference(site: &Website, cfg: &BrowserConfig, seed: Seed) -> L
     Loader::new(site, cfg, seed, false).run().0
 }
 
+/// [`load_page`] once per seed: returns exactly
+/// `seeds.iter().map(|s| load_page(site, cfg, *s))`, and adds exactly
+/// what those loads add to the obs counters.
+///
+/// The repeats share the simulation of their common prefix (see the
+/// module docs on repeated loads); any repeat outside the sharing
+/// preconditions is loaded with [`load_page`].
+pub fn load_repeats(site: &Website, cfg: &BrowserConfig, seeds: &[Seed]) -> Vec<LoadTrace> {
+    share_repeats(site, cfg, seeds).into_iter().map(|(trace, _)| trace).collect()
+}
+
+/// A snapshot for a repeat is taken at the first loop boundary at most
+/// this many loss draws before its divergence index. One loop step
+/// rarely sends more segments than this.
+const FORK_MARGIN: u64 = 64;
+
+/// Loss draws scanned per repeat for its first drop. A repeat that
+/// agrees with the driver this far is treated as diverging here.
+const SCAN_CAP: u64 = 1 << 16;
+
+/// How [`share_repeats`] produced one repeat's trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Path {
+    /// Simulated from the start; the others share its prefix.
+    Driver,
+    /// Outcomes agree with the driver's over its whole load.
+    Twin,
+    /// Resumed from a snapshot of the driver's load.
+    Fork,
+    /// Fallback to [`load_page`]: a resolver outcome differed from the
+    /// driver's before the repeat's snapshot (or end, for a twin).
+    ResolverMismatch,
+    /// Fallback to [`load_page`]: no loop boundary fell within
+    /// [`FORK_MARGIN`] draws before the divergence index.
+    NoSnapshot,
+}
+
+/// [`load_repeats`], with the path each trace took.
+fn share_repeats(site: &Website, cfg: &BrowserConfig, seeds: &[Seed]) -> Vec<(LoadTrace, Path)> {
+    let n = seeds.len();
+    if n < 2 {
+        return seeds.iter().map(|&seed| (load_page(site, cfg, seed), Path::Driver)).collect();
+    }
+    let first_drop: Vec<u64> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut loss = loss_process(cfg, seed);
+            (0..SCAN_CAP).find(|_| loss.drops_next()).unwrap_or(SCAN_CAP)
+        })
+        .collect();
+    // The latest first drop (the earliest repeat among equals).
+    let driver = (0..n).rev().max_by_key(|&r| first_drop[r]).unwrap_or(0);
+    // Divergence index per repeat: the first loss draw whose outcome
+    // differs from the driver's (draws before it agree).
+    let diverge: Vec<u64> = (0..n)
+        .map(|r| {
+            if first_drop[r] < first_drop[driver] || first_drop[r] == SCAN_CAP {
+                // Both deliver everything before `r`'s first drop.
+                return first_drop[r];
+            }
+            let (mut a, mut b) = (loss_process(cfg, seeds[driver]), loss_process(cfg, seeds[r]));
+            (0..SCAN_CAP).find(|_| a.drops_next() != b.drops_next()).unwrap_or(SCAN_CAP)
+        })
+        .collect();
+
+    let mut loader = Loader::new(site, cfg, seeds[driver], true);
+    let mut snapshots: Vec<Option<Loader>> = vec![None; n];
+    loop {
+        let drawn = loader.engine.net().loss_draws();
+        for r in (0..n).filter(|&r| r != driver) {
+            if snapshots[r].is_none() && drawn <= diverge[r] && diverge[r] - drawn <= FORK_MARGIN {
+                snapshots[r] = Some(loader.clone());
+            }
+        }
+        if !loader.step() {
+            break;
+        }
+    }
+    let drawn = loader.engine.net().loss_draws();
+    let cpu_busy_us = loader.cpu_busy_us;
+    let dns_calls = std::mem::take(&mut loader.dns_calls);
+    let (driver_trace, driver_engine) = loader.finalize();
+
+    let mut out = Vec::with_capacity(n);
+    for (r, &seed) in seeds.iter().enumerate() {
+        // `None` when the repeat's resolver answers a recorded call
+        // differently.
+        let shared = if r == driver {
+            Some((driver_trace.clone(), Path::Driver))
+        } else if drawn <= diverge[r] {
+            replays(&dns_calls, site, cfg, seed).map(|_| {
+                fold_counters(&driver_trace, &driver_engine, cpu_busy_us);
+                (driver_trace.clone(), Path::Twin)
+            })
+        } else if let Some(fork) = snapshots[r].take() {
+            fork.resume(seed).map(|trace| (trace, Path::Fork))
+        } else {
+            Some((load_page(site, cfg, seed), Path::NoSnapshot))
+        };
+        out.push(shared.unwrap_or_else(|| (load_page(site, cfg, seed), Path::ResolverMismatch)));
+    }
+    out
+}
+
+/// The engine seed of a load with `seed`.
+fn net_seed(seed: Seed) -> Seed {
+    seed.derive("net")
+}
+
+/// A fresh loss process, as a load with `seed` starts with.
+fn loss_process(cfg: &BrowserConfig, seed: Seed) -> LossProcess {
+    NetSim::loss_process(&cfg.network, net_seed(seed))
+}
+
+/// The resolver a load with `seed` starts with.
+fn primed_resolver(site: &Website, cfg: &BrowserConfig, seed: Seed) -> Resolver {
+    let mut resolver = Resolver::new(DnsConfig::default(), seed.derive("dns"));
+    if cfg.primer {
+        // The webpeg primer load warms the resolver for every origin
+        // the page touches; its cost is outside the measured load.
+        for o in &site.origins {
+            resolver.resolve(&o.host, SimTime::ZERO);
+        }
+    }
+    resolver
+}
+
+/// The resolver of a load with `seed` after it made `calls`, or `None`
+/// if one of them resolves differently than recorded.
+fn replays(calls: &[DnsCall], site: &Website, cfg: &BrowserConfig, seed: Seed) -> Option<Resolver> {
+    let mut resolver = primed_resolver(site, cfg, seed);
+    calls
+        .iter()
+        .all(|&(origin, t, outcome)| {
+            resolver.resolve(&site.origins[usize::from(origin)].host, t) == outcome
+        })
+        .then_some(resolver)
+}
+
+/// One in-load resolver call: origin index, time, outcome.
+type DnsCall = (u16, SimTime, Resolution);
+
+/// Add one load's totals to the obs registry.
+fn fold_counters(trace: &LoadTrace, engine: &FetchEngine, cpu_busy_us: u64) {
+    engine.fold_counters();
+    obs::BROWSER_PAGE_LOADS.incr();
+    obs::BROWSER_RESOURCES_FETCHED.add(trace.resources.iter().filter(|r| r.fetched()).count() as u64);
+    obs::BROWSER_PAINT_EVENTS.add(trace.paints.len() as u64);
+    obs::BROWSER_MAIN_THREAD_CPU_US.add(cpu_busy_us);
+    obs::BROWSER_LOAD_CPU_MS.record(cpu_busy_us / 1000);
+}
+
+#[derive(Clone)]
 struct Loader<'a> {
     site: &'a Website,
     cfg: &'a BrowserConfig,
     engine: FetchEngine,
     resolver: Resolver,
+    /// Every resolver call of this load, in order: what a repeat
+    /// resumed from a snapshot of this load replays.
+    dns_calls: Vec<DnsCall>,
     tasks: EventQueue<Ev>,
     /// Main thread is busy until this instant.
     mt_free: SimTime,
@@ -124,7 +292,9 @@ struct Loader<'a> {
     /// [`LoadTrace`], so trace fingerprints are unchanged.
     cpu_busy_us: u64,
     res: Vec<ResourceTrace>,
-    req_map: BTreeMap<RequestId, ResourceId>,
+    /// The resource of each request, indexed by [`RequestId`] (the
+    /// engine numbers requests densely in submission order).
+    req_map: Vec<ResourceId>,
     registered_origins: BTreeSet<u16>,
     discovered: Vec<bool>,
     /// Resources that have started loading and not yet completed/skipped.
@@ -160,16 +330,8 @@ impl<'a> Loader<'a> {
             tls: cfg.tls,
             ..HttpConfig::new(cfg.protocol)
         };
-        let mut engine = FetchEngine::new(http_cfg, cfg.network.clone(), seed.derive("net"));
+        let mut engine = FetchEngine::new(http_cfg, cfg.network.clone(), net_seed(seed));
         engine.set_burst_batching(batching);
-        let mut resolver = Resolver::new(DnsConfig::default(), seed.derive("dns"));
-        if cfg.primer {
-            // The webpeg primer load warms the resolver for every origin
-            // the page touches; its cost is outside the measured load.
-            for o in &site.origins {
-                resolver.resolve(&o.host, SimTime::ZERO);
-            }
-        }
         let html_total = site.resources[0].body_bytes;
         let mut sync_scripts: Vec<(u64, ResourceId)> = site
             .resources
@@ -191,12 +353,13 @@ impl<'a> Loader<'a> {
             site,
             cfg,
             engine,
-            resolver,
+            resolver: primed_resolver(site, cfg, seed),
+            dns_calls: Vec::new(),
             tasks,
             mt_free: SimTime::ZERO,
             cpu_busy_us: 0,
             res: site.resources.iter().map(|r| ResourceTrace::empty(r.id)).collect(),
-            req_map: BTreeMap::new(),
+            req_map: Vec::new(),
             registered_origins: BTreeSet::new(),
             discovered: vec![false; site.resources.len()],
             outstanding: BTreeSet::new(),
@@ -219,25 +382,41 @@ impl<'a> Loader<'a> {
     }
 
     fn run(mut self) -> (LoadTrace, FetchEngine) {
-        loop {
-            let limit = self.tasks.peek_time().unwrap_or(SimTime::from_micros(u64::MAX));
-            match self.engine.next_event_until(limit) {
-                Some((t, fe)) => {
-                    self.last_event_time = self.last_event_time.max(t);
-                    self.handle_fetch(t, fe);
-                    self.check_onload(t);
-                }
-                None => match self.tasks.pop() {
-                    Some((t, ev)) => {
-                        self.last_event_time = self.last_event_time.max(t);
-                        self.handle_browser(t, ev);
-                        self.check_onload(t);
-                    }
-                    None => break,
-                },
-            }
-        }
+        while self.step() {}
         self.finalize()
+    }
+
+    /// One turn of the co-simulation loop: the next fetch event if one
+    /// comes at or before the next browser task, else that task.
+    /// `false` once both timelines are exhausted.
+    fn step(&mut self) -> bool {
+        let limit = self.tasks.peek_time().unwrap_or(SimTime::from_micros(u64::MAX));
+        if let Some((t, fe)) = self.engine.next_event_until(limit) {
+            self.last_event_time = self.last_event_time.max(t);
+            self.handle_fetch(t, fe);
+            self.check_onload(t);
+        } else if let Some((t, ev)) = self.tasks.pop() {
+            self.last_event_time = self.last_event_time.max(t);
+            self.handle_browser(t, ev);
+            self.check_onload(t);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Continue a snapshot of another repeat's load as the load with
+    /// `seed`, whose loss draws agree with it up to the snapshot. `None`
+    /// when this seed's resolver answers one of the snapshot's calls
+    /// differently.
+    fn resume(mut self, seed: Seed) -> Option<LoadTrace> {
+        self.resolver = replays(&self.dns_calls, self.site, self.cfg, seed)?;
+        let mut loss = loss_process(self.cfg, seed);
+        for _ in 0..self.engine.net().loss_draws() {
+            loss.drops_next();
+        }
+        self.engine.replace_loss(loss);
+        Some(self.run().0)
     }
 
     // ------------------------------------------------------------------
@@ -245,10 +424,7 @@ impl<'a> Loader<'a> {
     // ------------------------------------------------------------------
 
     fn handle_fetch(&mut self, t: SimTime, ev: FetchEvent) {
-        let rid = match self.req_map.get(&ev.request_id()) {
-            Some(&r) => r,
-            None => return,
-        };
+        let Some(&rid) = self.req_map.get(ev.request_id().0 as usize) else { return };
         match ev {
             FetchEvent::HeadersReceived { .. } => {
                 self.res[rid.0 as usize].headers = Some(t);
@@ -347,6 +523,7 @@ impl<'a> Loader<'a> {
         // DNS, cached per host across the load.
         let host = &self.site.origins[resource.origin.0 as usize].host;
         let dns = self.resolver.resolve(host, ready_at);
+        self.dns_calls.push((resource.origin.0, ready_at, dns));
         self.outstanding.insert(rid);
         self.tasks.schedule(ready_at + dns.latency, Ev::Submit(rid));
     }
@@ -383,7 +560,7 @@ impl<'a> Loader<'a> {
             server_think: SimDuration::from_micros(resource.server_think_us),
         };
         let req_id = self.engine.submit(t, req);
-        self.req_map.insert(req_id, rid);
+        self.map_request(req_id, rid);
         self.res[rid.0 as usize].submitted = Some(t);
 
         // Server push: alongside the document, the origin pushes its
@@ -417,13 +594,19 @@ impl<'a> Loader<'a> {
                     server_think: SimDuration::from_micros(pres.server_think_us),
                 };
                 let pid = self.engine.submit_pushed(t, req_id, preq);
-                self.req_map.insert(pid, prid);
+                self.map_request(pid, prid);
                 self.discovered[prid.0 as usize] = true;
                 self.res[prid.0 as usize].discovered = Some(t);
                 self.res[prid.0 as usize].submitted = Some(t);
                 self.outstanding.insert(prid);
             }
         }
+    }
+
+    /// Record the resource a just-submitted request fetches.
+    fn map_request(&mut self, req: RequestId, rid: ResourceId) {
+        debug_assert_eq!(req.0 as usize, self.req_map.len(), "requests map in submission order");
+        self.req_map.push(rid);
     }
 
     fn on_parse_done(&mut self, upto: u64, t: SimTime) {
@@ -726,12 +909,59 @@ impl<'a> Loader<'a> {
             page_height: self.site.page_height,
         };
         debug_assert_eq!(trace.check_invariants(), Ok(()));
-        obs::BROWSER_PAGE_LOADS.incr();
-        obs::BROWSER_RESOURCES_FETCHED
-            .add(trace.resources.iter().filter(|r| r.fetched()).count() as u64);
-        obs::BROWSER_PAINT_EVENTS.add(trace.paints.len() as u64);
-        obs::BROWSER_MAIN_THREAD_CPU_US.add(self.cpu_busy_us);
-        obs::BROWSER_LOAD_CPU_MS.record(self.cpu_busy_us / 1000);
+        fold_counters(&trace, &self.engine, self.cpu_busy_us);
         (trace, self.engine)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use eyeorg_net::NetworkProfile;
+    use eyeorg_workload::{ad_heavy, generate_site, SiteClass};
+
+    /// Load five repeats of several sites under `cfg`, check every trace
+    /// against its plain load, and count the paths the traces took.
+    fn tally(cfg: &BrowserConfig) -> BTreeMap<Path, usize> {
+        let mut sites = vec![generate_site(Seed(3), 0, SiteClass::News)];
+        sites.extend(ad_heavy(Seed(4), 2, 3));
+        let mut paths = BTreeMap::new();
+        for site in &sites {
+            for capture in 0..4 {
+                let seeds: Vec<Seed> =
+                    (0..5).map(|i| Seed(capture).derive_index("load", i)).collect();
+                for ((trace, path), &seed) in share_repeats(site, cfg, &seeds).iter().zip(&seeds) {
+                    assert_eq!(*trace, load_page(site, cfg, seed), "{path:?} trace differs");
+                    *paths.entry(*path).or_insert(0) += 1;
+                }
+            }
+        }
+        paths
+    }
+
+    #[test]
+    fn drivers_twins_and_forks_all_engage() {
+        for network in [NetworkProfile::fttc(), NetworkProfile::cable()] {
+            let paths = tally(&BrowserConfig::new().with_network(network));
+            eprintln!("{paths:?}");
+            assert_eq!(paths.get(&Path::Driver), Some(&12), "{paths:?}");
+            assert!(paths.get(&Path::Twin) > Some(&0), "{paths:?}");
+            assert!(paths.get(&Path::Fork) > Some(&0), "{paths:?}");
+            // Primed resolvers answer every in-load lookup from cache.
+            assert_eq!(paths.get(&Path::ResolverMismatch), None, "{paths:?}");
+        }
+    }
+
+    #[test]
+    fn cold_resolvers_fall_back_to_plain_loads() {
+        let cfg = BrowserConfig { primer: false, ..BrowserConfig::new() };
+        let paths = tally(&cfg);
+        eprintln!("{paths:?}");
+        // The document's own lookup is a cold miss with a per-seed
+        // latency, so no repeat can share the driver's prefix.
+        assert_eq!(paths.get(&Path::Driver), Some(&12), "{paths:?}");
+        assert_eq!(paths.get(&Path::ResolverMismatch), Some(&48), "{paths:?}");
     }
 }

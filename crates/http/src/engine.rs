@@ -15,12 +15,17 @@
 //! non-decreasing and must not precede any `limit` already passed to
 //! `next_event_until` — in a co-simulation loop this holds by
 //! construction, and violations panic rather than corrupt causality.
+//!
+//! An engine is plain data: it counts its own `http.*` obs counters
+//! (and its simulator its `net.*` ones) and is `Clone`, so a caller can
+//! fork a session mid-run. [`FetchEngine::fold_counters`] adds the
+//! tallies to the registry.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use eyeorg_net::event::EventQueue;
 use eyeorg_obs::metrics as obs;
-use eyeorg_net::{ConnId, NetEvent, NetSim, NetworkProfile, SimTime, TlsMode};
+use eyeorg_net::{ConnId, LossProcess, NetEvent, NetSim, NetworkProfile, SimTime, TlsMode};
 use eyeorg_stats::Seed;
 
 use crate::h1::{H1Conn, H1Delivery, H1Origin, QueuedRequest};
@@ -76,7 +81,7 @@ impl HttpConfig {
 }
 
 /// Per-request record.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Rec {
     req: Request,
     timing: RequestTiming,
@@ -95,7 +100,7 @@ struct Rec {
 }
 
 /// HTTP/2 per-origin connection state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct H2Origin {
     conn: ConnId,
     established: bool,
@@ -114,7 +119,7 @@ struct H2Origin {
     delivered: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum OriginState {
     H1(H1Origin),
     H2(H2Origin),
@@ -128,21 +133,35 @@ enum TimerEv {
     TryAssign(OriginId),
 }
 
+/// An engine's tallies of the `http.*` obs counters (declared in
+/// `eyeorg_obs::metrics`), in the order listed there.
+#[derive(Debug, Clone, Copy, Default)]
+struct HttpCounters {
+    h1_requests_assigned: u64,
+    h1_conns_reused: u64,
+    conns_opened: u64,
+    h2_streams: u64,
+    h2_pushed_streams: u64,
+}
+
 /// The per-session fetch engine. See module docs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FetchEngine {
     net: NetSim,
     cfg: HttpConfig,
     recs: Vec<Rec>,
     origins: BTreeMap<OriginId, OriginState>,
     origin_protocols: BTreeMap<OriginId, Protocol>,
-    conn_map: BTreeMap<ConnId, OriginId>,
+    /// Each connection's origin, indexed by [`ConnId`] (ids are dense:
+    /// the simulator numbers connections in open order).
+    conn_map: Vec<OriginId>,
     timers: EventQueue<TimerEv>,
     out: VecDeque<(SimTime, FetchEvent)>,
     uplink_wire_bytes: u64,
     /// Reused attribution buffers for delivered downlink bytes.
     h1_deliveries: Vec<H1Delivery>,
     h2_deliveries: Vec<Delivery>,
+    counters: HttpCounters,
 }
 
 impl FetchEngine {
@@ -154,13 +173,31 @@ impl FetchEngine {
             recs: Vec::new(),
             origins: BTreeMap::new(),
             origin_protocols: BTreeMap::new(),
-            conn_map: BTreeMap::new(),
+            conn_map: Vec::new(),
             timers: EventQueue::new(),
             out: VecDeque::new(),
             uplink_wire_bytes: 0,
             h1_deliveries: Vec::new(),
             h2_deliveries: Vec::new(),
+            counters: HttpCounters::default(),
         }
+    }
+
+    /// Add this session's `http.*` and `net.*` counter tallies to the
+    /// obs registry (once per session: the tallies are totals).
+    pub fn fold_counters(&self) {
+        let c = self.counters;
+        obs::HTTP_H1_REQUESTS_ASSIGNED.add(c.h1_requests_assigned);
+        obs::HTTP_H1_CONNS_REUSED.add(c.h1_conns_reused);
+        obs::HTTP_CONNS_OPENED.add(c.conns_opened);
+        obs::HTTP_H2_STREAMS.add(c.h2_streams);
+        obs::HTTP_H2_PUSHED_STREAMS.add(c.h2_pushed_streams);
+        self.net.fold_counters();
+    }
+
+    /// Replace the simulator's loss process (see [`NetSim::replace_loss`]).
+    pub fn replace_loss(&mut self, loss: LossProcess) {
+        self.net.replace_loss(loss);
     }
 
     /// Toggle the network simulator's lossless burst batching (on by
@@ -221,8 +258,8 @@ impl FetchEngine {
             Protocol::Http2 => {
                 if !self.origins.contains_key(&origin) {
                     let conn = self.net.open(at, self.cfg.tls);
-                    obs::HTTP_CONNS_OPENED.incr();
-                    self.conn_map.insert(conn, origin);
+                    self.counters.conns_opened += 1;
+                    self.map_conn(conn, origin);
                     self.origins.insert(
                         origin,
                         OriginState::H2(H2Origin {
@@ -406,8 +443,7 @@ impl FetchEngine {
     fn handle_net(&mut self, now: SimTime, ev: NetEvent) {
         match ev {
             NetEvent::Established { conn } => {
-                // lint:allow(D4): conn_map gains an entry at connect time, before any event for the connection
-                let origin = *self.conn_map.get(&conn).expect("unknown connection");
+                let origin = self.conn_map[conn.0];
                 // lint:allow(D4): origins gains an entry before any connection to it is opened
                 match self.origins.get_mut(&origin).expect("origin exists") {
                     OriginState::H1(o) => {
@@ -426,8 +462,7 @@ impl FetchEngine {
                 self.try_assign(origin, now);
             }
             NetEvent::RequestDelivered { conn, total_bytes } => {
-                // lint:allow(D4): conn_map gains an entry at connect time, before any event for the connection
-                let origin = *self.conn_map.get(&conn).expect("unknown connection");
+                let origin = self.conn_map[conn.0];
                 let mut ready: Vec<RequestId> = Vec::new();
                 // lint:allow(D4): origins gains an entry before any connection to it is opened
                 match self.origins.get_mut(&origin).expect("origin exists") {
@@ -463,8 +498,7 @@ impl FetchEngine {
                 }
             }
             NetEvent::Delivered { conn, total_bytes } => {
-                // lint:allow(D4): conn_map gains an entry at connect time, before any event for the connection
-                let origin = *self.conn_map.get(&conn).expect("unknown connection");
+                let origin = self.conn_map[conn.0];
                 self.on_down_delivered(origin, conn, total_bytes, now);
             }
         }
@@ -486,11 +520,11 @@ impl FetchEngine {
             let Some(q) = o.pop_assignable(now) else { break };
             let raw_header = self.recs[q.id.0 as usize].req.request_header_bytes;
             let c = &mut o.conns[idx];
-            obs::HTTP_H1_REQUESTS_ASSIGNED.incr();
+            self.counters.h1_requests_assigned += 1;
             if c.down_scheduled > 0 {
                 // The connection has already served response bytes:
                 // this assignment is persistent-connection reuse.
-                obs::HTTP_H1_CONNS_REUSED.incr();
+                self.counters.h1_conns_reused += 1;
             }
             c.assign(q.id, raw_header);
             let conn = c.conn;
@@ -512,15 +546,19 @@ impl FetchEngine {
         let mut new_conns = Vec::new();
         while to_open > 0 {
             let conn = self.net.open(now, self.cfg.tls);
-            obs::HTTP_CONNS_OPENED.incr();
+            self.counters.conns_opened += 1;
+            self.map_conn(conn, origin);
             new_conns.push(conn);
             to_open -= 1;
         }
         let Some(OriginState::H1(o)) = self.origins.get_mut(&origin) else { return };
-        for conn in new_conns {
-            o.conns.push(H1Conn::new(conn));
-            self.conn_map.insert(conn, origin);
-        }
+        o.conns.extend(new_conns.into_iter().map(H1Conn::new));
+    }
+
+    /// Record a just-opened connection's origin.
+    fn map_conn(&mut self, conn: ConnId, origin: OriginId) {
+        debug_assert_eq!(conn.0, self.conn_map.len(), "connections map in open order");
+        self.conn_map.push(origin);
     }
 
     fn try_assign_h2(&mut self, origin: OriginId, now: SimTime) {
@@ -580,7 +618,7 @@ impl FetchEngine {
                 let wire_header = o.hpack_down.encode(rec.req.response_header_bytes);
                 rec.resp_header_wire = wire_header;
                 let weight = rec.req.priority.h2_weight();
-                obs::HTTP_H2_STREAMS.incr();
+                self.counters.h2_streams += 1;
                 o.sched.add_stream(H2SendStream::new(id, wire_header, rec.req.body_bytes, weight));
                 // Pushed streams ride along: they become ready with the
                 // parent (the server already knows it will send them).
@@ -599,8 +637,8 @@ impl FetchEngine {
                         o.hpack_down.encode(prec.req.response_header_bytes) + 16;
                     prec.resp_header_wire = wire_header;
                     let weight = prec.req.priority.h2_weight();
-                    obs::HTTP_H2_STREAMS.incr();
-                    obs::HTTP_H2_PUSHED_STREAMS.incr();
+                    self.counters.h2_streams += 1;
+                    self.counters.h2_pushed_streams += 1;
                     o.sched.add_stream(H2SendStream::new(
                         pid,
                         wire_header,

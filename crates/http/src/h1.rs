@@ -44,7 +44,7 @@ pub struct CurrentResponse {
 }
 
 /// One HTTP/1.1 connection in an origin's pool.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct H1Conn {
     /// Transport connection backing this slot.
     pub conn: ConnId,
@@ -175,7 +175,7 @@ pub struct QueuedRequest {
 }
 
 /// An origin's HTTP/1.1 connection pool and pending-request queue.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct H1Origin {
     /// Connection slots (at most the configured pool size).
     pub conns: Vec<H1Conn>,

@@ -96,7 +96,7 @@ impl H2SendStream {
 /// Only streams with unwritten bytes are kept, in the order they were
 /// added, so picking a frame scans the active streams, not every stream
 /// the connection ever carried.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct H2Scheduler {
     streams: Vec<H2SendStream>,
 }
@@ -171,7 +171,7 @@ pub struct Delivery {
 
 /// The composition of a connection's downlink byte stream, in write
 /// order, used to map cumulative transport delivery back to streams.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ChunkMap {
     chunks: VecDeque<Chunk>,
     /// Absolute stream offset up to which bytes have been attributed.

@@ -51,7 +51,7 @@ impl Default for DnsConfig {
 }
 
 /// A caching stub-resolver model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Resolver {
     cfg: DnsConfig,
     rng: Rng,

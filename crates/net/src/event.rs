@@ -23,7 +23,7 @@ use crate::time::SimTime;
 
 /// A scheduled event carrying a payload of type `E`, ordered so that the
 /// `(time, seq)`-smallest event is the heap's maximum.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
@@ -56,7 +56,7 @@ impl<E> Ord for Scheduled<E> {
 /// Events may only be scheduled at or after the time of the most recently
 /// popped event (the queue's *watermark*); scheduling into the past would
 /// violate causality and panics.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,

@@ -62,7 +62,7 @@ impl LossModel {
 }
 
 /// A running, seeded instance of a [`LossModel`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LossProcess {
     model: LossModel,
     rng: Rng,
@@ -108,6 +108,12 @@ impl LossProcess {
             self.observed_drops += 1;
         }
         dropped
+    }
+
+    /// Packets decided so far: the number of [`LossProcess::drops_next`]
+    /// calls.
+    pub(crate) fn draws(&self) -> u64 {
+        self.observed_packets
     }
 
     /// Fraction of packets dropped so far (0 when none observed).

@@ -21,6 +21,10 @@
 //! * Handshake packets (TCP + TLS legs) are likewise lossless; their
 //!   contribution is the round trips, which are modelled through the real
 //!   queues so queueing delay still applies.
+//!
+//! A simulator is plain data: it tallies its own `net.*` obs counters
+//! (see [`NetSim::fold_counters`]) and can be cloned mid-run, which is
+//! how the browser shares the common prefix of repeated loads.
 
 use std::collections::VecDeque;
 
@@ -119,7 +123,7 @@ const MAX_BATCH_SPAN: SimDuration = SimDuration::from_millis(100);
 /// plan first: deferred ACKs at or before the current time are applied
 /// immediately, later ones are re-materialised as ordinary `AckArrive`
 /// events at their exact recorded times.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BurstPlan {
     /// Byte ranges still expected to arrive, in order.
     pending_segments: VecDeque<(u64, u64)>,
@@ -144,7 +148,7 @@ struct ArmedRto {
 }
 
 /// Per-connection bookkeeping around the TCP state machines.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Conn {
     sender: TcpSender,
     receiver: TcpReceiver,
@@ -191,8 +195,21 @@ pub struct ConnStats {
     pub bytes_delivered: u64,
 }
 
+/// A simulator's tallies of the `net.*` obs counters (declared in
+/// `eyeorg_obs::metrics`), in the order listed there.
+#[derive(Debug, Clone, Copy, Default)]
+struct NetCounters {
+    events_processed: u64,
+    segments_sent: u64,
+    retransmissions: u64,
+    drops_random_loss: u64,
+    drops_queue: u64,
+    bursts_batched: u64,
+    burst_flushes: u64,
+}
+
 /// A deterministic network simulation over one access link.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NetSim {
     profile: NetworkProfile,
     downlink: LinkQueue,
@@ -208,7 +225,10 @@ pub struct NetSim {
     batching: bool,
     /// Internal events popped since construction (for the hot-path
     /// bench's events/sec metric).
-    events_processed: u64,
+    pops: u64,
+    counters: NetCounters,
+    /// `pump`'s candidate burst, kept to reuse its allocation.
+    burst: Vec<(u64, u64)>,
 }
 
 impl NetSim {
@@ -221,15 +241,23 @@ impl NetSim {
             // Uplink carries only small requests/ACKs; give it a deep
             // buffer so drop-tail never applies (see module docs).
             uplink: LinkQueue::new(profile.up_bps, one_way, usize::MAX / 2),
-            loss: LossProcess::new(profile.loss, seed),
+            loss: NetSim::loss_process(&profile, seed),
             conns: Vec::new(),
             queue: EventQueue::new(),
             out: VecDeque::new(),
             logging: false,
             batching: true,
-            events_processed: 0,
+            pops: 0,
+            counters: NetCounters::default(),
+            burst: Vec::new(),
             profile,
         }
+    }
+
+    /// The loss process a simulator created by `NetSim::new(profile,
+    /// seed)` starts with.
+    pub fn loss_process(profile: &NetworkProfile, seed: Seed) -> LossProcess {
+        LossProcess::new(profile.loss, seed)
     }
 
     /// The configured profile.
@@ -255,7 +283,33 @@ impl NetSim {
     /// `net.events_processed` counter is larger: it also counts the
     /// retransmission checks a re-arm retired without queueing them.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.pops
+    }
+
+    /// Add this simulator's `net.*` counter tallies to the obs registry
+    /// (once per simulation: the tallies are totals).
+    pub fn fold_counters(&self) {
+        let c = self.counters;
+        obs::NET_EVENTS_PROCESSED.add(c.events_processed);
+        obs::NET_SEGMENTS_SENT.add(c.segments_sent);
+        obs::NET_RETRANSMISSIONS.add(c.retransmissions);
+        obs::NET_DROPS_RANDOM_LOSS.add(c.drops_random_loss);
+        obs::NET_DROPS_QUEUE.add(c.drops_queue);
+        obs::NET_BURSTS_BATCHED.add(c.bursts_batched);
+        obs::NET_BURST_FLUSHES.add(c.burst_flushes);
+    }
+
+    /// Loss draws made so far: one per data segment sent.
+    pub fn loss_draws(&self) -> u64 {
+        self.loss.draws()
+    }
+
+    /// Replace the loss process. Every later segment's fate comes from
+    /// `loss`; a run whose past draws agree with `loss`'s own past
+    /// draws continues exactly as if `loss` had been there from the
+    /// start.
+    pub fn replace_loss(&mut self, loss: LossProcess) {
+        self.loss = loss;
     }
 
     /// Number of connections opened so far; their ids are
@@ -373,11 +427,11 @@ impl NetSim {
     // ------------------------------------------------------------------
 
     fn process(&mut self, now: SimTime, ev: Ev) {
-        self.events_processed += 1;
+        self.pops += 1;
         // Retransmission checks count when they fire or are retired (see
         // `retire_rto`), not when a queue entry pops.
         if !matches!(ev, Ev::RtoCheck { .. }) {
-            obs::NET_EVENTS_PROCESSED.incr();
+            self.counters.events_processed += 1;
         }
         // Events that touch the sender while a burst plan is deferring
         // its ACKs must see the exact reference state: flush first.
@@ -549,7 +603,7 @@ impl NetSim {
                     return;
                 }
                 c.rto_armed = None;
-                obs::NET_EVENTS_PROCESSED.incr();
+                self.counters.events_processed += 1;
                 let epoch = armed.epoch;
                 // A live check during an active plan would act on the
                 // deferred sender state; restore exactness first. (Cannot
@@ -630,7 +684,7 @@ impl NetSim {
         let Some(mut plan) = self.conns[conn].plan.take() else {
             return;
         };
-        obs::NET_BURST_FLUSHES.incr();
+        self.counters.burst_flushes += 1;
         let mut last_applied = None;
         while let Some(&(t, ack)) = plan.acks.front() {
             if t > now {
@@ -663,13 +717,14 @@ impl NetSim {
     fn pump(&mut self, conn: usize, now: SimTime) {
         // Candidate burst: fresh (non-retransmitted) segments actually
         // handed to the link this pump, none dropped anywhere.
-        let mut burst: Vec<(u64, u64)> = Vec::new();
+        let mut burst = std::mem::take(&mut self.burst);
+        burst.clear();
         let mut clean = self.batching && self.conns[conn].plan.is_none();
         while let Some(seg) = self.conns[conn].sender.next_segment() {
             self.conns[conn].sender.mark_sent(seg, now);
-            obs::NET_SEGMENTS_SENT.incr();
+            self.counters.segments_sent += 1;
             if seg.retransmission {
-                obs::NET_RETRANSMISSIONS.incr();
+                self.counters.retransmissions += 1;
             }
             let cwnd = self.conns[conn].sender.cwnd_bytes();
             if let Some(log) = &mut self.conns[conn].log {
@@ -684,7 +739,7 @@ impl NetSim {
                 );
             }
             if self.loss.drops_next() {
-                obs::NET_DROPS_RANDOM_LOSS.incr();
+                self.counters.drops_random_loss += 1;
                 if let Some(log) = &mut self.conns[conn].log {
                     log.push(now, ConnEvent::SegmentDropped { start: seg.start });
                 }
@@ -703,7 +758,7 @@ impl NetSim {
                 }
                 Transmit::Dropped => {
                     // Drop-tail loss: sender finds out via dupacks/RTO.
-                    obs::NET_DROPS_QUEUE.incr();
+                    self.counters.drops_queue += 1;
                     if let Some(log) = &mut self.conns[conn].log {
                         log.push(now, ConnEvent::SegmentDropped { start: seg.start });
                     }
@@ -712,8 +767,9 @@ impl NetSim {
             }
         }
         if clean && burst.len() >= 2 && burst.len() <= MAX_BATCH_SEGMENTS {
-            self.maybe_install_plan(conn, now, burst);
+            self.maybe_install_plan(conn, now, &burst);
         }
+        self.burst = burst;
     }
 
     /// Install a [`BurstPlan`] for `burst` if the connection is in the
@@ -723,7 +779,7 @@ impl NetSim {
     /// byte with nothing buffered out-of-order. Under these conditions
     /// every deferred ACK's pump is a no-op and its rearm reduces to an
     /// epoch bump, so replaying the ACKs late is byte-identical.
-    fn maybe_install_plan(&mut self, conn: usize, now: SimTime, burst: Vec<(u64, u64)>) {
+    fn maybe_install_plan(&mut self, conn: usize, now: SimTime, burst: &[(u64, u64)]) {
         let c = &self.conns[conn];
         let contiguous = burst.windows(2).all(|w| w[0].1 == w[1].0);
         let (first_start, last_end) = (burst[0].0, burst[burst.len() - 1].1);
@@ -737,11 +793,11 @@ impl NetSim {
         if !deferrable {
             return;
         }
-        obs::NET_BURSTS_BATCHED.incr();
+        self.counters.bursts_batched += 1;
         let c = &mut self.conns[conn];
         c.plan_generation += 1;
         c.plan = Some(BurstPlan {
-            pending_segments: burst.into_iter().collect(),
+            pending_segments: burst.iter().copied().collect(),
             acks: VecDeque::new(),
             generation: c.plan_generation,
             created_at: now,
@@ -775,7 +831,7 @@ impl NetSim {
         let c = &mut self.conns[conn];
         c.rto_epoch += 1;
         if c.rto_armed.take().is_some() {
-            obs::NET_EVENTS_PROCESSED.incr();
+            self.counters.events_processed += 1;
         }
     }
 

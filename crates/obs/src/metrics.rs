@@ -13,6 +13,15 @@
 //! (lazy memoisation that a parallel engine precomputes, racy cache
 //! fills, work-stealing internals) — that would break the byte-identical
 //! fingerprint `scripts/verify.sh` checks across `EYEORG_THREADS`.
+//!
+//! The `net.*` and `http.*` counters are not bumped per event. The
+//! network simulator and the fetch engine tally them in plain integers
+//! that travel (and are cloned) with their state, and the browser folds
+//! those tallies in once per page load, together with the `browser.*`
+//! totals. Each load therefore adds exactly what its events counted,
+//! also when `eyeorg_browser::load_repeats` shares simulation between
+//! repeats, and a traced run pays one fold per load instead of one
+//! atomic add per simulator event.
 
 use crate::{Counter, Histogram, LabeledCounter};
 

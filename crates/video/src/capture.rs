@@ -45,9 +45,11 @@ impl Video {
     /// after the last paint when onload never fired).
     ///
     /// # Panics
-    /// Panics if `fps` is zero.
+    /// Panics if `fps` is zero or above 1,000,000 (the frame step is a
+    /// whole number of simulated microseconds).
     pub fn capture(trace: LoadTrace, fps: u32, record_after: SimDuration) -> Video {
         assert!(fps > 0, "fps must be positive");
+        assert!(fps <= 1_000_000, "fps must be at most 1000000 (one frame per microsecond)");
         let anchor = trace
             .onload
             .or(trace.last_visual_change())
@@ -246,6 +248,21 @@ mod tests {
         // 1280x720 viewport → 64x36 grid.
         assert_eq!(v.frame(0).width(), 64);
         assert_eq!(v.frame(0).height(), 36);
+    }
+
+    #[test]
+    fn one_frame_per_microsecond_is_the_finest_rate() {
+        let trace = video().trace().clone();
+        let v = Video::capture(trace, 1_000_000, SimDuration::from_secs(3));
+        assert_eq!(v.frame_count() as u64, v.duration().as_micros() + 1);
+        assert_eq!(v.frame_time(7).as_micros(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "fps must be at most 1000000")]
+    fn fps_above_one_per_microsecond_rejected() {
+        let trace = video().trace().clone();
+        Video::capture(trace, 1_000_001, SimDuration::from_secs(3));
     }
 
     #[test]

@@ -5,11 +5,16 @@
 //! wraps the browser + capture pipeline exactly that way: fresh browser
 //! state per load (a new seeded loader), repeated loads, median
 //! selection.
+//!
+//! The repeats of one capture go through
+//! [`eyeorg_browser::load_repeats`], which simulates the part of the
+//! loads that their seeds cannot yet tell apart once and forks the rest.
+//! The traces (and obs counters) are exactly those of independent loads.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use eyeorg_browser::{load_page, BrowserConfig, LoadTrace};
+use eyeorg_browser::{load_repeats, BrowserConfig, LoadTrace};
 use eyeorg_net::SimDuration;
 use eyeorg_stats::Seed;
 use eyeorg_workload::Website;
@@ -38,15 +43,19 @@ impl Default for CaptureConfig {
 /// order. Each load uses an independent derived seed — fresh browser
 /// state, fresh network draws — exactly like webpeg deleting Chrome's
 /// local state between loads.
+///
+/// The loads run through [`load_repeats`]: each trace equals
+/// `load_page(site, browser, seed.derive_index("load", i))`, but the
+/// simulation the repeats have in common runs once.
 pub fn capture_all(
     site: &Website,
     browser: &BrowserConfig,
     seed: Seed,
     capture: &CaptureConfig,
 ) -> Vec<LoadTrace> {
-    (0..capture.repeats)
-        .map(|i| load_page(site, browser, seed.derive_index("load", i as u64)))
-        .collect()
+    let seeds: Vec<Seed> =
+        (0..capture.repeats).map(|i| seed.derive_index("load", i as u64)).collect();
+    load_repeats(site, browser, &seeds)
 }
 
 /// Capture the site and keep the load with the **median onload time**,
