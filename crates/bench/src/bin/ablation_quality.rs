@@ -1,6 +1,6 @@
 //! Quality ablations for DESIGN.md's design decisions: what the paper's
 //! mechanisms buy in *result quality* (the wall-time side is
-//! `perf_hotpath`/`perf_pipeline`).
+//! perfbench's).
 //!
 //! 1. The §4.3 filter pipeline, one filter removed at a time.
 //! 2. The wisdom-of-the-crowd band: none / 10–90 / 25–75.

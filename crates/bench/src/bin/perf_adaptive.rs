@@ -1,38 +1,25 @@
 //! Harness for the adaptive early-stopping campaign driver
 //! (DESIGN.md §3h): measures how many participants confidence-bound
-//! pruning saves on the headline campaign, and gates the determinism
-//! contract that makes the pruning safe to ship.
+//! pruning saves on the headline campaign.
 //!
-//! Two modes:
-//!
-//! * `--smoke` — small configuration used by `scripts/verify.sh` and
-//!   CI. Gates, exiting non-zero on any failure:
-//!   (a) an **inactive** adaptive config (`epsilon = 0`, `max_n = 0`)
-//!   is byte-identical to the streaming timeline reference — digest
-//!   *and* observability-counter fingerprint — across shard sizes,
-//!   thread knobs, and epoch sizes (this is the
-//!   counter-fingerprint half of the ε=0 gate; it owns the process
-//!   because the obs registry is global);
-//!   (b) with an **active** rule, the decision sequence, digest, and
-//!   counter fingerprints are invariant across shard sizes, thread
-//!   knobs, and chaos seeds. With `--fingerprint-out PATH` it
-//!   writes the fingerprints so the caller can `cmp` runs at different
-//!   `EYEORG_THREADS` values.
-//! * full (default) — the headline measurement: the 1,000,000 × 20
-//!   campaign of `perf_scale` run once in full through the flat engine
-//!   and once adaptively with the calibrated stopping rule. Gates:
-//!   (c) the adaptive run simulates at least [`REDUCTION_GATE`]x fewer
-//!   participants than the offered budget, and (d) every UPLT
-//!   percentile in [`PERCENTILES`] of every stimulus is within the
-//!   declared tolerance [`ACCURACY_TOL`] of the full run's value.
-//!   Writes `results/BENCH_adaptive.json`.
+//! The measurement: the 1,000,000 × 20 campaign of
+//! `perf_scale` run once in full through the flat engine and once
+//! adaptively with the calibrated stopping rule. Gates: (a) the
+//! adaptive run simulates at least [`REDUCTION_GATE`]x fewer
+//! participants than the offered budget, and (b) every UPLT percentile
+//! in [`PERCENTILES`] of every stimulus is within the declared tolerance
+//! [`ACCURACY_TOL`] of the full run's value. Writes
+//! `results/BENCH_adaptive.json`. The determinism gates (an inactive
+//! rule equals the plain kernel; an active rule's decisions are
+//! invariant across shards, threads and chaos seeds) are the `adaptive`
+//! cell of the `campaign_golden` test in `eyeorg-core`.
 
 use std::time::Instant;
 
 use eyeorg_bench::campaigns::capture_browser;
 use eyeorg_core::prelude::*;
 use eyeorg_crowd::CrowdFlower;
-use eyeorg_stats::{set_chaos_seed, Seed};
+use eyeorg_stats::Seed;
 use eyeorg_video::CaptureConfig;
 use eyeorg_workload::alexa_like;
 
@@ -63,35 +50,10 @@ const PERCENTILES: [f64; 5] = [10.0, 25.0, 50.0, 75.0, 90.0];
 /// calibrated configuration (recorded in `BENCH_adaptive.json`).
 const ACCURACY_TOL: [f64; 5] = [0.2, 0.2, 0.1, 0.1, 0.2];
 
-const SMOKE_SITES: usize = 4;
-const SMOKE_PARTICIPANTS: usize = 400;
-
 fn stimuli(sites: usize, repeats: usize, seed: Seed) -> Vec<TimelineStimulus> {
     let corpus = alexa_like(seed.derive("sites"), sites);
     let capture = CaptureConfig { repeats, ..CaptureConfig::default() };
     timeline_stimuli(&corpus, &capture_browser(), &capture, seed.derive("capture"))
-}
-
-fn stream_run(
-    stimuli: &[TimelineStimulus],
-    n: usize,
-    seed: Seed,
-    shard: usize,
-    threads: usize,
-) -> (TimelineDigest, f64) {
-    eyeorg_obs::reset();
-    let cfg = ExperimentConfig { threads, ..ExperimentConfig::default() };
-    let t = Instant::now();
-    let digest = stream_timeline_campaign(
-        stimuli,
-        &CrowdFlower,
-        n,
-        &cfg,
-        &paper_pipeline(),
-        seed,
-        &StreamConfig { shard_size: shard, ..StreamConfig::default() },
-    );
-    (digest, t.elapsed().as_secs_f64())
 }
 
 fn flat_run(
@@ -139,111 +101,6 @@ fn adaptive_run(
         AdaptiveBackend::Flat,
     );
     (out, t.elapsed().as_secs_f64())
-}
-
-fn smoke(fp_out: Option<String>) {
-    let seed = Seed(2016).derive("perf-adaptive-smoke");
-    let stimuli = stimuli(SMOKE_SITES, 2, seed);
-    let n = SMOKE_PARTICIPANTS;
-    let run_seed = seed.derive("run");
-    let mut identical = true;
-
-    // Reference: the streaming timeline reference.
-    let (reference, ref_secs) = stream_run(&stimuli, n, run_seed, 64, 0);
-    let reference_fp = reference.fingerprint();
-    let reference_counters = eyeorg_obs::snapshot("adaptive-smoke", 0).counter_fingerprint();
-    println!("smoke streaming reference: {ref_secs:.3}s");
-
-    // Gate (a): inactive config == streaming reference, digest and
-    // counters, for shards x threads x epoch sizes.
-    let inactive = AdaptiveConfig { epoch: 37, epsilon: 0.0, min_n: 256, max_n: 0 };
-    for shard in [64usize, n + 1] {
-        for threads in [1usize, 2, 0] {
-            for epoch in [37usize, 256] {
-                let ac = AdaptiveConfig { epoch, ..inactive };
-                let (out, secs) = adaptive_run(&stimuli, n, run_seed, shard, threads, &ac);
-                let counters =
-                    eyeorg_obs::snapshot("adaptive-smoke", threads).counter_fingerprint();
-                let ctx = format!("eps=0 shard={shard} threads={threads} epoch={epoch}");
-                if out.digest.fingerprint() != reference_fp {
-                    identical = false;
-                    eprintln!("DIVERGENCE: {ctx} digest differs from streaming reference");
-                }
-                if counters != reference_counters {
-                    identical = false;
-                    eprintln!("DIVERGENCE: {ctx} counters differ from streaming reference");
-                }
-                if !out.decisions.is_empty() || out.participants_saved() != 0 {
-                    identical = false;
-                    eprintln!("DIVERGENCE: inactive config took decisions");
-                }
-                println!("smoke {ctx}: {secs:.3}s");
-            }
-        }
-    }
-
-    // Gate (b): active rule — decisions, digest, and counters invariant
-    // across shards, threads, and chaos seeds.
-    let active = AdaptiveConfig { epoch: 50, epsilon: 0.5, min_n: 50, max_n: 0 };
-    let (act_ref, _) = adaptive_run(&stimuli, n, run_seed, 64, 1, &active);
-    let act_counters = eyeorg_obs::snapshot("adaptive-smoke", 1).counter_fingerprint();
-    let act_decisions = act_ref.decision_fingerprint();
-    let act_fp = act_ref.digest.fingerprint();
-    if act_ref.decisions.is_empty() {
-        identical = false;
-        eprintln!("DIVERGENCE: smoke epsilon never fired (calibration broken)");
-    }
-    println!(
-        "smoke active: {} decisions, {} of {} participants saved",
-        act_ref.decisions.len(),
-        act_ref.participants_saved(),
-        act_ref.budget
-    );
-    for shard in [64usize, n + 1] {
-        for threads in [1usize, 2, 0] {
-            for chaos in [0u64, 5] {
-                set_chaos_seed(chaos);
-                let (out, secs) = adaptive_run(&stimuli, n, run_seed, shard, threads, &active);
-                set_chaos_seed(0);
-                let counters =
-                    eyeorg_obs::snapshot("adaptive-smoke", threads).counter_fingerprint();
-                let ctx = format!("active shard={shard} threads={threads} chaos={chaos}");
-                if out.decision_fingerprint() != act_decisions {
-                    identical = false;
-                    eprintln!("DIVERGENCE: {ctx} decision sequence differs");
-                }
-                if out.digest.fingerprint() != act_fp {
-                    identical = false;
-                    eprintln!("DIVERGENCE: {ctx} digest differs");
-                }
-                if counters != act_counters {
-                    identical = false;
-                    eprintln!("DIVERGENCE: {ctx} counters differ");
-                }
-                println!("smoke {ctx}: {secs:.3}s");
-            }
-        }
-    }
-
-    if let Some(path) = fp_out {
-        // Everything a cross-process `cmp` needs: ε=0 digest/counters
-        // (== the streaming reference's) and the active run's decision,
-        // digest, and counter fingerprints.
-        let contents = format!(
-            "{reference_fp}\n{reference_counters}\n{act_decisions}\n{act_fp}\n{act_counters}\n"
-        );
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            std::fs::create_dir_all(dir).expect("create fingerprint dir");
-        }
-        std::fs::write(&path, contents).expect("write fingerprint file");
-        println!("wrote {path}");
-    }
-
-    if !identical {
-        eprintln!("FAIL: adaptive engine diverged");
-        std::process::exit(1);
-    }
-    println!("smoke OK: adaptive == streaming reference at eps=0; decisions invariant when active");
 }
 
 fn full() {
@@ -376,25 +233,10 @@ fn full() {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument: {arg}");
+        std::process::exit(2);
+    }
     eyeorg_obs::enable();
-    let mut smoke_mode = false;
-    let mut fp_out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke_mode = true,
-            "--fingerprint-out" => {
-                fp_out = Some(args.next().expect("--fingerprint-out needs a path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke_mode {
-        smoke(fp_out);
-    } else {
-        full();
-    }
+    full();
 }

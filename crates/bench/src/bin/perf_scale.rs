@@ -1,30 +1,20 @@
 //! Scale harness for the streaming and flat data-plane campaign engines.
 //!
-//! Two modes:
-//!
-//! * `--smoke` — small configuration used by `scripts/verify.sh` and CI:
-//!   runs the materializing engine once, then the streaming engine and
-//!   the flat data-plane engine across several shard sizes and thread
-//!   knobs, and **exits non-zero** when any digest or
-//!   observability-counter fingerprint diverges. With
-//!   `--fingerprint-out PATH` it also writes the streaming and flat
-//!   fingerprints so the caller can `cmp` runs at different
-//!   `EYEORG_THREADS`.
-//! * full (default) — the headline measurement: a 1,000,000-participant
-//!   × 20-stimulus timeline campaign through both engines in bounded
-//!   memory, plus a single-thread old-vs-new comparison and a thread
-//!   sweep (1 / 2 / auto via the `ExperimentConfig::threads` knob).
-//!   Gates: (a) the flat digest is byte-identical to the streaming
-//!   digest at full scale and at every sweep point, (b) retained bytes
-//!   stay bounded, (c) the flat engine clears the single-thread
-//!   regression floor over the streaming engine (see
-//!   [`FLAT_SPEEDUP_FLOOR`] for why the floor sits below the original
-//!   roadmap target), (d) the streaming engine keeps its ≥10x
-//!   advantage over the materializing engine, and (e) on boxes with
-//!   more than one hardware thread, the flat auto-thread sweep clears
-//!   [`PARALLEL_EFFICIENCY_FLOOR`] (on a 1-core box the measurement is
-//!   recorded but the gate is disarmed — pool = 1 reads ~1.0 by
-//!   definition). Writes `results/BENCH_scale.json`.
+//! The headline measurement: a 1,000,000-participant × 20-stimulus
+//! timeline campaign through both engines in bounded memory, plus a
+//! single-thread old-vs-new comparison and a thread sweep (1 / 2 / auto
+//! via the `ExperimentConfig::threads` knob). Gates: (a) the flat digest
+//! is byte-identical to the streaming digest at full scale and at every
+//! sweep point, (b) retained bytes stay bounded, (c) the flat engine
+//! clears the single-thread regression floor over the streaming engine
+//! (see [`FLAT_SPEEDUP_FLOOR`] for why the floor sits below the original
+//! roadmap target), (d) the streaming engine keeps its ≥10x advantage
+//! over the materializing engine, and (e) on boxes with more than one
+//! hardware thread, the flat auto-thread sweep clears
+//! [`PARALLEL_EFFICIENCY_FLOOR`] (on a 1-core box the measurement is
+//! recorded but the gate is disarmed — pool = 1 reads ~1.0 by
+//! definition). Writes `results/BENCH_scale.json`. The small-scale
+//! divergence checks are the `campaign_golden` test in `eyeorg-core`.
 //!
 //! Memory is reported two ways: the digest's own retained-bytes
 //! accounting (exact, hardware-independent) and the process peak-RSS
@@ -52,15 +42,12 @@ const SWEEP_PARTICIPANTS: usize = 200_000;
 /// resident for a whole shard, so the sweet spot moved down from the
 /// pre-fast-path 8192: 512 rows × 6 cells keeps the arena inside
 /// cache and measures ~20% faster on the reference box. Digest
-/// identity across shard sizes is gated below (and in the smoke
-/// matrix), so the knob is pure tuning.
+/// identity across shard sizes is gated below (and by the
+/// `campaign_golden` test), so the knob is pure tuning.
 const FULL_SHARD: usize = 512;
 /// Contrast shard for the full-scale identity gate (the pre-fast-path
 /// headline size).
 const ALT_SHARD: usize = 8192;
-
-const SMOKE_SITES: usize = 4;
-const SMOKE_PARTICIPANTS: usize = 400;
 
 /// Single-thread flat-vs-streaming hard regression floor. The roadmap
 /// aimed for 3x (band 5–10x), but that target predates the measured
@@ -167,84 +154,6 @@ fn materializing_run(
     let report = filter_timeline(&campaign, &paper_pipeline());
     let digest = digest_timeline(&campaign, &report, n, &DigestParams::default());
     (digest, t.elapsed().as_secs_f64())
-}
-
-fn smoke(fp_out: Option<String>) {
-    let seed = Seed(2016).derive("perf-scale-smoke");
-    let stimuli = stimuli(SMOKE_SITES, 2, seed);
-    let n = SMOKE_PARTICIPANTS;
-
-    let (reference, mat_secs) = materializing_run(&stimuli, n, seed.derive("run"));
-    let reference_fp = reference.fingerprint();
-    let reference_counters = eyeorg_obs::snapshot("scale-smoke", 0).counter_fingerprint();
-
-    let mut identical = true;
-    let mut streaming_fp = String::new();
-    let mut streaming_counters = String::new();
-    for shard in [64usize, 128, n + 1] {
-        let (digest, secs) = stream_run(&stimuli, n, seed.derive("run"), shard, 0);
-        let fp = digest.fingerprint();
-        let counters = eyeorg_obs::snapshot("scale-smoke", 0).counter_fingerprint();
-        if fp != reference_fp {
-            identical = false;
-            eprintln!("DIVERGENCE: shard={shard} digest differs from materializing engine");
-        }
-        if counters != reference_counters {
-            identical = false;
-            eprintln!("DIVERGENCE: shard={shard} counters differ from materializing engine");
-        }
-        println!("smoke shard={shard:>4}: {secs:.3}s (materializing {mat_secs:.3}s)");
-        streaming_fp = fp;
-        streaming_counters = counters;
-    }
-
-    // Flat data-plane engine divergence gate: same reference, across
-    // shard sizes *and* the in-process thread knob.
-    let mut flat_fp = String::new();
-    let mut flat_counters = String::new();
-    for shard in [64usize, 128, n + 1] {
-        for threads in [1usize, 2, 0] {
-            let (digest, secs) = flat_run(&stimuli, n, seed.derive("run"), shard, threads);
-            let fp = digest.fingerprint();
-            let counters = eyeorg_obs::snapshot("scale-smoke", threads).counter_fingerprint();
-            if fp != reference_fp {
-                identical = false;
-                eprintln!(
-                    "DIVERGENCE: flat shard={shard} threads={threads} digest differs \
-                     from materializing engine"
-                );
-            }
-            if counters != reference_counters {
-                identical = false;
-                eprintln!(
-                    "DIVERGENCE: flat shard={shard} threads={threads} counters differ \
-                     from materializing engine"
-                );
-            }
-            println!("smoke flat shard={shard:>4} threads={threads}: {secs:.3}s");
-            flat_fp = fp;
-            flat_counters = counters;
-        }
-    }
-
-    if let Some(path) = fp_out {
-        // Digest + counter fingerprints of the streaming and flat runs;
-        // callers compare this file byte-for-byte across EYEORG_THREADS
-        // values.
-        let contents =
-            format!("{streaming_fp}\n{streaming_counters}\n{flat_fp}\n{flat_counters}\n");
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            std::fs::create_dir_all(dir).expect("create fingerprint dir");
-        }
-        std::fs::write(&path, contents).expect("write fingerprint file");
-        println!("wrote {path}");
-    }
-
-    if !identical {
-        eprintln!("FAIL: engine diverged from materializing reference");
-        std::process::exit(1);
-    }
-    println!("smoke OK: streaming == flat == materializing across shard sizes and threads");
 }
 
 fn full() {
@@ -433,25 +342,10 @@ fn full() {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument: {arg}");
+        std::process::exit(2);
+    }
     eyeorg_obs::enable();
-    let mut smoke_mode = false;
-    let mut fp_out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke_mode = true,
-            "--fingerprint-out" => {
-                fp_out = Some(args.next().expect("--fingerprint-out needs a path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke_mode {
-        smoke(fp_out);
-    } else {
-        full();
-    }
+    full();
 }

@@ -6,16 +6,12 @@
 //! [`eyeorg_obs::RunReport`] to `results/RUN_report.json`.
 //!
 //! The counter section of the report is a pure function of the workload
-//! and seeds: `scripts/verify.sh` runs this binary at `EYEORG_THREADS=1`,
-//! `=2`, and unset and `cmp`s the counter fingerprints, which must be
-//! byte-identical (wall-clock timings live in a separate section and are
-//! excluded from the fingerprint).
+//! and seeds (wall-clock timings live in a separate section and are
+//! excluded from the fingerprint). The `run_report_golden` test of this
+//! crate runs this binary at 1, 2 and 4 threads and pins it.
 //!
-//! Flags:
-//! * `--out PATH` — where to write the full report
-//!   (default `results/RUN_report.json`);
-//! * `--fingerprint-out PATH` — additionally write the deterministic
-//!   counter fingerprint alone (compact JSON, one line).
+//! `--out PATH` sets where to write the report (default
+//! `results/RUN_report.json`).
 
 use eyeorg_bench::campaigns::{capture_browser, protocol_capture_browser};
 use eyeorg_core::prelude::*;
@@ -30,14 +26,10 @@ const PARTICIPANTS: usize = 60;
 
 fn main() {
     let mut out_path = String::from("results/RUN_report.json");
-    let mut fp_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out_path = args.next().expect("--out needs a path"),
-            "--fingerprint-out" => {
-                fp_path = Some(args.next().expect("--fingerprint-out needs a path"));
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -100,8 +92,4 @@ fn main() {
     .expect("create output dir");
     std::fs::write(&out_path, report.to_json_pretty()).expect("write run report");
     println!("wrote {out_path} (threads={threads})");
-    if let Some(fp) = fp_path {
-        std::fs::write(&fp, report.counter_fingerprint()).expect("write fingerprint");
-        println!("wrote {fp}");
-    }
 }

@@ -353,14 +353,13 @@ fn reference_path_produces_identical_traces() {
     use eyeorg_browser::load_page_reference;
     let shaped = BrowserConfig::new().with_network(NetworkProfile::dsl());
     let h2 = BrowserConfig::new().with_protocol(Protocol::Http2);
-    for (i, site) in [
+    let mut sites = vec![
         generate_site(Seed(300), 0, SiteClass::News),
         generate_site(Seed(301), 1, SiteClass::Blog),
         generate_site(Seed(302), 2, SiteClass::Ecommerce),
-    ]
-    .iter()
-    .enumerate()
-    {
+    ];
+    sites.extend(alexa_like(Seed(2016), 3));
+    for (i, site) in sites.iter().enumerate() {
         for (ci, cfg) in [&BrowserConfig::new(), &shaped, &h2].into_iter().enumerate() {
             let seed = Seed(800 + i as u64);
             let batched = load_page(site, cfg, seed);

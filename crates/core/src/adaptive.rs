@@ -33,8 +33,8 @@
 //! the mask consumed by an epoch is fixed before the epoch starts. So
 //! the decision sequence — and with it every digest and counter
 //! fingerprint — is invariant under shard size, thread count, and the
-//! PR 4 chaos-seed exerciser (pinned by `adaptive_stopping` tests and
-//! the `perf_adaptive` gates).
+//! PR 4 chaos-seed exerciser (pinned by the `adaptive_stopping` tests
+//! and the `adaptive` cell of `campaign_golden`).
 //!
 //! ## Why live digests equal the truncated full run
 //!

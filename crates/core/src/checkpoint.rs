@@ -9,8 +9,8 @@
 //! the format is hermetic and byte-stable. The contract is strict
 //! **byte-identity**: `load(save(state))` reproduces the same digest
 //! fingerprint and counter fingerprint as the uninterrupted run, at any
-//! shard size and thread count (pinned by `checkpoint_roundtrip` tests
-//! and the `merge_digests` verify gates).
+//! shard size and thread count (pinned by the `checkpoint_roundtrip`
+//! tests and the `resume` and `merge3` cells of `campaign_golden`).
 //!
 //! One codec serves both test kinds. [`Checkpoint<K>`] is generic over
 //! the shard accumulator `K` (`TlShard` for timeline campaigns,

@@ -3,8 +3,8 @@
 //! * `epsilon = 0, max_n = 0` (inactive) ⇒ the adaptive driver is
 //!   byte-identical to the plain streaming timeline reference for
 //!   every shard size, thread count, and epoch size. (The matching
-//!   counter-fingerprint check lives in `perf_adaptive --smoke`, which
-//!   owns its process — the obs registry is global.)
+//!   counter-fingerprint check is the `adaptive` cell of
+//!   `campaign_golden`, which holds the global obs registry.)
 //! * With an active rule, the decision sequence and the final digest
 //!   are invariant under shard size, thread count, epoch-vs-budget
 //!   alignment, and the chaos-seed exerciser.

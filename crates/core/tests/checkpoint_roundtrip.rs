@@ -17,8 +17,9 @@
 //! * Configs no engine can serve are refused as typed errors by every
 //!   `Result`-returning entry point.
 //!
-//! Counter-fingerprint equivalence needs a process-global obs registry
-//! and lives in `merge_digests --smoke` / `scripts/verify.sh`.
+//! Counter-fingerprint equivalence needs the process-global obs
+//! registry to itself: it is checked by the `resume` and `merge3` cells
+//! of `campaign_golden`.
 
 use std::sync::OnceLock;
 

@@ -92,14 +92,19 @@ mod tests {
     fn incremental_curve_matches_per_frame_reference() {
         // The shipped curve uses `Video::completeness_at_times`; the
         // definitional implementation renders every change point and
-        // diffs full grids. They must agree bit-for-bit.
-        let v = video();
-        let curve = visual_progress_curve(&v);
-        let last = curve.last().unwrap().0;
-        let final_frame = v.render_at(last);
-        for &(t, c) in &curve {
-            let reference = 1.0 - v.render_at(t).diff_fraction(&final_frame);
-            assert_eq!(c, reference, "completeness at {t:?}");
+        // diffs full grids. They must agree bit-for-bit, on this file's
+        // capture and on a longer one of a different site.
+        let site = &eyeorg_workload::alexa_like(Seed(2016), 1)[0];
+        let trace = load_page(site, &BrowserConfig::new(), Seed(2));
+        let longer = Video::capture(trace, 10, SimDuration::from_secs(5));
+        for v in [video(), longer] {
+            let curve = visual_progress_curve(&v);
+            let last = curve.last().unwrap().0;
+            let final_frame = v.render_at(last);
+            for &(t, c) in &curve {
+                let reference = 1.0 - v.render_at(t).diff_fraction(&final_frame);
+                assert_eq!(c, reference, "completeness at {t:?}");
+            }
         }
     }
 

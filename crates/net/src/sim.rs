@@ -274,7 +274,7 @@ impl NetSim {
     /// Enable or disable lossless-burst batching (default: enabled).
     /// Disabling selects the per-segment reference path; both paths
     /// produce identical [`NetEvent`] traces, statistics and logs — the
-    /// equivalence tests and the `perf_hotpath` bench verify this.
+    /// `batching_equivalence` tests verify this.
     pub fn set_burst_batching(&mut self, on: bool) {
         self.batching = on;
     }

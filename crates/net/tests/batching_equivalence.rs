@@ -114,6 +114,14 @@ fn identical_traces_lossless_profiles() {
             );
         }
     }
+    // Long request/response chains: dozens of objects per connection,
+    // cycling through six sizes from 700 B to 120 kB.
+    let objects: Vec<u64> =
+        [2_500, 14_000, 700, 40_000, 9_000, 120_000].into_iter().cycle().take(96).collect();
+    for (conns, n) in [(4, 24), (6, 96)] {
+        let tag = format!("round robin {conns} conns x {n} objects");
+        assert_equivalent(NetworkProfile::lossless_test(), Seed(2016), conns, &objects[..n], &tag);
+    }
 }
 
 #[test]

@@ -15,15 +15,17 @@
 //!   invocation count is a pure function of the workload and its seeds —
 //!   never inside thread-count-dependent machinery (work stealing,
 //!   memoisation races). Increments are commutative, so the totals are
-//!   byte-identical at any `EYEORG_THREADS` setting; `scripts/verify.sh`
-//!   asserts exactly that on [`RunReport::counter_fingerprint`].
+//!   byte-identical at any `EYEORG_THREADS` setting; the campaign
+//!   goldens (`eyeorg-core`'s `campaign_golden` test and
+//!   `eyeorg-bench`'s `run_report_golden` test) pin
+//!   [`RunReport::counter_fingerprint`] across thread counts.
 //!   Wall-clock phase timings are the one nondeterministic section and
 //!   live under a separate key ([`RunReport::timings_secs`]) that the
 //!   fingerprint excludes.
 //! * **Near-zero disabled cost.** Instrumentation is off by default;
 //!   every record path first checks one relaxed atomic load and does
 //!   nothing else. Bench binaries opt in with [`enable`]; the
-//!   `perf_hotpath` divergence gates run with it on.
+//!   campaign goldens run with it on.
 //!
 //! The registry is static: all metrics are declared in this crate, so a
 //! snapshot never misses a counter and reports always carry the full
@@ -239,7 +241,10 @@ impl LabeledCounter {
             return;
         }
         let mut cells = self.cells.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *cells.entry(label.to_owned()).or_insert(0) += n;
+        // Saturating: a resumed run adds onto totals restored from an
+        // untrusted checkpoint, which may sit next to `u64::MAX`.
+        let cell = cells.entry(label.to_owned()).or_insert(0);
+        *cell = cell.saturating_add(n);
     }
 
     /// Current value under `label` (0 when never recorded).

@@ -1,9 +1,8 @@
 //! Property-style invariant tests for percentile-band selection.
 //!
-//! The external `proptest` crate cannot resolve offline (see the
-//! feature-gated `properties` test), so these drive the same invariants
-//! with the workspace's own seeded RNG: hundreds of randomized samples,
-//! fully deterministic, no external dependencies.
+//! These drive the invariants with the workspace's own seeded RNG:
+//! hundreds of randomized samples, fully deterministic, no external
+//! dependencies.
 
 use eyeorg_stats::quantile::percentile_sorted;
 use eyeorg_stats::{percentile, percentile_band, Rng};

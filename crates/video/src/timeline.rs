@@ -223,6 +223,15 @@ mod tests {
         for chosen in [0, 3, v.frame_count() / 2, v.frame_count() - 1] {
             assert_eq!(tl.rewind(chosen), rewind_suggestion(&v, chosen), "chosen {chosen}");
         }
+        // Every frame of a longer capture, through the precomputed table.
+        let site = &eyeorg_workload::alexa_like(Seed(2016), 1)[0];
+        let trace = load_page(site, &BrowserConfig::new(), Seed(62));
+        let v = Video::capture(trace, 10, SimDuration::from_secs(5));
+        let mut tl = FrameTimeline::of(&v);
+        tl.precompute_rewinds();
+        for chosen in 0..v.frame_count() {
+            assert_eq!(tl.rewind_at(chosen), rewind_suggestion(&v, chosen), "chosen {chosen}");
+        }
     }
 
     #[test]
