@@ -8,26 +8,23 @@
 //! response generation, and control questions — producing the raw data
 //! the validation (§4) and analysis (§5) layers consume.
 //!
-//! This is the **materializing** engine: every showing is retained as a
-//! row, which row-level consumers (viz, dataset export, ablations) need
-//! but which makes memory grow with the crowd. Campaigns that only need
-//! the aggregate digest should use the sharded flat kernel
-//! ([`crate::flat`]) — byte-identical results (pinned by the
-//! `streaming_equivalence` tests) in memory proportional to a shard.
+//! This module keeps the **rows**: every showing is retained, which
+//! row-level consumers (viz, dataset export, ablations) need but which
+//! makes memory grow with the crowd. It owns recruitment, the
+//! humanness gate and the row types; the serving itself is the flat
+//! kernel's one per-participant pipeline ([`crate::flat`]), which
+//! either keeps rows (here) or folds them shard by shard into a digest
+//! in memory proportional to a shard. The digest of these rows equals
+//! the kernel's fold (pinned by the `campaign_golden` tests).
 
 use std::sync::Arc;
 
-use eyeorg_crowd::{
-    ab_control, behavior, timeline_control_passes, timeline_response_shared, AbAnswer,
-    Participant, Recruitment, RecruitmentService, TestKind, TimelineResponse, VideoSession,
-};
-use eyeorg_net::SimTime;
-use eyeorg_stats::{effective_pool, par_map_range, resolve_threads, Seed};
-use eyeorg_video::{FrameTimeline, Video};
+use eyeorg_crowd::{Participant, Recruitment, RecruitmentService, TimelineResponse, VideoSession};
+use eyeorg_stats::Seed;
+use eyeorg_video::Video;
 
-use crate::experiment::{
-    a_on_left, assert_runnable, assign, AbStimulus, ExperimentConfig, TimelineStimulus,
-};
+use crate::experiment::{assert_runnable, AbStimulus, ExperimentConfig, TimelineStimulus};
+use crate::flat::{serve, AbPlane, TlPlane};
 
 /// One timeline showing: participant × video with the full
 /// instrumentation.
@@ -131,105 +128,14 @@ pub fn run_timeline_campaign(
 ) -> TimelineCampaign {
     assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.timeline_campaign");
-    let threads = resolve_threads(cfg.threads);
     let recruitment: Recruitment = service.recruit(seed.derive("recruit"), n_participants);
     // Hard rules first: the humanness gate turns scripts away before any
     // response is collected (§3.3).
     let gate = crate::validation::captcha_gate(recruitment.participants);
-    let mut rows = Vec::new();
-    let mut controls = Vec::new();
-    // Branch on the pool that will actually run (an oversubscribed
-    // request degrades to 1 worker on small machines): the sequential
-    // engine computes rewinds lazily, so taking it when no real
-    // parallelism is available avoids the parallel engine's eager
-    // precompute. Output is byte-identical either way.
-    if effective_pool(threads) <= 1 {
-        // The sequential engine: one memoising timeline per stimulus,
-        // rewinds computed lazily as participants touch frames.
-        let mut frames: Vec<FrameTimeline> =
-            stimuli.iter().map(|s| FrameTimeline::of(&s.video)).collect();
-        for (pi, participant) in gate.admitted.iter().enumerate() {
-            let picks = assign(
-                seed.derive("timeline"),
-                pi as u64,
-                stimuli.len(),
-                cfg.videos_per_participant,
-            );
-            for &si in &picks {
-                let label = format!("tl-{si}");
-                let video = &stimuli[si].video;
-                let session =
-                    behavior::video_session(video, participant, TestKind::Timeline, &label);
-                let response = if session.skipped {
-                    None
-                } else {
-                    Some(eyeorg_crowd::timeline_response_cached(
-                        video,
-                        &mut frames[si],
-                        participant,
-                        &label,
-                    ))
-                };
-                rows.push(TimelineRow { participant: pi, stimulus: si, session, response });
-            }
-            if cfg.with_controls {
-                // The control reuses one of the participant's videos with
-                // a nearly-blank rewind suggestion (Fig. 3b).
-                let ctrl_video = picks[0];
-                let passed = timeline_control_passes(participant, &format!("tl-{ctrl_video}"));
-                controls.push(ControlRow { participant: pi, passed });
-            }
-        }
-    } else {
-        // The parallel engine. Materialise one immutable timeline per
-        // stimulus with the rewind table filled up front, so participant
-        // workers share them read-only; the rewind scan is pure, so the
-        // table holds exactly the values the lazy path would compute.
-        let frames: Vec<FrameTimeline> = par_map_range(stimuli.len(), threads, |si| {
-            let mut tl = FrameTimeline::of(&stimuli[si].video);
-            tl.precompute_rewinds();
-            tl
-        });
-        // Every response draws only from the participant's own derived
-        // seed streams, so participants are independent work items;
-        // merging in participant index order makes the row list
-        // byte-identical to the sequential engine.
-        let per_participant = par_map_range(gate.admitted.len(), threads, |pi| {
-            let participant = &gate.admitted[pi];
-            let picks = assign(
-                seed.derive("timeline"),
-                pi as u64,
-                stimuli.len(),
-                cfg.videos_per_participant,
-            );
-            let mut p_rows = Vec::with_capacity(picks.len());
-            for &si in &picks {
-                let label = format!("tl-{si}");
-                let video = &stimuli[si].video;
-                let session =
-                    behavior::video_session(video, participant, TestKind::Timeline, &label);
-                let response = if session.skipped {
-                    None
-                } else {
-                    Some(timeline_response_shared(video, &frames[si], participant, &label))
-                };
-                p_rows.push(TimelineRow { participant: pi, stimulus: si, session, response });
-            }
-            let control = cfg.with_controls.then(|| {
-                let ctrl_video = picks[0];
-                let passed = timeline_control_passes(participant, &format!("tl-{ctrl_video}"));
-                ControlRow { participant: pi, passed }
-            });
-            (p_rows, control)
-        });
-        for (p_rows, control) in per_participant {
-            rows.extend(p_rows);
-            controls.extend(control);
-        }
-    }
+    let (rows, controls) = serve::<TlPlane>(&stimuli, &gate.admitted, cfg, seed);
     if eyeorg_obs::enabled() {
-        // Row assembly is engine-independent (the parallel merge is
-        // order-pinned), so these totals are too.
+        // Rows come in participant order at any thread count, so these
+        // totals are thread-count independent too.
         let collected = rows.iter().filter(|r| r.response.is_some()).count() as u64;
         eyeorg_obs::metrics::CORE_RESPONSES_COLLECTED.add(collected);
         eyeorg_obs::metrics::CORE_RESPONSES_SKIPPED.add(rows.len() as u64 - collected);
@@ -259,59 +165,9 @@ pub fn run_ab_campaign(
 ) -> AbCampaign {
     assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.ab_campaign");
-    let threads = resolve_threads(cfg.threads);
     let recruitment: Recruitment = service.recruit(seed.derive("recruit"), n_participants);
     let gate = crate::validation::captcha_gate(recruitment.participants);
-
-    // Participants are independent work items (see the timeline
-    // campaign); merge order pins the sequential row layout. The
-    // assignment and presentation-order draws use distinct seed labels —
-    // "ab-assign" vs "ab-side" — so the two streams never collide.
-    let per_participant = par_map_range(gate.admitted.len(), threads, |pi| {
-        let participant = &gate.admitted[pi];
-        let picks = assign(
-            seed.derive("ab-assign"),
-            pi as u64,
-            stimuli.len(),
-            cfg.videos_per_participant,
-        );
-        let mut p_rows = Vec::with_capacity(picks.len());
-        for &si in &picks {
-            let label = format!("ab-{si}");
-            let a_left = a_on_left(seed.derive("ab-side"), pi as u64, si);
-            let s = &stimuli[si];
-            // The spliced video the participant downloads covers both
-            // sides; behaviour is driven by the longer capture.
-            let longer =
-                if s.a.duration() >= s.b.duration() { &s.a } else { &s.b };
-            let session = behavior::video_session(longer, participant, TestKind::Ab, &label);
-            let verdict = if session.skipped {
-                None
-            } else {
-                let (left, right) =
-                    if a_left { (&s.a, &s.b) } else { (&s.b, &s.a) };
-                let answer = eyeorg_crowd::ab_response(left, right, participant, &label);
-                Some(match (answer, a_left) {
-                    (AbAnswer::NoDifference, _) => AbVerdict::NoDifference,
-                    (AbAnswer::Left, true) | (AbAnswer::Right, false) => AbVerdict::AFaster,
-                    (AbAnswer::Left, false) | (AbAnswer::Right, true) => AbVerdict::BFaster,
-                })
-            };
-            p_rows.push(AbRow { participant: pi, stimulus: si, a_left, session, verdict });
-        }
-        let control = cfg.with_controls.then(|| {
-            let ctrl = picks[0];
-            let (_, passed) = ab_control(&stimuli[ctrl].a, participant, &format!("ab-{ctrl}"));
-            ControlRow { participant: pi, passed }
-        });
-        (p_rows, control)
-    });
-    let mut rows = Vec::new();
-    let mut controls = Vec::new();
-    for (p_rows, control) in per_participant {
-        rows.extend(p_rows);
-        controls.extend(control);
-    }
+    let (rows, controls) = serve::<AbPlane>(&stimuli, &gate.admitted, cfg, seed);
     if eyeorg_obs::enabled() {
         let votes = rows.iter().filter(|r| r.verdict.is_some()).count() as u64;
         eyeorg_obs::metrics::CORE_AB_VOTES.add(votes);
@@ -342,13 +198,3 @@ pub fn sessions_of(rows: &[TimelineRow], participant: usize) -> Vec<VideoSession
 pub fn ab_sessions_of(rows: &[AbRow], participant: usize) -> Vec<VideoSession> {
     rows.iter().filter(|r| r.participant == participant).map(|r| r.session).collect()
 }
-
-/// Convenience: when a timeline row carries a response, its submitted
-/// `UserPerceivedPLT` in seconds.
-pub fn submitted_uplt(row: &TimelineRow) -> Option<f64> {
-    row.response.map(|r| r.submitted.as_secs_f64())
-}
-
-/// A stable wall-clock anchor for a campaign (campaigns start at t = 0 of
-/// their own clock; arrival offsets come from the recruitment model).
-pub const CAMPAIGN_START: SimTime = SimTime::ZERO;

@@ -1,13 +1,18 @@
 //! The flat data-plane campaign kernel: SoA batching + arena scratch.
 //!
-//! This is the one production kernel for both test kinds. The one-shot
-//! engines ([`flat_timeline_campaign`], [`flat_ab_campaign`]), the
-//! adaptive driver, both checkpointed drivers and both worker
-//! checkpoints all run `Kernel::epoch`;
+//! This module holds the one per-participant campaign pipeline for
+//! both test kinds — assign, session, answer, control — and runs it
+//! two ways. It either keeps every showing as a row (`serve`, behind
+//! [`crate::campaign::run_timeline_campaign`] and
+//! [`crate::campaign::run_ab_campaign`]) or folds a digest
+//! (`Kernel::epoch`, behind the one-shot engines
+//! [`flat_timeline_campaign`] and [`flat_ab_campaign`], the adaptive
+//! driver, both checkpointed drivers and both worker checkpoints).
+//! Both draw every value from the same per-stimulus planes and the same
+//! `Plane` answer and control methods.
 //! [`crate::stream::stream_timeline_campaign`] remains only as the
-//! participant-at-a-time timeline reference it is checked against. The
-//! kernel runs the materializing engine's seeded per-participant
-//! pipeline in **structure-of-arrays** form:
+//! participant-at-a-time timeline reference the fold is checked
+//! against. The fold runs the pipeline in **structure-of-arrays** form:
 //!
 //! 1. All per-stimulus constants are hoisted into *planes* (one
 //!    `TlPlane`/`AbPlane` per stimulus) built once per campaign:
@@ -38,9 +43,10 @@
 //!
 //! The shard fold (`Kernel::fold_range`: gate → assign →
 //! stimulus-blocked serve → row walk) and the epoch around it are
-//! written once, generic over `Plane`. A test kind supplies only its
-//! per-stimulus plane, the bookkeeping of one showing, its control
-//! draw, and the push of one kept cell. A/B campaigns run under an
+//! written once, generic over `Plane`, and so is the row-keeping
+//! `serve`. A test kind supplies only its per-stimulus plane, the
+//! bookkeeping of one showing, its answer and control draws, the push
+//! of one kept answer, and its row. A/B campaigns run under an
 //! all-live mask; timeline campaigns additionally serve the adaptive
 //! driver's per-stimulus mask (serve all picks, push only live, prune
 //! whole participants — see `crate::adaptive`).
@@ -54,31 +60,33 @@
 //! participant, bulk-seeding a whole stimulus block, or not drawing a
 //! response whose value no accumulator consumes reads the exact same
 //! bits everywhere else. What does carry order is the push sequence
-//! into each accumulator, and pass E replays it exactly as the
-//! materializing engine does: rows ascending, slots in presentation
-//! order. Counters (gate, responses, filters, controls) are pure totals
-//! and are bumped in pass C regardless of whether the value is later
-//! consumed. The `streaming_equivalence` and `streaming_counters` tests
-//! pin the kernel to the materializing engine (and the timeline kernel
-//! to the streaming reference) across shard sizes and thread counts.
+//! into each accumulator, and pass E replays it exactly as
+//! `digest_timeline`/`digest_ab` fold the rows of `serve`: rows
+//! ascending, slots in presentation order. Counters (gate, responses,
+//! filters, controls) are pure totals and are bumped in pass C
+//! regardless of whether the value is later consumed. The
+//! `streaming_equivalence`, `streaming_counters` and `campaign_golden`
+//! tests pin the fold to the digest of the kept rows (and the timeline
+//! fold to the streaming reference) across shard sizes and thread
+//! counts.
 
 use eyeorg_crowd::fastpath::{
     ab_control_seeded, judge_pair_seeded, session_seed, timeline_control_seeded,
-    timeline_response_seeded, video_session_from_rng,
+    timeline_response_seeded, video_session_from_rng, video_session_seeded,
 };
 use eyeorg_crowd::{
-    AbAnswer, ModelSeeds, Persona, PopulationProfile, ReadyTimes, RecruitmentService,
-    SessionProfile, TestKind, TimelineStimulusProfile, VideoSession,
+    AbAnswer, ModelSeeds, Participant, Persona, PopulationProfile, ReadyTimes, RecruitmentService,
+    SessionProfile, TestKind, TimelineResponse, TimelineStimulusProfile, VideoSession,
 };
 use eyeorg_stats::rng::Rng;
 use eyeorg_stats::{par_map_range, par_map_range_scratch, resolve_threads, Seed};
 use eyeorg_video::FrameTimeline;
 
-use crate::campaign::{AbVerdict, ControlRow};
+use crate::campaign::{AbRow, AbVerdict, ControlRow, TimelineRow};
 use crate::checkpoint::ShardKind;
 use crate::digest::{AbDigest, BehaviorDigest, ControlTally, DigestParams, TimelineDigest};
 use crate::experiment::{
-    a_on_left, assert_runnable, assign_into, AbStimulus, ExperimentConfig, TimelineStimulus,
+    a_on_left, assert_runnable, assign, assign_into, AbStimulus, ExperimentConfig, TimelineStimulus,
 };
 use crate::filtering::{decide, FilterDecision, FilterTally, ParticipantFilter};
 use crate::stream::{
@@ -86,14 +94,19 @@ use crate::stream::{
 };
 
 /// What a test kind supplies to the shared kernel: its per-stimulus
-/// plane of hoisted constants, and what one showing, one control and
-/// one kept cell do to its shard fold. Gate, assignment, serving,
-/// filters and behaviour are the kind-independent skeleton.
+/// plane of hoisted constants, its answer and control draws, what one
+/// showing and one kept answer do to its shard fold, and its row.
+/// Gate, assignment, serving, filters and behaviour are the
+/// kind-independent skeleton.
 pub(crate) trait Plane: Sized + Send + Sync {
     /// What a campaign of this kind shows.
     type Stimulus: Sync;
     /// The shard accumulator the kernel folds into.
     type Shard: ShardKind<Stimulus = Self::Stimulus> + Send;
+    /// One participant's answer on one stimulus.
+    type Answer;
+    /// One materialized showing.
+    type Row: Send;
     /// The behaviour model's test kind.
     const TEST: TestKind;
     /// The campaign-seed label of the assignment stream.
@@ -109,15 +122,19 @@ pub(crate) trait Plane: Sized + Send + Sync {
     /// Whether persona `p` passes the control question built on this
     /// stimulus.
     fn control(&self, p: &Persona, seeds: &ModelSeeds) -> bool;
-    /// Draw participant `pi`'s kept answer on stimulus `si` and fold it.
-    fn push_kept(
+    /// Draw admitted participant `pi`'s answer on stimulus `si`.
+    fn answer(&self, si: usize, pi: u64, p: &Persona, seeds: &ModelSeeds) -> Self::Answer;
+    /// Fold one kept answer on stimulus `si`.
+    fn push_answer(fold: &mut Self::Shard, si: usize, answer: Self::Answer);
+    /// The row of one showing of stimulus `si` to admitted participant
+    /// `pi`; `answer` is `None` when the session was skipped.
+    fn row(
         &self,
-        fold: &mut Self::Shard,
         si: usize,
-        pi: u64,
-        p: &Persona,
-        seeds: &ModelSeeds,
-    );
+        pi: usize,
+        session: VideoSession,
+        answer: Option<Self::Answer>,
+    ) -> Self::Row;
     /// Record a shard's gate totals.
     fn gate(fold: &mut Self::Shard, admitted: u64, rejected: u64, pruned: u64);
     /// The fold's per-participant tallies.
@@ -142,6 +159,8 @@ pub(crate) struct TlPlane {
 impl Plane for TlPlane {
     type Stimulus = TimelineStimulus;
     type Shard = TlShard;
+    type Answer = TimelineResponse;
+    type Row = TimelineRow;
     const TEST: TestKind = TestKind::Timeline;
     const ASSIGN: &'static str = "timeline";
 
@@ -177,9 +196,22 @@ impl Plane for TlPlane {
         timeline_control_seeded(p, seeds, &self.ctrl_label)
     }
 
-    fn push_kept(&self, fold: &mut TlShard, si: usize, _: u64, p: &Persona, seeds: &ModelSeeds) {
-        let resp = timeline_response_seeded(&self.profile, &self.rewinds, p, seeds, &self.label);
-        fold.stimuli[si].push(resp.submitted.as_secs_f64());
+    fn answer(&self, _: usize, _: u64, p: &Persona, seeds: &ModelSeeds) -> TimelineResponse {
+        timeline_response_seeded(&self.profile, &self.rewinds, p, seeds, &self.label)
+    }
+
+    fn push_answer(fold: &mut TlShard, si: usize, response: TimelineResponse) {
+        fold.stimuli[si].push(response.submitted.as_secs_f64());
+    }
+
+    fn row(
+        &self,
+        si: usize,
+        pi: usize,
+        session: VideoSession,
+        response: Option<TimelineResponse>,
+    ) -> TimelineRow {
+        TimelineRow { participant: pi, stimulus: si, session, response }
     }
 
     fn gate(fold: &mut TlShard, admitted: u64, rejected: u64, pruned: u64) {
@@ -212,6 +244,8 @@ pub(crate) struct AbPlane {
 impl Plane for AbPlane {
     type Stimulus = AbStimulus;
     type Shard = AbShard;
+    type Answer = AbVerdict;
+    type Row = AbRow;
     const TEST: TestKind = TestKind::Ab;
     const ASSIGN: &'static str = "ab-assign";
 
@@ -253,16 +287,32 @@ impl Plane for AbPlane {
         ab_control_seeded(self.ready_a.get(p.readiness), p, seeds, &self.label).1
     }
 
-    fn push_kept(&self, fold: &mut AbShard, si: usize, pi: u64, p: &Persona, seeds: &ModelSeeds) {
+    /// The judgment, drawn in presentation space and mapped back to
+    /// stimulus space.
+    fn answer(&self, si: usize, pi: u64, p: &Persona, seeds: &ModelSeeds) -> AbVerdict {
         let (a, b) = (self.ready_a.get(p.readiness), self.ready_b.get(p.readiness));
         let a_left = a_on_left(self.side_seed, pi, si);
         let (l, r) = if a_left { (a, b) } else { (b, a) };
-        let answer = judge_pair_seeded(l, r, p, seeds, &self.label);
-        fold.stimuli[si].tally.record(match (answer, a_left) {
+        match (judge_pair_seeded(l, r, p, seeds, &self.label), a_left) {
             (AbAnswer::NoDifference, _) => AbVerdict::NoDifference,
             (AbAnswer::Left, true) | (AbAnswer::Right, false) => AbVerdict::AFaster,
             (AbAnswer::Left, false) | (AbAnswer::Right, true) => AbVerdict::BFaster,
-        });
+        }
+    }
+
+    fn push_answer(fold: &mut AbShard, si: usize, verdict: AbVerdict) {
+        fold.stimuli[si].tally.record(verdict);
+    }
+
+    fn row(
+        &self,
+        si: usize,
+        pi: usize,
+        session: VideoSession,
+        verdict: Option<AbVerdict>,
+    ) -> AbRow {
+        let a_left = a_on_left(self.side_seed, pi as u64, si);
+        AbRow { participant: pi, stimulus: si, a_left, session, verdict }
     }
 
     /// A/B campaigns run all-live, so nothing is ever pruned.
@@ -388,7 +438,7 @@ impl<'a, P: Plane> Kernel<'a, P> {
         let threads = resolve_threads(cfg.threads);
         Kernel {
             stimuli,
-            planes: par_map_range(stimuli.len(), threads, |si| P::of(si, &stimuli[si], seed)),
+            planes: planes(stimuli, seed, threads),
             pop: service.population(),
             cfg,
             filters,
@@ -579,13 +629,63 @@ impl<'a, P: Plane> Kernel<'a, P> {
                 for cell in cbase..cbase + k {
                     let si = arena.picks[cell] as usize;
                     if arena.voted[cell] && live[si] {
-                        self.planes[si].push_kept(&mut fold, si, my_pi, p, mseeds);
+                        P::push_answer(&mut fold, si, self.planes[si].answer(si, my_pi, p, mseeds));
                     }
                 }
             }
         }
         fold
     }
+}
+
+/// Every stimulus's plane, hoisted in parallel.
+fn planes<P: Plane>(stimuli: &[P::Stimulus], seed: Seed, threads: usize) -> Vec<P> {
+    par_map_range(stimuli.len(), threads, |si| P::of(si, &stimuli[si], seed))
+}
+
+/// Serve the gate-admitted `participants` in index order and keep
+/// every showing as a row — the kernel's per-participant pipeline,
+/// participant-at-a-time and without a fold: assign the videos, draw
+/// each session from the plane's [`SessionProfile`], draw an answer
+/// for every showing not skipped, then ask the control question on the
+/// first video. Participants are independent work items (every draw is
+/// keyed by the participant's own seed), so the parallel map merged in
+/// index order is byte-identical at any thread count.
+pub(crate) fn serve<P: Plane>(
+    stimuli: &[P::Stimulus],
+    participants: &[Participant],
+    cfg: &ExperimentConfig,
+    seed: Seed,
+) -> (Vec<P::Row>, Vec<ControlRow>) {
+    let threads = resolve_threads(cfg.threads);
+    let planes = planes::<P>(stimuli, seed, threads);
+    let assign_seed = seed.derive(P::ASSIGN);
+    let per_participant = par_map_range(participants.len(), threads, |pi| {
+        let p = participants[pi].persona();
+        let seeds = ModelSeeds::of(p.seed);
+        let picks = assign(assign_seed, pi as u64, stimuli.len(), cfg.videos_per_participant);
+        let rows: Vec<P::Row> = picks
+            .iter()
+            .map(|&si| {
+                let plane = &planes[si];
+                let session =
+                    video_session_seeded(plane.session(), &p, P::TEST, &seeds, plane.label());
+                let answer = (!session.skipped).then(|| plane.answer(si, pi as u64, &p, &seeds));
+                plane.row(si, pi, session, answer)
+            })
+            .collect();
+        let control = cfg
+            .with_controls
+            .then(|| ControlRow { participant: pi, passed: planes[picks[0]].control(&p, &seeds) });
+        (rows, control)
+    });
+    let mut rows = Vec::new();
+    let mut controls = Vec::new();
+    for (p_rows, control) in per_participant {
+        rows.extend(p_rows);
+        controls.extend(control);
+    }
+    (rows, controls)
 }
 
 /// One whole campaign of `n_participants` through the kernel, under an

@@ -11,14 +11,15 @@
 //!   assignment, randomised A/B presentation order, control insertion.
 //! * [`builders`] — webpeg capture pipelines for the three campaign
 //!   types (PLT timeline, H1-vs-H2 A/B, ad-blocker A/B).
-//! * [`campaign`] — recruitment + serving + response collection (the
-//!   materializing engine: full rows retained for row-level analysis).
-//! * [`flat`] — the flat data-plane kernel, the one production kernel
-//!   for both test kinds: the same seeded pipeline folded shard by
-//!   shard into bounded-memory digests, in structure-of-arrays form
-//!   (per-stimulus planes, per-worker arena scratch, stimulus-blocked
-//!   inner loop) — byte-identical digests, memory proportional to a
-//!   shard, allocation-free inner loop.
+//! * [`campaign`] — recruitment, the humanness gate and the row types:
+//!   campaigns whose every showing is kept as a row for row-level
+//!   analysis.
+//! * [`flat`] — the one per-participant campaign pipeline for both test
+//!   kinds, which either keeps rows (for [`campaign`]) or folds them
+//!   shard by shard into bounded-memory digests, in structure-of-arrays
+//!   form (per-stimulus planes, per-worker arena scratch,
+//!   stimulus-blocked inner loop) — byte-identical digests, memory
+//!   proportional to a shard, allocation-free inner loop.
 //! * [`stream`] — what the sharded entry points share (shard folds,
 //!   admitted-index pre-pass, order-pinned merge) and the streaming
 //!   timeline reference, a participant-at-a-time loop the kernel is

@@ -5,8 +5,11 @@
 //! `protocol-ab`, `adblock-ab`, `adaptive` — and asserts that every
 //! engine (flat, streaming, materializing), shard size, thread count
 //! {1, 2, 4}, checkpoint resume and three-process worker split
-//! reproduces them. The run-report binary's counters are pinned by
-//! `crates/bench/tests/run_report_golden.rs`.
+//! reproduces them. The `*/rows` hashes pin the materialized campaigns'
+//! rows themselves: a canonical rendering of every row and control
+//! field (times in integer µs) and each admitted participant's seed,
+//! including the fields no digest reads. The run-report binary's
+//! counters are pinned by `crates/bench/tests/run_report_golden.rs`.
 //!
 //! The obs registry is process-global, so every test holds one lock. If
 //! `EYEORG_THREADS` is unset the binary sets it to 4 before any pool is
@@ -18,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use eyeorg_browser::{AdBlocker, BrowserConfig};
 use eyeorg_core::prelude::*;
-use eyeorg_crowd::CrowdFlower;
+use eyeorg_crowd::{CrowdFlower, Participant, VideoSession};
 use eyeorg_net::NetworkProfile;
 use eyeorg_stats::{set_chaos_seed, Seed};
 use eyeorg_video::{shared_capture_cache, CaptureConfig};
@@ -28,10 +31,13 @@ use eyeorg_workload::alexa_like;
 const GOLDEN: &[(&str, &str)] = &[
     ("timeline/digest", "7ece7388a382ede1"),
     ("timeline/counters", "82a3ef8a1c54331a"),
+    ("timeline/rows", "8974c1b67ab7726a"),
     ("protocol-ab/digest", "424dda221e4ff650"),
     ("protocol-ab/counters", "d6fe20b43e5df2e3"),
+    ("protocol-ab/rows", "53e6f099d6c64eed"),
     ("adblock-ab/digest", "e4ab217986ef54cd"),
     ("adblock-ab/counters", "e18277a5876eee88"),
+    ("adblock-ab/rows", "98ce6413e516cb96"),
     ("adaptive/digest", "d91546eeb3f011d2"),
     ("adaptive/counters", "0746267343fc54d0"),
     ("adaptive/decisions", "0123e6789fd40b1e"),
@@ -175,22 +181,78 @@ fn timeline() {
         let report = filter_timeline(&campaign, &paper_pipeline());
         let d = digest_timeline(&campaign, &report, N, &DigestParams::default());
         assert_eq!(Cell::of(&d.fingerprint()), *cell, "materializing, threads={threads}");
-        assert_same_rows(&mut rows, &campaign, threads);
+        assert_same_rows(&mut rows, &tl_rows(&campaign), threads);
         for shard in SHARDS {
             let ctx = format!("threads={threads} shard={shard}");
             assert_eq!(sharded(false, threads, shard), *cell, "flat, {ctx}");
             assert_eq!(sharded(true, threads, shard), *cell, "stream, {ctx}");
         }
     }
-    cell.assert_golden("timeline", &[]);
+    cell.assert_golden("timeline", &[("rows", rows.as_deref().unwrap_or_default())]);
 }
 
-/// The materialized campaign at `threads` renders (`Debug` covers every
-/// field of every row) exactly as at the first thread count.
-fn assert_same_rows(first: &mut Option<String>, campaign: &impl std::fmt::Debug, threads: usize) {
-    let rows = format!("{campaign:?}");
+/// The hash of a materialized campaign's rows at `threads` equals the
+/// one at the first thread count.
+fn assert_same_rows(first: &mut Option<String>, rendered: &str, threads: usize) {
+    let rows = fnv1a(rendered);
     let first = first.get_or_insert_with(|| rows.clone());
     assert!(*first == rows, "materialized campaign at threads={threads} differs from threads=1");
+}
+
+/// One session, every field, times in integer µs.
+fn session_text(s: &VideoSession) -> String {
+    format!(
+        "{} {} {} {} {} {} {}",
+        s.video_load.as_micros(),
+        s.time_spent.as_micros(),
+        s.seeks,
+        s.plays,
+        s.pauses,
+        s.out_of_focus.as_micros(),
+        s.skipped
+    )
+}
+
+/// The admitted participants' seeds and the controls, one line each.
+fn seeds_and_controls(participants: &[Participant], controls: &[ControlRow]) -> String {
+    let seeds = participants.iter().map(|p| format!("p {}\n", p.seed.value()));
+    let controls = controls.iter().map(|c| format!("c {} {}\n", c.participant, c.passed));
+    seeds.chain(controls).collect()
+}
+
+/// The canonical rendering of a timeline campaign's rows: every field
+/// of every row and control, plus each admitted participant's seed.
+fn tl_rows(c: &TimelineCampaign) -> String {
+    let rows = c.rows.iter().map(|r| {
+        let response = r.response.map_or("-".to_string(), |x| {
+            format!(
+                "{} {} {} {} {}",
+                x.perceived.as_micros(),
+                x.slider.as_micros(),
+                x.helper.as_micros(),
+                x.submitted.as_micros(),
+                x.accepted_helper
+            )
+        });
+        format!("r {} {} {} {response}\n", r.participant, r.stimulus, session_text(&r.session))
+    });
+    rows.collect::<String>() + &seeds_and_controls(&c.participants, &c.controls)
+}
+
+/// [`tl_rows`] for an A/B campaign.
+fn ab_rows(c: &AbCampaign) -> String {
+    let rows = c.rows.iter().map(|r| {
+        let verdict = match r.verdict {
+            Some(AbVerdict::AFaster) => "A",
+            Some(AbVerdict::BFaster) => "B",
+            Some(AbVerdict::NoDifference) => "N",
+            None => "-",
+        };
+        let (p, s, a_left, session) =
+            (r.participant, r.stimulus, r.a_left, session_text(&r.session));
+        format!("r {p} {s} {a_left} {session} {verdict}\n")
+    });
+    rows.collect::<String>() + &seeds_and_controls(&c.participants, &c.controls)
 }
 
 fn flat_ab(stimuli: &[AbStimulus], threads: usize) -> Cell {
@@ -214,8 +276,8 @@ fn protocol_cell() -> &'static Cell {
 }
 
 /// The flat kernel equals the materializing A/B engine at every thread
-/// count.
-fn check_ab(stimuli: &[AbStimulus], cell: &Cell) {
+/// count. Returns the hash of the materialized rows.
+fn check_ab(stimuli: &[AbStimulus], cell: &Cell) -> String {
     let mut rows = None;
     for threads in THREADS {
         eyeorg_obs::reset();
@@ -224,17 +286,18 @@ fn check_ab(stimuli: &[AbStimulus], cell: &Cell) {
         let report = filter_ab(&campaign, &paper_pipeline());
         let d = digest_ab(&campaign, &report, N);
         assert_eq!(Cell::of(&d.fingerprint()), *cell, "materializing, threads={threads}");
-        assert_same_rows(&mut rows, &campaign, threads);
+        assert_same_rows(&mut rows, &ab_rows(&campaign), threads);
         assert_eq!(flat_ab(stimuli, threads), *cell, "flat, threads={threads}");
     }
+    rows.unwrap_or_default()
 }
 
 #[test]
 fn protocol_ab() {
     let _g = serial();
     let cell = protocol_cell();
-    check_ab(protocol_stimuli(), cell);
-    cell.assert_golden("protocol-ab", &[]);
+    let rows = check_ab(protocol_stimuli(), cell);
+    cell.assert_golden("protocol-ab", &[("rows", &rows)]);
 }
 
 #[test]
@@ -243,8 +306,8 @@ fn adblock_ab() {
     let blocked = adblock_stimuli().iter().filter(|s| s.a.trace() != s.b.trace()).count();
     assert!(blocked > 0, "the blocker changes no load");
     let cell = flat_ab(adblock_stimuli(), 1);
-    check_ab(adblock_stimuli(), &cell);
-    cell.assert_golden("adblock-ab", &[]);
+    let rows = check_ab(adblock_stimuli(), &cell);
+    cell.assert_golden("adblock-ab", &[("rows", &rows)]);
 }
 
 fn active() -> AdaptiveConfig {

@@ -3,8 +3,9 @@
 //! The parallel campaign engine's contract: for a fixed root seed, the
 //! campaign (and everything derived from it, down to the exported JSON
 //! dataset) is byte-identical at every worker-thread count, and
-//! `threads = 1` runs the original sequential engine. These tests pin
-//! that contract with a small end-to-end campaign of each type.
+//! `threads = 1` runs the same pipeline as a plain sequential loop.
+//! These tests pin that contract with a small end-to-end campaign of
+//! each type.
 
 use eyeorg_browser::BrowserConfig;
 use eyeorg_core::prelude::*;

@@ -246,11 +246,6 @@ fn video_bytes_estimate(video: &Video, kind: TestKind) -> u64 {
 }
 
 /// Time spent reading the instructions before the first video.
-pub fn instruction_time(participant: &Participant) -> SimDuration {
-    instruction_time_persona(&participant.persona())
-}
-
-/// [`instruction_time`] from a trait-core [`Persona`].
 pub fn instruction_time_persona(participant: &Persona) -> SimDuration {
     instruction_time_with_rng(participant, behavior_rng(participant.seed, "instructions"))
 }

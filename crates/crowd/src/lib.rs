@@ -44,8 +44,8 @@ pub use participant::{
 };
 pub use perception::{
     timeline_control_passes, timeline_control_passes_flat, timeline_response,
-    timeline_response_cached, timeline_response_flat, timeline_response_shared, true_ready_time,
-    ReadyTimes, TimelineResponse, TimelineStimulusProfile,
+    timeline_response_flat, timeline_response_shared, true_ready_time, ReadyTimes,
+    TimelineResponse, TimelineStimulusProfile,
 };
 pub use service::{CrowdFlower, Microworkers, Recruitment, RecruitmentService, TrustedChannel};
 

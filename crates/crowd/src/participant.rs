@@ -153,10 +153,10 @@ pub struct Persona {
 
 /// A weighted mixture compiled into a cumulative-threshold prefix table.
 ///
-/// [`pick_weighted_ref`] — the reference selection — re-sums the weights
-/// and walks them subtractively on *every* draw; with three mixture
-/// picks per participant that linear re-summation is pure per-draw
-/// overhead in `draw_traits`. `WeightTable` hoists the work to
+/// The reference selection, the test-only `pick_weighted_ref`, re-sums
+/// the weights and walks them subtractively on *every* draw; with three
+/// mixture picks per participant that linear re-summation is pure
+/// per-draw overhead in `draw_traits`. `WeightTable` hoists the work to
 /// construction: one `total` (the same left-to-right weight sum, so the
 /// `random_range(0.0..total)` draw consumes identical RNG bits) and one
 /// cumulative threshold per item, after which a draw is a single scan

@@ -190,31 +190,21 @@ pub struct TimelineResponse {
 /// independent (but reproducible) answers across their six videos.
 ///
 /// Convenience wrapper that materialises the frame timeline per call;
-/// campaign-scale simulation should build one [`FrameTimeline`] per video
-/// and use [`timeline_response_cached`].
+/// campaign-scale simulation should hoist the per-stimulus constants
+/// once and use [`timeline_response_flat`].
 pub fn timeline_response(
     video: &Video,
     participant: &Participant,
     video_label: &str,
 ) -> TimelineResponse {
     let mut frames = FrameTimeline::of(video);
-    timeline_response_cached(video, &mut frames, participant, video_label)
-}
-
-/// [`timeline_response`] against a pre-materialised frame timeline.
-pub fn timeline_response_cached(
-    video: &Video,
-    frames: &mut FrameTimeline,
-    participant: &Participant,
-    video_label: &str,
-) -> TimelineResponse {
     timeline_response_with(video, &mut |i| frames.rewind(i), participant, video_label)
 }
 
-/// [`timeline_response`] against a *shared* frame timeline — the form the
-/// parallel campaign engine uses, with one immutable [`FrameTimeline`]
-/// per stimulus (rewinds precomputed) serving every worker thread.
-/// Bit-identical to [`timeline_response_cached`] for the same inputs.
+/// [`timeline_response`] against a *shared* frame timeline, with one
+/// immutable [`FrameTimeline`] per stimulus (rewinds precomputed)
+/// serving every worker thread. Bit-identical to [`timeline_response`]
+/// for the same inputs.
 pub fn timeline_response_shared(
     video: &Video,
     frames: &FrameTimeline,

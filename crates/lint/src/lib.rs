@@ -10,7 +10,7 @@
 //!
 //! The analyzer runs in passes (DESIGN.md §3j): a whole-file Rust
 //! tokenizer ([`token`]) feeds per-line scrubbed views to the line
-//! rules, and a structural pass ([`graph`], private) recovers a
+//! rules, and a structural pass (`graph`, private) recovers a
 //! per-workspace item graph — fn/impl/mod definitions with
 //! name-resolved-by-path-suffix call edges — for the reachability
 //! rules. Eight rules, each mapped to a way the contract has

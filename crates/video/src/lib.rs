@@ -14,8 +14,8 @@
 //! * [`capture`] — [`capture::Video`]: lazy frame rendering from a load
 //!   trace; visual-completeness queries.
 //! * [`webpeg`] — repeat-5-keep-median capture orchestration.
-//! * [`encode`] — an honest delta codec whose byte sizes feed the video
-//!   delivery model.
+//! * [`encode`](mod@encode) — an honest delta codec whose byte sizes
+//!   feed the video delivery model.
 //! * [`compare`] — the 1 % rewind-frame helper and blank control frames
 //!   (Fig. 3).
 //! * [`splice`] — side-by-side A/B splicing with artificial-delay

@@ -15,6 +15,8 @@ cargo test -q --workspace
 # and checks its smoke-size outputs against perfbench/fingerprints.txt.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc links must resolve: a link to a deleted or renamed item fails here.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps --workspace
 # Determinism/panic-surface/taint static analysis (rules D1-D8,
 # DESIGN.md §3e/§3j): exits non-zero with path:line diagnostics on any
 # finding not covered by an inline waiver or the checked-in D6 baseline
