@@ -116,8 +116,8 @@ pub fn load_page_with_conns(
 
 /// [`load_page`] with the network simulator's burst batching disabled —
 /// the per-segment reference path. The trace is identical to
-/// [`load_page`]'s (that equivalence is what the hot-path benchmark
-/// gates on); this entry point only exists so the comparison can be
+/// [`load_page`]'s (`loader_behavior::reference_path_produces_identical_traces`
+/// checks it); this entry point only exists so the comparison can be
 /// made end to end.
 pub fn load_page_reference(site: &Website, cfg: &BrowserConfig, seed: Seed) -> LoadTrace {
     Loader::new(site, cfg, seed, false).run().0
@@ -176,10 +176,11 @@ fn share_repeats(site: &Website, cfg: &BrowserConfig, seeds: &[Seed]) -> Vec<(Lo
     // The latest first drop (the earliest repeat among equals).
     let driver = (0..n).rev().max_by_key(|&r| first_drop[r]).unwrap_or(0);
     // Divergence index per repeat: the first loss draw whose outcome
-    // differs from the driver's (draws before it agree).
+    // differs from the driver's (draws before it agree). The driver's
+    // own index is never read.
     let diverge: Vec<u64> = (0..n)
         .map(|r| {
-            if first_drop[r] < first_drop[driver] || first_drop[r] == SCAN_CAP {
+            if r == driver || first_drop[r] < first_drop[driver] || first_drop[r] == SCAN_CAP {
                 // Both deliver everything before `r`'s first drop.
                 return first_drop[r];
             }

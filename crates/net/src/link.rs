@@ -40,6 +40,8 @@ pub struct LinkQueue {
     in_flight_departures: VecDeque<SimTime>,
     /// Time the transmitter becomes free.
     busy_until: SimTime,
+    /// `now` of the latest offer.
+    last_offer: SimTime,
     /// Counters for diagnostics and tests.
     accepted: u64,
     dropped: u64,
@@ -58,6 +60,7 @@ impl LinkQueue {
             queue_limit,
             in_flight_departures: VecDeque::new(),
             busy_until: SimTime::ZERO,
+            last_offer: SimTime::ZERO,
             accepted: 0,
             dropped: 0,
         }
@@ -67,8 +70,12 @@ impl LinkQueue {
     ///
     /// Returns the delivery time at the far end, or [`Transmit::Dropped`]
     /// when the buffer is full. `now` must be monotonically non-decreasing
-    /// across calls (enforced in debug builds only, for speed).
+    /// across calls (enforced in debug builds only, for speed). Arrival
+    /// times then never decrease either, which lets the simulator queue
+    /// them FIFO.
     pub fn offer(&mut self, now: SimTime, bytes: u64) -> Transmit {
+        debug_assert!(now >= self.last_offer, "offer at {now} after one at {}", self.last_offer);
+        self.last_offer = now;
         // Lazily prune packets that have already finished serialising;
         // departures are FIFO-sorted, so only the front can have expired.
         while self.in_flight_departures.front().is_some_and(|&d| d <= now) {
@@ -190,6 +197,15 @@ mod tests {
         // After all three serialise (3 * 11.68ms), the queue is empty again.
         let later = SimTime::from_millis(40);
         assert!(matches!(l.offer(later, 1460), Transmit::Delivered(_)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "after one at")]
+    fn offers_back_in_time_panic_in_debug_builds() {
+        let mut l = LinkQueue::new(mbps(10), SimDuration::ZERO, 64);
+        l.offer(SimTime::from_millis(5), 1460);
+        l.offer(SimTime::from_millis(4), 1460);
     }
 
     #[test]

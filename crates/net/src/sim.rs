@@ -45,6 +45,14 @@ const HANDSHAKE_PACKET_BYTES: u64 = 66;
 /// Wire size of a bare ACK.
 const ACK_BYTES: u64 = HEADER_BYTES + 26;
 
+/// Event-queue lane of arrivals at the client end of the downlink.
+/// [`LinkQueue::offer`] delivers FIFO behind a constant propagation
+/// delay, so each direction's arrival times never decrease.
+const DOWN: usize = 0;
+
+/// Event-queue lane of arrivals at the server end of the uplink.
+const UP: usize = 1;
+
 /// Identifier of a connection within one [`NetSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(pub usize);
@@ -216,15 +224,18 @@ pub struct NetSim {
     uplink: LinkQueue,
     loss: LossProcess,
     conns: Vec<Conn>,
-    queue: EventQueue<Ev>,
+    /// Link arrivals go on the `DOWN` and `UP` lanes; timers, opens,
+    /// sends and flushed ACKs go on the heap.
+    queue: EventQueue<Ev, 2>,
     out: VecDeque<(SimTime, NetEvent)>,
     logging: bool,
     /// Coalesce lossless bursts into one ACK-replay event (default on).
     /// The `false` path is the per-segment reference implementation the
     /// equivalence tests compare against.
     batching: bool,
-    /// Internal events popped since construction (for the hot-path
-    /// bench's events/sec metric).
+    /// Internal events popped since construction.
+    /// `batching_equivalence::batching_reduces_event_count` checks that
+    /// the batched path pops fewer than the per-segment one.
     pops: u64,
     counters: NetCounters,
     /// `pump`'s candidate burst, kept to reuse its allocation.
@@ -451,7 +462,11 @@ impl NetSim {
                 // First handshake leg: client → server.
                 let total_legs = 2 * (1 + self.conns[conn].tls.extra_round_trips());
                 let arrival = self.up_transmit(now, HANDSHAKE_PACKET_BYTES);
-                self.queue.schedule(arrival, Ev::HandshakeLeg { conn, remaining: total_legs - 1 });
+                self.queue.schedule_lane(
+                    UP,
+                    arrival,
+                    Ev::HandshakeLeg { conn, remaining: total_legs - 1 },
+                );
             }
             Ev::HandshakeLeg { conn, remaining } => {
                 if remaining == 0 {
@@ -474,12 +489,16 @@ impl NetSim {
                 // downlink if the leg count left is odd (server replies),
                 // uplink otherwise.
                 let is_down = remaining % 2 == 1;
-                let arrival = if is_down {
-                    self.down_transmit_lossless(now, HANDSHAKE_PACKET_BYTES)
+                let (lane, arrival) = if is_down {
+                    (DOWN, self.down_transmit_lossless(now, HANDSHAKE_PACKET_BYTES))
                 } else {
-                    self.up_transmit(now, HANDSHAKE_PACKET_BYTES)
+                    (UP, self.up_transmit(now, HANDSHAKE_PACKET_BYTES))
                 };
-                self.queue.schedule(arrival, Ev::HandshakeLeg { conn, remaining: remaining - 1 });
+                self.queue.schedule_lane(
+                    lane,
+                    arrival,
+                    Ev::HandshakeLeg { conn, remaining: remaining - 1 },
+                );
             }
             Ev::ClientSend { conn, bytes } => {
                 let start = self.conns[conn].up_sent;
@@ -551,10 +570,11 @@ impl NetSim {
                     {
                         // lint:allow(D4): the is_some_and guard on this branch established the plan exists
                         let generation = self.conns[conn].plan.as_ref().unwrap().generation;
-                        self.queue.schedule(arrival, Ev::AckBatch { conn, generation });
+                        self.queue.schedule_lane(UP, arrival, Ev::AckBatch { conn, generation });
                     }
                 } else {
-                    self.queue.schedule(
+                    self.queue.schedule_lane(
+                        UP,
                         arrival,
                         Ev::AckArrive { conn, ack: outcome.ack, sack: outcome.sack },
                     );
@@ -748,8 +768,8 @@ impl NetSim {
             }
             match self.downlink.offer(now, seg.wire_bytes()) {
                 Transmit::Delivered(arrival) => {
-                    self.queue
-                        .schedule(arrival, Ev::SegArrive { conn, start: seg.start, end: seg.end });
+                    let ev = Ev::SegArrive { conn, start: seg.start, end: seg.end };
+                    self.queue.schedule_lane(DOWN, arrival, ev);
                     if seg.retransmission {
                         clean = false;
                     } else {
@@ -842,7 +862,8 @@ impl NetSim {
         while off < bytes {
             let chunk = (bytes - off).min(MSS);
             let arrival = self.up_transmit(now, chunk + HEADER_BYTES);
-            self.queue.schedule(arrival, Ev::UpDataArrive { conn, end: start + off + chunk });
+            let ev = Ev::UpDataArrive { conn, end: start + off + chunk };
+            self.queue.schedule_lane(UP, arrival, ev);
             off += chunk;
         }
     }
