@@ -85,12 +85,15 @@ pub enum AdaptiveBackend {
     Flat,
 }
 
-/// Why a stimulus stopped recruiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a stimulus stopped recruiting. Driver checkpoints record it by
+/// its serialized name, so the names are part of checkpoint format v1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum StopCause {
     /// Confidence half-width dropped to `epsilon` or below.
+    #[serde(rename = "converged")]
     Converged,
     /// Hit the `max_n` kept-response cap.
+    #[serde(rename = "max_n")]
     MaxN,
 }
 
@@ -335,4 +338,21 @@ pub(crate) fn drive_resumable(
         decisions: st.decisions,
         stopped_at: st.stopped_at,
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::StopCause;
+
+    #[test]
+    fn stop_cause_round_trips_under_its_checkpoint_names() {
+        let names = [(StopCause::Converged, "\"converged\""), (StopCause::MaxN, "\"max_n\"")];
+        for (cause, json) in names {
+            assert_eq!(serde_json::to_string(&cause).unwrap(), json);
+            assert_eq!(serde_json::from_str::<StopCause>(json).unwrap(), cause);
+        }
+        for bad in ["\"MaxN\"", "\"stalled\"", "3", "null"] {
+            assert!(serde_json::from_str::<StopCause>(bad).is_err(), "{bad}");
+        }
+    }
 }

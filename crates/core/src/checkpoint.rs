@@ -44,16 +44,26 @@
 //! One JSON object per line: header, totals, behaviour, `S` stimulus
 //! lines, drive (timeline only), counters, end — `S + 6` lines for
 //! timeline files, `S + 5` for A/B. The generic codec keeps version 1
-//! byte for byte (golden files in `tests/fixtures/` pin it). Floats are
-//! carried as `f64::to_bits()` integers (canonical — `±inf` sentinels
-//! and `-0.0` round-trip exactly), the `Moments` fixed-point sums as
-//! decimal `i128` strings (the shim has no native i128). The header
-//! pins the [`DigestParams`] the accumulators were built with (all zero
-//! for A/B, which has no histogram or sketch); loading validates every
-//! per-stimulus state against it. The totals line must satisfy
-//! `admitted + rejected + pruned == range_hi - range_lo` (A/B files
-//! have no `pruned`: 0), since every participant index in the range is
-//! exactly one of the three. See DESIGN.md §3i.
+//! byte for byte (golden files in `tests/fixtures/` pin it).
+//!
+//! The line schema is the in-memory types: the behaviour, stimulus and
+//! counters lines serialize [`crate::digest::BehaviorDigest`],
+//! [`StimulusDigest`] and [`CounterState`] as they are, and their
+//! accumulators serialize as the `eyeorg_stats` state types
+//! ([`eyeorg_stats::MomentsState`], [`eyeorg_stats::HistogramState`],
+//! [`eyeorg_stats::QuantileSketchState`]). Floats are carried as
+//! `f64::to_bits()` integers (canonical — `±inf` sentinels and `-0.0`
+//! round-trip exactly), the `Moments` fixed-point sums as decimal
+//! strings ([`eyeorg_stats::DecimalI128`]). Only the header, the two
+//! totals lines, the A/B stimulus line, the drive line and the end line
+//! have shapes of their own.
+//!
+//! The header pins the [`DigestParams`] the accumulators were built
+//! with (all zero for A/B, which has no histogram or sketch); loading
+//! validates every per-stimulus state against it. The totals line must
+//! satisfy `admitted + rejected + pruned == range_hi - range_lo` (A/B
+//! files have no `pruned`: 0), since every participant index in the
+//! range is exactly one of the three. See DESIGN.md §3i.
 //!
 //! ## Error discipline
 //!
@@ -62,7 +72,8 @@
 //! [`CheckpointError`] — never a panic. The loader walks the lines with
 //! an iterator (no indexing), checks the totals invariant in checked
 //! arithmetic, rebuilds accumulators through the validating
-//! `from_state` constructors of `eyeorg_stats`, and cross-checkpoint
+//! `from_state` constructors of `eyeorg_stats` (their `Deserialize`
+//! impls go through nothing else), and cross-checkpoint
 //! merges go through the fallible [`MergeError`]-returning digest
 //! merges. Resume additionally **probe-merges** the loaded state
 //! against a freshly constructed accumulator before the run starts, so
@@ -84,11 +95,8 @@ use std::collections::BTreeMap;
 
 use eyeorg_crowd::RecruitmentService;
 use eyeorg_obs::HistogramSnapshot;
-use eyeorg_stats::{
-    resolve_threads, Histogram, HistogramState, Moments, MomentsState, QuantileSketch,
-    QuantileSketchState, Seed,
-};
-use serde::{Deserialize, Serialize, Value};
+use eyeorg_stats::{resolve_threads, Seed};
+use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{
     drive_resumable, AdaptiveBackend, AdaptiveOutcome, DriveEnd, DriveState, StopCause,
@@ -96,8 +104,8 @@ use crate::adaptive::{
 };
 use crate::analysis::AbTally;
 use crate::digest::{
-    AbDigest, AbStimulusDigest, BehaviorDigest, ControlTally, DigestParams, MergeError,
-    StimulusDigest, TimelineDigest,
+    AbDigest, AbStimulusDigest, ControlTally, DigestParams, MergeError, StimulusDigest,
+    TimelineDigest,
 };
 use crate::experiment::{
     campaign_defect, AbStimulus, AdaptiveConfig, ExperimentConfig, TimelineStimulus,
@@ -148,7 +156,9 @@ pub enum CheckpointError {
         /// Lines actually present.
         found: usize,
     },
-    /// An accumulator state failed its `from_state` validation.
+    /// A stimulus's accumulators were built under other parameters
+    /// than the header pins. (A state that fails its `from_state`
+    /// validation is a [`CheckpointError::Parse`].)
     State {
         /// 1-based line number.
         line: usize,
@@ -258,41 +268,6 @@ struct HeaderLine {
     lines: usize,
 }
 
-/// `Moments` raw state; `qsum`/`qsumsq` as decimal i128 strings,
-/// `min`/`max` as `to_bits()`.
-#[derive(Serialize, Deserialize)]
-struct MomentsLine {
-    n: u64,
-    qsum: String,
-    qsumsq: String,
-    min: u64,
-    max: u64,
-    rejected: u64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct HistLine {
-    lo: u64,
-    hi: u64,
-    counts: Vec<u32>,
-    outside: u32,
-}
-
-#[derive(Serialize, Deserialize)]
-struct SketchLine {
-    lo: u64,
-    hi: u64,
-    bins: usize,
-    cap: usize,
-    exact: Vec<u64>,
-    counts: Vec<u64>,
-    spilled: bool,
-    min: u64,
-    max: u64,
-    n: u64,
-    rejected: u64,
-}
-
 #[derive(Serialize, Deserialize)]
 struct TotalsLine {
     admitted: u64,
@@ -315,22 +290,6 @@ struct AbTotalsLine {
 }
 
 #[derive(Serialize, Deserialize)]
-struct BehaviorLine {
-    minutes_on_site: MomentsLine,
-    actions: MomentsLine,
-    out_of_focus_secs: MomentsLine,
-    max_video_load_secs: MomentsLine,
-}
-
-#[derive(Serialize, Deserialize)]
-struct StimulusLine {
-    name: String,
-    uplt: MomentsLine,
-    hist: HistLine,
-    sketch: SketchLine,
-}
-
-#[derive(Serialize, Deserialize)]
 struct AbStimulusLine {
     name: String,
     a: u32,
@@ -347,7 +306,7 @@ struct DecisionLine {
     name: String,
     retained: u64,
     half_width: u64,
-    cause: String,
+    cause: StopCause,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -361,23 +320,6 @@ struct AdaptiveLine {
 #[derive(Serialize, Deserialize)]
 struct DriveLine {
     adaptive: Option<AdaptiveLine>,
-}
-
-/// Mirror of `eyeorg_obs::HistogramSnapshot`, re-declared because the
-/// obs struct is (deliberately) serialize-only: the checkpoint layer
-/// owns the deserialization and its validation.
-#[derive(Serialize, Deserialize)]
-struct HistSnapLine {
-    count: u64,
-    sum: u64,
-    buckets: Vec<(usize, u64)>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct CountersLine {
-    counters: BTreeMap<String, u64>,
-    labeled: BTreeMap<String, BTreeMap<String, u64>>,
-    histograms: BTreeMap<String, HistSnapLine>,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -404,114 +346,16 @@ fn parse_line<T: Deserialize>(s: &str, line: usize) -> Result<T, CheckpointError
 }
 
 // ---------------------------------------------------------------------
-// Accumulator <-> line conversions
-// ---------------------------------------------------------------------
-
-fn moments_line(m: &Moments) -> MomentsLine {
-    let s = m.state();
-    MomentsLine {
-        n: s.n,
-        qsum: s.qsum.to_string(),
-        qsumsq: s.qsumsq.to_string(),
-        min: s.min_bits,
-        max: s.max_bits,
-        rejected: s.rejected,
-    }
-}
-
-fn moments_of(l: &MomentsLine, line: usize) -> Result<Moments, CheckpointError> {
-    let parse_i128 = |s: &str, what: &str| -> Result<i128, CheckpointError> {
-        s.parse::<i128>().map_err(|_| CheckpointError::State {
-            line,
-            detail: format!("{what} is not a decimal i128: {s:?}"),
-        })
-    };
-    Ok(Moments::from_state(&MomentsState {
-        n: l.n,
-        qsum: parse_i128(&l.qsum, "qsum")?,
-        qsumsq: parse_i128(&l.qsumsq, "qsumsq")?,
-        min_bits: l.min,
-        max_bits: l.max,
-        rejected: l.rejected,
-    }))
-}
-
-fn hist_line(h: &Histogram) -> HistLine {
-    let s = h.state();
-    HistLine { lo: s.lo_bits, hi: s.hi_bits, counts: s.counts, outside: s.outside }
-}
-
-fn hist_of(l: &HistLine, line: usize) -> Result<Histogram, CheckpointError> {
-    Histogram::from_state(&HistogramState {
-        lo_bits: l.lo,
-        hi_bits: l.hi,
-        counts: l.counts.clone(),
-        outside: l.outside,
-    })
-    .map_err(|e| CheckpointError::State { line, detail: e.0.to_string() })
-}
-
-fn sketch_line(s: &QuantileSketch) -> SketchLine {
-    let st = s.state();
-    SketchLine {
-        lo: st.lo_bits,
-        hi: st.hi_bits,
-        bins: st.bins,
-        cap: st.exact_cap,
-        exact: st.exact_bits,
-        counts: st.counts,
-        spilled: st.spilled,
-        min: st.min_bits,
-        max: st.max_bits,
-        n: st.n,
-        rejected: st.rejected,
-    }
-}
-
-fn sketch_of(l: &SketchLine, line: usize) -> Result<QuantileSketch, CheckpointError> {
-    QuantileSketch::from_state(&QuantileSketchState {
-        lo_bits: l.lo,
-        hi_bits: l.hi,
-        bins: l.bins,
-        exact_cap: l.cap,
-        exact_bits: l.exact.clone(),
-        counts: l.counts.clone(),
-        spilled: l.spilled,
-        min_bits: l.min,
-        max_bits: l.max,
-        n: l.n,
-        rejected: l.rejected,
-    })
-    .map_err(|e| CheckpointError::State { line, detail: e.0.to_string() })
-}
-
-fn behavior_line(b: &BehaviorDigest) -> BehaviorLine {
-    BehaviorLine {
-        minutes_on_site: moments_line(&b.minutes_on_site),
-        actions: moments_line(&b.actions),
-        out_of_focus_secs: moments_line(&b.out_of_focus_secs),
-        max_video_load_secs: moments_line(&b.max_video_load_secs),
-    }
-}
-
-fn behavior_of(l: &BehaviorLine, line: usize) -> Result<BehaviorDigest, CheckpointError> {
-    Ok(BehaviorDigest {
-        minutes_on_site: moments_of(&l.minutes_on_site, line)?,
-        actions: moments_of(&l.actions, line)?,
-        out_of_focus_secs: moments_of(&l.out_of_focus_secs, line)?,
-        max_video_load_secs: moments_of(&l.max_video_load_secs, line)?,
-    })
-}
-
-// ---------------------------------------------------------------------
 // Counter state
 // ---------------------------------------------------------------------
 
 /// The deterministic sections of an obs snapshot (counters, labeled
 /// counters, histograms) as plain maps — what a checkpoint records and
 /// what `eyeorg_obs::restore` re-applies on resume. See the module
-/// docs for the reset/restore contract.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// docs for the reset/restore contract. Checkpoint counters lines
+/// serialize it as-is, so its field names are part of checkpoint format
+/// v1.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CounterState {
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
@@ -565,37 +409,6 @@ impl CounterState {
                     mine.buckets = buckets.into_iter().collect();
                 }
             }
-        }
-    }
-
-    fn to_line(&self) -> CountersLine {
-        CountersLine {
-            counters: self.counters.clone(),
-            labeled: self.labeled.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        HistSnapLine { count: h.count, sum: h.sum, buckets: h.buckets.clone() },
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn of_line(l: CountersLine) -> CounterState {
-        CounterState {
-            counters: l.counters,
-            labeled: l.labeled,
-            histograms: l
-                .histograms
-                .into_iter()
-                .map(|(k, h)| {
-                    (k, HistogramSnapshot { count: h.count, sum: h.sum, buckets: h.buckets })
-                })
-                .collect(),
         }
     }
 }
@@ -693,10 +506,6 @@ fn recruitment(service: &dyn RecruitmentService, n: usize) -> (f64, f64) {
     (service.cost_per_participant() * n as f64, duration)
 }
 
-fn behavior_at(line: &str) -> Result<BehaviorDigest, CheckpointError> {
-    behavior_of(&parse_line::<BehaviorLine>(line, 3)?, 3)
-}
-
 impl ShardKind for TlShard {
     const TAG: &'static str = "timeline";
     const DRIVE_LINE: bool = true;
@@ -728,20 +537,12 @@ impl ShardKind for TlShard {
                 controls: self.controls,
             },
         );
-        put(out, &behavior_line(&self.behavior));
+        put(out, &self.behavior);
     }
 
     fn write_stimuli(&self, out: &mut String) -> usize {
         for s in &self.stimuli {
-            put(
-                out,
-                &StimulusLine {
-                    name: s.name.clone(),
-                    uplt: moments_line(&s.uplt),
-                    hist: hist_line(&s.hist),
-                    sketch: sketch_line(&s.sketch),
-                },
-            );
+            put(out, s);
         }
         self.stimuli.len()
     }
@@ -750,7 +551,7 @@ impl ShardKind for TlShard {
         let t: TotalsLine = parse_line(totals, 2)?;
         Ok(TlShard {
             stimuli: Vec::with_capacity(n),
-            behavior: behavior_at(behavior)?,
+            behavior: parse_line(behavior, 3)?,
             filters: t.filters,
             controls: t.controls,
             admitted: t.admitted,
@@ -767,8 +568,8 @@ impl ShardKind for TlShard {
         ln: usize,
         params: &DigestParams,
     ) -> Result<(), CheckpointError> {
-        let sl: StimulusLine = parse_line(line, ln)?;
-        let hist = hist_of(&sl.hist, ln)?;
+        let s: StimulusDigest = parse_line(line, ln)?;
+        let (hist, sketch) = (&s.hist, &s.sketch);
         if hist.counts().len() != params.hist_bins {
             return Err(CheckpointError::State {
                 line: ln,
@@ -779,7 +580,6 @@ impl ShardKind for TlShard {
                 ),
             });
         }
-        let sketch = sketch_of(&sl.sketch, ln)?;
         if sketch.bins() != params.sketch_bins || sketch.exact_cap() != params.exact_cap {
             return Err(CheckpointError::State {
                 line: ln,
@@ -792,12 +592,7 @@ impl ShardKind for TlShard {
                 ),
             });
         }
-        self.stimuli.push(StimulusDigest {
-            name: sl.name,
-            uplt: moments_of(&sl.uplt, ln)?,
-            hist,
-            sketch,
-        });
+        self.stimuli.push(s);
         Ok(())
     }
 
@@ -863,7 +658,7 @@ impl ShardKind for AbShard {
                 controls: self.controls,
             },
         );
-        put(out, &behavior_line(&self.behavior));
+        put(out, &self.behavior);
     }
 
     fn write_stimuli(&self, out: &mut String) -> usize {
@@ -887,7 +682,7 @@ impl ShardKind for AbShard {
         let t: AbTotalsLine = parse_line(totals, 2)?;
         Ok(AbShard {
             stimuli: Vec::with_capacity(n),
-            behavior: behavior_at(behavior)?,
+            behavior: parse_line(behavior, 3)?,
             filters: t.filters,
             controls: t.controls,
             admitted: t.admitted,
@@ -984,24 +779,6 @@ pub type TimelineCheckpoint = Checkpoint<TlShard>;
 /// An A/B campaign's checkpoint.
 pub type AbCheckpoint = Checkpoint<AbShard>;
 
-fn stop_cause_tag(c: StopCause) -> &'static str {
-    match c {
-        StopCause::Converged => "converged",
-        StopCause::MaxN => "max_n",
-    }
-}
-
-fn stop_cause_of(tag: &str, line: usize) -> Result<StopCause, CheckpointError> {
-    match tag {
-        "converged" => Ok(StopCause::Converged),
-        "max_n" => Ok(StopCause::MaxN),
-        other => Err(CheckpointError::Format {
-            line,
-            detail: format!("unknown stop cause {other:?}"),
-        }),
-    }
-}
-
 fn adaptive_line(d: &DriveCkpt) -> AdaptiveLine {
     AdaptiveLine {
         live: d.live.clone(),
@@ -1016,7 +793,7 @@ fn adaptive_line(d: &DriveCkpt) -> AdaptiveLine {
                 name: dec.name.clone(),
                 retained: dec.retained,
                 half_width: dec.half_width.to_bits(),
-                cause: stop_cause_tag(dec.cause).to_string(),
+                cause: dec.cause,
             })
             .collect(),
     }
@@ -1046,7 +823,7 @@ fn drive_of(a: AdaptiveLine, n_stimuli: usize, line: usize) -> Result<DriveCkpt,
             name: d.name,
             retained: d.retained,
             half_width: f64::from_bits(d.half_width),
-            cause: stop_cause_of(&d.cause, line)?,
+            cause: d.cause,
         });
     }
     Ok(DriveCkpt { live: a.live, epochs: a.epochs, stopped_at: a.stopped_at, decisions })
@@ -1093,7 +870,7 @@ impl<K: ShardKind> Checkpoint<K> {
         if K::DRIVE_LINE {
             put(&mut body, &DriveLine { adaptive: self.drive.as_ref().map(adaptive_line) });
         }
-        put(&mut body, &self.counters.to_line());
+        put(&mut body, &self.counters);
         put(&mut body, &EndLine { end: FORMAT_TAG.to_string() });
         let mut out = String::new();
         put(
@@ -1193,7 +970,7 @@ impl<K: ShardKind> Checkpoint<K> {
             drive = dl.adaptive.map(|a| drive_of(a, h.stimuli, ln)).transpose()?;
         }
         let (line, ln) = next()?;
-        let counters = CounterState::of_line(parse_line(line, ln)?);
+        let counters: CounterState = parse_line(line, ln)?;
         let (line, ln) = next()?;
         if parse_line::<EndLine>(line, ln)?.end != FORMAT_TAG {
             return Err(CheckpointError::Format { line: ln, detail: "bad end marker".to_string() });
@@ -1353,11 +1130,31 @@ fn worker_checkpoint<P: Plane>(
 // Live mode
 // ---------------------------------------------------------------------
 
-fn opt_f64(v: Option<f64>) -> Value {
-    match v {
-        Some(x) => Value::F64(x),
-        None => Value::Null,
-    }
+/// One live-mode JSONL line.
+#[derive(Serialize)]
+struct LiveLine {
+    processed: u64,
+    budget: u64,
+    #[serde(rename = "final")]
+    is_final: bool,
+    admitted: u64,
+    collected: u64,
+    skipped: u64,
+    kept: u64,
+    stimuli: Vec<LiveStimulus>,
+}
+
+/// One stimulus's read-outs on a [`LiveLine`].
+#[derive(Serialize)]
+struct LiveStimulus {
+    name: String,
+    retained: u64,
+    mean: Option<f64>,
+    p25: Option<f64>,
+    p50: Option<f64>,
+    p75: Option<f64>,
+    ci_lo: Option<f64>,
+    ci_hi: Option<f64>,
 }
 
 #[allow(clippy::too_many_arguments)] // one JSON line, one flat argument list
@@ -1371,32 +1168,25 @@ fn live_line(
     budget: u64,
     is_final: bool,
 ) -> String {
-    let stim: Vec<Value> = stimuli
+    let stimuli = stimuli
         .iter()
         .map(|s| {
             let ci = s.sketch.quantile_ci(50.0, ADAPTIVE_Z);
-            Value::Object(vec![
-                ("name".to_string(), Value::Str(s.name.clone())),
-                ("retained".to_string(), Value::U64(s.retained())),
-                ("mean".to_string(), opt_f64(s.uplt.mean())),
-                ("p25".to_string(), opt_f64(s.sketch.quantile(25.0))),
-                ("p50".to_string(), opt_f64(s.sketch.quantile(50.0))),
-                ("p75".to_string(), opt_f64(s.sketch.quantile(75.0))),
-                ("ci_lo".to_string(), opt_f64(ci.map(|c| c.0))),
-                ("ci_hi".to_string(), opt_f64(ci.map(|c| c.1))),
-            ])
+            LiveStimulus {
+                name: s.name.clone(),
+                retained: s.retained(),
+                mean: s.uplt.mean(),
+                p25: s.sketch.quantile(25.0),
+                p50: s.sketch.quantile(50.0),
+                p75: s.sketch.quantile(75.0),
+                ci_lo: ci.map(|c| c.0),
+                ci_hi: ci.map(|c| c.1),
+            }
         })
         .collect();
-    json_line(&Value::Object(vec![
-        ("processed".to_string(), Value::U64(processed)),
-        ("budget".to_string(), Value::U64(budget)),
-        ("final".to_string(), Value::Bool(is_final)),
-        ("admitted".to_string(), Value::U64(admitted)),
-        ("collected".to_string(), Value::U64(collected)),
-        ("skipped".to_string(), Value::U64(skipped)),
-        ("kept".to_string(), Value::U64(kept)),
-        ("stimuli".to_string(), Value::Array(stim)),
-    ]))
+    let line =
+        LiveLine { processed, budget, is_final, admitted, collected, skipped, kept, stimuli };
+    json_line(&line)
 }
 
 /// The live-mode JSONL line a finished digest implies — what the

@@ -159,8 +159,10 @@ impl std::fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// Per-stimulus UPLT accumulators (kept participants only).
-#[derive(Debug, Clone, PartialEq)]
+/// Per-stimulus UPLT accumulators (kept participants only). Checkpoint
+/// stimulus lines serialize it as-is, so its field names are part of
+/// checkpoint format v1.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StimulusDigest {
     /// Stimulus name.
     pub name: String,
@@ -311,8 +313,9 @@ impl StimulusDigest {
 
 /// Behaviour moments over every admitted participant (the unfiltered
 /// view §4.2 analyses — the streaming counterpart of
-/// `analysis::behavior_points`).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// `analysis::behavior_points`). Checkpoint behaviour lines serialize
+/// it as-is, so its field names are part of checkpoint format v1.
+#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct BehaviorDigest {
     /// Minutes on site (videos + instructions).
     pub minutes_on_site: Moments,

@@ -41,7 +41,13 @@ const GOLDEN: &[(&str, &str)] = &[
     ("adaptive/digest", "d91546eeb3f011d2"),
     ("adaptive/counters", "0746267343fc54d0"),
     ("adaptive/decisions", "0123e6789fd40b1e"),
+    ("resume/live", "9ac765b7c2339af7"),
 ];
+
+/// The recorded hash of `key`.
+fn golden(key: &str) -> &'static str {
+    GOLDEN.iter().find(|(k, _)| *k == key).map_or("missing", |&(_, v)| v)
+}
 
 const SITES: usize = 4;
 const N: usize = 400;
@@ -468,6 +474,8 @@ fn resume() {
             Some(&last),
             "final live line != digest read-out, threads={threads}"
         );
+        let hash = fnv1a(&live.join("\n"));
+        assert_eq!(hash, golden("resume/live"), "live lines moved, threads={threads}: {hash}");
 
         let d = interrupt_and_resume(threads, &inactive(SHARD)).digest.fingerprint();
         assert_eq!(Cell::of(&d), *timeline, "plain resume, threads={threads}");

@@ -163,7 +163,17 @@ impl<E, const LANES: usize> EventQueue<E, LANES> {
 
     /// Remove and return the earliest event, advancing the watermark.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ev = match self.first_lane() {
+        self.pop_until(SimTime::from_micros(u64::MAX))
+    }
+
+    /// [`EventQueue::pop`], but only if the earliest event fires at or
+    /// before `limit`; a later one stays queued and `None` comes back.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let (time, lane) = self.first()?;
+        if time > limit {
+            return None;
+        }
+        let ev = match lane {
             Some(lane) => self.lanes[lane].pop_front(),
             None => self.heap.pop(),
         }?;
@@ -171,10 +181,9 @@ impl<E, const LANES: usize> EventQueue<E, LANES> {
         Some((ev.time, ev.payload))
     }
 
-    /// The lane whose head sorts before the heap's top and every other
-    /// lane's head; `None` when the heap holds the earliest event or the
-    /// queue is empty.
-    fn first_lane(&self) -> Option<usize> {
+    /// The earliest event's time, and the lane whose head it is (`None`
+    /// when it is the heap's top); `None` when the queue is empty.
+    fn first(&self) -> Option<(SimTime, Option<usize>)> {
         let mut least = self.heap.peek().map(Scheduled::key);
         let mut first = None;
         for (lane, fifo) in self.lanes.iter().enumerate() {
@@ -185,7 +194,7 @@ impl<E, const LANES: usize> EventQueue<E, LANES> {
                 }
             }
         }
-        first
+        least.map(|(time, _)| (time, first))
     }
 
     /// The time of the earliest pending event, if any.
@@ -326,12 +335,15 @@ mod tests {
     /// `(time, payload)` streams and lengths. Deterministic seeds; covers
     /// bursts of ties, far-future tails, interleaved peeks, sequence
     /// numbers reserved now and scheduled later (as the RTO timer uses
-    /// them), lane appends in order and out of order (the heap fallback),
+    /// them), bounded pops with limits before, at and after the head,
+    /// lane appends in order and out of order (the heap fallback),
     /// same-instant ties across both lanes and the heap, and a clone
     /// taken mid-run (as load snapshots take one) drained on its own.
     #[test]
     fn matches_binary_heap_reference() {
         let (mut appended, mut fallbacks) = (0, 0);
+        // Bounded pops that popped, and that left the head queued.
+        let mut bounded = [0u32; 2];
         for seed in 0u64..8 {
             let mut rng = Rng::seed_from_u64(0xCAFE + seed);
             let mut cal: EventQueue<u64, 2> = EventQueue::new();
@@ -400,13 +412,34 @@ mod tests {
                         heap.schedule_seq(SimTime::from_micros(t), seq, payload);
                         payload += 1;
                     }
-                } else {
+                } else if r < 80 || heap.peek_time().is_none() {
                     assert_eq!(cal.peek_time(), heap.peek_time(), "seed={seed} step={step}");
                     let a = cal.pop();
                     let b = heap.pop();
                     assert_eq!(a, b, "seed={seed} step={step}");
                     if let Some((t, _)) = a {
                         now = t.as_micros();
+                    }
+                } else {
+                    // A bounded pop with a limit before, at or after the
+                    // head: it pops exactly when the head is due.
+                    let head = heap.peek_time().map_or(0, SimTime::as_micros);
+                    let limit = match rng.next_u64() % 3 {
+                        0 => head.saturating_sub(1 + rng.next_u64() % 1_000),
+                        1 => head,
+                        _ => head + 1 + rng.next_u64() % 1_000,
+                    };
+                    let limit = SimTime::from_micros(limit);
+                    let a = cal.pop_until(limit);
+                    let due = heap.peek_time().is_some_and(|t| t <= limit);
+                    let b = if due { heap.pop() } else { None };
+                    assert_eq!(a, b, "seed={seed} step={step} limit={limit}");
+                    match a {
+                        Some((t, _)) => {
+                            now = t.as_micros();
+                            bounded[0] += 1;
+                        }
+                        None => bounded[1] += 1,
                     }
                 }
                 assert_eq!(cal.len(), heap.payloads.len(), "seed={seed} step={step}");
@@ -421,6 +454,7 @@ mod tests {
             drain_against(&mut fork, fork_heap, &format!("seed={seed} clone drain"));
         }
         assert!(appended > 1_000 && fallbacks > 100, "{appended} appends, {fallbacks} fallbacks");
+        assert!(bounded.iter().all(|&n| n > 100), "bounded pops (popped, held): {bounded:?}");
     }
 
     #[test]

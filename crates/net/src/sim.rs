@@ -418,11 +418,7 @@ impl NetSim {
             if let Some(ev) = self.out.pop_front() {
                 return Some(ev);
             }
-            if self.queue.peek_time()? > limit {
-                return None;
-            }
-            // lint:allow(D4): peek_time returned Some, so the queue is non-empty
-            let (now, ev) = self.queue.pop().expect("peeked non-empty");
+            let (now, ev) = self.queue.pop_until(limit)?;
             self.process(now, ev);
         }
     }

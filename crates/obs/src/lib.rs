@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 pub mod metrics;
 
@@ -300,8 +300,10 @@ impl Drop for PhaseGuard {
 }
 
 /// One histogram's serialised form: only non-empty buckets, as
-/// `(bucket_index, count)` pairs in index order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// `(bucket_index, count)` pairs in index order. Checkpoint counters
+/// lines serialize it as-is, so its field names are part of checkpoint
+/// format v1.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,

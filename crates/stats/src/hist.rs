@@ -5,6 +5,8 @@
 //! unimodal, spread unimodal, multimodal). [`Histogram`] provides the
 //! binned counts; [`crate::modes`] performs the shape classification.
 
+use serde::{DeError, Deserialize, Serialize, Value};
+
 /// A histogram over `[lo, hi)` with equal-width bins (the final bin is
 /// closed on the right so `hi` itself is counted).
 #[derive(Debug, Clone, PartialEq)]
@@ -192,14 +194,32 @@ impl Histogram {
     }
 }
 
+impl Serialize for Histogram {
+    fn to_value(&self) -> Value {
+        self.state().to_value()
+    }
+}
+
+impl Deserialize for Histogram {
+    // lint:entrypoint(untrusted)
+    fn from_value(v: &Value) -> Result<Histogram, DeError> {
+        let state = HistogramState::from_value(v)?;
+        Histogram::from_state(&state).map_err(|e| DeError(e.to_string()))
+    }
+}
+
 /// Raw [`Histogram`] state — every private field, bounds as
 /// `to_bits()`. Produced by [`Histogram::state`], consumed by
-/// [`Histogram::from_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`Histogram::from_state`]. Checkpoint files serialize it as-is, so
+/// its field names (after the renames) are part of checkpoint format
+/// v1.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramState {
     /// `lo.to_bits()`.
+    #[serde(rename = "lo")]
     pub lo_bits: u64,
     /// `hi.to_bits()`.
+    #[serde(rename = "hi")]
     pub hi_bits: u64,
     /// Per-bin counts (length = bin count).
     pub counts: Vec<u32>,
@@ -227,6 +247,17 @@ mod tests {
         let mut s = h.state();
         s.hi_bits = s.lo_bits;
         assert!(Histogram::from_state(&s).is_err());
+    }
+
+    #[test]
+    fn state_serializes_to_its_checkpoint_json() {
+        let h = Histogram::with_bins(&[0.5, 1.5, 9.0], 0.0, 2.0, 2).unwrap();
+        let json = "{\"lo\":0,\"hi\":4611686018427387904,\"counts\":[1,1],\"outside\":1}";
+        assert_eq!(serde_json::to_string(&h).unwrap(), json);
+        assert_eq!(serde_json::from_str::<Histogram>(json).unwrap(), h);
+        // A corrupt state is an error, not a panic.
+        let err = serde_json::from_str::<Histogram>(&json.replace("[1,1]", "[]")).unwrap_err();
+        assert!(err.to_string().contains("histogram range/bins invalid"), "{err}");
     }
 
     #[test]

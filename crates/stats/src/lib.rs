@@ -63,5 +63,7 @@ pub use par::{
 pub use quantile::{percentile, percentile_band};
 pub use rng::Rng;
 pub use seed::Seed;
-pub use stream::{Moments, MomentsState, QuantileSketch, QuantileSketchState, StateError};
+pub use stream::{
+    DecimalI128, Moments, MomentsState, QuantileSketch, QuantileSketchState, StateError,
+};
 pub use summary::Summary;

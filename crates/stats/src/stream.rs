@@ -23,6 +23,8 @@
 //! * Mergeable fixed-bin histograms live in [`crate::hist`]
 //!   ([`crate::Histogram::merge`]).
 
+use serde::{DeError, Deserialize, Serialize, Value};
+
 use crate::quantile::percentile_sorted;
 
 /// Fixed-point scale for [`Moments`]: values are quantized to `2⁻³²`
@@ -169,8 +171,8 @@ impl Moments {
     pub fn state(&self) -> MomentsState {
         MomentsState {
             n: self.n,
-            qsum: self.qsum,
-            qsumsq: self.qsumsq,
+            qsum: DecimalI128(self.qsum),
+            qsumsq: DecimalI128(self.qsumsq),
             min_bits: self.min.to_bits(),
             max_bits: self.max.to_bits(),
             rejected: self.rejected,
@@ -186,8 +188,8 @@ impl Moments {
     pub fn from_state(s: &MomentsState) -> Moments {
         Moments {
             n: s.n,
-            qsum: s.qsum,
-            qsumsq: s.qsumsq,
+            qsum: s.qsum.0,
+            qsumsq: s.qsumsq.0,
             min: f64::from_bits(s.min_bits),
             max: f64::from_bits(s.max_bits),
             rejected: s.rejected,
@@ -195,22 +197,59 @@ impl Moments {
     }
 }
 
+impl Serialize for Moments {
+    fn to_value(&self) -> Value {
+        self.state().to_value()
+    }
+}
+
+impl Deserialize for Moments {
+    // lint:entrypoint(untrusted)
+    fn from_value(v: &Value) -> Result<Moments, DeError> {
+        Ok(Moments::from_state(&MomentsState::from_value(v)?))
+    }
+}
+
 /// Raw [`Moments`] state — every private field, floats as `to_bits()`.
 /// Produced by [`Moments::state`], consumed by [`Moments::from_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Checkpoint files serialize it as-is, so its field names (after the
+/// renames) are part of checkpoint format v1.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MomentsState {
     /// Accepted observations.
     pub n: u64,
     /// `Σ round(v·2³²)` over accepted observations.
-    pub qsum: i128,
+    pub qsum: DecimalI128,
     /// `Σ round(v²·2³²)` over accepted observations.
-    pub qsumsq: i128,
+    pub qsumsq: DecimalI128,
     /// `min.to_bits()` (`+inf` when empty).
+    #[serde(rename = "min")]
     pub min_bits: u64,
     /// `max.to_bits()` (`-inf` when empty).
+    #[serde(rename = "max")]
     pub max_bits: u64,
     /// Rejected (non-finite / out-of-magnitude) observations.
     pub rejected: u64,
+}
+
+/// An `i128` serialized as a decimal string: JSON numbers in the
+/// vendored serde stop at 64 bits, and [`Moments`]' fixed-point sums
+/// need all 128.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecimalI128(pub i128);
+
+impl Serialize for DecimalI128 {
+    fn to_value(&self) -> Value {
+        Value::Str(self.0.to_string())
+    }
+}
+
+impl Deserialize for DecimalI128 {
+    // lint:entrypoint(untrusted)
+    fn from_value(v: &Value) -> Result<DecimalI128, DeError> {
+        let s = v.as_str().ok_or_else(|| DeError::expected("decimal i128 string", v))?;
+        s.parse().map(DecimalI128).map_err(|_| DeError(format!("not a decimal i128: {s:?}")))
+    }
 }
 
 /// Why a raw accumulator state was rejected by a `from_state`
@@ -230,26 +269,34 @@ impl std::error::Error for StateError {}
 
 /// Raw [`QuantileSketch`] state — every private field, floats as
 /// `to_bits()`. Produced by [`QuantileSketch::state`], consumed by
-/// [`QuantileSketch::from_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`QuantileSketch::from_state`]. Checkpoint files serialize it as-is,
+/// so its field names (after the renames) are part of checkpoint
+/// format v1.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuantileSketchState {
     /// `lo.to_bits()` (construction-time range start).
+    #[serde(rename = "lo")]
     pub lo_bits: u64,
     /// `hi.to_bits()` (construction-time range end).
+    #[serde(rename = "hi")]
     pub hi_bits: u64,
     /// Bin count once spilled.
     pub bins: usize,
     /// Exact-mode capacity.
+    #[serde(rename = "cap")]
     pub exact_cap: usize,
     /// Sorted exact sample as `to_bits()` values (exact mode only).
+    #[serde(rename = "exact")]
     pub exact_bits: Vec<u64>,
     /// Bin counts (spilled mode only; empty in exact mode).
     pub counts: Vec<u64>,
     /// Whether the sketch has spilled to bins.
     pub spilled: bool,
     /// `min.to_bits()` (`+inf` when empty).
+    #[serde(rename = "min")]
     pub min_bits: u64,
     /// `max.to_bits()` (`-inf` when empty).
+    #[serde(rename = "max")]
     pub max_bits: u64,
     /// Folded observations.
     pub n: u64,
@@ -551,8 +598,7 @@ impl QuantileSketch {
         if exact.iter().any(|v| !v.is_finite()) {
             return Err(StateError("non-finite value in exact sample"));
         }
-        // lint:allow(D7, n=2): windows(2) yields exactly 2-element slices
-        if exact.windows(2).any(|w| w[0].total_cmp(&w[1]).is_gt()) {
+        if exact.iter().zip(exact.iter().skip(1)).any(|(a, b)| a.total_cmp(b).is_gt()) {
             return Err(StateError("exact sample not sorted"));
         }
         if s.spilled {
@@ -598,6 +644,20 @@ impl QuantileSketch {
         std::mem::size_of::<QuantileSketch>()
             + self.exact.capacity() * std::mem::size_of::<f64>()
             + self.counts.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+impl Serialize for QuantileSketch {
+    fn to_value(&self) -> Value {
+        self.state().to_value()
+    }
+}
+
+impl Deserialize for QuantileSketch {
+    // lint:entrypoint(untrusted)
+    fn from_value(v: &Value) -> Result<QuantileSketch, DeError> {
+        let state = QuantileSketchState::from_value(v)?;
+        QuantileSketch::from_state(&state).map_err(|e| DeError(e.to_string()))
     }
 }
 
@@ -806,6 +866,98 @@ mod tests {
         assert!(corrupt(&|s| s.counts.pop().map(|_| ()).unwrap_or(())).is_err()); // arity
         assert!(corrupt(&|s| s.n += 1).is_err()); // bin sum disagrees
         assert!(corrupt(&|s| s.exact_bits = vec![1.0f64.to_bits()]).is_err()); // sample while spilled
+    }
+
+    /// Serialize `v` and check the exact JSON, then read it back.
+    fn pin_json<T: Serialize + Deserialize + std::fmt::Debug>(v: &T, json: &str) {
+        assert_eq!(serde_json::to_string(v).unwrap(), json);
+        let back: T = serde_json::from_str(json).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{v:?}"));
+    }
+
+    #[test]
+    fn states_serialize_to_their_checkpoint_json() {
+        // Empty moments: the ±inf sentinels as bits, the sums as strings.
+        pin_json(
+            &Moments::new(),
+            "{\"n\":0,\"qsum\":\"0\",\"qsumsq\":\"0\",\"min\":9218868437227405312,\
+             \"max\":18442240474082181120,\"rejected\":0}",
+        );
+        let mut neg = Moments::new();
+        neg.push(-0.5);
+        pin_json(
+            &neg,
+            "{\"n\":1,\"qsum\":\"-2147483648\",\"qsumsq\":\"1073741824\",\
+             \"min\":13826050856027422720,\"max\":13826050856027422720,\"rejected\":0}",
+        );
+        // An exact sketch holding 1.0 and 2.0 over [0, 10].
+        let mut exact = QuantileSketch::new(0.0, 10.0, 4, 8).unwrap();
+        exact.push(2.0);
+        exact.push(1.0);
+        pin_json(
+            &exact,
+            "{\"lo\":0,\"hi\":4621819117588971520,\"bins\":4,\"cap\":8,\
+             \"exact\":[4607182418800017408,4611686018427387904],\"counts\":[],\
+             \"spilled\":false,\"min\":4607182418800017408,\"max\":4611686018427387904,\
+             \"n\":2,\"rejected\":0}",
+        );
+        // The same sample past a cap of 1: two bins over [0, 4], one each.
+        let mut spilled = QuantileSketch::new(0.0, 4.0, 2, 1).unwrap();
+        spilled.push(3.0);
+        spilled.push(1.0);
+        spilled.push(f64::NAN);
+        pin_json(
+            &spilled,
+            "{\"lo\":0,\"hi\":4616189618054758400,\"bins\":2,\"cap\":1,\"exact\":[],\
+             \"counts\":[1,1],\"spilled\":true,\"min\":4607182418800017408,\
+             \"max\":4613937818241073152,\"n\":2,\"rejected\":1}",
+        );
+    }
+
+    #[test]
+    fn decimal_i128_rejects_what_is_not_a_decimal_i128() {
+        let parse = |json: &str| DecimalI128::from_value(&serde_json::from_str(json).unwrap());
+        let (min, max) = (i128::MIN, i128::MAX);
+        assert_eq!(parse(&format!("\"{min}\"")), Ok(DecimalI128(min)));
+        assert_eq!(parse(&format!("\"{max}\"")), Ok(DecimalI128(max)));
+        let beyond = "\"170141183460469231731687303715884105728\""; // i128::MAX + 1
+        for bad in ["5", "\"12x\"", "\"\"", "\"1.5\"", "null", beyond] {
+            let err: DeError = parse(bad).unwrap_err();
+            assert!(err.0.contains("decimal i128"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn corrupt_sketch_json_is_an_error_not_a_panic() {
+        let mut sk = QuantileSketch::new(0.0, 10.0, 8, 4).unwrap();
+        for v in [3.0, 1.0, 2.0] {
+            sk.push(v);
+        }
+        let good = serde_json::to_string(&sk).unwrap();
+        // Each edit breaks one invariant: `n` against the sample, no
+        // bins, a regime flip, counts in exact mode, a sample beyond its
+        // cap, and a dropped sample value.
+        let corrupt = [
+            ("\"n\":3", "\"n\":4"),
+            ("\"bins\":8", "\"bins\":0"),
+            ("\"spilled\":false", "\"spilled\":true"),
+            ("\"counts\":[]", "\"counts\":[1]"),
+            ("\"cap\":4", "\"cap\":2"),
+            ("[4607182418800017408,", "["),
+        ];
+        for (from, to) in corrupt {
+            let doc = good.replace(from, to);
+            assert_ne!(doc, good);
+            let err = QuantileSketch::from_value(&serde_json::from_str(&doc).unwrap()).unwrap_err();
+            assert!(err.0.contains("invalid accumulator state"), "{doc}: {err}");
+        }
+        // Unsorted sample: swap the first two exact values.
+        let st = sk.state();
+        let (a, b) = (st.exact_bits[0], st.exact_bits[1]);
+        let doc = good.replace(&format!("[{a},{b},"), &format!("[{b},{a},"));
+        let err = QuantileSketch::from_value(&serde_json::from_str(&doc).unwrap()).unwrap_err();
+        assert_eq!(err.0, "invalid accumulator state: exact sample not sorted");
+        assert!(serde_json::from_str::<QuantileSketch>(&good).is_ok());
     }
 
     #[test]
