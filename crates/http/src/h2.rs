@@ -7,9 +7,9 @@
 //! * **one slow start** shared by all requests (faster for many small
 //!   objects, but a single loss event stalls everything — transport-level
 //!   head-of-line blocking);
-//! * **prioritised interleaving** — critical resources get more of the
-//!   connection's bandwidth ([`H2Scheduler`], deficit round robin over
-//!   stream weights);
+//! * **prioritised interleaving** — critical resources get the
+//!   connection's bandwidth first ([`H2Scheduler`], strict priority by
+//!   stream weight, FIFO within a weight);
 //! * **HPACK** header compression ([`crate::hpack`]);
 //! * **framing overhead** — 9 bytes per frame, ≤16 KiB payloads.
 //!
@@ -93,12 +93,14 @@ impl H2SendStream {
 /// time-to-content advantage; Chrome's chains exist precisely to avoid
 /// that.)
 ///
-/// Only streams with unwritten bytes are kept, in the order they were
-/// added, so picking a frame scans the active streams, not every stream
-/// the connection ever carried.
+/// Only streams with unwritten bytes are kept, already in service order:
+/// by weight, highest first, and in the order they were added within a
+/// weight. A new stream is inserted behind its weight class, the next
+/// frame always comes from the front stream, and a drained stream is
+/// popped, so picking a frame costs the same however many streams wait.
 #[derive(Debug, Clone, Default)]
 pub struct H2Scheduler {
-    streams: Vec<H2SendStream>,
+    streams: VecDeque<H2SendStream>,
 }
 
 impl H2Scheduler {
@@ -110,7 +112,8 @@ impl H2Scheduler {
     /// Register a stream with response bytes ready at the server.
     pub fn add_stream(&mut self, stream: H2SendStream) {
         if stream.remaining() > 0 {
-            self.streams.push(stream);
+            let at = self.streams.partition_point(|s| s.weight >= stream.weight);
+            self.streams.insert(at, stream);
         }
     }
 
@@ -134,14 +137,7 @@ impl H2Scheduler {
         if max_payload == 0 {
             return None;
         }
-        // Highest weight first; FIFO (insertion order) within a weight.
-        let idx = self
-            .streams
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.weight.cmp(&b.weight).then(ib.cmp(ia)))
-            .map(|(i, _)| i)?;
-        let s = &mut self.streams[idx];
+        let s = self.streams.front_mut()?;
         let chunk = if s.header_remaining > 0 {
             let payload = s.header_remaining.min(max_payload.max(1)).min(MAX_FRAME_PAYLOAD);
             s.header_remaining -= payload;
@@ -152,7 +148,7 @@ impl H2Scheduler {
             Chunk { id: s.id, overhead: FRAME_OVERHEAD, payload, kind: ChunkKind::Body }
         };
         if s.remaining() == 0 {
-            self.streams.remove(idx);
+            self.streams.pop_front();
         }
         Some(chunk)
     }
@@ -213,10 +209,10 @@ impl ChunkMap {
             if delta > 0 {
                 // Coalesce with a preceding delta for the same stream/kind.
                 match out.last_mut() {
-                    Some(d) if d.id == front.id && d.kind == front.kind => {
-                        d.payload_delta += delta
+                    Some(d) if d.id == front.id && d.kind == front.kind => d.payload_delta += delta,
+                    _ => {
+                        out.push(Delivery { id: front.id, kind: front.kind, payload_delta: delta })
                     }
-                    _ => out.push(Delivery { id: front.id, kind: front.kind, payload_delta: delta }),
                 }
             }
             self.attributed = upto;
@@ -231,6 +227,7 @@ impl ChunkMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eyeorg_stats::rng::Rng;
 
     fn advance(m: &mut ChunkMap, total: u64) -> Vec<Delivery> {
         let mut out = Vec::new();
@@ -318,13 +315,17 @@ mod tests {
     #[test]
     fn chunk_map_attribution_with_overhead() {
         let mut m = ChunkMap::new();
-        let sz = m.push(Chunk { id: RequestId(1), overhead: 9, payload: 100, kind: ChunkKind::Header });
+        let sz =
+            m.push(Chunk { id: RequestId(1), overhead: 9, payload: 100, kind: ChunkKind::Header });
         assert_eq!(sz, 109);
         // First 5 bytes: all framing, no payload.
         assert!(advance(&mut m, 5).is_empty());
         // Through byte 59: 50 payload bytes.
         let d = advance(&mut m, 59);
-        assert_eq!(d, vec![Delivery { id: RequestId(1), kind: ChunkKind::Header, payload_delta: 50 }]);
+        assert_eq!(
+            d,
+            vec![Delivery { id: RequestId(1), kind: ChunkKind::Header, payload_delta: 50 }]
+        );
         // Rest of the chunk.
         let d = advance(&mut m, 109);
         assert_eq!(d[0].payload_delta, 50);
@@ -353,7 +354,10 @@ mod tests {
         m.push(Chunk { id: RequestId(1), overhead: 0, payload: 10, kind: ChunkKind::Body });
         m.push(Chunk { id: RequestId(1), overhead: 0, payload: 10, kind: ChunkKind::Body });
         let d = advance(&mut m, 20);
-        assert_eq!(d, vec![Delivery { id: RequestId(1), kind: ChunkKind::Body, payload_delta: 20 }]);
+        assert_eq!(
+            d,
+            vec![Delivery { id: RequestId(1), kind: ChunkKind::Body, payload_delta: 20 }]
+        );
     }
 
     #[test]
@@ -363,5 +367,88 @@ mod tests {
         advance(&mut m, 19);
         assert!(advance(&mut m, 19).is_empty());
         assert!(advance(&mut m, 5).is_empty());
+    }
+
+    /// The reference pick: streams in insertion order, and every frame
+    /// scans them for the highest weight, earliest added.
+    #[derive(Default)]
+    struct ScanScheduler {
+        streams: Vec<H2SendStream>,
+    }
+
+    impl ScanScheduler {
+        fn add_stream(&mut self, stream: H2SendStream) {
+            if stream.remaining() > 0 {
+                self.streams.push(stream);
+            }
+        }
+
+        fn next_chunk(&mut self, max_payload: u64) -> Option<Chunk> {
+            if max_payload == 0 {
+                return None;
+            }
+            let idx = self
+                .streams
+                .iter()
+                .enumerate()
+                .max_by(|(ia, a), (ib, b)| a.weight.cmp(&b.weight).then(ib.cmp(ia)))
+                .map(|(i, _)| i)?;
+            let s = &mut self.streams[idx];
+            let chunk = if s.header_remaining > 0 {
+                let payload = s.header_remaining.min(max_payload.max(1)).min(MAX_FRAME_PAYLOAD);
+                s.header_remaining -= payload;
+                Chunk { id: s.id, overhead: FRAME_OVERHEAD, payload, kind: ChunkKind::Header }
+            } else {
+                let payload = s.body_remaining.min(max_payload).min(MAX_FRAME_PAYLOAD);
+                s.body_remaining -= payload;
+                Chunk { id: s.id, overhead: FRAME_OVERHEAD, payload, kind: ChunkKind::Body }
+            };
+            if s.remaining() == 0 {
+                self.streams.remove(idx);
+            }
+            Some(chunk)
+        }
+    }
+
+    /// Run [`H2Scheduler`] against the linear-scan pick over seeded
+    /// streams of mixed weights (the `Priority::h2_weight` classes plus
+    /// odd ones), added before and between frames, with write windows
+    /// from zero past the frame cap: the `Chunk` streams must match.
+    #[test]
+    fn scheduler_matches_linear_scan_reference() {
+        const WEIGHTS: [u32; 6] = [256, 96, 50, 24, 6, 1];
+        let mut chunks = 0;
+        for seed in 0u64..16 {
+            let mut rng = Rng::seed_from_u64(0x42 + seed);
+            let mut s = H2Scheduler::new();
+            let mut reference = ScanScheduler::default();
+            let mut next_id = 0;
+            for step in 0..2_000 {
+                if rng.below(4) == 0 {
+                    for _ in 0..=rng.below(3) {
+                        let weight = WEIGHTS[rng.below(WEIGHTS.len() as u64) as usize];
+                        let header = [0, 20, 300][rng.below(3) as usize];
+                        let body = [0, 900, 30_000, 200_000][rng.below(4) as usize];
+                        let stream = H2SendStream::new(RequestId(next_id), header, body, weight);
+                        next_id += 1;
+                        s.add_stream(stream);
+                        reference.add_stream(stream);
+                    }
+                }
+                let window = match rng.below(6) {
+                    0 => 0,
+                    1 => 1 + rng.below(100),
+                    2 => 1 + rng.below(2 * MAX_FRAME_PAYLOAD),
+                    _ => u64::MAX,
+                };
+                let got = s.next_chunk(window);
+                assert_eq!(got, reference.next_chunk(window), "seed={seed} step={step}");
+                chunks += usize::from(got.is_some());
+                let pending: u64 = reference.streams.iter().map(H2SendStream::remaining).sum();
+                assert_eq!(s.pending_bytes(), pending, "seed={seed} step={step}");
+                assert_eq!(s.has_pending(), !reference.streams.is_empty());
+            }
+        }
+        assert!(chunks > 10_000, "{chunks} chunks compared");
     }
 }

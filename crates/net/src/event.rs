@@ -27,6 +27,12 @@
 //! average pop of the `paper` workload, most of them packets in flight;
 //! with link arrivals on lanes the heap holds ~7, mostly timers. The
 //! default `LANES = 0` is a plain heap.
+//!
+//! Each pop moves one entry through a heap sift or out of a lane, so
+//! the entry's size is part of every event's cost: payloads should be
+//! small. The simulator's events are 16 bytes, an entry with its
+//! `(time, seq)` key 32; anything bulkier (an ACK's SACK blocks) waits
+//! outside the queue.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -217,6 +223,13 @@ impl<E, const LANES: usize> EventQueue<E, LANES> {
     pub fn now(&self) -> SimTime {
         self.watermark
     }
+
+    /// Bytes one pending event occupies: its payload plus its `(time,
+    /// seq)` key.
+    #[cfg(test)]
+    pub(crate) const fn entry_bytes() -> usize {
+        std::mem::size_of::<Scheduled<E>>()
+    }
 }
 
 #[cfg(test)]
@@ -377,10 +390,10 @@ mod tests {
                     // tail, or exactly-at-watermark.
                     for _ in 0..=(rng.next_u64() % 3) {
                         let t = match rng.next_u64() % 11 {
-                            0 => now,                                      // tie with `now`
-                            1..=6 => now + rng.next_u64() % 2_000,         // near future
-                            7 | 8 => now + rng.next_u64() % 300_000,       // ~rtt scale
-                            9 => tie,                                      // tie with the lanes
+                            0 => now,                                           // tie with `now`
+                            1..=6 => now + rng.next_u64() % 2_000,              // near future
+                            7 | 8 => now + rng.next_u64() % 300_000,            // ~rtt scale
+                            9 => tie, // tie with the lanes
                             _ => now + 1_000_000 + rng.next_u64() % 30_000_000, // far RTO
                         };
                         let t = SimTime::from_micros(t);
@@ -480,8 +493,7 @@ mod tests {
             times.push((t, i));
         }
         times.sort_by_key(|&(t, i)| (t, i)); // seq == insertion order == i
-        let drained: Vec<(SimTime, u32)> =
-            std::iter::from_fn(|| q.pop()).collect();
+        let drained: Vec<(SimTime, u32)> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained, times);
     }
 }

@@ -83,24 +83,78 @@ pub enum NetEvent {
     },
 }
 
-/// Internal simulator events.
+/// Internal simulator events, 16 bytes each, so that a queue entry with
+/// its `(time, seq)` key is 32: connection ids are `u32` (`open` keeps
+/// every index below `u32::MAX`), and an ACK's SACK blocks wait in its
+/// connection's `Conn::sacks` FIFO instead of riding in the event.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    Open { conn: usize },
-    HandshakeLeg { conn: usize, remaining: u32 },
-    ClientSend { conn: usize, bytes: u64 },
-    ServerSend { conn: usize, bytes: u64 },
-    UpDataArrive { conn: usize, end: u64 },
-    SegArrive { conn: usize, start: u64, end: u64 },
-    AckArrive { conn: usize, ack: u64, sack: SackBlocks },
+    Open {
+        conn: u32,
+    },
+    HandshakeLeg {
+        conn: u32,
+        remaining: u32,
+    },
+    ClientSend {
+        conn: u32,
+        bytes: u64,
+    },
+    ServerSend {
+        conn: u32,
+        bytes: u64,
+    },
+    UpDataArrive {
+        conn: u32,
+        end: u64,
+    },
+    /// Segment `[start, start + len)` reaches the client; a segment is
+    /// at most `MSS` bytes.
+    SegArrive {
+        conn: u32,
+        len: u16,
+        start: u64,
+    },
+    /// A cumulative ACK reaches the server. When `sacked`, its SACK
+    /// blocks are the front of the connection's `Conn::sacks`.
+    AckArrive {
+        conn: u32,
+        sacked: bool,
+        ack: u64,
+    },
     /// Coalesced replay point for a batched lossless burst: fires at the
     /// arrival time of the burst's *last* ACK and applies every deferred
     /// ACK in order (see `BurstPlan`). `generation` tombstones batches
     /// whose plan was flushed early.
-    AckBatch { conn: usize, generation: u64 },
+    AckBatch {
+        conn: u32,
+        generation: u64,
+    },
     /// The connection's one queued retransmission-timer entry, identified
     /// by its sequence number (see `Conn::rto_entry`).
-    RtoCheck { conn: usize, seq: u64 },
+    RtoCheck {
+        conn: u32,
+        seq: u64,
+    },
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
+
+impl Ev {
+    /// Index of the connection the event belongs to.
+    fn conn(self) -> usize {
+        match self {
+            Ev::Open { conn }
+            | Ev::HandshakeLeg { conn, .. }
+            | Ev::ClientSend { conn, .. }
+            | Ev::ServerSend { conn, .. }
+            | Ev::UpDataArrive { conn, .. }
+            | Ev::SegArrive { conn, .. }
+            | Ev::AckArrive { conn, .. }
+            | Ev::AckBatch { conn, .. }
+            | Ev::RtoCheck { conn, .. } => conn as usize,
+        }
+    }
 }
 
 /// Maximum number of segments coalesced into one batch. Keeps the span
@@ -183,6 +237,11 @@ struct Conn {
     /// Monotone plan counter; stale `Ev::AckBatch` events carry an older
     /// generation and are ignored.
     plan_generation: u64,
+    /// SACK blocks of the queued `Ev::AckArrive { sacked: true }` events,
+    /// in send order. A connection's ACKs cross one FIFO uplink, so they
+    /// pop in the order they were sent and each finds its blocks at the
+    /// front.
+    sacks: VecDeque<SackBlocks>,
     log: Option<ConnLog>,
 }
 
@@ -351,6 +410,7 @@ impl NetSim {
     /// the client may transmit.
     pub fn open(&mut self, at: SimTime, tls: TlsMode) -> ConnId {
         let idx = self.conns.len();
+        assert!(idx < u32::MAX as usize, "connection ids are u32");
         self.conns.push(Conn {
             sender: TcpSender::new(),
             receiver: TcpReceiver::new(),
@@ -365,9 +425,10 @@ impl NetSim {
             rto_entry: None,
             plan: None,
             plan_generation: 0,
+            sacks: VecDeque::new(),
             log: self.logging.then(ConnLog::default),
         });
-        self.queue.schedule(at, Ev::Open { conn: idx });
+        self.queue.schedule(at, Ev::Open { conn: idx as u32 });
         ConnId(idx)
     }
 
@@ -377,13 +438,13 @@ impl NetSim {
     /// unestablished connection are delivered only after establishment.
     pub fn client_send(&mut self, conn: ConnId, at: SimTime, bytes: u64) {
         assert!(bytes > 0, "client_send of zero bytes");
-        self.queue.schedule(at, Ev::ClientSend { conn: conn.0, bytes });
+        self.queue.schedule(at, Ev::ClientSend { conn: conn.0 as u32, bytes });
     }
 
     /// Queue `bytes` of response data from server to client at time `at`.
     pub fn server_send(&mut self, conn: ConnId, at: SimTime, bytes: u64) {
         assert!(bytes > 0, "server_send of zero bytes");
-        self.queue.schedule(at, Ev::ServerSend { conn: conn.0, bytes });
+        self.queue.schedule(at, Ev::ServerSend { conn: conn.0 as u32, bytes });
     }
 
     /// Statistics snapshot for a connection.
@@ -418,7 +479,13 @@ impl NetSim {
             if let Some(ev) = self.out.pop_front() {
                 return Some(ev);
             }
-            let (now, ev) = self.queue.pop_until(limit)?;
+            let Some((now, ev)) = self.queue.pop_until(limit) else {
+                debug_assert!(
+                    !self.queue.is_empty() || self.conns.iter().all(|c| c.sacks.is_empty()),
+                    "SACK blocks left behind at quiescence"
+                );
+                return None;
+            };
             self.process(now, ev);
         }
     }
@@ -445,26 +512,25 @@ impl NetSim {
         // (`RtoCheck` defers the flush until after its staleness test —
         // any check that can pop mid-plan was armed before the burst's
         // own rearm and is therefore stale on both paths.)
+        let conn = ev.conn();
         match ev {
-            Ev::ServerSend { conn, .. } | Ev::AckArrive { conn, .. }
-                if self.conns[conn].plan.is_some() =>
-            {
+            Ev::ServerSend { .. } | Ev::AckArrive { .. } if self.conns[conn].plan.is_some() => {
                 self.flush_plan(conn, now);
             }
             _ => {}
         }
         match ev {
-            Ev::Open { conn } => {
+            Ev::Open { conn: id } => {
                 // First handshake leg: client → server.
                 let total_legs = 2 * (1 + self.conns[conn].tls.extra_round_trips());
                 let arrival = self.up_transmit(now, HANDSHAKE_PACKET_BYTES);
                 self.queue.schedule_lane(
                     UP,
                     arrival,
-                    Ev::HandshakeLeg { conn, remaining: total_legs - 1 },
+                    Ev::HandshakeLeg { conn: id, remaining: total_legs - 1 },
                 );
             }
-            Ev::HandshakeLeg { conn, remaining } => {
+            Ev::HandshakeLeg { conn: id, remaining } => {
                 if remaining == 0 {
                     let c = &mut self.conns[conn];
                     c.established = true;
@@ -493,10 +559,10 @@ impl NetSim {
                 self.queue.schedule_lane(
                     lane,
                     arrival,
-                    Ev::HandshakeLeg { conn, remaining: remaining - 1 },
+                    Ev::HandshakeLeg { conn: id, remaining: remaining - 1 },
                 );
             }
-            Ev::ClientSend { conn, bytes } => {
+            Ev::ClientSend { bytes, .. } => {
                 let start = self.conns[conn].up_sent;
                 self.conns[conn].up_sent += bytes;
                 if self.conns[conn].established {
@@ -504,7 +570,7 @@ impl NetSim {
                 }
                 // Otherwise the handshake-completion path flushes it.
             }
-            Ev::UpDataArrive { conn, end } => {
+            Ev::UpDataArrive { end, .. } => {
                 let c = &mut self.conns[conn];
                 if end > c.up_delivered {
                     c.up_delivered = end;
@@ -514,12 +580,13 @@ impl NetSim {
                     ));
                 }
             }
-            Ev::ServerSend { conn, bytes } => {
+            Ev::ServerSend { bytes, .. } => {
                 self.conns[conn].sender.app_write(bytes);
                 self.pump(conn, now);
                 self.rearm_rto(conn, now);
             }
-            Ev::SegArrive { conn, start, end } => {
+            Ev::SegArrive { conn: id, len, start } => {
+                let end = start + u64::from(len);
                 // A planned burst expects exactly its own segments, in
                 // order; anything else observing the wire mid-plan (a
                 // retransmission cannot — the plan precludes in-flight
@@ -566,21 +633,21 @@ impl NetSim {
                     {
                         // lint:allow(D4): the is_some_and guard on this branch established the plan exists
                         let generation = self.conns[conn].plan.as_ref().unwrap().generation;
-                        self.queue.schedule_lane(UP, arrival, Ev::AckBatch { conn, generation });
+                        let ev = Ev::AckBatch { conn: id, generation };
+                        self.queue.schedule_lane(UP, arrival, ev);
                     }
                 } else {
-                    self.queue.schedule_lane(
-                        UP,
-                        arrival,
-                        Ev::AckArrive { conn, ack: outcome.ack, sack: outcome.sack },
-                    );
+                    let sacked = !outcome.sack.as_slice().is_empty();
+                    if sacked {
+                        self.conns[conn].sacks.push_back(outcome.sack);
+                    }
+                    let ev = Ev::AckArrive { conn: id, sacked, ack: outcome.ack };
+                    self.queue.schedule_lane(UP, arrival, ev);
                 }
             }
-            Ev::AckBatch { conn, generation } => {
-                let live = self.conns[conn]
-                    .plan
-                    .as_ref()
-                    .is_some_and(|p| p.generation == generation);
+            Ev::AckBatch { generation, .. } => {
+                let live =
+                    self.conns[conn].plan.as_ref().is_some_and(|p| p.generation == generation);
                 if !live {
                     return; // plan was flushed; the ACKs already replayed
                 }
@@ -599,10 +666,16 @@ impl NetSim {
                     }
                 }
             }
-            Ev::AckArrive { conn, ack, sack } => {
+            Ev::AckArrive { sacked, ack, .. } => {
+                let sack = if sacked {
+                    // lint:allow(D4): a sacked ACK queued its blocks when it was sent, and one connection's ACKs pop in send order
+                    self.conns[conn].sacks.pop_front().expect("SACK blocks queued with their ACK")
+                } else {
+                    SackBlocks::default()
+                };
                 self.apply_ack(conn, now, ack, sack);
             }
-            Ev::RtoCheck { conn, seq } => {
+            Ev::RtoCheck { conn: id, seq } => {
                 let c = &mut self.conns[conn];
                 if c.rto_entry.map(|(_, s)| s) != Some(seq) {
                     return; // orphan: an earlier entry replaced it
@@ -615,7 +688,7 @@ impl NetSim {
                     // Queued for an earlier arm: wait for the armed one.
                     let (deadline, seq) = (armed.deadline, armed.seq);
                     c.rto_entry = Some((deadline, seq));
-                    self.queue.schedule_seq(deadline, seq, Ev::RtoCheck { conn, seq });
+                    self.queue.schedule_seq(deadline, seq, Ev::RtoCheck { conn: id, seq });
                     return;
                 }
                 c.rto_armed = None;
@@ -721,7 +794,7 @@ impl NetSim {
         for (t, ack) in plan.acks {
             // In-order burst ACKs carry no SACK blocks (validated when
             // they were recorded).
-            self.queue.schedule(t, Ev::AckArrive { conn, ack, sack: SackBlocks::default() });
+            self.queue.schedule(t, Ev::AckArrive { conn: conn as u32, sacked: false, ack });
         }
     }
 
@@ -764,7 +837,12 @@ impl NetSim {
             }
             match self.downlink.offer(now, seg.wire_bytes()) {
                 Transmit::Delivered(arrival) => {
-                    let ev = Ev::SegArrive { conn, start: seg.start, end: seg.end };
+                    debug_assert!(seg.len() <= MSS, "a segment is at most one MSS");
+                    let ev = Ev::SegArrive {
+                        conn: conn as u32,
+                        len: seg.len() as u16,
+                        start: seg.start,
+                    };
                     self.queue.schedule_lane(DOWN, arrival, ev);
                     if seg.retransmission {
                         clean = false;
@@ -834,7 +912,7 @@ impl NetSim {
             c.rto_armed = Some(ArmedRto { deadline, seq, epoch: c.rto_epoch });
             if c.rto_entry.is_none_or(|(t, _)| t > deadline) {
                 c.rto_entry = Some((deadline, seq));
-                self.queue.schedule_seq(deadline, seq, Ev::RtoCheck { conn, seq });
+                self.queue.schedule_seq(deadline, seq, Ev::RtoCheck { conn: conn as u32, seq });
             }
         }
     }
@@ -858,7 +936,7 @@ impl NetSim {
         while off < bytes {
             let chunk = (bytes - off).min(MSS);
             let arrival = self.up_transmit(now, chunk + HEADER_BYTES);
-            let ev = Ev::UpDataArrive { conn, end: start + off + chunk };
+            let ev = Ev::UpDataArrive { conn: conn as u32, end: start + off + chunk };
             self.queue.schedule_lane(UP, arrival, ev);
             off += chunk;
         }
@@ -877,7 +955,9 @@ impl NetSim {
             // A handshake packet squeezed out by a full buffer: model as
             // delayed behind the burst rather than lost, keeping
             // handshakes deterministic.
-            Transmit::Dropped => now + self.downlink.queueing_delay(now) + self.downlink.prop_delay(),
+            Transmit::Dropped => {
+                now + self.downlink.queueing_delay(now) + self.downlink.prop_delay()
+            }
         }
     }
 }
@@ -956,8 +1036,7 @@ mod tests {
 
     #[test]
     fn small_fetch_arrives_after_two_rtt_ish() {
-        let (req_at, done) =
-            single_transfer(lossless(), Seed(2), TlsMode::None, 300, 10_000);
+        let (req_at, done) = single_transfer(lossless(), Seed(2), TlsMode::None, 300, 10_000);
         // request leg (0.5 RTT) + response leg (0.5 RTT) + serialisation.
         let fetch = done.as_micros() - req_at.as_micros();
         assert!((40_000..52_000).contains(&fetch), "fetch took {fetch}µs");
@@ -976,10 +1055,7 @@ mod tests {
 
     #[test]
     fn transfer_completes_under_loss_with_retransmissions() {
-        let profile = NetworkProfile {
-            loss: LossModel::Bernoulli { p: 0.03 },
-            ..lossless()
-        };
+        let profile = NetworkProfile { loss: LossModel::Bernoulli { p: 0.03 }, ..lossless() };
         let mut sim = NetSim::new(profile, Seed(4));
         let conn = sim.open(SimTime::ZERO, TlsMode::None);
         let total = 500_000u64;
@@ -990,9 +1066,7 @@ mod tests {
                 NetEvent::RequestDelivered { total_bytes: 300, .. } => {
                     sim.server_send(conn, t, total)
                 }
-                NetEvent::Delivered { total_bytes, .. } if total_bytes == total => {
-                    done = Some(t)
-                }
+                NetEvent::Delivered { total_bytes, .. } if total_bytes == total => done = Some(t),
                 _ => {}
             }
         }
@@ -1016,8 +1090,7 @@ mod tests {
     #[test]
     fn deterministic_under_same_seed() {
         let run = |seed| {
-            let profile =
-                NetworkProfile { loss: LossModel::Bernoulli { p: 0.02 }, ..lossless() };
+            let profile = NetworkProfile { loss: LossModel::Bernoulli { p: 0.02 }, ..lossless() };
             single_transfer(profile, seed, TlsMode::Tls13, 400, 300_000)
         };
         assert_eq!(run(Seed(42)), run(Seed(42)));
@@ -1033,8 +1106,7 @@ mod tests {
             d.as_secs_f64()
         };
         let mut sim = NetSim::new(lossless(), Seed(6));
-        let conns: Vec<ConnId> =
-            (0..6).map(|_| sim.open(SimTime::ZERO, TlsMode::None)).collect();
+        let conns: Vec<ConnId> = (0..6).map(|_| sim.open(SimTime::ZERO, TlsMode::None)).collect();
         let mut done_count = 0;
         let mut last_done = SimTime::ZERO;
         while let Some((t, ev)) = sim.next_event() {
@@ -1086,8 +1158,8 @@ mod tests {
         let conn = sim.open(SimTime::ZERO, TlsMode::None);
         let mut pops = RtoPops::default();
         while let Some((now, ev)) = sim.queue.pop() {
-            if let Ev::RtoCheck { conn: c, seq } = ev {
-                let c = &sim.conns[c];
+            if let Ev::RtoCheck { seq, .. } = ev {
+                let c = &sim.conns[ev.conn()];
                 match c.rto_armed {
                     _ if c.rto_entry.map(|(_, s)| s) != Some(seq) => pops.orphan += 1,
                     None => pops.disarmed += 1,
@@ -1117,6 +1189,7 @@ mod tests {
         }
         let c = &sim.conns[conn.0];
         assert!(c.rto_armed.is_none() && c.rto_entry.is_none(), "timer left behind");
+        assert!(c.sacks.is_empty(), "SACK blocks left behind");
         (pops, sim.conn_stats(conn))
     }
 
@@ -1143,6 +1216,72 @@ mod tests {
         assert_eq!(stats.bytes_delivered, 500_000);
         assert!(stats.timeouts > 0, "10% loss must time out at least once");
         assert_eq!(pops.live, stats.timeouts, "{pops:?}");
+    }
+
+    #[test]
+    fn queue_entries_are_32_bytes() {
+        assert!(std::mem::size_of::<Ev>() <= 16);
+        assert!(EventQueue::<Ev, 2>::entry_bytes() <= 32);
+    }
+
+    /// Six connections fetch under bursty loss, popping the queue by
+    /// hand: every sacked ACK finds at the front of its connection's FIFO
+    /// the blocks the receiver produced with that ACK number, and no
+    /// blocks are left at quiescence.
+    #[test]
+    fn sack_blocks_pop_with_their_acks() {
+        let profile = NetworkProfile {
+            loss: LossModel::GilbertElliott {
+                p_good_to_bad: 0.02,
+                p_bad_to_good: 0.3,
+                loss_good: 0.005,
+                loss_bad: 0.4,
+            },
+            ..lossless()
+        };
+        let mut sim = NetSim::new(profile, Seed(11));
+        let conns: Vec<ConnId> = (0..6).map(|_| sim.open(SimTime::ZERO, TlsMode::None)).collect();
+        // Each sacked ACK's number and blocks, in the order they were pushed.
+        let mut pushed: Vec<VecDeque<(u64, SackBlocks)>> = vec![VecDeque::new(); conns.len()];
+        let (mut sacked, mut plain) = (0u32, 0u32);
+        let mut done = 0;
+        while let Some((now, ev)) = sim.queue.pop() {
+            let c = ev.conn();
+            match ev {
+                Ev::AckArrive { sacked: true, ack, .. } => {
+                    let (a, blocks) = pushed[c].pop_front().expect("blocks pushed for the ACK");
+                    assert_eq!(a, ack);
+                    assert_eq!(sim.conns[c].sacks.front(), Some(&blocks));
+                    sacked += 1;
+                }
+                Ev::AckArrive { sacked: false, .. } => plain += 1,
+                _ => {}
+            }
+            let before = sim.conns[c].sacks.len();
+            sim.process(now, ev);
+            if let Ev::SegArrive { .. } = ev {
+                let conn = &sim.conns[c];
+                if conn.sacks.len() > before {
+                    let blocks = *conn.sacks.back().expect("just pushed");
+                    pushed[c].push_back((conn.receiver.delivered(), blocks));
+                }
+            }
+            while let Some((t, ev)) = sim.out.pop_front() {
+                match ev {
+                    NetEvent::Established { conn } => sim.client_send(conn, t, 300),
+                    NetEvent::RequestDelivered { conn, total_bytes: 300 } => {
+                        sim.server_send(conn, t, 150_000)
+                    }
+                    NetEvent::Delivered { total_bytes: 150_000, .. } => done += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(done, conns.len(), "every transfer completes");
+        assert!(sacked > 50 && plain > 50, "{sacked} sacked and {plain} plain ACKs");
+        for (c, conn) in sim.conns.iter().enumerate() {
+            assert!(conn.sacks.is_empty() && pushed[c].is_empty(), "conn {c}: blocks left behind");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   Chrome/Linux stacks webpeg recorded through),
 //! * congestion avoidance with the standard `MSS²/cwnd` per-ACK growth,
 //! * fast retransmit on three duplicate ACKs with NewReno partial-ACK
-//!   retransmission (no SACK),
+//!   retransmission, skipping what a SACK scoreboard says has arrived,
 //! * retransmission timeouts with exponential backoff and Karn-corrected
 //!   RTT estimation (RFC 6298 smoothing).
 //!
@@ -19,8 +19,6 @@
 //! and how to react to ACKs, but performing the sends (and experiencing
 //! loss and queueing) is the job of [`crate::sim::NetSim`]. This split
 //! keeps the transport logic unit-testable without a simulator.
-
-use std::collections::BTreeMap;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -117,7 +115,7 @@ pub struct TcpSender {
     /// SACK scoreboard: the union of every advertised block (RFC 2018
     /// carries at most 3 blocks per ACK, so the sender accumulates them),
     /// pruned as the cumulative point advances.
-    sacked: BTreeMap<u64, u64>,
+    sacked: RangeSet,
     /// ACK-clocked retransmission credit (RFC 6675's pipe control,
     /// simplified): each returning ACK during recovery licenses one
     /// retransmission, so recovery drains into the queue at the rate the
@@ -163,7 +161,7 @@ impl TcpSender {
             dup_acks: 0,
             recovery: None,
             rtx: None,
-            sacked: BTreeMap::new(),
+            sacked: RangeSet::default(),
             rtx_credit: 0,
             dupacks_since_progress: 0,
             last_sack_new: false,
@@ -252,12 +250,12 @@ impl TcpSender {
             // IsLost); anything above the highest SACK is still in
             // flight. With an empty scoreboard (RTO path) the whole
             // range is fair game — that is go-back-N.
-            if let Some(&highest) = self.sacked.values().max() {
+            if let Some(highest) = self.sacked.max_end() {
                 end = end.min(highest);
             }
             // Skip everything the receiver has SACKed — only holes go out.
             while cursor < end {
-                match self.sack_skip_past(cursor) {
+                match self.sacked.skip_past(cursor) {
                     Some(e) => cursor = e,
                     None => break,
                 }
@@ -265,14 +263,16 @@ impl TcpSender {
             if cursor < end {
                 // ACK-clocked: each retransmission needs a credit, and the
                 // burst stays window-limited past the cumulative point.
-                if self.rtx_credit > 0
-                    && cursor.saturating_sub(self.snd_una) < self.cwnd as u64
-                {
+                if self.rtx_credit > 0 && cursor.saturating_sub(self.snd_una) < self.cwnd as u64 {
                     let mut seg_end = (cursor + self.mss).min(end);
-                    if let Some(s) = self.sack_next_block_start(cursor) {
+                    if let Some(s) = self.sacked.next_block_start(cursor) {
                         seg_end = seg_end.min(s);
                     }
-                    return Some(SegmentToSend { start: cursor, end: seg_end, retransmission: true });
+                    return Some(SegmentToSend {
+                        start: cursor,
+                        end: seg_end,
+                        retransmission: true,
+                    });
                 }
                 return None;
             }
@@ -285,8 +285,9 @@ impl TcpSender {
         // link for a full queue-drain while retransmissions trickle.
         let sacked: u64 = self
             .sacked
+            .as_slice()
             .iter()
-            .map(|(&s, &e)| e.min(self.snd_nxt).saturating_sub(s.max(self.snd_una)))
+            .map(|&(s, e)| e.min(self.snd_nxt).saturating_sub(s.max(self.snd_una)))
             .sum();
         let pipe = self.in_flight().saturating_sub(sacked);
         if pipe + 1 > self.cwnd as u64 {
@@ -326,49 +327,10 @@ impl TcpSender {
     pub fn update_sack(&mut self, sack: SackBlocks) {
         let mut new_info = false;
         for &(start, end) in sack.as_slice() {
-            new_info |= self.insert_sacked(start, end);
+            let (_, covered) = self.sacked.insert_range(start, end);
+            new_info |= covered < end - start;
         }
         self.last_sack_new = new_info;
-    }
-
-    /// Insert a range; returns whether any byte of it was new.
-    fn insert_sacked(&mut self, mut start: u64, mut end: u64) -> bool {
-        // Merge with overlapping/adjacent scoreboard entries.
-        let overlapping: Vec<u64> = self
-            .sacked
-            .range(..=end)
-            .filter(|&(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        let mut covered = 0u64;
-        let span = end - start;
-        for s in overlapping {
-            // lint:allow(D4): the key came from the overlapping scan of this same map
-            let e = self.sacked.remove(&s).expect("key just observed");
-            covered += e.min(end).saturating_sub(s.max(start));
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.sacked.insert(start, end);
-        covered < span
-    }
-
-    fn prune_sacked(&mut self) {
-        let una = self.snd_una;
-        self.sacked.retain(|_, e| *e > una);
-    }
-
-    /// Scoreboard query: the end of the sacked range covering `seq`.
-    fn sack_skip_past(&self, seq: u64) -> Option<u64> {
-        self.sacked
-            .range(..=seq)
-            .next_back()
-            .filter(|&(&s, &e)| s <= seq && seq < e)
-            .map(|(_, &e)| e)
-    }
-
-    fn sack_next_block_start(&self, seq: u64) -> Option<u64> {
-        self.sacked.range(seq + 1..).next().map(|(&s, _)| s)
     }
 
     /// Process a cumulative ACK for all bytes `< ack`.
@@ -379,7 +341,7 @@ impl TcpSender {
             self.snd_una = ack;
             self.dup_acks = 0;
             self.rto_backoff = 0;
-            self.prune_sacked();
+            self.sacked.prune_below(self.snd_una);
             self.sample_rtt(ack, now);
 
             if let Some(recovery_point) = self.recovery {
@@ -516,11 +478,9 @@ impl TcpSender {
             }
             Some(srtt) => {
                 let err = srtt.as_micros().abs_diff(sample.as_micros());
-                self.rttvar =
-                    SimDuration::from_micros((3 * self.rttvar.as_micros() + err) / 4);
-                self.srtt = Some(SimDuration::from_micros(
-                    (7 * srtt.as_micros() + sample.as_micros()) / 8,
-                ));
+                self.rttvar = SimDuration::from_micros((3 * self.rttvar.as_micros() + err) / 4);
+                self.srtt =
+                    Some(SimDuration::from_micros((7 * srtt.as_micros() + sample.as_micros()) / 8));
             }
         }
         let rto = SimDuration::from_micros(
@@ -544,6 +504,10 @@ impl Default for TcpSender {
 
 /// Up to three SACK blocks carried on an ACK (RFC 2018 allows 3–4; three
 /// suffice to cover drop-tail burst holes in practice).
+///
+/// At 56 bytes a snapshot is too big to ride in the simulator's queue
+/// entries: `NetSim` parks each non-empty one in a per-connection FIFO
+/// and its ACK event carries only a flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SackBlocks {
     blocks: [(u64, u64); 3],
@@ -551,14 +515,18 @@ pub struct SackBlocks {
 }
 
 impl SackBlocks {
-    /// Build from the receiver's earliest out-of-order ranges.
-    pub fn from_ranges<'a>(ranges: impl Iterator<Item = (&'a u64, &'a u64)>) -> SackBlocks {
+    /// The first three of the receiver's out-of-order ranges.
+    pub fn from_ranges(ranges: &[(u64, u64)]) -> SackBlocks {
         let mut out = SackBlocks::default();
-        for (&s, &e) in ranges.take(3) {
-            out.blocks[out.len as usize] = (s, e);
-            out.len += 1;
+        for &range in ranges.iter().take(3) {
+            out.push_block(range);
         }
         out
+    }
+
+    fn push_block(&mut self, block: (u64, u64)) {
+        self.blocks[self.len as usize] = block;
+        self.len += 1;
     }
 
     /// The blocks as a slice.
@@ -582,6 +550,83 @@ impl SackBlocks {
     }
 }
 
+/// Disjoint byte ranges `[start, end)` in ascending order, overlapping
+/// and touching ranges merged: the sender's SACK scoreboard and the
+/// receiver's reassembly buffer. Both hold a few ranges, one per loss
+/// hole, so a sorted `Vec` searched with `partition_point` serves them.
+/// Being disjoint, the ranges ascend in their ends too.
+#[derive(Debug, Clone, Default)]
+struct RangeSet {
+    ranges: Vec<(u64, u64)>,
+}
+
+impl RangeSet {
+    fn as_slice(&self) -> &[(u64, u64)] {
+        &self.ranges
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ranges.is_empty()
+    }
+
+    /// Add `[start, end)`, merging it with every range it overlaps or
+    /// touches. Returns the merged range's index and how many bytes of
+    /// `[start, end)` the set already covered.
+    fn insert_range(&mut self, start: u64, end: u64) -> (usize, u64) {
+        // The ranges that overlap or touch `[start, end)` are the run
+        // `lo..hi`: past every range ending before `start`, and up to the
+        // last one starting at or before `end`.
+        let lo = self.ranges.partition_point(|&(_, e)| e < start);
+        let hi = self.ranges.partition_point(|&(s, _)| s <= end);
+        let run = &self.ranges[lo..hi];
+        let covered = run.iter().map(|&(s, e)| e.min(end).saturating_sub(s.max(start))).sum();
+        let merged = match (run.first(), run.last()) {
+            (Some(&(s, _)), Some(&(_, e))) => (s.min(start), e.max(end)),
+            _ => (start, end),
+        };
+        self.ranges.splice(lo..hi, std::iter::once(merged));
+        (lo, covered)
+    }
+
+    /// Drop every range that ends at or before `seq`.
+    fn prune_below(&mut self, seq: u64) {
+        let k = self.ranges.partition_point(|&(_, e)| e <= seq);
+        self.ranges.drain(..k);
+    }
+
+    /// Remove every range starting at or before `seq` and return how far
+    /// the bytes from `seq` on are now contiguous: the last removed
+    /// range's end when it lies past `seq`, else `seq`.
+    fn drain_through(&mut self, seq: u64) -> u64 {
+        let k = self.ranges.partition_point(|&(s, _)| s <= seq);
+        let reach = self.ranges[..k].last().map_or(seq, |&(_, e)| e.max(seq));
+        self.ranges.drain(..k);
+        reach
+    }
+
+    /// The end of the range covering `seq`.
+    fn skip_past(&self, seq: u64) -> Option<u64> {
+        let k = self.ranges.partition_point(|&(s, _)| s <= seq);
+        k.checked_sub(1).map(|i| self.ranges[i].1).filter(|&e| seq < e)
+    }
+
+    /// The start of the first range beginning after `seq`.
+    fn next_block_start(&self, seq: u64) -> Option<u64> {
+        let k = self.ranges.partition_point(|&(s, _)| s <= seq);
+        self.ranges.get(k).map(|&(s, _)| s)
+    }
+
+    /// The highest covered byte's successor.
+    fn max_end(&self) -> Option<u64> {
+        self.ranges.last().map(|&(_, e)| e)
+    }
+
+    /// Bytes covered.
+    fn covered(&self) -> u64 {
+        self.ranges.iter().map(|&(s, e)| e - s).sum()
+    }
+}
+
 /// Receiver side: cumulative ACK generation and in-order delivery
 /// accounting, with an out-of-order reassembly buffer whose ranges are
 /// advertised back to the sender as SACK blocks.
@@ -589,9 +634,8 @@ impl SackBlocks {
 pub struct TcpReceiver {
     /// Next byte expected in order.
     rcv_nxt: u64,
-    /// Out-of-order ranges keyed by start offset (non-overlapping,
-    /// non-adjacent by construction).
-    ooo: BTreeMap<u64, u64>,
+    /// Out-of-order ranges, all above `rcv_nxt`.
+    ooo: RangeSet,
     /// Rotation cursor so successive ACKs advertise *different* ranges —
     /// three blocks per ACK only cover a burst-loss buffer if they
     /// rotate (what real stacks do).
@@ -623,7 +667,7 @@ impl TcpReceiver {
 
     /// Bytes held in the reassembly buffer (received out of order).
     pub fn buffered(&self) -> u64 {
-        self.ooo.iter().map(|(s, e)| e - s).sum()
+        self.ooo.covered()
     }
 
     /// Accept the segment `[start, end)`.
@@ -635,75 +679,37 @@ impl TcpReceiver {
             return ReceiveOutcome {
                 ack: self.rcv_nxt,
                 newly_delivered: 0,
-                sack: SackBlocks::from_ranges(self.ooo.iter()),
+                sack: SackBlocks::from_ranges(self.ooo.as_slice()),
             };
         }
         let start = start.max(self.rcv_nxt);
         if start > self.rcv_nxt {
             // Out of order: stash and emit a duplicate ACK with SACK
             // info — the block containing this segment first (RFC 2018),
-            // then two more ranges chosen by rotation so that a long
-            // burst's whole buffer map reaches the sender over a few ACKs.
-            self.insert_ooo(start, end);
-            let recent = self
-                .ooo
-                .range(..=start)
-                .next_back()
-                .map(|(&s, &e)| (s, e))
-                // lint:allow(D4): the insert above guarantees a stored range starting at or before start
-                .expect("range containing the segment exists");
-            let others: Vec<(u64, u64)> =
-                self.ooo.iter().map(|(&s, &e)| (s, e)).filter(|r| *r != recent).collect();
-            let mut blocks = vec![recent];
-            if !others.is_empty() {
-                for k in 0..2usize.min(others.len()) {
-                    blocks.push(others[(self.sack_rotate + k) % others.len()]);
+            // then two more of the other ranges chosen by rotation so
+            // that a long burst's whole buffer map reaches the sender
+            // over a few ACKs.
+            let (at, _) = self.ooo.insert_range(start, end);
+            let ranges = self.ooo.as_slice();
+            let mut sack = SackBlocks::default();
+            sack.push_block(ranges[at]);
+            let others = ranges.len() - 1;
+            if others > 0 {
+                for k in 0..2usize.min(others) {
+                    let j = (self.sack_rotate + k) % others;
+                    sack.push_block(ranges[if j < at { j } else { j + 1 }]);
                 }
-                self.sack_rotate = (self.sack_rotate + 2) % others.len();
+                self.sack_rotate = (self.sack_rotate + 2) % others;
             }
-            return ReceiveOutcome {
-                ack: self.rcv_nxt,
-                newly_delivered: 0,
-                sack: SackBlocks::from_ranges(blocks.iter().map(|(s, e)| (s, e))),
-            };
+            return ReceiveOutcome { ack: self.rcv_nxt, newly_delivered: 0, sack };
         }
         // In order: advance, then drain any contiguous buffered ranges.
-        self.rcv_nxt = end;
-        // Find buffered ranges that begin at or before rcv_nxt.
-        while let Some((&s, &e)) = self.ooo.range(..=self.rcv_nxt).next_back() {
-            if e <= self.rcv_nxt {
-                self.ooo.remove(&s);
-                continue;
-            }
-            if s <= self.rcv_nxt {
-                self.rcv_nxt = e;
-                self.ooo.remove(&s);
-            } else {
-                break;
-            }
-        }
+        self.rcv_nxt = self.ooo.drain_through(end);
         ReceiveOutcome {
             ack: self.rcv_nxt,
             newly_delivered: self.rcv_nxt - before,
-            sack: SackBlocks::from_ranges(self.ooo.iter()),
+            sack: SackBlocks::from_ranges(self.ooo.as_slice()),
         }
-    }
-
-    fn insert_ooo(&mut self, mut start: u64, mut end: u64) {
-        // Merge with any overlapping or adjacent existing ranges.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .filter(|&(&s, &e)| e >= start && s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            // lint:allow(D4): the key came from the overlapping scan of this same map
-            let e = self.ooo.remove(&s).expect("key just observed");
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.ooo.insert(start, end);
     }
 }
 
@@ -944,5 +950,213 @@ mod tests {
         let o = r.on_segment(2920, 4380);
         assert_eq!(o.ack, 5840);
         assert_eq!(r.buffered(), 0);
+    }
+
+    // ----- range set against the BTreeMap reference -----
+
+    use std::collections::BTreeMap;
+
+    use eyeorg_stats::rng::Rng;
+
+    /// The reference semantics: the `BTreeMap` scoreboard and reassembly
+    /// buffer the sender and receiver used before [`RangeSet`].
+    #[derive(Debug, Clone, Default)]
+    struct MapRanges(BTreeMap<u64, u64>);
+
+    impl MapRanges {
+        fn insert(&mut self, mut start: u64, mut end: u64) -> u64 {
+            let overlapping: Vec<u64> = self
+                .0
+                .range(..=end)
+                .filter(|&(&s, &e)| e >= start && s <= end)
+                .map(|(&s, _)| s)
+                .collect();
+            let mut covered = 0u64;
+            for s in overlapping {
+                let e = self.0.remove(&s).unwrap();
+                covered += e.min(end).saturating_sub(s.max(start));
+                start = start.min(s);
+                end = end.max(e);
+            }
+            self.0.insert(start, end);
+            covered
+        }
+        fn prune_below(&mut self, una: u64) {
+            self.0.retain(|_, e| *e > una);
+        }
+        fn drain_through(&mut self, mut rcv_nxt: u64) -> u64 {
+            while let Some((&s, &e)) = self.0.range(..=rcv_nxt).next_back() {
+                if e <= rcv_nxt {
+                    self.0.remove(&s);
+                    continue;
+                }
+                if s <= rcv_nxt {
+                    rcv_nxt = e;
+                    self.0.remove(&s);
+                } else {
+                    break;
+                }
+            }
+            rcv_nxt
+        }
+        fn skip_past(&self, seq: u64) -> Option<u64> {
+            self.0
+                .range(..=seq)
+                .next_back()
+                .filter(|&(&s, &e)| s <= seq && seq < e)
+                .map(|(_, &e)| e)
+        }
+        fn next_block_start(&self, seq: u64) -> Option<u64> {
+            self.0.range(seq + 1..).next().map(|(&s, _)| s)
+        }
+        fn max_end(&self) -> Option<u64> {
+            self.0.values().max().copied()
+        }
+        fn ranges(&self) -> Vec<(u64, u64)> {
+            self.0.iter().map(|(&s, &e)| (s, e)).collect()
+        }
+    }
+
+    /// A random point on a 500-byte grid (so ranges often touch or share
+    /// an edge), sometimes nudged off it.
+    fn point(rng: &mut Rng, base: u64) -> u64 {
+        let p = base + 500 * rng.below(60);
+        if rng.below(4) == 0 {
+            p + rng.below(500)
+        } else {
+            p
+        }
+    }
+
+    /// Drive [`RangeSet`] and the map reference through seeded random
+    /// sequences of every operation the sender and receiver use, and
+    /// demand identical ranges, covered-byte counts and answers.
+    #[test]
+    fn range_set_matches_btreemap_reference() {
+        let mut ops = [0u32; 4];
+        for seed in 0u64..16 {
+            let mut rng = Rng::seed_from_u64(0x5ACC + seed);
+            let mut set = RangeSet::default();
+            let mut map = MapRanges::default();
+            // The cumulative point: prunes and drains only move it forward.
+            let mut una = 0u64;
+            for step in 0..3_000 {
+                let what = format!("seed={seed} step={step}");
+                match rng.below(10) {
+                    0..=4 => {
+                        let start = point(&mut rng, una);
+                        let end = start + 1 + rng.below(4) * 500 + rng.below(2) * rng.below(500);
+                        let (at, covered) = set.insert_range(start, end);
+                        assert_eq!(covered, map.insert(start, end), "{what}");
+                        let r = set.as_slice()[at];
+                        assert!(r.0 <= start && end <= r.1, "{what}: merged range {r:?}");
+                        ops[0] += 1;
+                    }
+                    5 => {
+                        una = point(&mut rng, una).min(una + 2_000);
+                        set.prune_below(una);
+                        map.prune_below(una);
+                        ops[1] += 1;
+                    }
+                    6 => {
+                        let seq = point(&mut rng, una).min(una + 3_000);
+                        una = set.drain_through(seq);
+                        assert_eq!(una, map.drain_through(seq), "{what}");
+                        ops[2] += 1;
+                    }
+                    _ => {
+                        let seq = point(&mut rng, una.saturating_sub(1_000));
+                        assert_eq!(set.skip_past(seq), map.skip_past(seq), "{what}");
+                        let next = set.next_block_start(seq);
+                        assert_eq!(next, map.next_block_start(seq), "{what}");
+                        ops[3] += 1;
+                    }
+                }
+                assert_eq!(set.as_slice(), map.ranges().as_slice(), "{what}");
+                assert_eq!(set.max_end(), map.max_end(), "{what}");
+                assert_eq!(set.is_empty(), map.0.is_empty(), "{what}");
+                let bytes: u64 = map.0.iter().map(|(s, e)| e - s).sum();
+                assert_eq!(set.covered(), bytes, "{what}");
+            }
+        }
+        assert!(ops.iter().all(|&n| n > 2_000), "inserts, prunes, drains, queries: {ops:?}");
+    }
+
+    /// The receiver before [`RangeSet`]: a `BTreeMap` buffer, and SACK
+    /// rotation through collected `Vec`s.
+    #[derive(Default)]
+    struct MapReceiver {
+        rcv_nxt: u64,
+        ooo: MapRanges,
+        sack_rotate: usize,
+    }
+
+    impl MapReceiver {
+        fn blocks(ranges: &[(u64, u64)]) -> Vec<(u64, u64)> {
+            ranges.iter().take(3).copied().collect()
+        }
+
+        fn on_segment(&mut self, start: u64, end: u64) -> (u64, u64, Vec<(u64, u64)>) {
+            let before = self.rcv_nxt;
+            if end <= self.rcv_nxt {
+                return (self.rcv_nxt, 0, Self::blocks(&self.ooo.ranges()));
+            }
+            let start = start.max(self.rcv_nxt);
+            if start > self.rcv_nxt {
+                self.ooo.insert(start, end);
+                let recent = self.ooo.0.range(..=start).next_back().map(|(&s, &e)| (s, e)).unwrap();
+                let others: Vec<(u64, u64)> =
+                    self.ooo.ranges().into_iter().filter(|r| *r != recent).collect();
+                let mut blocks = vec![recent];
+                if !others.is_empty() {
+                    for k in 0..2usize.min(others.len()) {
+                        blocks.push(others[(self.sack_rotate + k) % others.len()]);
+                    }
+                    self.sack_rotate = (self.sack_rotate + 2) % others.len();
+                }
+                return (self.rcv_nxt, 0, blocks);
+            }
+            self.rcv_nxt = self.ooo.drain_through(end);
+            (self.rcv_nxt, self.rcv_nxt - before, Self::blocks(&self.ooo.ranges()))
+        }
+    }
+
+    /// Feed [`TcpReceiver`] and the map receiver the same seeded
+    /// arrivals of a lossy, reordering transfer — holes, retransmissions,
+    /// duplicates and partial overlaps — and demand identical ACKs,
+    /// deliveries, SACK blocks (rotation included) and buffer sizes.
+    #[test]
+    fn receiver_matches_btreemap_reference() {
+        let mut max_blocks = 0;
+        for seed in 0u64..16 {
+            let mut rng = Rng::seed_from_u64(0xACC + seed);
+            let mut r = TcpReceiver::new();
+            let mut reference = MapReceiver::default();
+            let total = 400 * MSS;
+            for step in 0..4_000 {
+                // Mostly near the cumulative point, sometimes far ahead
+                // (a burst past a hole) or behind it (a duplicate).
+                let base = r.delivered();
+                let start = match rng.below(8) {
+                    0 => base.saturating_sub(rng.below(3 * MSS)),
+                    1..=4 => base + MSS * rng.below(12),
+                    _ => base + rng.below(40 * MSS),
+                }
+                .min(total - 1);
+                let end = (start + 1 + rng.below(MSS)).min(total);
+                let got = r.on_segment(start, end);
+                let (ack, newly, blocks) = reference.on_segment(start, end);
+                let what = format!("seed={seed} step={step} [{start}, {end})");
+                assert_eq!((got.ack, got.newly_delivered), (ack, newly), "{what}");
+                assert_eq!(got.sack.as_slice(), blocks.as_slice(), "{what}");
+                assert_eq!(
+                    r.buffered(),
+                    reference.ooo.0.iter().map(|(s, e)| e - s).sum::<u64>(),
+                    "{what}"
+                );
+                max_blocks = max_blocks.max(blocks.len());
+            }
+        }
+        assert_eq!(max_blocks, 3, "rotation must advertise three blocks");
     }
 }
