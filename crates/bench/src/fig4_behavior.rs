@@ -7,7 +7,7 @@
 //! (not faster) on site, the timeline test takes ~3× the A/B test, and
 //! paid participants fail controls at a modestly higher rate.
 
-use eyeorg_core::analysis::{ab_behavior_points, behavior_points};
+use eyeorg_core::analysis::behavior_points;
 use eyeorg_core::viz::ascii_cdfs;
 use eyeorg_stats::{Ecdf, Summary};
 
@@ -18,8 +18,8 @@ use crate::series_csv;
 pub fn run(v: &ValidationSet) -> String {
     let tl_paid = behavior_points(&v.tl_paid.campaign);
     let tl_trusted = behavior_points(&v.tl_trusted.campaign);
-    let ab_paid = ab_behavior_points(&v.ab_paid.campaign);
-    let ab_trusted = ab_behavior_points(&v.ab_trusted.campaign);
+    let ab_paid = behavior_points(&v.ab_paid.campaign);
+    let ab_trusted = behavior_points(&v.ab_trusted.campaign);
 
     let minutes = |pts: &[eyeorg_core::analysis::BehaviorPoint]| -> Vec<f64> {
         pts.iter().map(|p| p.minutes_on_site).collect()
@@ -85,8 +85,8 @@ pub fn csv(v: &ValidationSet) -> String {
     for (label, pts) in [
         ("timeline_paid", behavior_points(&v.tl_paid.campaign)),
         ("timeline_trusted", behavior_points(&v.tl_trusted.campaign)),
-        ("ab_paid", ab_behavior_points(&v.ab_paid.campaign)),
-        ("ab_trusted", ab_behavior_points(&v.ab_trusted.campaign)),
+        ("ab_paid", behavior_points(&v.ab_paid.campaign)),
+        ("ab_trusted", behavior_points(&v.ab_trusted.campaign)),
     ] {
         let minutes: Vec<f64> = pts.iter().map(|p| p.minutes_on_site).collect();
         if let Some(ecdf) = Ecdf::new(&minutes) {

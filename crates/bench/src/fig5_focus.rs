@@ -6,7 +6,7 @@
 //! fast-loading timeline participants; trusted timeline participants are
 //! barely distracted at all.
 
-use eyeorg_core::analysis::{ab_behavior_points, behavior_points, BehaviorPoint};
+use eyeorg_core::analysis::{behavior_points, BehaviorPoint};
 use eyeorg_stats::Ecdf;
 
 use crate::campaigns::ValidationSet;
@@ -32,7 +32,7 @@ fn focus_series(points: &[BehaviorPoint], l_max: f64) -> (f64, Vec<f64>) {
 pub fn run(v: &ValidationSet) -> String {
     let tl_paid = behavior_points(&v.tl_paid.campaign);
     let tl_trusted = behavior_points(&v.tl_trusted.campaign);
-    let ab_paid = ab_behavior_points(&v.ab_paid.campaign);
+    let ab_paid = behavior_points(&v.ab_paid.campaign);
 
     let mut out = String::new();
     out.push_str("=== Figure 5: out-of-focus time by video load time L ===\n");
@@ -61,7 +61,7 @@ pub fn run(v: &ValidationSet) -> String {
 /// CSV artefact: CDF of out-of-focus seconds for each series.
 pub fn csv(v: &ValidationSet) -> String {
     let tl_paid = behavior_points(&v.tl_paid.campaign);
-    let ab_paid = ab_behavior_points(&v.ab_paid.campaign);
+    let ab_paid = behavior_points(&v.ab_paid.campaign);
     let mut out = String::new();
     for (label, points, l) in [
         ("tl_paid_l2", &tl_paid, 2.0),

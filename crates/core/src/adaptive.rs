@@ -1,4 +1,11 @@
-//! The adaptive early-stopping campaign driver (VidPlat-style pruning).
+//! The one epoch driver, and adaptive early stopping (VidPlat-style
+//! pruning) as the timeline callers' barrier step.
+//!
+//! `drive_resumable`, the only caller of `Kernel::epoch`, serves every
+//! folding entry point of both kinds and never branches on the kind:
+//! one epoch over `[0, n)` for the one-shot engines, over `[lo, hi)` for
+//! the workers, a checkpoint at every barrier for the checkpointed
+//! drivers.
 //!
 //! DESIGN.md §3g measured the per-participant cost floor: ~70% of
 //! campaign time is the seeded behavioural model both engines must run
@@ -59,6 +66,8 @@
 //! pruned, and the driver is byte-identical — digest *and* counter
 //! fingerprint — to the plain flat and streaming engines.
 
+use std::slice;
+
 use eyeorg_crowd::RecruitmentService;
 use eyeorg_stats::Seed;
 
@@ -66,7 +75,7 @@ use crate::checkpoint::ShardKind;
 use crate::digest::{DigestParams, StimulusDigest, TimelineDigest};
 use crate::experiment::{assert_runnable, AdaptiveConfig, ExperimentConfig, TimelineStimulus};
 use crate::filtering::ParticipantFilter;
-use crate::flat::TlKernel;
+use crate::flat::{Kernel, Plane, TlKernel};
 use crate::stream::{merge_shards, StreamConfig, TlShard};
 
 /// Critical value for the stopping rule's confidence intervals (~95%
@@ -180,6 +189,34 @@ fn should_stop(d: &StimulusDigest, ac: &AdaptiveConfig) -> Option<(StopCause, f6
     None
 }
 
+/// The timeline callers' barrier step: under an active `ac`, count the
+/// barrier and stop each live stimulus that [`should_stop`], in order.
+pub(crate) fn stop_at_barrier(st: &mut DriveState<TlShard>, ac: &AdaptiveConfig) {
+    if !ac.is_active() {
+        return;
+    }
+    eyeorg_obs::metrics::ADAPTIVE_EPOCHS.incr();
+    let stop = &mut st.stop;
+    for (si, d) in st.acc.stimuli.iter().enumerate() {
+        if !stop.live[si] {
+            continue;
+        }
+        if let Some((cause, half_width)) = should_stop(d, ac) {
+            stop.live[si] = false;
+            stop.stopped_at[si] = Some(stop.epochs);
+            eyeorg_obs::metrics::ADAPTIVE_STIMULI_STOPPED.incr();
+            stop.decisions.push(StopDecision {
+                epoch: stop.epochs,
+                stimulus: si,
+                name: d.name.clone(),
+                retained: d.retained(),
+                half_width,
+                cause,
+            });
+        }
+    }
+}
+
 /// Run a timeline campaign adaptively: up to `budget` participants from
 /// `service`, in `ac.epoch`-sized epochs, stopping each stimulus as its
 /// confidence half-width reaches `ac.epsilon` (see the module docs for
@@ -204,140 +241,112 @@ pub fn adaptive_timeline_campaign(
     assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.adaptive_timeline");
     let kernel = TlKernel::new(stimuli, service, cfg, filters, seed, sc);
-    match drive_resumable(&kernel, service, budget, sc, ac, None, &mut |_| true) {
-        DriveEnd::Complete(outcome) => *outcome,
-        DriveEnd::Interrupted(_) => unreachable!("an always-continue barrier never interrupts"),
+    let start = DriveState::fresh(stimuli, &sc.params);
+    let (st, _) = drive_resumable(&kernel, budget, ac.epoch, start, &mut |st| {
+        stop_at_barrier(st, ac);
+        true
+    });
+    outcome(st, stimuli, service, budget, &sc.params)
+}
+
+/// The outcome of a timeline drive run to its natural end. Only here is
+/// the never-recruited budget tail counted as saved (mid-run pruning
+/// was counted shard by shard), so an interrupted run's counters equal
+/// the uninterrupted run's at that barrier.
+pub(crate) fn outcome(
+    st: DriveState<TlShard>,
+    stimuli: &[TimelineStimulus],
+    service: &dyn RecruitmentService,
+    budget: usize,
+    params: &DigestParams,
+) -> AdaptiveOutcome {
+    eyeorg_obs::metrics::ADAPTIVE_PARTICIPANTS_SAVED.add((budget - st.processed) as u64);
+    let digest = merge_shards(stimuli, service, st.processed, params, slice::from_ref(&st.acc));
+    AdaptiveOutcome {
+        digest,
+        budget: budget as u64,
+        recruited: st.processed as u64,
+        pruned: st.acc.pruned,
+        epochs: st.stop.epochs,
+        decisions: st.stop.decisions,
+        stopped_at: st.stop.stopped_at,
     }
 }
 
-/// The full mutable state of the epoch loop between two barriers — a
-/// pure function of (seed, config, processed index range), which is
-/// what makes it checkpointable: `crate::checkpoint` serializes
-/// exactly this (plus the obs counter totals) and
-/// [`drive_resumable`] picks the loop back up from it.
+/// The per-stimulus recruitment mask and the record of the barriers
+/// taken: what a timeline driver checkpoint carries besides the fold.
 #[derive(Debug, Clone)]
-pub(crate) struct DriveState {
+pub(crate) struct StopState {
     /// Per-stimulus recruitment mask.
     pub(crate) live: Vec<bool>,
+    /// Epoch barriers taken so far.
+    pub(crate) epochs: u64,
+    /// Per stimulus: the epoch barrier it stopped at.
+    pub(crate) stopped_at: Vec<Option<u64>>,
+    /// Stopping decisions, in the order taken.
+    pub(crate) decisions: Vec<StopDecision>,
+}
+
+impl StopState {
+    /// All `n_stimuli` stimuli live, no barrier taken.
+    pub(crate) fn fresh(n_stimuli: usize) -> StopState {
+        let (live, stopped_at) = (vec![true; n_stimuli], vec![None; n_stimuli]);
+        StopState { live, epochs: 0, stopped_at, decisions: Vec::new() }
+    }
+}
+
+/// The epoch loop's whole mutable state between barriers, for either
+/// kind: a pure function of (seed, config, processed index range),
+/// which a driver checkpoint serializes and a resume continues.
+#[derive(Debug, Clone)]
+pub(crate) struct DriveState<S> {
     /// Cumulative fold over every processed epoch.
-    pub(crate) acc: TlShard,
+    pub(crate) acc: S,
     /// Gate admissions over `[0, processed)`.
     pub(crate) admitted: u64,
     /// Participant indices processed so far.
     pub(crate) processed: usize,
-    /// Epoch barriers evaluated so far.
-    pub(crate) epochs: u64,
-    /// Stopping decisions, in the order taken.
-    pub(crate) decisions: Vec<StopDecision>,
-    /// Per stimulus: the epoch barrier it stopped at.
-    pub(crate) stopped_at: Vec<Option<u64>>,
+    pub(crate) stop: StopState,
 }
 
-impl DriveState {
+impl<S: ShardKind> DriveState<S> {
     /// The loop's starting state for `stimuli`.
-    pub(crate) fn fresh(stimuli: &[TimelineStimulus], params: &DigestParams) -> DriveState {
-        DriveState {
-            live: vec![true; stimuli.len()],
-            acc: TlShard::new(stimuli, params),
-            admitted: 0,
-            processed: 0,
-            epochs: 0,
-            decisions: Vec::new(),
-            stopped_at: vec![None; stimuli.len()],
-        }
+    pub(crate) fn fresh(stimuli: &[S::Stimulus], params: &DigestParams) -> DriveState<S> {
+        let stop = StopState::fresh(stimuli.len());
+        DriveState { acc: S::fresh(stimuli, params), admitted: 0, processed: 0, stop }
     }
 }
 
-/// How an epoch loop ended.
-pub(crate) enum DriveEnd {
-    /// Ran to its natural end (budget exhausted or everything stopped).
-    Complete(Box<AdaptiveOutcome>),
-    /// The barrier callback requested an interruption; the state is
-    /// exactly what a later [`drive_resumable`] call needs to continue.
-    Interrupted(Box<DriveState>),
-}
-
-/// The epoch loop: recruit an epoch through `kernel`, merge its folds
-/// in shard order, evaluate the stopping rule at the barrier, repeat.
-/// It starts from `resume` (or scratch) and consults `barrier` after
-/// every epoch's stopping evaluation — a `false` return stops the loop
-/// and hands the state back as [`DriveEnd::Interrupted`].
-///
-/// The interrupted→resumed composition is byte-identical to the
-/// uninterrupted run because the loop's entire mutable state lives in
-/// [`DriveState`] and epochs are pure functions of it: the resumed
-/// loop re-enters at exactly the barrier the interrupted one left.
-/// The final `ADAPTIVE_PARTICIPANTS_SAVED` bump for the unrecruited
-/// budget tail fires only on natural completion, so an interrupted
-/// run's counter totals equal the uninterrupted run's totals *at that
-/// barrier* (which is what the checkpoint records).
-pub(crate) fn drive_resumable(
-    kernel: &TlKernel<'_>,
-    service: &dyn RecruitmentService,
+/// The epoch loop: from `st`, fold the next `epoch` indices through
+/// `kernel` under the mask, merge in shard order, and hand the state to
+/// `barrier`, which may change the mask and returns `false` to
+/// interrupt. Runs until `budget` indices are processed or nothing is
+/// live; returns the state and whether it got there. Epochs are pure
+/// functions of [`DriveState`], so interrupting and resuming is
+/// byte-identical to never stopping.
+pub(crate) fn drive_resumable<P: Plane>(
+    kernel: &Kernel<'_, P>,
     budget: usize,
-    sc: &StreamConfig,
-    ac: &AdaptiveConfig,
-    resume: Option<DriveState>,
-    barrier: &mut dyn FnMut(&DriveState) -> bool,
-) -> DriveEnd {
-    let stimuli = kernel.stimuli;
-    let epoch = ac.epoch.max(1);
-    let active = ac.is_active();
-    let n_stim = stimuli.len();
-    let mut st = resume.unwrap_or_else(|| DriveState::fresh(stimuli, &sc.params));
-
-    while st.processed < budget && st.live.iter().any(|&l| l) {
+    epoch: usize,
+    mut st: DriveState<P::Shard>,
+    barrier: &mut dyn FnMut(&mut DriveState<P::Shard>) -> bool,
+) -> (DriveState<P::Shard>, bool) {
+    while st.processed < budget && st.stop.live.iter().any(|&l| l) {
         let lo = st.processed;
-        let hi = (lo + epoch).min(budget);
-        let (folds, range_admitted) = kernel.epoch(lo, hi, st.admitted, &st.live);
+        let hi = lo.saturating_add(epoch.max(1)).min(budget);
+        let (folds, range_admitted) = kernel.epoch(lo, hi, st.admitted, &st.stop.live);
         for fold in &folds {
             // lint:allow(D4): same-campaign shard folds share one construction site
             st.acc.merge_checked(fold).expect("same-campaign shard folds agree by construction");
         }
         st.admitted += range_admitted;
         st.processed = hi;
-        st.epochs += 1;
-        if active {
-            eyeorg_obs::metrics::ADAPTIVE_EPOCHS.incr();
-            for si in 0..n_stim {
-                if !st.live[si] {
-                    continue;
-                }
-                if let Some((cause, half_width)) = should_stop(&st.acc.stimuli[si], ac) {
-                    st.live[si] = false;
-                    st.stopped_at[si] = Some(st.epochs);
-                    eyeorg_obs::metrics::ADAPTIVE_STIMULI_STOPPED.incr();
-                    st.decisions.push(StopDecision {
-                        epoch: st.epochs,
-                        stimulus: si,
-                        name: st.acc.stimuli[si].name.clone(),
-                        retained: st.acc.stimuli[si].retained(),
-                        half_width,
-                        cause,
-                    });
-                }
-            }
-        }
-        if !barrier(&st) {
-            return DriveEnd::Interrupted(Box::new(st));
+        st.stop.epochs += 1;
+        if !barrier(&mut st) {
+            return (st, false);
         }
     }
-    // The never-recruited budget tail is also a saving (mid-run pruning
-    // was already counted shard by shard). Zero when inactive.
-    eyeorg_obs::metrics::ADAPTIVE_PARTICIPANTS_SAVED.add((budget - st.processed) as u64);
-
-    let pruned = st.acc.pruned;
-    let digest =
-        merge_shards(stimuli, service, st.processed, &sc.params, std::slice::from_ref(&st.acc));
-    DriveEnd::Complete(Box::new(AdaptiveOutcome {
-        digest,
-        budget: budget as u64,
-        recruited: st.processed as u64,
-        pruned,
-        epochs: st.epochs,
-        decisions: st.decisions,
-        stopped_at: st.stopped_at,
-    }))
+    (st, true)
 }
 
 #[cfg(test)]

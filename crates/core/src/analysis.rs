@@ -9,9 +9,11 @@
 //!   was faster", No-Difference responses excluded — Fig. 8b/8c);
 //! * Δ-bucketed agreement per PLT metric (Fig. 8a).
 
+use eyeorg_crowd::VideoSession;
+use eyeorg_net::SimDuration;
 use eyeorg_stats::{percentile_band, Summary};
 
-use crate::campaign::{AbCampaign, AbVerdict, TimelineCampaign};
+use crate::campaign::{AbCampaign, AbVerdict, ByParticipant, Campaign, TimelineCampaign};
 use crate::filtering::FilterReport;
 
 /// Per-video UPLT samples (seconds) from kept participants, optionally
@@ -217,49 +219,37 @@ pub struct BehaviorPoint {
     pub max_video_load_secs: f64,
 }
 
-/// Compute behaviour aggregates for every participant of a timeline
-/// campaign (the unfiltered view §4.2 analyses).
-pub fn behavior_points(campaign: &TimelineCampaign) -> Vec<BehaviorPoint> {
-    (0..campaign.participants.len())
-        .map(|pi| {
-            let sessions = crate::campaign::sessions_of(&campaign.rows, pi);
-            let total = eyeorg_crowd::total_time_on_site(&sessions, &campaign.participants[pi]);
-            BehaviorPoint {
-                participant: pi,
-                minutes_on_site: total.as_secs_f64() / 60.0,
-                actions: sessions.iter().map(|s| s.actions()).sum(),
-                out_of_focus_secs: sessions
-                    .iter()
-                    .map(|s| s.out_of_focus.as_secs_f64())
-                    .sum(),
-                max_video_load_secs: sessions
-                    .iter()
-                    .map(|s| s.video_load.as_secs_f64())
-                    .fold(0.0, f64::max),
-            }
-        })
-        .collect()
+impl BehaviorPoint {
+    /// The point of a participant who sat through `sessions` and spent
+    /// `total` on site. The max load is taken on integer durations:
+    /// `as_secs_f64` is monotone, so the bits are the same.
+    pub(crate) fn of(participant: usize, sessions: &[VideoSession], total: SimDuration) -> Self {
+        BehaviorPoint {
+            participant,
+            minutes_on_site: total.as_secs_f64() / 60.0,
+            actions: sessions.iter().map(|s| s.actions()).sum(),
+            out_of_focus_secs: sessions.iter().map(|s| s.out_of_focus.as_secs_f64()).sum(),
+            max_video_load_secs: sessions
+                .iter()
+                .map(|s| s.video_load)
+                .max()
+                .unwrap_or_default()
+                .as_secs_f64(),
+        }
+    }
 }
 
-/// Same aggregates for an A/B campaign.
-pub fn ab_behavior_points(campaign: &AbCampaign) -> Vec<BehaviorPoint> {
-    (0..campaign.participants.len())
-        .map(|pi| {
-            let sessions = crate::campaign::ab_sessions_of(&campaign.rows, pi);
-            let total = eyeorg_crowd::total_time_on_site(&sessions, &campaign.participants[pi]);
-            BehaviorPoint {
-                participant: pi,
-                minutes_on_site: total.as_secs_f64() / 60.0,
-                actions: sessions.iter().map(|s| s.actions()).sum(),
-                out_of_focus_secs: sessions
-                    .iter()
-                    .map(|s| s.out_of_focus.as_secs_f64())
-                    .sum(),
-                max_video_load_secs: sessions
-                    .iter()
-                    .map(|s| s.video_load.as_secs_f64())
-                    .fold(0.0, f64::max),
-            }
+/// Compute behaviour aggregates for every participant of a campaign of
+/// either kind (the unfiltered view §4.2 analyses).
+pub fn behavior_points(campaign: &impl Campaign) -> Vec<BehaviorPoint> {
+    let groups = ByParticipant::of(campaign);
+    campaign
+        .participants()
+        .iter()
+        .enumerate()
+        .map(|(pi, p)| {
+            let sessions = groups.sessions(pi);
+            BehaviorPoint::of(pi, sessions, eyeorg_crowd::total_time_on_site(sessions, p))
         })
         .collect()
 }
@@ -349,6 +339,7 @@ pub fn ab_demographics(
         })
         .collect();
 
+    let groups = ByParticipant::of(campaign);
     let slice = |label: &str, member: &dyn Fn(&eyeorg_crowd::Participant) -> bool| {
         let mut participants = 0usize;
         let mut votes = 0usize;
@@ -359,7 +350,7 @@ pub fn ab_demographics(
                 continue;
             }
             participants += 1;
-            for row in campaign.rows.iter().filter(|r| r.participant == pi) {
+            for row in groups.rows(pi).iter().map(|&i| &campaign.rows[i]) {
                 let Some(v) = row.verdict else { continue };
                 votes += 1;
                 if v != AbVerdict::NoDifference {

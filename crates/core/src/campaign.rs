@@ -15,7 +15,9 @@
 //! kernel's one per-participant pipeline ([`crate::flat`]), which
 //! either keeps rows (here) or folds them shard by shard into a digest
 //! in memory proportional to a shard. The digest of these rows equals
-//! the kernel's fold (pinned by the `campaign_golden` tests).
+//! the kernel's fold (pinned by the `campaign_golden` tests). Row
+//! consumers judge each participant once: `ByParticipant` groups the
+//! rows and controls of either kind ([`Campaign`]) in one pass.
 
 use std::sync::Arc;
 
@@ -189,12 +191,152 @@ pub fn run_ab_campaign(
     }
 }
 
-/// Sessions of one participant within a campaign, in presentation order.
-pub fn sessions_of(rows: &[TimelineRow], participant: usize) -> Vec<VideoSession> {
-    rows.iter().filter(|r| r.participant == participant).map(|r| r.session).collect()
+/// A materialized campaign of either test kind, as the per-participant
+/// consumers (filters, behaviour points, digests) read it.
+pub trait Campaign {
+    /// Gate-admitted participants, in arrival order.
+    fn participants(&self) -> &[Participant];
+    /// Every showing's participant index and session, in row order.
+    fn sessions(&self) -> impl Iterator<Item = (usize, VideoSession)>;
+    /// Per-participant control outcomes.
+    fn controls(&self) -> &[ControlRow];
 }
 
-/// Same for A/B rows.
-pub fn ab_sessions_of(rows: &[AbRow], participant: usize) -> Vec<VideoSession> {
-    rows.iter().filter(|r| r.participant == participant).map(|r| r.session).collect()
+impl Campaign for TimelineCampaign {
+    fn participants(&self) -> &[Participant] {
+        &self.participants
+    }
+
+    fn sessions(&self) -> impl Iterator<Item = (usize, VideoSession)> {
+        self.rows.iter().map(|r| (r.participant, r.session))
+    }
+
+    fn controls(&self) -> &[ControlRow] {
+        &self.controls
+    }
+}
+
+impl Campaign for AbCampaign {
+    fn participants(&self) -> &[Participant] {
+        &self.participants
+    }
+
+    fn sessions(&self) -> impl Iterator<Item = (usize, VideoSession)> {
+        self.rows.iter().map(|r| (r.participant, r.session))
+    }
+
+    fn controls(&self) -> &[ControlRow] {
+        &self.controls
+    }
+}
+
+/// A campaign's rows and control rows grouped by participant in one
+/// O(rows + participants) pass, presentation order kept. A participant
+/// with no rows has an empty group; a row naming none is in none.
+pub(crate) struct ByParticipant<'a> {
+    /// Row indices and their sessions, participant by participant.
+    rows: Vec<usize>,
+    sessions: Vec<VideoSession>,
+    row_start: Vec<usize>,
+    controls: Vec<&'a ControlRow>,
+    control_start: Vec<usize>,
+}
+
+impl<'a> ByParticipant<'a> {
+    /// Group `campaign`'s rows and control rows.
+    pub(crate) fn of(campaign: &'a impl Campaign) -> ByParticipant<'a> {
+        let (n, controls) = (campaign.participants().len(), campaign.controls());
+        let sessions: Vec<_> = campaign.sessions().collect();
+        let (row_start, rows) = group(n, &sessions, |s| s.0);
+        let (control_start, order) = group(n, controls, |c| c.participant);
+        ByParticipant {
+            sessions: rows.iter().map(|&i| sessions[i].1).collect(),
+            rows,
+            row_start,
+            controls: order.into_iter().map(|i| &controls[i]).collect(),
+            control_start,
+        }
+    }
+
+    /// Participant `pi`'s row indices, in presentation order.
+    pub(crate) fn rows(&self, pi: usize) -> &[usize] {
+        &self.rows[self.row_start[pi]..self.row_start[pi + 1]]
+    }
+
+    /// Participant `pi`'s sessions, in presentation order.
+    pub(crate) fn sessions(&self, pi: usize) -> &[VideoSession] {
+        &self.sessions[self.row_start[pi]..self.row_start[pi + 1]]
+    }
+
+    /// Participant `pi`'s control outcomes.
+    pub(crate) fn controls(&self, pi: usize) -> &[&'a ControlRow] {
+        &self.controls[self.control_start[pi]..self.control_start[pi + 1]]
+    }
+}
+
+/// Stable counting sort of `items` into groups `0..n` by `key`: the
+/// `n + 1` offsets and the item indices; keys `n` and up are dropped.
+fn group<T>(n: usize, items: &[T], key: impl Fn(&T) -> usize) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0usize; n + 1];
+    for k in items.iter().map(&key).filter(|&k| k < n) {
+        start[k + 1] += 1;
+    }
+    for k in 0..n {
+        start[k + 1] += start[k];
+    }
+    let mut next = start.clone();
+    let mut order = vec![0; start[n]];
+    for (i, k) in items.iter().map(key).enumerate().filter(|&(_, k)| k < n) {
+        order[next[k]] = i;
+        next[k] += 1;
+    }
+    (start, order)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eyeorg_crowd::PopulationProfile;
+    use eyeorg_net::SimDuration;
+
+    /// A showing to `participant` whose video took `load` seconds.
+    fn row(participant: usize, load: u64) -> TimelineRow {
+        let session = VideoSession {
+            video_load: SimDuration::from_secs(load),
+            time_spent: SimDuration::from_secs(60),
+            seeks: 0,
+            plays: 0,
+            pauses: 0,
+            out_of_focus: SimDuration::ZERO,
+            skipped: false,
+        };
+        TimelineRow { participant, stimulus: 0, session, response: None }
+    }
+
+    #[test]
+    fn groups_keep_presentation_order_and_empty_participants() {
+        let pop = PopulationProfile::paid();
+        let campaign = TimelineCampaign {
+            stimuli_names: Vec::new(),
+            videos: Vec::new(),
+            participants: (0..3).map(|i| pop.generate_one(Seed(0), i)).collect(),
+            recruitment_cost_usd: 0.0,
+            recruitment_duration_secs: 0.0,
+            // Interleaved, with one row naming no participant.
+            rows: vec![row(1, 1), row(0, 2), row(1, 3), row(5, 4), row(0, 5)],
+            controls: vec![
+                ControlRow { participant: 1, passed: false },
+                ControlRow { participant: 0, passed: true },
+            ],
+        };
+        let groups = ByParticipant::of(&campaign);
+        let loads = |pi| -> Vec<u64> {
+            groups.sessions(pi).iter().map(|s| s.video_load.as_micros() / 1_000_000).collect()
+        };
+        assert_eq!((groups.rows(0), loads(0)), (&[1, 4][..], vec![2, 5]));
+        assert_eq!((groups.rows(1), loads(1)), (&[0, 2][..], vec![1, 3]));
+        assert!(groups.rows(2).is_empty() && groups.sessions(2).is_empty());
+        let passed = |pi| groups.controls(pi).iter().map(|c| c.passed).collect::<Vec<_>>();
+        assert_eq!((passed(0), passed(1), passed(2)), (vec![true], vec![false], vec![]));
+    }
 }

@@ -18,14 +18,15 @@
 //! supplies the kind tag, a fresh accumulator, the totals and stimulus
 //! line codec, an all-or-nothing checked merge, and the fallible digest
 //! assembly (which the engines' shard merges reuse). `save`, `load`,
-//! `merge`, `finalize`, the resume probe, and the worker body are
-//! written once; [`TimelineCheckpoint`] and [`AbCheckpoint`] are
-//! aliases of the two instances.
+//! `merge`, `finalize`, the resume state, the driver checkpoint and the
+//! worker body are written once; [`TimelineCheckpoint`] and
+//! [`AbCheckpoint`] are aliases of the two instances.
 //!
-//! Three workflows build on that:
+//! Three workflows build on that, all run by the one epoch driver
+//! (`crate::adaptive`), whose loop state a driver checkpoint records:
 //!
 //! * **Resume** — [`checkpointed_timeline_campaign`] /
-//!   [`checkpointed_ab_campaign`] consult an observer at every shard
+//!   [`checkpointed_ab_campaign`] consult an observer at every epoch
 //!   barrier; a `false` return interrupts the run and hands back a
 //!   checkpoint, and a later call with `resume` replays only the
 //!   remaining index range, byte-identical to never stopping.
@@ -95,12 +96,12 @@ use std::collections::BTreeMap;
 
 use eyeorg_crowd::RecruitmentService;
 use eyeorg_obs::HistogramSnapshot;
-use eyeorg_stats::{resolve_threads, Seed};
+use eyeorg_stats::Seed;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{
-    drive_resumable, AdaptiveBackend, AdaptiveOutcome, DriveEnd, DriveState, StopCause,
-    StopDecision, ADAPTIVE_Z,
+    self, drive_resumable, stop_at_barrier, AdaptiveBackend, AdaptiveOutcome, DriveState,
+    StopCause, StopDecision, StopState, ADAPTIVE_Z,
 };
 use crate::analysis::AbTally;
 use crate::digest::{
@@ -112,7 +113,7 @@ use crate::experiment::{
 };
 use crate::filtering::{FilterTally, ParticipantFilter};
 use crate::flat::{AbKernel, AbPlane, Kernel, Plane, TlKernel, TlPlane};
-use crate::stream::{AbShard, StreamConfig, TlShard};
+use crate::stream::{merge_shards, AbShard, StreamConfig, TlShard};
 
 /// Checkpoint format version this build writes and accepts.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -742,16 +743,6 @@ impl ShardKind for AbShard {
 // Checkpoints
 // ---------------------------------------------------------------------
 
-/// The adaptive driver's inter-epoch state as carried by a driver
-/// checkpoint (mask, barrier count, decision log).
-#[derive(Debug, Clone)]
-pub(crate) struct DriveCkpt {
-    pub(crate) live: Vec<bool>,
-    pub(crate) epochs: u64,
-    pub(crate) stopped_at: Vec<Option<u64>>,
-    pub(crate) decisions: Vec<StopDecision>,
-}
-
 /// A campaign's accumulator state over `[range_lo, range_hi)`, for
 /// either test kind ([`TimelineCheckpoint`], [`AbCheckpoint`]).
 ///
@@ -769,7 +760,7 @@ pub struct Checkpoint<K> {
     range_hi: u64,
     admitted_before: u64,
     acc: K,
-    drive: Option<DriveCkpt>,
+    drive: Option<StopState>,
     counters: CounterState,
 }
 
@@ -779,7 +770,7 @@ pub type TimelineCheckpoint = Checkpoint<TlShard>;
 /// An A/B campaign's checkpoint.
 pub type AbCheckpoint = Checkpoint<AbShard>;
 
-fn adaptive_line(d: &DriveCkpt) -> AdaptiveLine {
+fn adaptive_line(d: &StopState) -> AdaptiveLine {
     AdaptiveLine {
         live: d.live.clone(),
         epochs: d.epochs,
@@ -799,7 +790,7 @@ fn adaptive_line(d: &DriveCkpt) -> AdaptiveLine {
     }
 }
 
-fn drive_of(a: AdaptiveLine, n_stimuli: usize, line: usize) -> Result<DriveCkpt, CheckpointError> {
+fn drive_of(a: AdaptiveLine, n_stimuli: usize, line: usize) -> Result<StopState, CheckpointError> {
     if a.live.len() != n_stimuli || a.stopped_at.len() != n_stimuli {
         return Err(CheckpointError::Format {
             line,
@@ -826,7 +817,7 @@ fn drive_of(a: AdaptiveLine, n_stimuli: usize, line: usize) -> Result<DriveCkpt,
             cause: d.cause,
         });
     }
-    Ok(DriveCkpt { live: a.live, epochs: a.epochs, stopped_at: a.stopped_at, decisions })
+    Ok(StopState { live: a.live, epochs: a.epochs, stopped_at: a.stopped_at, decisions })
 }
 
 impl<K: ShardKind> Checkpoint<K> {
@@ -1042,18 +1033,18 @@ impl<K: ShardKind> Checkpoint<K> {
         Ok(digest_of(stimuli, service, n, &self.params, std::slice::from_ref(&self.acc))?)
     }
 
-    /// Check that this checkpoint can seed a resumed run of `budget`
-    /// participants over `stimuli` under `params`. Probe-merging the
+    /// The drive state a resumed run of `budget` participants continues
+    /// from, after restoring the recorded obs totals. Probe-merging the
     /// untrusted accumulator into a fresh one runs the full fallible
     /// identity/config checks, after which the run's infallible shard
     /// merges are unreachable from disk. (A loaded drive state is sized
     /// to the file's stimuli, which the probe pins to the run's.)
-    fn check_resume(
+    fn resume(
         &self,
         stimuli: &[K::Stimulus],
         budget: usize,
         params: &DigestParams,
-    ) -> Result<(), CheckpointError> {
+    ) -> Result<DriveState<K>, CheckpointError> {
         let params = K::params(*params);
         if self.params != params {
             return Err(CheckpointError::ParamsMismatch {
@@ -1072,7 +1063,35 @@ impl<K: ShardKind> Checkpoint<K> {
             });
         }
         K::fresh(stimuli, &params).merge_checked(&self.acc)?;
-        Ok(())
+        if !self.is_resumable() {
+            return Err(CheckpointError::Config {
+                detail: "a worker checkpoint cannot seed a resume (no drive state)".to_string(),
+            });
+        }
+        self.restore_counters();
+        // Gate admissions over [0, processed): pruned participants
+        // consumed an admitted index without being served.
+        let (admitted, _, pruned) = self.acc.gate();
+        Ok(DriveState {
+            acc: self.acc.clone(),
+            admitted: admitted + pruned,
+            processed: self.range_hi as usize,
+            stop: self.drive.clone().unwrap_or_else(|| StopState::fresh(stimuli.len())),
+        })
+    }
+
+    /// A driver checkpoint of the epoch loop's state, with the live obs
+    /// totals (and, for timeline ones, the stop state).
+    fn of_drive(params: DigestParams, st: &DriveState<K>, threads: usize) -> Checkpoint<K> {
+        Checkpoint {
+            params: K::params(params),
+            range_lo: 0,
+            range_hi: st.processed as u64,
+            admitted_before: 0,
+            acc: st.acc.clone(),
+            drive: K::DRIVE_LINE.then(|| st.stop.clone()),
+            counters: CounterState::capture(threads),
+        }
     }
 }
 
@@ -1087,9 +1106,8 @@ fn check_campaign(n_stimuli: usize, cfg: &ExperimentConfig) -> Result<(), Checkp
 
 /// The shared body of both worker entry points: validate the range,
 /// recompute its admitted-index base from the seed (the same pre-pass
-/// every epoch runs), fold it through the flat kernel under an
-/// all-live mask, and wrap the merged folds with this process's counter
-/// totals.
+/// every epoch runs), drive one all-live epoch over `[lo, hi)`, and
+/// wrap the fold with this process's counter totals.
 #[allow(clippy::too_many_arguments)] // the worker entry points' shared arguments
 fn worker_checkpoint<P: Plane>(
     stimuli: &[P::Stimulus],
@@ -1111,16 +1129,15 @@ fn worker_checkpoint<P: Plane>(
     let kernel = Kernel::<P>::new(stimuli, service, cfg, filters, seed, sc);
     let admitted_before = kernel.admitted_before(lo);
     let params = P::Shard::params(sc.params);
-    let mut acc = P::Shard::fresh(stimuli, &params);
-    for f in &kernel.epoch(lo, hi, admitted_before, &vec![true; stimuli.len()]).0 {
-        acc.merge_checked(f)?;
-    }
+    let fresh = DriveState::fresh(stimuli, &params);
+    let start = DriveState { processed: lo, admitted: admitted_before, ..fresh };
+    let (st, _) = drive_resumable(&kernel, hi, hi - lo, start, &mut |_| true);
     Ok(Checkpoint {
         params,
         range_lo: lo as u64,
         range_hi: hi as u64,
         admitted_before,
-        acc,
+        acc: st.acc,
         drive: None,
         counters: CounterState::capture(kernel.threads),
     })
@@ -1157,18 +1174,13 @@ struct LiveStimulus {
     ci_hi: Option<f64>,
 }
 
-#[allow(clippy::too_many_arguments)] // one JSON line, one flat argument list
-fn live_line(
-    stimuli: &[StimulusDigest],
-    admitted: u64,
-    collected: u64,
-    skipped: u64,
-    kept: u64,
-    processed: u64,
-    budget: u64,
-    is_final: bool,
-) -> String {
-    let stimuli = stimuli
+/// The live-mode JSONL line a finished digest implies — what the
+/// driver emits as its last [`CheckpointEvent::Live`] event, exposed so
+/// readers can cross-check a live stream's final line against the
+/// end-of-run digest read-outs.
+pub fn live_line_from_digest(d: &TimelineDigest, budget: u64, is_final: bool) -> String {
+    let stimuli = d
+        .stimuli
         .iter()
         .map(|s| {
             let ci = s.sketch.quantile_ci(50.0, ADAPTIVE_Z);
@@ -1184,26 +1196,16 @@ fn live_line(
             }
         })
         .collect();
-    let line =
-        LiveLine { processed, budget, is_final, admitted, collected, skipped, kept, stimuli };
-    json_line(&line)
-}
-
-/// The live-mode JSONL line a finished digest implies — what the
-/// driver emits as its last [`CheckpointEvent::Live`] event, exposed so
-/// readers can cross-check a live stream's final line against the
-/// end-of-run digest read-outs.
-pub fn live_line_from_digest(d: &TimelineDigest, budget: u64, is_final: bool) -> String {
-    live_line(
-        &d.stimuli,
-        d.admitted,
-        d.responses_collected,
-        d.responses_skipped,
-        d.filters.kept,
-        d.recruited,
+    json_line(&LiveLine {
+        processed: d.recruited,
         budget,
         is_final,
-    )
+        admitted: d.admitted,
+        collected: d.responses_collected,
+        skipped: d.responses_skipped,
+        kept: d.filters.kept,
+        stimuli,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1282,92 +1284,36 @@ pub fn checkpointed_timeline_campaign(
 ) -> Result<RunOutcome, CheckpointError> {
     check_campaign(stimuli.len(), cfg)?;
     let _t = eyeorg_obs::phase_timer("core.checkpointed_timeline");
-    let threads = resolve_threads(cfg.threads);
     // Barrier spacing: adaptive runs keep their decision epoch (the
     // decision sequence must not depend on checkpointing); plain runs
     // get a barrier every `every_shards` shards.
-    let eff_epoch = if ac.is_active() {
-        ac.epoch.max(1)
+    let epoch = if ac.is_active() {
+        ac.epoch
     } else {
         ck.every_shards.max(1).saturating_mul(sc.shard_size.max(1))
     };
-    let eff_ac = AdaptiveConfig { epoch: eff_epoch, ..*ac };
-
     let start = match resume {
-        None => None,
-        Some(c) => {
-            c.check_resume(stimuli, budget, &sc.params)?;
-            let Some(drive) = &c.drive else {
-                return Err(CheckpointError::Config {
-                    detail: "a worker checkpoint cannot seed a resume (no drive state)"
-                        .to_string(),
-                });
-            };
-            c.restore_counters();
-            Some(DriveState {
-                live: drive.live.clone(),
-                acc: c.acc.clone(),
-                // Gate admissions over [0, processed): pruned participants
-                // consumed an admitted index without being served.
-                admitted: c.acc.admitted + c.acc.pruned,
-                processed: c.range_hi as usize,
-                epochs: drive.epochs,
-                decisions: drive.decisions.clone(),
-                stopped_at: drive.stopped_at.clone(),
-            })
-        }
+        None => DriveState::fresh(stimuli, &sc.params),
+        Some(c) => c.resume(stimuli, budget, &sc.params)?,
     };
-
-    let end = {
-        let mut barrier = |st: &DriveState| -> bool {
-            let live = live_line(
-                &st.acc.stimuli,
-                st.acc.admitted,
-                st.acc.collected,
-                st.acc.skipped,
-                st.acc.filters.kept,
-                st.processed as u64,
-                budget as u64,
-                false,
-            );
-            observer(CheckpointEvent::Live(&live));
-            observer(CheckpointEvent::Checkpoint(&tl_driver_ckpt(sc.params, st, threads)))
-        };
-        let kernel = TlKernel::new(stimuli, service, cfg, filters, seed, sc);
-        drive_resumable(&kernel, service, budget, sc, &eff_ac, start, &mut barrier)
+    let kernel = TlKernel::new(stimuli, service, cfg, filters, seed, sc);
+    let threads = kernel.threads;
+    let mut barrier = |st: &mut DriveState<TlShard>| {
+        stop_at_barrier(st, ac);
+        let so_far = st.acc.clone().into_digest(service, st.processed);
+        observer(CheckpointEvent::Live(&live_line_from_digest(&so_far, budget as u64, false)));
+        observer(CheckpointEvent::Checkpoint(&Checkpoint::of_drive(sc.params, st, threads)))
     };
-
-    match end {
-        DriveEnd::Complete(outcome) => {
-            let line = live_line_from_digest(&outcome.digest, budget as u64, true);
-            observer(CheckpointEvent::Live(&line));
-            Ok(RunOutcome::Complete(outcome))
-        }
+    let (st, complete) = drive_resumable(&kernel, budget, epoch, start, &mut barrier);
+    if !complete {
         // Nothing bumps the registry between the barrier and the
         // return, so this capture equals the one the observer saw.
-        DriveEnd::Interrupted(st) => {
-            Ok(RunOutcome::Interrupted(Box::new(tl_driver_ckpt(sc.params, &st, threads))))
-        }
+        let ckpt = Checkpoint::of_drive(sc.params, &st, threads);
+        return Ok(RunOutcome::Interrupted(Box::new(ckpt)));
     }
-}
-
-/// A driver checkpoint of the epoch loop's current state (obs totals
-/// captured from the live registry).
-fn tl_driver_ckpt(params: DigestParams, st: &DriveState, threads: usize) -> TimelineCheckpoint {
-    Checkpoint {
-        params,
-        range_lo: 0,
-        range_hi: st.processed as u64,
-        admitted_before: 0,
-        acc: st.acc.clone(),
-        drive: Some(DriveCkpt {
-            live: st.live.clone(),
-            epochs: st.epochs,
-            stopped_at: st.stopped_at.clone(),
-            decisions: st.decisions.clone(),
-        }),
-        counters: CounterState::capture(threads),
-    }
+    let outcome = adaptive::outcome(st, stimuli, service, budget, &sc.params);
+    observer(CheckpointEvent::Live(&live_line_from_digest(&outcome.digest, budget as u64, true)));
+    Ok(RunOutcome::Complete(Box::new(outcome)))
 }
 
 /// Fold the participant index range `[lo, hi)` of a timeline campaign
@@ -1438,38 +1384,20 @@ pub fn checkpointed_ab_campaign(
     check_campaign(stimuli.len(), cfg)?;
     let _t = eyeorg_obs::phase_timer("core.checkpointed_ab");
     let chunk = ck.every_shards.max(1).saturating_mul(sc.shard_size.max(1));
-    let (mut acc, mut processed) = match resume {
-        None => (AbShard::new(stimuli), 0usize),
-        Some(c) => {
-            c.check_resume(stimuli, n_participants, &sc.params)?;
-            c.restore_counters();
-            (c.acc.clone(), c.range_hi as usize)
-        }
+    let start = match resume {
+        None => DriveState::fresh(stimuli, &sc.params),
+        Some(c) => c.resume(stimuli, n_participants, &sc.params)?,
     };
     let kernel = AbKernel::new(stimuli, service, cfg, filters, seed, sc);
-    let live = vec![true; stimuli.len()];
-    let mut admitted = acc.admitted;
-    while processed < n_participants {
-        let hi = processed.saturating_add(chunk).min(n_participants);
-        let (folds, range_admitted) = kernel.epoch(processed, hi, admitted, &live);
-        for fold in &folds {
-            acc.merge_checked(fold)?;
-        }
-        admitted += range_admitted;
-        processed = hi;
-        let ckpt = Checkpoint {
-            params: AbShard::params(sc.params),
-            range_lo: 0,
-            range_hi: processed as u64,
-            admitted_before: 0,
-            acc: acc.clone(),
-            drive: None,
-            counters: CounterState::capture(kernel.threads),
-        };
-        if !observer(&ckpt) {
-            return Ok(AbRunOutcome::Interrupted(Box::new(ckpt)));
-        }
+    let threads = kernel.threads;
+    let mut barrier =
+        |st: &mut DriveState<AbShard>| observer(&Checkpoint::of_drive(sc.params, st, threads));
+    let (st, complete) = drive_resumable(&kernel, n_participants, chunk, start, &mut barrier);
+    if !complete {
+        let ckpt = Checkpoint::of_drive(sc.params, &st, threads);
+        return Ok(AbRunOutcome::Interrupted(Box::new(ckpt)));
     }
-    let digest = digest_of(stimuli, service, n_participants, &sc.params, &[acc])?;
+    let folds = std::slice::from_ref(&st.acc);
+    let digest = merge_shards(stimuli, service, n_participants, &sc.params, folds);
     Ok(AbRunOutcome::Complete(Box::new(digest)))
 }

@@ -37,7 +37,7 @@
 use eyeorg_stats::{Histogram, Moments, QuantileSketch};
 
 use crate::analysis::AbTally;
-use crate::campaign::{AbCampaign, TimelineCampaign};
+use crate::campaign::{AbCampaign, Campaign, TimelineCampaign};
 use crate::filtering::{FilterReport, FilterTally};
 
 /// Accumulator sizing shared by both digest construction paths. The
@@ -540,26 +540,19 @@ pub fn digest_timeline(
             eyeorg_obs::metrics::CORE_RETAINED_PER_SITE.add(&s.name, s.retained());
         }
     }
-    let mut behavior = BehaviorDigest::default();
-    for point in crate::analysis::behavior_points(campaign) {
-        behavior.push(&point);
-    }
-    let mut controls = ControlTally::default();
-    for c in &campaign.controls {
-        controls.record(c.passed);
-    }
+    let tail = RowTail::of(campaign, recruited);
     TimelineDigest {
         stimuli,
         recruited: recruited as u64,
-        admitted: campaign.participants.len() as u64,
-        rejected: (recruited - campaign.participants.len()) as u64,
+        admitted: tail.admitted,
+        rejected: tail.rejected,
         recruitment_cost_usd: campaign.recruitment_cost_usd,
         recruitment_duration_secs: campaign.recruitment_duration_secs,
         responses_collected: collected,
         responses_skipped: skipped,
-        behavior,
+        behavior: tail.behavior,
         filters: FilterTally::of_report(report),
-        controls,
+        controls: tail.controls,
     }
 }
 
@@ -586,25 +579,42 @@ pub fn digest_ab(campaign: &AbCampaign, report: &FilterReport, recruited: usize)
             None => skipped += 1,
         }
     }
-    let mut behavior = BehaviorDigest::default();
-    for point in crate::analysis::ab_behavior_points(campaign) {
-        behavior.push(&point);
-    }
-    let mut controls = ControlTally::default();
-    for c in &campaign.controls {
-        controls.record(c.passed);
-    }
+    let tail = RowTail::of(campaign, recruited);
     AbDigest {
         stimuli,
         recruited: recruited as u64,
-        admitted: campaign.participants.len() as u64,
-        rejected: (recruited - campaign.participants.len()) as u64,
+        admitted: tail.admitted,
+        rejected: tail.rejected,
         recruitment_cost_usd: campaign.recruitment_cost_usd,
         recruitment_duration_secs: campaign.recruitment_duration_secs,
         votes_cast: cast,
         votes_skipped: skipped,
-        behavior,
+        behavior: tail.behavior,
         filters: FilterTally::of_report(report),
-        controls,
+        controls: tail.controls,
+    }
+}
+
+/// What both kinds' row digests fold besides the answers: behaviour
+/// over every participant, the control outcomes, and the gate totals.
+struct RowTail {
+    behavior: BehaviorDigest,
+    controls: ControlTally,
+    admitted: u64,
+    rejected: u64,
+}
+
+impl RowTail {
+    fn of(campaign: &impl Campaign, recruited: usize) -> RowTail {
+        let mut behavior = BehaviorDigest::default();
+        for point in crate::analysis::behavior_points(campaign) {
+            behavior.push(&point);
+        }
+        let mut controls = ControlTally::default();
+        for c in campaign.controls() {
+            controls.record(c.passed);
+        }
+        let admitted = campaign.participants().len() as u64;
+        RowTail { behavior, controls, admitted, rejected: recruited as u64 - admitted }
     }
 }

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use eyeorg_crowd::VideoSession;
 use eyeorg_stats::percentile_band;
 
-use crate::campaign::{AbCampaign, ControlRow, TimelineCampaign};
+use crate::campaign::{AbCampaign, ByParticipant, Campaign, ControlRow, TimelineCampaign};
 
 /// The paper's action threshold: the most active trusted participant
 /// performed 369 seek actions; paid participants 50 % above that are
@@ -250,23 +250,15 @@ pub fn decide(
     decision
 }
 
+/// Judge each participant once, on their own sessions and controls.
 fn run_pipeline(
-    n_participants: usize,
-    sessions_of: impl Fn(usize) -> Vec<VideoSession>,
-    controls: &[ControlRow],
+    campaign: &impl Campaign,
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
 ) -> FilterReport {
-    let mut report = FilterReport {
-        engagement: 0,
-        soft: 0,
-        control: 0,
-        kept: BTreeSet::new(),
-    };
-    for pi in 0..n_participants {
-        let sessions = sessions_of(pi);
-        let ctrl: Vec<&ControlRow> =
-            controls.iter().filter(|c| c.participant == pi).collect();
-        match decide(filters, &sessions, &ctrl) {
+    let groups = ByParticipant::of(campaign);
+    let mut report = FilterReport { engagement: 0, soft: 0, control: 0, kept: BTreeSet::new() };
+    for pi in 0..campaign.participants().len() {
+        match decide(filters, groups.sessions(pi), groups.controls(pi)) {
             FilterDecision::Engagement => report.engagement += 1,
             FilterDecision::Soft => report.soft += 1,
             FilterDecision::Control => report.control += 1,
@@ -283,12 +275,7 @@ pub fn filter_timeline(
     campaign: &TimelineCampaign,
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
 ) -> FilterReport {
-    run_pipeline(
-        campaign.participants.len(),
-        |pi| crate::campaign::sessions_of(&campaign.rows, pi),
-        &campaign.controls,
-        filters,
-    )
+    run_pipeline(campaign, filters)
 }
 
 /// Apply the filter pipeline to an A/B campaign.
@@ -296,12 +283,7 @@ pub fn filter_ab(
     campaign: &AbCampaign,
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
 ) -> FilterReport {
-    run_pipeline(
-        campaign.participants.len(),
-        |pi| crate::campaign::ab_sessions_of(&campaign.rows, pi),
-        &campaign.controls,
-        filters,
-    )
+    run_pipeline(campaign, filters)
 }
 
 /// The wisdom-of-the-crowd response filter: per-video UPLT values kept
@@ -314,7 +296,10 @@ pub fn wisdom_band(responses: &[f64], lo_pct: f64, hi_pct: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::TimelineRow;
+    use eyeorg_crowd::PopulationProfile;
     use eyeorg_net::SimDuration;
+    use eyeorg_stats::Seed;
 
     fn session(actions: u32, oof_secs: f64, load_secs: f64, skipped: bool) -> VideoSession {
         VideoSession {
@@ -325,6 +310,27 @@ mod tests {
             pauses: 0,
             out_of_focus: SimDuration::from_secs_f64(oof_secs),
             skipped,
+        }
+    }
+
+    /// A one-participant campaign: `sessions` in order, one control.
+    fn campaign(sessions: Vec<VideoSession>, passed: bool) -> TimelineCampaign {
+        let rows = sessions.into_iter().enumerate();
+        TimelineCampaign {
+            stimuli_names: Vec::new(),
+            videos: Vec::new(),
+            participants: vec![PopulationProfile::paid().generate_one(Seed(0), 0)],
+            recruitment_cost_usd: 0.0,
+            recruitment_duration_secs: 0.0,
+            rows: rows
+                .map(|(stimulus, session)| TimelineRow {
+                    participant: 0,
+                    stimulus,
+                    session,
+                    response: None,
+                })
+                .collect(),
+            controls: vec![ControlRow { participant: 0, passed }],
         }
     }
 
@@ -370,13 +376,7 @@ mod tests {
         // A participant who both skipped a video and failed the control
         // counts under "soft" (the earlier filter).
         let filters = paper_pipeline();
-        let controls = vec![ControlRow { participant: 0, passed: false }];
-        let report = run_pipeline(
-            1,
-            |_| vec![session(3, 0.0, 1.0, true)],
-            &controls,
-            &filters,
-        );
+        let report = filter_timeline(&campaign(vec![session(3, 0.0, 1.0, true)], false), &filters);
         assert_eq!(report.soft, 1);
         assert_eq!(report.control, 0);
         assert!(report.kept.is_empty());
@@ -385,9 +385,8 @@ mod tests {
     #[test]
     fn clean_participants_kept() {
         let filters = paper_pipeline();
-        let controls = vec![ControlRow { participant: 0, passed: true }];
         let report =
-            run_pipeline(1, |_| vec![session(30, 2.0, 1.0, false); 6], &controls, &filters);
+            filter_timeline(&campaign(vec![session(30, 2.0, 1.0, false); 6], true), &filters);
         assert_eq!(report.dropped(), 0);
         assert!(report.kept.contains(&0));
     }

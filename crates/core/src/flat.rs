@@ -5,9 +5,9 @@
 //! two ways. It either keeps every showing as a row (`serve`, behind
 //! [`crate::campaign::run_timeline_campaign`] and
 //! [`crate::campaign::run_ab_campaign`]) or folds a digest
-//! (`Kernel::epoch`, behind the one-shot engines
-//! [`flat_timeline_campaign`] and [`flat_ab_campaign`], the adaptive
-//! driver, both checkpointed drivers and both worker checkpoints).
+//! (`Kernel::epoch`, called only by the epoch driver of
+//! [`crate::adaptive`], which [`flat_timeline_campaign`],
+//! [`flat_ab_campaign`] and every other folding entry point run).
 //! Both draw every value from the same per-stimulus planes and the same
 //! `Plane` answer and control methods.
 //! [`crate::stream::stream_timeline_campaign`] remains only as the
@@ -72,7 +72,8 @@
 
 use eyeorg_crowd::fastpath::{
     ab_control_seeded, judge_pair_seeded, session_seed, timeline_control_seeded,
-    timeline_response_seeded, video_session_from_rng, video_session_seeded,
+    timeline_response_seeded, total_time_on_site_seeded, video_session_from_rng,
+    video_session_seeded,
 };
 use eyeorg_crowd::{
     AbAnswer, ModelSeeds, Participant, Persona, PopulationProfile, ReadyTimes, RecruitmentService,
@@ -82,6 +83,8 @@ use eyeorg_stats::rng::Rng;
 use eyeorg_stats::{par_map_range, par_map_range_scratch, resolve_threads, Seed};
 use eyeorg_video::FrameTimeline;
 
+use crate::adaptive::{drive_resumable, DriveState};
+use crate::analysis::BehaviorPoint;
 use crate::campaign::{AbRow, AbVerdict, ControlRow, TimelineRow};
 use crate::checkpoint::ShardKind;
 use crate::digest::{AbDigest, BehaviorDigest, ControlTally, DigestParams, TimelineDigest};
@@ -89,9 +92,7 @@ use crate::experiment::{
     a_on_left, assert_runnable, assign, assign_into, AbStimulus, ExperimentConfig, TimelineStimulus,
 };
 use crate::filtering::{decide, FilterDecision, FilterTally, ParticipantFilter};
-use crate::stream::{
-    admitted_bases_range, behavior_point_persona, merge_shards, AbShard, StreamConfig, TlShard,
-};
+use crate::stream::{admitted_bases_range, merge_shards, AbShard, StreamConfig, TlShard};
 
 /// What a test kind supplies to the shared kernel: its per-stimulus
 /// plane of hoisted constants, its answer and control draws, what one
@@ -624,7 +625,8 @@ impl<'a, P: Plane> Kernel<'a, P> {
             }
             let d = decide(self.filters, &arena.row_buf, control.as_slice());
             filters.record(d);
-            behavior.push(&behavior_point_persona(my_pi as usize, &arena.row_buf, p, mseeds));
+            let total = total_time_on_site_seeded(&arena.row_buf, p, mseeds);
+            behavior.push(&BehaviorPoint::of(my_pi as usize, &arena.row_buf, total));
             if d == FilterDecision::Kept {
                 for cell in cbase..cbase + k {
                     let si = arena.picks[cell] as usize;
@@ -688,8 +690,8 @@ pub(crate) fn serve<P: Plane>(
     (rows, controls)
 }
 
-/// One whole campaign of `n_participants` through the kernel, under an
-/// all-live mask, merged into its digest.
+/// One whole campaign of `n_participants` through the kernel, as one
+/// all-live driver epoch, merged into its digest.
 fn one_shot<P: Plane>(
     stimuli: &[P::Stimulus],
     service: &dyn RecruitmentService,
@@ -701,8 +703,9 @@ fn one_shot<P: Plane>(
 ) -> <P::Shard as ShardKind>::Digest {
     assert_runnable(stimuli.len(), cfg);
     let kernel = Kernel::<P>::new(stimuli, service, cfg, filters, seed, sc);
-    let (folds, _) = kernel.epoch(0, n_participants, 0, &vec![true; stimuli.len()]);
-    merge_shards(stimuli, service, n_participants, &sc.params, &folds)
+    let start = DriveState::fresh(stimuli, &sc.params);
+    let (st, _) = drive_resumable(&kernel, n_participants, n_participants, start, &mut |_| true);
+    merge_shards(stimuli, service, n_participants, &sc.params, std::slice::from_ref(&st.acc))
 }
 
 /// Run a timeline campaign through the flat kernel.

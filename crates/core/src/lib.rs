@@ -13,7 +13,7 @@
 //!   types (PLT timeline, H1-vs-H2 A/B, ad-blocker A/B).
 //! * [`campaign`] — recruitment, the humanness gate and the row types:
 //!   campaigns whose every showing is kept as a row for row-level
-//!   analysis.
+//!   analysis, grouped by participant in one pass for its consumers.
 //! * [`flat`] — the one per-participant campaign pipeline for both test
 //!   kinds, which either keeps rows (for [`campaign`]) or folds them
 //!   shard by shard into bounded-memory digests, in structure-of-arrays
@@ -24,8 +24,8 @@
 //!   admitted-index pre-pass, order-pinned merge) and the streaming
 //!   timeline reference, a participant-at-a-time loop the kernel is
 //!   checked against at sizes the materializing engine cannot reach.
-//! * [`adaptive`] — adaptive early stopping: epochs of the kernel with
-//!   a per-stimulus stopping rule at each barrier.
+//! * [`adaptive`] — the one epoch driver every folding entry point
+//!   runs the kernel through, and the adaptive stopping rule.
 //! * [`digest`] — mergeable campaign digests and the materializing
 //!   folds that pin the sharded engines to the materializing one.
 //! * [`checkpoint`] — versioned JSONL serialization of the full

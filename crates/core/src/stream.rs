@@ -18,8 +18,9 @@
 //!
 //! This module holds what every sharded entry point shares: the
 //! [`StreamConfig`], the shard accumulators, the admitted-index
-//! pre-pass, the order-pinned shard merge, and the behaviour point.
-//! Production runs go through the flat kernel ([`crate::flat`]).
+//! pre-pass and the order-pinned shard merge. Production runs go
+//! through the flat kernel ([`crate::flat`]) and the driver of
+//! [`crate::adaptive`].
 //! [`stream_timeline_campaign`] keeps the participant-at-a-time loop as
 //! the timeline reference the kernel is checked against at sizes the
 //! materializing engine cannot reach (the 1M-participant divergence
@@ -41,7 +42,7 @@
 use eyeorg_crowd::fastpath::{
     self, timeline_control_seeded, timeline_response_shared_seeded, video_session_seeded,
 };
-use eyeorg_crowd::{ModelSeeds, Persona, RecruitmentService, SessionProfile, TestKind};
+use eyeorg_crowd::{ModelSeeds, RecruitmentService, SessionProfile, TestKind};
 use eyeorg_stats::{par_map_range, resolve_threads, Seed};
 use eyeorg_video::FrameTimeline;
 
@@ -298,7 +299,8 @@ fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> TlShard {
                 fold.stimuli[si].push(secs);
             }
         }
-        fold.behavior.push(&behavior_point_persona(my_pi as usize, &sessions, &p, &mseeds));
+        let total = fastpath::total_time_on_site_seeded(&sessions, &p, &mseeds);
+        fold.behavior.push(&BehaviorPoint::of(my_pi as usize, &sessions, total));
     }
     fold
 }
@@ -389,26 +391,4 @@ pub(crate) fn admitted_bases_range(
         acc += a;
     }
     (bases, acc - base)
-}
-
-/// The behaviour-scatter point for one served participant, with the
-/// instruction-time draw taken from the hoisted `"behavior"` parent.
-/// Shared by the streaming and flat engines.
-pub(crate) fn behavior_point_persona(
-    participant: usize,
-    sessions: &[eyeorg_crowd::VideoSession],
-    p: &Persona,
-    seeds: &ModelSeeds,
-) -> BehaviorPoint {
-    let total = fastpath::total_time_on_site_seeded(sessions, p, seeds);
-    BehaviorPoint {
-        participant,
-        minutes_on_site: total.as_secs_f64() / 60.0,
-        actions: sessions.iter().map(|s| s.actions()).sum(),
-        out_of_focus_secs: sessions.iter().map(|s| s.out_of_focus.as_secs_f64()).sum(),
-        max_video_load_secs: sessions
-            .iter()
-            .map(|s| s.video_load.as_secs_f64())
-            .fold(0.0, f64::max),
-    }
 }

@@ -429,10 +429,13 @@ fn interrupt_and_resume(threads: usize, ac: &AdaptiveConfig) -> AdaptiveOutcome 
 
 /// The protocol A/B counterpart of [`interrupt_and_resume`].
 fn ab_interrupt_and_resume(threads: usize) -> AbDigest {
+    // Capture before the first reset: the captures bump obs counters,
+    // and `protocol_cell`'s run counts none of them.
+    let stimuli = protocol_stimuli();
     let run = |resume: Option<&AbCheckpoint>, interrupt: bool| {
         eyeorg_obs::reset();
         checkpointed_ab_campaign(
-            protocol_stimuli(),
+            stimuli,
             &CrowdFlower,
             N,
             &cfg(threads),

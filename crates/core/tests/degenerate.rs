@@ -4,6 +4,7 @@
 //! export — never a panic.
 
 use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use eyeorg_browser::BrowserConfig;
 use eyeorg_core::prelude::*;
@@ -41,6 +42,7 @@ fn everyone_dropped(campaign: &TimelineCampaign) -> FilterReport {
 
 #[test]
 fn analysis_survives_all_responses_filtered() {
+    let _g = serial();
     let c = mini_timeline(12, 30);
     let report = everyone_dropped(&c);
     let n_sites = c.stimuli_names.len();
@@ -74,6 +76,7 @@ fn analysis_survives_all_responses_filtered() {
 
 #[test]
 fn single_site_with_zero_retained_degrades_not_panics() {
+    let _g = serial();
     // Mixed case: keep some participants, but band-filter a site whose
     // kept responses all sit at the extremes of an inverted band — the
     // per-site vector is empty while others are not.
@@ -88,6 +91,7 @@ fn single_site_with_zero_retained_degrades_not_panics() {
 
 #[test]
 fn ab_analysis_survives_all_votes_filtered() {
+    let _g = serial();
     let sites = alexa_like(Seed(530), 3);
     let stimuli =
         protocol_ab_stimuli(&sites, &BrowserConfig::new(), &quick_capture(), Seed(531));
@@ -133,6 +137,7 @@ fn assert_refused(engine: &str, run: impl Fn()) {
 /// panic deep inside the serving loop.
 #[test]
 fn zero_videos_per_participant_with_controls_is_refused() {
+    let _g = serial();
     let sites = alexa_like(Seed(530), 2);
     let tl = timeline_stimuli(&sites, &BrowserConfig::new(), &quick_capture(), Seed(531));
     let ab = protocol_ab_stimuli(&sites, &BrowserConfig::new(), &quick_capture(), Seed(532));
@@ -160,4 +165,62 @@ fn zero_videos_per_participant_with_controls_is_refused() {
         let seed = Seed(9);
         adaptive_timeline_campaign(&tl, &CrowdFlower, n, &zero, &filters, seed, &sc, &idle, flat);
     });
+}
+
+/// The obs registry is process-global and the harness runs tests
+/// concurrently: a test that compares counter fingerprints holds this
+/// lock while it counts, and every other campaign-running test here
+/// holds it too.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn counters() -> String {
+    eyeorg_obs::snapshot("degenerate", 0).counter_fingerprint()
+}
+
+/// `kept` holds every admitted participant, and nobody is dropped.
+fn assert_all_kept_once(report: &FilterReport, admitted: usize, kind: &str) {
+    assert_eq!(report.dropped(), 0, "{kind}: no session and no control to drop anyone on");
+    assert_eq!(report.kept, (0..admitted).collect::<BTreeSet<_>>(), "{kind}: each kept once");
+}
+
+/// Zero videos per participant without controls: every admitted
+/// participant has an empty group of rows and controls. The
+/// materialized filter and digest judge each of them once and agree
+/// with the flat kernel, digest and counter fingerprint, for both kinds.
+#[test]
+fn participants_without_rows_match_the_kernel() {
+    let _g = serial();
+    let sites = alexa_like(Seed(540), 2);
+    let tl = timeline_stimuli(&sites, &BrowserConfig::new(), &quick_capture(), Seed(541));
+    let ab = protocol_ab_stimuli(&sites, &BrowserConfig::new(), &quick_capture(), Seed(542));
+    let cfg = ExperimentConfig {
+        videos_per_participant: 0,
+        with_controls: false,
+        ..ExperimentConfig::default()
+    };
+    let (filters, sc, n, seed) = (paper_pipeline(), StreamConfig::default(), 40, Seed(10));
+    eyeorg_obs::enable();
+
+    eyeorg_obs::reset();
+    let c = run_timeline_campaign(tl.clone(), &CrowdFlower, n, &cfg, seed);
+    assert!(c.rows.is_empty() && c.controls.is_empty() && !c.participants.is_empty());
+    let report = filter_timeline(&c, &filters);
+    assert_all_kept_once(&report, c.participants.len(), "timeline");
+    let rows = (digest_timeline(&c, &report, n, &sc.params).fingerprint(), counters());
+    eyeorg_obs::reset();
+    let flat = flat_timeline_campaign(&tl, &CrowdFlower, n, &cfg, &filters, seed, &sc);
+    assert_eq!(rows, (flat.fingerprint(), counters()), "timeline");
+
+    eyeorg_obs::reset();
+    let c = run_ab_campaign(ab.clone(), &CrowdFlower, n, &cfg, seed);
+    assert!(c.rows.is_empty() && c.controls.is_empty() && !c.participants.is_empty());
+    let report = filter_ab(&c, &filters);
+    assert_all_kept_once(&report, c.participants.len(), "A/B");
+    let rows = (digest_ab(&c, &report, n).fingerprint(), counters());
+    eyeorg_obs::reset();
+    let flat = flat_ab_campaign(&ab, &CrowdFlower, n, &cfg, &filters, seed, &sc);
+    assert_eq!(rows, (flat.fingerprint(), counters()), "A/B");
 }

@@ -533,21 +533,6 @@ impl SackBlocks {
     pub fn as_slice(&self) -> &[(u64, u64)] {
         &self.blocks[..self.len as usize]
     }
-
-    /// Whether `seq` falls inside any block.
-    pub fn covers(&self, seq: u64) -> bool {
-        self.as_slice().iter().any(|&(s, e)| s <= seq && seq < e)
-    }
-
-    /// End of the block covering `seq`, if any.
-    pub fn skip_past(&self, seq: u64) -> Option<u64> {
-        self.as_slice().iter().find(|&&(s, e)| s <= seq && seq < e).map(|&(_, e)| e)
-    }
-
-    /// Start of the first block beginning strictly after `seq`, if any.
-    pub fn next_block_start(&self, seq: u64) -> Option<u64> {
-        self.as_slice().iter().filter(|&&(s, _)| s > seq).map(|&(s, _)| s).min()
-    }
 }
 
 /// Disjoint byte ranges `[start, end)` in ascending order, overlapping

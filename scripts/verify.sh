@@ -5,6 +5,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The campaign goldens' resume test on its own: in a full run the test
+# order decides what the process-global obs registry has already seen
+# (which stimuli were captured, which cells were computed), and that
+# can hide a test that only passes after another one ran first.
+cargo test -q -p eyeorg-core --test campaign_golden -- --exact resume
 # Includes the campaign goldens (crates/core/tests/campaign_golden.rs):
 # fixed-seed campaign digests, obs counters and adaptive decisions pinned
 # across engines, shard sizes, thread counts, checkpoint resume and a
