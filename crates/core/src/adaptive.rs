@@ -23,7 +23,8 @@
 //! kernel epoch over the next index range, sharded and parallelised
 //! like any other flat run; at the epoch
 //! **barrier** the epoch's shard folds are merged (shard order) into a
-//! cumulative fold, and the stopping rule runs on that merged state:
+//! cumulative fold — which at the end becomes the digest as it is, with
+//! no second merge — and the stopping rule runs on that merged state:
 //! a live stimulus stops when its UPLT confidence half-width — the max
 //! of the [`Moments`](eyeorg_stats::stream::Moments) mean-CI half-width
 //! and the sketch-resolution-aware median interval from
@@ -66,8 +67,6 @@
 //! pruned, and the driver is byte-identical — digest *and* counter
 //! fingerprint — to the plain flat and streaming engines.
 
-use std::slice;
-
 use eyeorg_crowd::RecruitmentService;
 use eyeorg_stats::Seed;
 
@@ -76,7 +75,7 @@ use crate::digest::{DigestParams, StimulusDigest, TimelineDigest};
 use crate::experiment::{assert_runnable, AdaptiveConfig, ExperimentConfig, TimelineStimulus};
 use crate::filtering::ParticipantFilter;
 use crate::flat::{Kernel, Plane, TlKernel};
-use crate::stream::{merge_shards, StreamConfig, TlShard};
+use crate::stream::{Fold, StreamConfig};
 
 /// Critical value for the stopping rule's confidence intervals (~95%
 /// two-sided normal). A fixed constant, not a knob: epsilon is the
@@ -191,7 +190,7 @@ fn should_stop(d: &StimulusDigest, ac: &AdaptiveConfig) -> Option<(StopCause, f6
 
 /// The timeline callers' barrier step: under an active `ac`, count the
 /// barrier and stop each live stimulus that [`should_stop`], in order.
-pub(crate) fn stop_at_barrier(st: &mut DriveState<TlShard>, ac: &AdaptiveConfig) {
+pub(crate) fn stop_at_barrier(st: &mut DriveState<StimulusDigest>, ac: &AdaptiveConfig) {
     if !ac.is_active() {
         return;
     }
@@ -246,27 +245,27 @@ pub fn adaptive_timeline_campaign(
         stop_at_barrier(st, ac);
         true
     });
-    outcome(st, stimuli, service, budget, &sc.params)
+    outcome(st, service, budget)
 }
 
-/// The outcome of a timeline drive run to its natural end. Only here is
-/// the never-recruited budget tail counted as saved (mid-run pruning
-/// was counted shard by shard), so an interrupted run's counters equal
-/// the uninterrupted run's at that barrier.
+/// The outcome of a timeline drive run to its natural end: the driver's
+/// cumulative fold is already the merged campaign, so it becomes the
+/// digest as it is. Only here is the never-recruited budget tail
+/// counted as saved (mid-run pruning was counted shard by shard), so an
+/// interrupted run's counters equal the uninterrupted run's at that
+/// barrier.
 pub(crate) fn outcome(
-    st: DriveState<TlShard>,
-    stimuli: &[TimelineStimulus],
+    st: DriveState<StimulusDigest>,
     service: &dyn RecruitmentService,
     budget: usize,
-    params: &DigestParams,
 ) -> AdaptiveOutcome {
     eyeorg_obs::metrics::ADAPTIVE_PARTICIPANTS_SAVED.add((budget - st.processed) as u64);
-    let digest = merge_shards(stimuli, service, st.processed, params, slice::from_ref(&st.acc));
+    let pruned = st.acc.pruned;
     AdaptiveOutcome {
-        digest,
+        digest: st.acc.into_digest(service, st.processed),
         budget: budget as u64,
         recruited: st.processed as u64,
-        pruned: st.acc.pruned,
+        pruned,
         epochs: st.stop.epochs,
         decisions: st.stop.decisions,
         stopped_at: st.stop.stopped_at,
@@ -296,12 +295,14 @@ impl StopState {
 }
 
 /// The epoch loop's whole mutable state between barriers, for either
-/// kind: a pure function of (seed, config, processed index range),
-/// which a driver checkpoint serializes and a resume continues.
+/// kind (`A` is its per-stimulus accumulator): a pure function of
+/// (seed, config, processed index range), which a driver checkpoint
+/// serializes and a resume continues. Its fold is the merged campaign,
+/// so a finished run turns it into the digest directly.
 #[derive(Debug, Clone)]
-pub(crate) struct DriveState<S> {
+pub(crate) struct DriveState<A> {
     /// Cumulative fold over every processed epoch.
-    pub(crate) acc: S,
+    pub(crate) acc: Fold<A>,
     /// Gate admissions over `[0, processed)`.
     pub(crate) admitted: u64,
     /// Participant indices processed so far.
@@ -309,11 +310,11 @@ pub(crate) struct DriveState<S> {
     pub(crate) stop: StopState,
 }
 
-impl<S: ShardKind> DriveState<S> {
+impl<A: ShardKind> DriveState<A> {
     /// The loop's starting state for `stimuli`.
-    pub(crate) fn fresh(stimuli: &[S::Stimulus], params: &DigestParams) -> DriveState<S> {
+    pub(crate) fn fresh(stimuli: &[A::Stimulus], params: &DigestParams) -> DriveState<A> {
         let stop = StopState::fresh(stimuli.len());
-        DriveState { acc: S::fresh(stimuli, params), admitted: 0, processed: 0, stop }
+        DriveState { acc: Fold::fresh(stimuli, params), admitted: 0, processed: 0, stop }
     }
 }
 
@@ -328,17 +329,14 @@ pub(crate) fn drive_resumable<P: Plane>(
     kernel: &Kernel<'_, P>,
     budget: usize,
     epoch: usize,
-    mut st: DriveState<P::Shard>,
-    barrier: &mut dyn FnMut(&mut DriveState<P::Shard>) -> bool,
-) -> (DriveState<P::Shard>, bool) {
+    mut st: DriveState<P::Acc>,
+    barrier: &mut dyn FnMut(&mut DriveState<P::Acc>) -> bool,
+) -> (DriveState<P::Acc>, bool) {
     while st.processed < budget && st.stop.live.iter().any(|&l| l) {
         let lo = st.processed;
         let hi = lo.saturating_add(epoch.max(1)).min(budget);
         let (folds, range_admitted) = kernel.epoch(lo, hi, st.admitted, &st.stop.live);
-        for fold in &folds {
-            // lint:allow(D4): same-campaign shard folds share one construction site
-            st.acc.merge_checked(fold).expect("same-campaign shard folds agree by construction");
-        }
+        st.acc.merge_all(&folds);
         st.admitted += range_admitted;
         st.processed = hi;
         st.stop.epochs += 1;

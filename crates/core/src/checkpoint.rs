@@ -12,15 +12,15 @@
 //! shard size and thread count (pinned by the `checkpoint_roundtrip`
 //! tests and the `resume` and `merge3` cells of `campaign_golden`).
 //!
-//! One codec serves both test kinds. [`Checkpoint<K>`] is generic over
-//! the shard accumulator `K` (`TlShard` for timeline campaigns,
-//! `AbShard` for A/B), driven by a small crate-private trait that
-//! supplies the kind tag, a fresh accumulator, the totals and stimulus
-//! line codec, an all-or-nothing checked merge, and the fallible digest
-//! assembly (which the engines' shard merges reuse). `save`, `load`,
-//! `merge`, `finalize`, the resume state, the driver checkpoint and the
-//! worker body are written once; [`TimelineCheckpoint`] and
-//! [`AbCheckpoint`] are aliases of the two instances.
+//! One codec serves both test kinds. [`Checkpoint<A>`] holds the one
+//! shard fold (`stream::Fold`) over the kind's per-stimulus accumulator
+//! `A` ([`StimulusDigest`] or [`AbStimulusDigest`]), and a small
+//! crate-private trait on `A` supplies only what differs: the kind tag
+//! and drive-line flag, the per-stimulus constructor and checked merge,
+//! the totals and stimulus line shapes, the digest struct and the
+//! answer counters. `save`, `load`, `merge`, `finalize`, the resume
+//! state, the driver checkpoint and the worker body are written once;
+//! [`TimelineCheckpoint`] and [`AbCheckpoint`] are the two instances.
 //!
 //! Three workflows build on that, all run by the one epoch driver
 //! (`crate::adaptive`), whose loop state a driver checkpoint records:
@@ -64,7 +64,9 @@
 //! validates every per-stimulus state against it. The totals line must
 //! satisfy `admitted + rejected + pruned == range_hi - range_lo` (A/B
 //! files have no `pruned`: 0), since every participant index in the
-//! range is exactly one of the three. See DESIGN.md §3i.
+//! range is exactly one of the three, and a drive line may count at
+//! most `range_hi` epochs, since each advances at least one index.
+//! See DESIGN.md §3i.
 //!
 //! ## Error discipline
 //!
@@ -113,7 +115,7 @@ use crate::experiment::{
 };
 use crate::filtering::{FilterTally, ParticipantFilter};
 use crate::flat::{AbKernel, AbPlane, Kernel, Plane, TlKernel, TlPlane};
-use crate::stream::{merge_shards, AbShard, StreamConfig, TlShard};
+use crate::stream::{Fold, StreamConfig};
 
 /// Checkpoint format version this build writes and accepts.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -269,22 +271,26 @@ struct HeaderLine {
     lines: usize,
 }
 
+/// The timeline totals line; the A/B line converts to and from it.
 #[derive(Serialize, Deserialize)]
 struct TotalsLine {
     admitted: u64,
     rejected: u64,
-    collected: u64,
+    #[serde(rename = "collected")]
+    answered: u64,
     skipped: u64,
     pruned: u64,
     filters: FilterTally,
     controls: ControlTally,
 }
 
+/// The A/B totals line: no `pruned` (A/B runs are all-live).
 #[derive(Serialize, Deserialize)]
 struct AbTotalsLine {
     admitted: u64,
     rejected: u64,
-    cast: u64,
+    #[serde(rename = "cast")]
+    answered: u64,
     skipped: u64,
     filters: FilterTally,
     controls: ControlTally,
@@ -344,6 +350,23 @@ fn put<T: Serialize>(out: &mut String, v: &T) {
 fn parse_line<T: Deserialize>(s: &str, line: usize) -> Result<T, CheckpointError> {
     serde_json::from_str::<T>(s)
         .map_err(|e| CheckpointError::Parse { line, detail: e.to_string() })
+}
+
+/// `f`'s counts as a totals line.
+fn totals_of<A>(f: &Fold<A>) -> TotalsLine {
+    let (admitted, rejected, answered) = (f.admitted, f.rejected, f.answered);
+    let (skipped, pruned, filters, controls) = (f.skipped, f.pruned, f.filters, f.controls);
+    TotalsLine { admitted, rejected, answered, skipped, pruned, filters, controls }
+}
+
+/// A fold of `t`'s counts and behaviour line 3, with room for `n`
+/// stimuli and none pushed yet. A literal, not `Fold::fresh`: the loader
+/// must not reach the constructors, which the D7 call graph resolves by
+/// name.
+fn fold_of<A>(t: TotalsLine, behavior: &str, n: usize) -> Result<Fold<A>, CheckpointError> {
+    let TotalsLine { admitted, rejected, answered, skipped, pruned, filters, controls } = t;
+    let (stimuli, behavior) = (Vec::with_capacity(n), parse_line(behavior, 3)?);
+    Ok(Fold { stimuli, behavior, filters, controls, admitted, rejected, answered, skipped, pruned })
 }
 
 // ---------------------------------------------------------------------
@@ -426,8 +449,10 @@ pub(crate) use kind::ShardKind;
 mod kind {
     use super::*;
 
-    /// What the generic checkpoint codec needs from a shard accumulator.
-    pub trait ShardKind: Clone + std::fmt::Debug {
+    /// What a test kind's per-stimulus accumulator supplies to the one
+    /// shard fold ([`Fold`]) and the one checkpoint codec: only what
+    /// differs between the kinds.
+    pub trait ShardKind: Clone + std::fmt::Debug + Send + Sized {
         /// The header's `kind` tag.
         const TAG: &'static str;
         /// Whether files carry a drive line (adaptive driver state).
@@ -439,75 +464,29 @@ mod kind {
         /// The [`DigestParams`] a checkpoint records for accumulators
         /// built under `p`.
         fn params(p: DigestParams) -> DigestParams;
-        /// An empty accumulator sized for `stimuli`.
-        fn fresh(stimuli: &[Self::Stimulus], params: &DigestParams) -> Self;
-        /// Participant indices folded: `(admitted, rejected, pruned)`.
-        fn gate(&self) -> (u64, u64, u64);
-        /// Append lines 2 and 3: the totals and the behaviour moments.
-        fn write_head(&self, out: &mut String);
-        /// Append one line per stimulus; returns how many.
-        fn write_stimuli(&self, out: &mut String) -> usize;
-        /// Decode lines 2 and 3 into an accumulator with room for
-        /// `n_stimuli` stimuli and none pushed yet.
-        fn of_head(totals: &str, behavior: &str, n_stimuli: usize) -> Result<Self, CheckpointError>;
-        /// Decode stimulus line `ln` and append it.
-        fn push_stimulus(
-            &mut self,
-            line: &str,
-            ln: usize,
-            params: &DigestParams,
-        ) -> Result<(), CheckpointError>;
-        /// Fold `other` in, checking every stimulus's identity and
-        /// configuration. On error `self` may be part-merged; callers
-        /// that keep it merge into a clone ([`Checkpoint::merge`]).
-        fn merge_checked(&mut self, other: &Self) -> Result<(), MergeError>;
-        /// The digest of this fold as a run of `n_participants` from
-        /// `service`.
-        fn into_digest(self, service: &dyn RecruitmentService, n_participants: usize)
-            -> Self::Digest;
+        /// An empty accumulator for stimulus `st`.
+        fn new(st: &Self::Stimulus, params: &DigestParams) -> Self;
+        /// Fold another shard's accumulator for the same stimulus in,
+        /// checking identity and configuration first.
+        fn merge(&mut self, other: &Self) -> Result<(), MergeError>;
+        /// Append `fold`'s totals line.
+        fn put_totals(fold: &Fold<Self>, out: &mut String);
+        /// Decode totals line 2 and behaviour line 3 into a fold with
+        /// room for `n` stimuli and none pushed yet.
+        fn of_head(totals: &str, behavior: &str, n: usize) -> Result<Fold<Self>, CheckpointError>;
+        /// Append this accumulator's stimulus line.
+        fn put_line(&self, out: &mut String);
+        /// Decode stimulus line `ln`, built under the header's `params`.
+        fn of_line(line: &str, ln: usize, params: &DigestParams) -> Result<Self, CheckpointError>;
+        /// The digest of `fold` as a run of `recruited` participants that
+        /// cost `cost_usd` and took `secs` seconds to recruit.
+        fn digest(fold: Fold<Self>, recruited: u64, cost_usd: f64, secs: f64) -> Self::Digest;
+        /// Bump this kind's answer counters from `fold`'s totals.
+        fn bump_counters(fold: &Fold<Self>);
     }
 }
 
-/// The final digest of `folds`, merged in order into a fresh
-/// accumulator: the one digest assembly, behind both
-/// [`Checkpoint::finalize`] and the engines' `stream::merge_shards`.
-pub(crate) fn digest_of<K: ShardKind>(
-    stimuli: &[K::Stimulus],
-    service: &dyn RecruitmentService,
-    n_participants: usize,
-    params: &DigestParams,
-    folds: &[K],
-) -> Result<K::Digest, MergeError> {
-    let mut acc = K::fresh(stimuli, params);
-    for fold in folds {
-        acc.merge_checked(fold)?;
-    }
-    Ok(acc.into_digest(service, n_participants))
-}
-
-/// Merge `from` into `into` stimulus by stimulus; the counts must agree.
-fn merge_stimuli<S>(
-    into: &mut [S],
-    from: &[S],
-    merge: impl Fn(&mut S, &S) -> Result<(), MergeError>,
-) -> Result<(), MergeError> {
-    if into.len() != from.len() {
-        return Err(MergeError::StimulusCount { left: into.len(), right: from.len() });
-    }
-    for (a, b) in into.iter_mut().zip(from) {
-        merge(a, b)?;
-    }
-    Ok(())
-}
-
-/// Recruitment economics of a run of `n` participants from `service`:
-/// (cost in USD, drive duration in seconds).
-fn recruitment(service: &dyn RecruitmentService, n: usize) -> (f64, f64) {
-    let duration = if n == 0 { 0.0 } else { service.arrival(n - 1).as_secs_f64() };
-    (service.cost_per_participant() * n as f64, duration)
-}
-
-impl ShardKind for TlShard {
+impl ShardKind for StimulusDigest {
     const TAG: &'static str = "timeline";
     const DRIVE_LINE: bool = true;
     type Stimulus = TimelineStimulus;
@@ -517,118 +496,70 @@ impl ShardKind for TlShard {
         p
     }
 
-    fn fresh(stimuli: &[TimelineStimulus], params: &DigestParams) -> TlShard {
-        TlShard::new(stimuli, params)
+    fn new(st: &TimelineStimulus, params: &DigestParams) -> StimulusDigest {
+        StimulusDigest::new(&st.name, st.video.duration().as_secs_f64(), params)
     }
 
-    fn gate(&self) -> (u64, u64, u64) {
-        (self.admitted, self.rejected, self.pruned)
+    fn merge(&mut self, other: &StimulusDigest) -> Result<(), MergeError> {
+        StimulusDigest::merge(self, other)
     }
 
-    fn write_head(&self, out: &mut String) {
-        put(
-            out,
-            &TotalsLine {
-                admitted: self.admitted,
-                rejected: self.rejected,
-                collected: self.collected,
-                skipped: self.skipped,
-                pruned: self.pruned,
-                filters: self.filters,
-                controls: self.controls,
-            },
-        );
-        put(out, &self.behavior);
+    fn put_totals(f: &Fold<StimulusDigest>, out: &mut String) {
+        put(out, &totals_of(f));
     }
 
-    fn write_stimuli(&self, out: &mut String) -> usize {
-        for s in &self.stimuli {
-            put(out, s);
-        }
-        self.stimuli.len()
+    fn of_head(totals: &str, behavior: &str, n: usize) -> Result<Fold<Self>, CheckpointError> {
+        fold_of(parse_line(totals, 2)?, behavior, n)
     }
 
-    fn of_head(totals: &str, behavior: &str, n: usize) -> Result<TlShard, CheckpointError> {
-        let t: TotalsLine = parse_line(totals, 2)?;
-        Ok(TlShard {
-            stimuli: Vec::with_capacity(n),
-            behavior: parse_line(behavior, 3)?,
-            filters: t.filters,
-            controls: t.controls,
-            admitted: t.admitted,
-            rejected: t.rejected,
-            collected: t.collected,
-            skipped: t.skipped,
-            pruned: t.pruned,
-        })
+    fn put_line(&self, out: &mut String) {
+        put(out, self);
     }
 
-    fn push_stimulus(
-        &mut self,
-        line: &str,
-        ln: usize,
-        params: &DigestParams,
-    ) -> Result<(), CheckpointError> {
+    fn of_line(line: &str, ln: usize, params: &DigestParams) -> Result<Self, CheckpointError> {
         let s: StimulusDigest = parse_line(line, ln)?;
-        let (hist, sketch) = (&s.hist, &s.sketch);
-        if hist.counts().len() != params.hist_bins {
-            return Err(CheckpointError::State {
-                line: ln,
-                detail: format!(
-                    "histogram has {} bins, header pins {}",
-                    hist.counts().len(),
-                    params.hist_bins
-                ),
-            });
+        let built = DigestParams {
+            hist_bins: s.hist.counts().len(),
+            sketch_bins: s.sketch.bins(),
+            exact_cap: s.sketch.exact_cap(),
+        };
+        if built != *params {
+            let detail = format!("accumulators built under {built:?}, header pins {params:?}");
+            return Err(CheckpointError::State { line: ln, detail });
         }
-        if sketch.bins() != params.sketch_bins || sketch.exact_cap() != params.exact_cap {
-            return Err(CheckpointError::State {
-                line: ln,
-                detail: format!(
-                    "sketch built with bins={}/cap={}, header pins bins={}/cap={}",
-                    sketch.bins(),
-                    sketch.exact_cap(),
-                    params.sketch_bins,
-                    params.exact_cap
-                ),
-            });
-        }
-        self.stimuli.push(s);
-        Ok(())
+        Ok(s)
     }
 
-    fn merge_checked(&mut self, other: &TlShard) -> Result<(), MergeError> {
-        merge_stimuli(&mut self.stimuli, &other.stimuli, StimulusDigest::merge)?;
-        self.behavior.merge(&other.behavior);
-        self.filters.merge(&other.filters);
-        self.controls.merge(&other.controls);
-        self.admitted = self.admitted.saturating_add(other.admitted);
-        self.rejected = self.rejected.saturating_add(other.rejected);
-        self.collected = self.collected.saturating_add(other.collected);
-        self.skipped = self.skipped.saturating_add(other.skipped);
-        self.pruned = self.pruned.saturating_add(other.pruned);
-        Ok(())
-    }
-
-    fn into_digest(self, service: &dyn RecruitmentService, n: usize) -> TimelineDigest {
-        let (recruitment_cost_usd, recruitment_duration_secs) = recruitment(service, n);
+    fn digest(f: Fold<StimulusDigest>, recruited: u64, cost: f64, secs: f64) -> TimelineDigest {
         TimelineDigest {
-            stimuli: self.stimuli,
-            recruited: n as u64,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            recruitment_cost_usd,
-            recruitment_duration_secs,
-            responses_collected: self.collected,
-            responses_skipped: self.skipped,
-            behavior: self.behavior,
-            filters: self.filters,
-            controls: self.controls,
+            stimuli: f.stimuli,
+            recruited,
+            admitted: f.admitted,
+            rejected: f.rejected,
+            recruitment_cost_usd: cost,
+            recruitment_duration_secs: secs,
+            responses_collected: f.answered,
+            responses_skipped: f.skipped,
+            behavior: f.behavior,
+            filters: f.filters,
+            controls: f.controls,
+        }
+    }
+
+    fn bump_counters(f: &Fold<StimulusDigest>) {
+        eyeorg_obs::metrics::CORE_RESPONSES_COLLECTED.add(f.answered);
+        eyeorg_obs::metrics::CORE_RESPONSES_SKIPPED.add(f.skipped);
+        if eyeorg_obs::enabled() {
+            // Zero-adds materialise the per-site label, mirroring the
+            // materializing path (`digest_timeline`).
+            for s in &f.stimuli {
+                eyeorg_obs::metrics::CORE_RETAINED_PER_SITE.add(&s.name, s.retained());
+            }
         }
     }
 }
 
-impl ShardKind for AbShard {
+impl ShardKind for AbStimulusDigest {
     const TAG: &'static str = "ab";
     const DRIVE_LINE: bool = false;
     type Stimulus = AbStimulus;
@@ -639,103 +570,57 @@ impl ShardKind for AbShard {
         DigestParams { hist_bins: 0, sketch_bins: 0, exact_cap: 0 }
     }
 
-    fn fresh(stimuli: &[AbStimulus], _: &DigestParams) -> AbShard {
-        AbShard::new(stimuli)
+    fn new(st: &AbStimulus, _: &DigestParams) -> AbStimulusDigest {
+        AbStimulusDigest::new(&st.name)
     }
 
-    fn gate(&self) -> (u64, u64, u64) {
-        (self.admitted, self.rejected, 0)
+    fn merge(&mut self, other: &AbStimulusDigest) -> Result<(), MergeError> {
+        AbStimulusDigest::merge(self, other)
     }
 
-    fn write_head(&self, out: &mut String) {
-        put(
-            out,
-            &AbTotalsLine {
-                admitted: self.admitted,
-                rejected: self.rejected,
-                cast: self.cast,
-                skipped: self.skipped,
-                filters: self.filters,
-                controls: self.controls,
-            },
-        );
-        put(out, &self.behavior);
+    fn put_totals(f: &Fold<AbStimulusDigest>, out: &mut String) {
+        let TotalsLine { admitted, rejected, answered, skipped, filters, controls, .. } =
+            totals_of(f);
+        put(out, &AbTotalsLine { admitted, rejected, answered, skipped, filters, controls });
     }
 
-    fn write_stimuli(&self, out: &mut String) -> usize {
-        for s in &self.stimuli {
-            put(
-                out,
-                &AbStimulusLine {
-                    name: s.name.clone(),
-                    a: s.tally.a,
-                    b: s.tally.b,
-                    nd: s.tally.nd,
-                    shows: s.shows,
-                    a_left_shows: s.a_left_shows,
-                },
-            );
-        }
-        self.stimuli.len()
+    fn of_head(totals: &str, behavior: &str, n: usize) -> Result<Fold<Self>, CheckpointError> {
+        let AbTotalsLine { admitted, rejected, answered, skipped, filters, controls } =
+            parse_line(totals, 2)?;
+        let t = TotalsLine { admitted, rejected, answered, skipped, pruned: 0, filters, controls };
+        fold_of(t, behavior, n)
     }
 
-    fn of_head(totals: &str, behavior: &str, n: usize) -> Result<AbShard, CheckpointError> {
-        let t: AbTotalsLine = parse_line(totals, 2)?;
-        Ok(AbShard {
-            stimuli: Vec::with_capacity(n),
-            behavior: parse_line(behavior, 3)?,
-            filters: t.filters,
-            controls: t.controls,
-            admitted: t.admitted,
-            rejected: t.rejected,
-            cast: t.cast,
-            skipped: t.skipped,
-        })
+    fn put_line(&self, out: &mut String) {
+        let (a, b, nd) = (self.tally.a, self.tally.b, self.tally.nd);
+        let (shows, a_left_shows) = (self.shows, self.a_left_shows);
+        put(out, &AbStimulusLine { name: self.name.clone(), a, b, nd, shows, a_left_shows });
     }
 
-    fn push_stimulus(
-        &mut self,
-        line: &str,
-        ln: usize,
-        _: &DigestParams,
-    ) -> Result<(), CheckpointError> {
-        let sl: AbStimulusLine = parse_line(line, ln)?;
-        self.stimuli.push(AbStimulusDigest {
-            name: sl.name,
-            tally: AbTally { a: sl.a, b: sl.b, nd: sl.nd },
-            shows: sl.shows,
-            a_left_shows: sl.a_left_shows,
-        });
-        Ok(())
+    fn of_line(line: &str, ln: usize, _: &DigestParams) -> Result<Self, CheckpointError> {
+        let AbStimulusLine { name, a, b, nd, shows, a_left_shows } = parse_line(line, ln)?;
+        Ok(AbStimulusDigest { name, tally: AbTally { a, b, nd }, shows, a_left_shows })
     }
 
-    fn merge_checked(&mut self, other: &AbShard) -> Result<(), MergeError> {
-        merge_stimuli(&mut self.stimuli, &other.stimuli, AbStimulusDigest::merge)?;
-        self.behavior.merge(&other.behavior);
-        self.filters.merge(&other.filters);
-        self.controls.merge(&other.controls);
-        self.admitted = self.admitted.saturating_add(other.admitted);
-        self.rejected = self.rejected.saturating_add(other.rejected);
-        self.cast = self.cast.saturating_add(other.cast);
-        self.skipped = self.skipped.saturating_add(other.skipped);
-        Ok(())
-    }
-
-    fn into_digest(self, service: &dyn RecruitmentService, n: usize) -> AbDigest {
-        let (recruitment_cost_usd, recruitment_duration_secs) = recruitment(service, n);
+    fn digest(f: Fold<AbStimulusDigest>, recruited: u64, cost: f64, secs: f64) -> AbDigest {
         AbDigest {
-            stimuli: self.stimuli,
-            recruited: n as u64,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            recruitment_cost_usd,
-            recruitment_duration_secs,
-            votes_cast: self.cast,
-            votes_skipped: self.skipped,
-            behavior: self.behavior,
-            filters: self.filters,
-            controls: self.controls,
+            stimuli: f.stimuli,
+            recruited,
+            admitted: f.admitted,
+            rejected: f.rejected,
+            recruitment_cost_usd: cost,
+            recruitment_duration_secs: secs,
+            votes_cast: f.answered,
+            votes_skipped: f.skipped,
+            behavior: f.behavior,
+            filters: f.filters,
+            controls: f.controls,
         }
+    }
+
+    fn bump_counters(f: &Fold<AbStimulusDigest>) {
+        eyeorg_obs::metrics::CORE_AB_VOTES.add(f.answered);
+        eyeorg_obs::metrics::CORE_AB_SKIPS.add(f.skipped);
     }
 }
 
@@ -754,21 +639,21 @@ impl ShardKind for AbShard {
 /// adaptive driver, so every A/B checkpoint is both resumable and
 /// mergeable; timeline driver checkpoints only resume.
 #[derive(Debug)]
-pub struct Checkpoint<K> {
+pub struct Checkpoint<A> {
     params: DigestParams,
     range_lo: u64,
     range_hi: u64,
     admitted_before: u64,
-    acc: K,
+    acc: Fold<A>,
     drive: Option<StopState>,
     counters: CounterState,
 }
 
 /// A timeline campaign's checkpoint.
-pub type TimelineCheckpoint = Checkpoint<TlShard>;
+pub type TimelineCheckpoint = Checkpoint<StimulusDigest>;
 
 /// An A/B campaign's checkpoint.
-pub type AbCheckpoint = Checkpoint<AbShard>;
+pub type AbCheckpoint = Checkpoint<AbStimulusDigest>;
 
 fn adaptive_line(d: &StopState) -> AdaptiveLine {
     AdaptiveLine {
@@ -790,7 +675,21 @@ fn adaptive_line(d: &StopState) -> AdaptiveLine {
     }
 }
 
-fn drive_of(a: AdaptiveLine, n_stimuli: usize, line: usize) -> Result<StopState, CheckpointError> {
+fn drive_of(
+    a: AdaptiveLine,
+    n_stimuli: usize,
+    range_hi: u64,
+    line: usize,
+) -> Result<StopState, CheckpointError> {
+    // Every epoch advances at least one participant index, so a real
+    // drive never counts more barriers than the range holds (and a
+    // forged count cannot overflow the resumed loop's epoch counter).
+    if a.epochs > range_hi {
+        return Err(CheckpointError::Format {
+            line,
+            detail: format!("drive state counts {} epochs over {range_hi} participants", a.epochs),
+        });
+    }
     if a.live.len() != n_stimuli || a.stopped_at.len() != n_stimuli {
         return Err(CheckpointError::Format {
             line,
@@ -820,10 +719,10 @@ fn drive_of(a: AdaptiveLine, n_stimuli: usize, line: usize) -> Result<StopState,
     Ok(StopState { live: a.live, epochs: a.epochs, stopped_at: a.stopped_at, decisions })
 }
 
-impl<K: ShardKind> Checkpoint<K> {
+impl<A: ShardKind> Checkpoint<A> {
     /// Lines besides the stimulus lines: header, totals, behaviour,
     /// (drive,) counters, end.
-    const FIXED_LINES: usize = 5 + K::DRIVE_LINE as usize;
+    const FIXED_LINES: usize = 5 + A::DRIVE_LINE as usize;
 
     /// The index range `[lo, hi)` this checkpoint covers.
     pub fn range(&self) -> (u64, u64) {
@@ -845,7 +744,7 @@ impl<K: ShardKind> Checkpoint<K> {
     /// Whether this checkpoint can seed a resume: timeline ones need
     /// the drive state only driver checkpoints carry; every A/B one can.
     pub fn is_resumable(&self) -> bool {
-        !K::DRIVE_LINE || self.drive.is_some()
+        !A::DRIVE_LINE || self.drive.is_some()
     }
 
     /// Re-apply the recorded obs totals (see the module-docs contract).
@@ -856,9 +755,13 @@ impl<K: ShardKind> Checkpoint<K> {
     /// Serialize to the versioned JSONL format (ends with a newline).
     pub fn save(&self) -> String {
         let mut body = String::new();
-        self.acc.write_head(&mut body);
-        let n_stim = self.acc.write_stimuli(&mut body);
-        if K::DRIVE_LINE {
+        A::put_totals(&self.acc, &mut body);
+        put(&mut body, &self.acc.behavior);
+        for s in &self.acc.stimuli {
+            s.put_line(&mut body);
+        }
+        let n_stim = self.acc.stimuli.len();
+        if A::DRIVE_LINE {
             put(&mut body, &DriveLine { adaptive: self.drive.as_ref().map(adaptive_line) });
         }
         put(&mut body, &self.counters);
@@ -869,7 +772,7 @@ impl<K: ShardKind> Checkpoint<K> {
             &HeaderLine {
                 format: FORMAT_TAG.to_string(),
                 version: CHECKPOINT_VERSION,
-                kind: K::TAG.to_string(),
+                kind: A::TAG.to_string(),
                 hist_bins: self.params.hist_bins,
                 sketch_bins: self.params.sketch_bins,
                 exact_cap: self.params.exact_cap,
@@ -888,7 +791,7 @@ impl<K: ShardKind> Checkpoint<K> {
     /// `load(save(state))` is bit-identical to `state`; any malformed
     /// input comes back as a typed [`CheckpointError`], never a panic.
     // lint:entrypoint(untrusted)
-    pub fn load(text: &str) -> Result<Checkpoint<K>, CheckpointError> {
+    pub fn load(text: &str) -> Result<Checkpoint<A>, CheckpointError> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let found = lines.clone().count();
         let h: HeaderLine =
@@ -901,9 +804,9 @@ impl<K: ShardKind> Checkpoint<K> {
             let supported = CHECKPOINT_VERSION;
             return Err(CheckpointError::Version { found: h.version, supported });
         }
-        if h.kind != K::TAG {
+        if h.kind != A::TAG {
             let found = &h.kind;
-            return Err(header_err(format!("expected a {:?} checkpoint, found {found:?}", K::TAG)));
+            return Err(header_err(format!("expected a {:?} checkpoint, found {found:?}", A::TAG)));
         }
         let expected = h.stimuli.saturating_add(Self::FIXED_LINES);
         if h.lines != expected {
@@ -938,8 +841,8 @@ impl<K: ShardKind> Checkpoint<K> {
         let mut next = || rest.next().ok_or(CheckpointError::Truncated { expected, found });
         let (totals, _) = next()?;
         let (behavior, _) = next()?;
-        let mut acc = K::of_head(totals, behavior, h.stimuli)?;
-        let (admitted, rejected, pruned) = acc.gate();
+        let mut acc = A::of_head(totals, behavior, h.stimuli)?;
+        let (admitted, rejected, pruned) = (acc.admitted, acc.rejected, acc.pruned);
         let span = h.range_hi - h.range_lo;
         if admitted.checked_add(rejected).and_then(|n| n.checked_add(pruned)) != Some(span) {
             return Err(CheckpointError::Format {
@@ -952,13 +855,13 @@ impl<K: ShardKind> Checkpoint<K> {
         }
         for _ in 0..h.stimuli {
             let (line, ln) = next()?;
-            acc.push_stimulus(line, ln, &params)?;
+            acc.stimuli.push(A::of_line(line, ln, &params)?);
         }
         let mut drive = None;
-        if K::DRIVE_LINE {
+        if A::DRIVE_LINE {
             let (line, ln) = next()?;
             let dl: DriveLine = parse_line(line, ln)?;
-            drive = dl.adaptive.map(|a| drive_of(a, h.stimuli, ln)).transpose()?;
+            drive = dl.adaptive.map(|a| drive_of(a, h.stimuli, h.range_hi, ln)).transpose()?;
         }
         let (line, ln) = next()?;
         let counters: CounterState = parse_line(line, ln)?;
@@ -983,7 +886,7 @@ impl<K: ShardKind> Checkpoint<K> {
     /// leaves `self` unchanged. Timeline driver checkpoints refuse to
     /// merge (their drive state is not rangewise-composable).
     // lint:entrypoint(untrusted)
-    pub fn merge(&mut self, other: &Checkpoint<K>) -> Result<(), CheckpointError> {
+    pub fn merge(&mut self, other: &Checkpoint<A>) -> Result<(), CheckpointError> {
         if self.drive.is_some() || other.drive.is_some() {
             return Err(CheckpointError::Config {
                 detail: "driver checkpoints cannot be merged; merge worker checkpoints and \
@@ -1003,7 +906,7 @@ impl<K: ShardKind> Checkpoint<K> {
             });
         }
         // Pruned participants consumed an admitted index unserved.
-        let (admitted, _, pruned) = self.acc.gate();
+        let (admitted, pruned) = (self.acc.admitted, self.acc.pruned);
         let expected = self.admitted_before.saturating_add(admitted).saturating_add(pruned);
         if other.admitted_before != expected {
             return Err(CheckpointError::AdmittedGap { expected, found: other.admitted_before });
@@ -1020,17 +923,20 @@ impl<K: ShardKind> Checkpoint<K> {
 
     /// Produce the final digest of a complete (`range_lo = 0`)
     /// checkpoint — byte-identical to the digest the uninterrupted
-    /// single-process run of `range_hi` participants returns.
+    /// single-process run of `range_hi` participants returns. The
+    /// accumulator is merged into a fresh fold for `stimuli` first,
+    /// which checks the untrusted bytes against the run's stimuli.
     pub fn finalize(
         &self,
-        stimuli: &[K::Stimulus],
+        stimuli: &[A::Stimulus],
         service: &dyn RecruitmentService,
-    ) -> Result<K::Digest, CheckpointError> {
+    ) -> Result<A::Digest, CheckpointError> {
         if self.range_lo != 0 {
             return Err(CheckpointError::PartialRange { lo: self.range_lo });
         }
-        let n = self.range_hi as usize;
-        Ok(digest_of(stimuli, service, n, &self.params, std::slice::from_ref(&self.acc))?)
+        let mut acc = Fold::fresh(stimuli, &self.params);
+        acc.merge_checked(&self.acc)?;
+        Ok(acc.into_digest(service, self.range_hi as usize))
     }
 
     /// The drive state a resumed run of `budget` participants continues
@@ -1041,11 +947,11 @@ impl<K: ShardKind> Checkpoint<K> {
     /// to the file's stimuli, which the probe pins to the run's.)
     fn resume(
         &self,
-        stimuli: &[K::Stimulus],
+        stimuli: &[A::Stimulus],
         budget: usize,
         params: &DigestParams,
-    ) -> Result<DriveState<K>, CheckpointError> {
-        let params = K::params(*params);
+    ) -> Result<DriveState<A>, CheckpointError> {
+        let params = A::params(*params);
         if self.params != params {
             return Err(CheckpointError::ParamsMismatch {
                 detail: format!("checkpoint {:?} vs run {params:?}", self.params),
@@ -1062,7 +968,7 @@ impl<K: ShardKind> Checkpoint<K> {
                 ),
             });
         }
-        K::fresh(stimuli, &params).merge_checked(&self.acc)?;
+        Fold::fresh(stimuli, &params).merge_checked(&self.acc)?;
         if !self.is_resumable() {
             return Err(CheckpointError::Config {
                 detail: "a worker checkpoint cannot seed a resume (no drive state)".to_string(),
@@ -1071,10 +977,9 @@ impl<K: ShardKind> Checkpoint<K> {
         self.restore_counters();
         // Gate admissions over [0, processed): pruned participants
         // consumed an admitted index without being served.
-        let (admitted, _, pruned) = self.acc.gate();
         Ok(DriveState {
             acc: self.acc.clone(),
-            admitted: admitted + pruned,
+            admitted: self.acc.admitted + self.acc.pruned,
             processed: self.range_hi as usize,
             stop: self.drive.clone().unwrap_or_else(|| StopState::fresh(stimuli.len())),
         })
@@ -1082,14 +987,14 @@ impl<K: ShardKind> Checkpoint<K> {
 
     /// A driver checkpoint of the epoch loop's state, with the live obs
     /// totals (and, for timeline ones, the stop state).
-    fn of_drive(params: DigestParams, st: &DriveState<K>, threads: usize) -> Checkpoint<K> {
+    fn of_drive(params: DigestParams, st: &DriveState<A>, threads: usize) -> Checkpoint<A> {
         Checkpoint {
-            params: K::params(params),
+            params: A::params(params),
             range_lo: 0,
             range_hi: st.processed as u64,
             admitted_before: 0,
             acc: st.acc.clone(),
-            drive: K::DRIVE_LINE.then(|| st.stop.clone()),
+            drive: A::DRIVE_LINE.then(|| st.stop.clone()),
             counters: CounterState::capture(threads),
         }
     }
@@ -1118,7 +1023,7 @@ fn worker_checkpoint<P: Plane>(
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
     seed: Seed,
     sc: &StreamConfig,
-) -> Result<Checkpoint<P::Shard>, CheckpointError> {
+) -> Result<Checkpoint<P::Acc>, CheckpointError> {
     check_campaign(stimuli.len(), cfg)?;
     if lo > hi {
         return Err(CheckpointError::Config {
@@ -1128,7 +1033,7 @@ fn worker_checkpoint<P: Plane>(
     let _t = eyeorg_obs::phase_timer("core.worker_checkpoint");
     let kernel = Kernel::<P>::new(stimuli, service, cfg, filters, seed, sc);
     let admitted_before = kernel.admitted_before(lo);
-    let params = P::Shard::params(sc.params);
+    let params = P::Acc::params(sc.params);
     let fresh = DriveState::fresh(stimuli, &params);
     let start = DriveState { processed: lo, admitted: admitted_before, ..fresh };
     let (st, _) = drive_resumable(&kernel, hi, hi - lo, start, &mut |_| true);
@@ -1298,7 +1203,7 @@ pub fn checkpointed_timeline_campaign(
     };
     let kernel = TlKernel::new(stimuli, service, cfg, filters, seed, sc);
     let threads = kernel.threads;
-    let mut barrier = |st: &mut DriveState<TlShard>| {
+    let mut barrier = |st: &mut DriveState<StimulusDigest>| {
         stop_at_barrier(st, ac);
         let so_far = st.acc.clone().into_digest(service, st.processed);
         observer(CheckpointEvent::Live(&live_line_from_digest(&so_far, budget as u64, false)));
@@ -1311,7 +1216,7 @@ pub fn checkpointed_timeline_campaign(
         let ckpt = Checkpoint::of_drive(sc.params, &st, threads);
         return Ok(RunOutcome::Interrupted(Box::new(ckpt)));
     }
-    let outcome = adaptive::outcome(st, stimuli, service, budget, &sc.params);
+    let outcome = adaptive::outcome(st, service, budget);
     observer(CheckpointEvent::Live(&live_line_from_digest(&outcome.digest, budget as u64, true)));
     Ok(RunOutcome::Complete(Box::new(outcome)))
 }
@@ -1390,14 +1295,13 @@ pub fn checkpointed_ab_campaign(
     };
     let kernel = AbKernel::new(stimuli, service, cfg, filters, seed, sc);
     let threads = kernel.threads;
-    let mut barrier =
-        |st: &mut DriveState<AbShard>| observer(&Checkpoint::of_drive(sc.params, st, threads));
+    let mut barrier = |st: &mut DriveState<AbStimulusDigest>| {
+        observer(&Checkpoint::of_drive(sc.params, st, threads))
+    };
     let (st, complete) = drive_resumable(&kernel, n_participants, chunk, start, &mut barrier);
     if !complete {
         let ckpt = Checkpoint::of_drive(sc.params, &st, threads);
         return Ok(AbRunOutcome::Interrupted(Box::new(ckpt)));
     }
-    let folds = std::slice::from_ref(&st.acc);
-    let digest = merge_shards(stimuli, service, n_participants, &sc.params, folds);
-    Ok(AbRunOutcome::Complete(Box::new(digest)))
+    Ok(AbRunOutcome::Complete(Box::new(st.acc.into_digest(service, n_participants))))
 }

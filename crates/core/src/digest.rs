@@ -30,9 +30,10 @@
 //! from disk, see `crate::checkpoint`). The fallible merges therefore
 //! return [`MergeError`] — carrying both sides' identity/configuration
 //! so a mismatch names exactly what disagreed — instead of panicking.
-//! Internal shard-merge callers, whose inputs share one construction
-//! site, discharge the `Result` with a documented `expect` waiver; the
-//! checkpoint loader propagates it as a typed error to its caller.
+//! The one internal shard merge (`stream::Fold::merge_all`), whose
+//! inputs share one construction site, discharges the `Result` with a
+//! documented `expect` waiver; the checkpoint layer propagates it as a
+//! typed error to its caller.
 
 use eyeorg_stats::{Histogram, Moments, QuantileSketch};
 

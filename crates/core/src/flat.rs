@@ -44,12 +44,15 @@
 //! The shard fold (`Kernel::fold_range`: gate → assign →
 //! stimulus-blocked serve → row walk) and the epoch around it are
 //! written once, generic over `Plane`, and so is the row-keeping
-//! `serve`. A test kind supplies only its per-stimulus plane, the
-//! bookkeeping of one showing, its answer and control draws, the push
-//! of one kept answer, and its row. A/B campaigns run under an
-//! all-live mask; timeline campaigns additionally serve the adaptive
-//! driver's per-stimulus mask (serve all picks, push only live, prune
-//! whole participants — see `crate::adaptive`).
+//! `serve`. Both kinds fold into the one shard fold (`stream::Fold`),
+//! whose gate, answer and per-participant totals the kernel keeps
+//! itself. A test kind supplies only its per-stimulus plane, its answer
+//! and control draws, what one showing (A/B: its show tallies) and one
+//! kept answer do to the stimulus's accumulator, and its row. A/B
+//! campaigns run under an all-live mask; timeline campaigns
+//! additionally serve the adaptive driver's per-stimulus mask (serve
+//! all picks, push only live, prune whole participants — see
+//! `crate::adaptive`).
 //!
 //! ## Why the digest stays byte-identical
 //!
@@ -87,23 +90,23 @@ use crate::adaptive::{drive_resumable, DriveState};
 use crate::analysis::BehaviorPoint;
 use crate::campaign::{AbRow, AbVerdict, ControlRow, TimelineRow};
 use crate::checkpoint::ShardKind;
-use crate::digest::{AbDigest, BehaviorDigest, ControlTally, DigestParams, TimelineDigest};
+use crate::digest::{AbDigest, AbStimulusDigest, DigestParams, StimulusDigest, TimelineDigest};
 use crate::experiment::{
     a_on_left, assert_runnable, assign, assign_into, AbStimulus, ExperimentConfig, TimelineStimulus,
 };
-use crate::filtering::{decide, FilterDecision, FilterTally, ParticipantFilter};
-use crate::stream::{admitted_bases_range, merge_shards, AbShard, StreamConfig, TlShard};
+use crate::filtering::{decide, FilterDecision, ParticipantFilter};
+use crate::stream::{admitted_bases_range, Fold, StreamConfig};
 
 /// What a test kind supplies to the shared kernel: its per-stimulus
 /// plane of hoisted constants, its answer and control draws, what one
-/// showing and one kept answer do to its shard fold, and its row.
-/// Gate, assignment, serving, filters and behaviour are the
-/// kind-independent skeleton.
+/// showing and one kept answer do to the stimulus's accumulator, and
+/// its row. Gate, assignment, serving, filters, behaviour and the
+/// fold's totals are the kind-independent skeleton.
 pub(crate) trait Plane: Sized + Send + Sync {
     /// What a campaign of this kind shows.
     type Stimulus: Sync;
-    /// The shard accumulator the kernel folds into.
-    type Shard: ShardKind<Stimulus = Self::Stimulus> + Send;
+    /// The per-stimulus accumulator of the kernel's [`Fold`].
+    type Acc: ShardKind<Stimulus = Self::Stimulus>;
     /// One participant's answer on one stimulus.
     type Answer;
     /// One materialized showing.
@@ -118,15 +121,17 @@ pub(crate) trait Plane: Sized + Send + Sync {
     fn label(&self) -> &str;
     /// The behaviour model's per-stimulus constants.
     fn session(&self) -> &SessionProfile;
-    /// Count one showing of stimulus `si` to admitted participant `pi`.
-    fn show(&self, fold: &mut Self::Shard, si: usize, pi: u64, skipped: bool);
+    /// Count one showing of stimulus `si` to admitted participant `pi`
+    /// on the stimulus's accumulator (nothing, unless the kind keeps
+    /// show tallies).
+    fn show(&self, _acc: &mut Self::Acc, _si: usize, _pi: u64) {}
     /// Whether persona `p` passes the control question built on this
     /// stimulus.
     fn control(&self, p: &Persona, seeds: &ModelSeeds) -> bool;
     /// Draw admitted participant `pi`'s answer on stimulus `si`.
     fn answer(&self, si: usize, pi: u64, p: &Persona, seeds: &ModelSeeds) -> Self::Answer;
-    /// Fold one kept answer on stimulus `si`.
-    fn push_answer(fold: &mut Self::Shard, si: usize, answer: Self::Answer);
+    /// Fold one kept answer into its stimulus's accumulator.
+    fn push_answer(acc: &mut Self::Acc, answer: Self::Answer);
     /// The row of one showing of stimulus `si` to admitted participant
     /// `pi`; `answer` is `None` when the session was skipped.
     fn row(
@@ -136,14 +141,6 @@ pub(crate) trait Plane: Sized + Send + Sync {
         session: VideoSession,
         answer: Option<Self::Answer>,
     ) -> Self::Row;
-    /// Record a shard's gate totals.
-    fn gate(fold: &mut Self::Shard, admitted: u64, rejected: u64, pruned: u64);
-    /// The fold's per-participant tallies.
-    fn tallies(
-        fold: &mut Self::Shard,
-    ) -> (&mut FilterTally, &mut ControlTally, &mut BehaviorDigest);
-    /// Bump the obs counters from one shard's fold.
-    fn bump_counters(fold: &Self::Shard);
 }
 
 /// Per-stimulus constants of a timeline campaign: the response model's
@@ -159,7 +156,7 @@ pub(crate) struct TlPlane {
 
 impl Plane for TlPlane {
     type Stimulus = TimelineStimulus;
-    type Shard = TlShard;
+    type Acc = StimulusDigest;
     type Answer = TimelineResponse;
     type Row = TimelineRow;
     const TEST: TestKind = TestKind::Timeline;
@@ -185,14 +182,6 @@ impl Plane for TlPlane {
         &self.session
     }
 
-    fn show(&self, fold: &mut TlShard, _: usize, _: u64, skipped: bool) {
-        if skipped {
-            fold.skipped += 1;
-        } else {
-            fold.collected += 1;
-        }
-    }
-
     fn control(&self, p: &Persona, seeds: &ModelSeeds) -> bool {
         timeline_control_seeded(p, seeds, &self.ctrl_label)
     }
@@ -201,8 +190,8 @@ impl Plane for TlPlane {
         timeline_response_seeded(&self.profile, &self.rewinds, p, seeds, &self.label)
     }
 
-    fn push_answer(fold: &mut TlShard, si: usize, response: TimelineResponse) {
-        fold.stimuli[si].push(response.submitted.as_secs_f64());
+    fn push_answer(acc: &mut StimulusDigest, response: TimelineResponse) {
+        acc.push(response.submitted.as_secs_f64());
     }
 
     fn row(
@@ -213,20 +202,6 @@ impl Plane for TlPlane {
         response: Option<TimelineResponse>,
     ) -> TimelineRow {
         TimelineRow { participant: pi, stimulus: si, session, response }
-    }
-
-    fn gate(fold: &mut TlShard, admitted: u64, rejected: u64, pruned: u64) {
-        fold.admitted = admitted;
-        fold.rejected = rejected;
-        fold.pruned = pruned;
-    }
-
-    fn tallies(fold: &mut TlShard) -> (&mut FilterTally, &mut ControlTally, &mut BehaviorDigest) {
-        (&mut fold.filters, &mut fold.controls, &mut fold.behavior)
-    }
-
-    fn bump_counters(fold: &TlShard) {
-        fold.bump_counters();
     }
 }
 
@@ -244,7 +219,7 @@ pub(crate) struct AbPlane {
 
 impl Plane for AbPlane {
     type Stimulus = AbStimulus;
-    type Shard = AbShard;
+    type Acc = AbStimulusDigest;
     type Answer = AbVerdict;
     type Row = AbRow;
     const TEST: TestKind = TestKind::Ab;
@@ -269,18 +244,12 @@ impl Plane for AbPlane {
         &self.session
     }
 
-    /// Show tallies and the cast/skip counters are totals over every
-    /// showing; the judgment itself is drawn only for kept rows.
-    fn show(&self, fold: &mut AbShard, si: usize, pi: u64, skipped: bool) {
-        let acc = &mut fold.stimuli[si];
+    /// Show tallies are totals over every showing; the judgment itself
+    /// is drawn only for kept rows.
+    fn show(&self, acc: &mut AbStimulusDigest, si: usize, pi: u64) {
         acc.shows += 1;
         if a_on_left(self.side_seed, pi, si) {
             acc.a_left_shows += 1;
-        }
-        if skipped {
-            fold.skipped += 1;
-        } else {
-            fold.cast += 1;
         }
     }
 
@@ -301,8 +270,8 @@ impl Plane for AbPlane {
         }
     }
 
-    fn push_answer(fold: &mut AbShard, si: usize, verdict: AbVerdict) {
-        fold.stimuli[si].tally.record(verdict);
+    fn push_answer(acc: &mut AbStimulusDigest, verdict: AbVerdict) {
+        acc.tally.record(verdict);
     }
 
     fn row(
@@ -314,20 +283,6 @@ impl Plane for AbPlane {
     ) -> AbRow {
         let a_left = a_on_left(self.side_seed, pi as u64, si);
         AbRow { participant: pi, stimulus: si, a_left, session, verdict }
-    }
-
-    /// A/B campaigns run all-live, so nothing is ever pruned.
-    fn gate(fold: &mut AbShard, admitted: u64, rejected: u64, _: u64) {
-        fold.admitted = admitted;
-        fold.rejected = rejected;
-    }
-
-    fn tallies(fold: &mut AbShard) -> (&mut FilterTally, &mut ControlTally, &mut BehaviorDigest) {
-        (&mut fold.filters, &mut fold.controls, &mut fold.behavior)
-    }
-
-    fn bump_counters(fold: &AbShard) {
-        fold.bump_counters();
     }
 }
 
@@ -469,7 +424,7 @@ impl<'a, P: Plane> Kernel<'a, P> {
         hi: usize,
         base_admitted: u64,
         live: &[bool],
-    ) -> (Vec<P::Shard>, u64) {
+    ) -> (Vec<Fold<P::Acc>>, u64) {
         let shard = self.shard;
         let (bases, range_admitted) = admitted_bases_range(
             lo,
@@ -487,7 +442,7 @@ impl<'a, P: Plane> Kernel<'a, P> {
             |arena, s| {
                 let slo = lo + s * shard;
                 let fold = self.fold_range(arena, slo, (slo + shard).min(hi), bases[s], live);
-                P::bump_counters(&fold);
+                fold.bump_counters();
                 fold
             },
         );
@@ -505,10 +460,10 @@ impl<'a, P: Plane> Kernel<'a, P> {
         hi: usize,
         base: u64,
         live: &[bool],
-    ) -> P::Shard {
+    ) -> Fold<P::Acc> {
         let all_live = live.iter().all(|&l| l);
         let k = self.k;
-        let mut fold = P::Shard::fresh(self.stimuli, &self.params);
+        let mut fold = Fold::fresh(self.stimuli, &self.params);
         arena.reset();
 
         // Pass A: humanness gate (and, under an adaptive mask, whole-
@@ -517,11 +472,11 @@ impl<'a, P: Plane> Kernel<'a, P> {
         // pruned participants never pay for the rest of their trait
         // draws — they still consume their admitted index, keeping
         // every later participant's assignment equal to the full run's.
-        let (mut admitted, mut rejected, mut pruned) = (0u64, 0u64, 0u64);
+        let mut admitted = 0u64;
         for i in lo..hi {
             let cur = self.pop.start_traits(self.recruit_seed, i as u64);
             if !crate::validation::captcha_admits_gate(cur.seed(), cur.class()) {
-                rejected += 1;
+                fold.rejected += 1;
                 continue;
             }
             let my_pi = base + admitted;
@@ -535,7 +490,7 @@ impl<'a, P: Plane> Kernel<'a, P> {
                     &mut arena.pick_buf,
                 );
                 if !arena.pick_buf.iter().any(|&si| live[si]) {
-                    pruned += 1;
+                    fold.pruned += 1;
                     continue;
                 }
             }
@@ -545,7 +500,7 @@ impl<'a, P: Plane> Kernel<'a, P> {
             arena.personas.push(p);
         }
         let rows = arena.personas.len();
-        P::gate(&mut fold, rows as u64, rejected, pruned);
+        fold.admitted = rows as u64;
         arena.size_cells(rows * k);
 
         // Pass B: assignment + per-stimulus cell index. (Under a mask
@@ -591,7 +546,12 @@ impl<'a, P: Plane> Kernel<'a, P> {
                     P::TEST,
                     arena.rngs[j].clone(),
                 );
-                plane.show(&mut fold, si, arena.row_pi[row], session.skipped);
+                if session.skipped {
+                    fold.skipped += 1;
+                } else {
+                    fold.answered += 1;
+                }
+                plane.show(&mut fold.stimuli[si], si, arena.row_pi[row]);
                 arena.voted[cell] = !session.skipped;
                 arena.sessions[cell] = Some(session);
             }
@@ -613,7 +573,6 @@ impl<'a, P: Plane> Kernel<'a, P> {
             );
             let p = &arena.personas[row];
             let mseeds = &arena.seeds[row];
-            let (filters, controls, behavior) = P::tallies(&mut fold);
             // The control reuses the participant's first video (§3.3).
             let control = self.cfg.with_controls.then(|| ControlRow {
                 participant: my_pi as usize,
@@ -621,17 +580,18 @@ impl<'a, P: Plane> Kernel<'a, P> {
             });
             let control = control.as_ref();
             if let Some(c) = control {
-                controls.record(c.passed);
+                fold.controls.record(c.passed);
             }
             let d = decide(self.filters, &arena.row_buf, control.as_slice());
-            filters.record(d);
+            fold.filters.record(d);
             let total = total_time_on_site_seeded(&arena.row_buf, p, mseeds);
-            behavior.push(&BehaviorPoint::of(my_pi as usize, &arena.row_buf, total));
+            fold.behavior.push(&BehaviorPoint::of(my_pi as usize, &arena.row_buf, total));
             if d == FilterDecision::Kept {
                 for cell in cbase..cbase + k {
                     let si = arena.picks[cell] as usize;
                     if arena.voted[cell] && live[si] {
-                        P::push_answer(&mut fold, si, self.planes[si].answer(si, my_pi, p, mseeds));
+                        let answer = self.planes[si].answer(si, my_pi, p, mseeds);
+                        P::push_answer(&mut fold.stimuli[si], answer);
                     }
                 }
             }
@@ -700,12 +660,12 @@ fn one_shot<P: Plane>(
     filters: &[Box<dyn ParticipantFilter + Send + Sync>],
     seed: Seed,
     sc: &StreamConfig,
-) -> <P::Shard as ShardKind>::Digest {
+) -> <P::Acc as ShardKind>::Digest {
     assert_runnable(stimuli.len(), cfg);
     let kernel = Kernel::<P>::new(stimuli, service, cfg, filters, seed, sc);
     let start = DriveState::fresh(stimuli, &sc.params);
     let (st, _) = drive_resumable(&kernel, n_participants, n_participants, start, &mut |_| true);
-    merge_shards(stimuli, service, n_participants, &sc.params, std::slice::from_ref(&st.acc))
+    st.acc.into_digest(service, n_participants)
 }
 
 /// Run a timeline campaign through the flat kernel.

@@ -20,8 +20,9 @@
 //!   form (per-stimulus planes, per-worker arena scratch,
 //!   stimulus-blocked inner loop) — byte-identical digests, memory
 //!   proportional to a shard, allocation-free inner loop.
-//! * [`stream`] — what the sharded entry points share (shard folds,
-//!   admitted-index pre-pass, order-pinned merge) and the streaming
+//! * [`stream`] — what the sharded entry points share (the one shard
+//!   fold of both test kinds, generic over the per-stimulus
+//!   accumulator, and the admitted-index pre-pass) and the streaming
 //!   timeline reference, a participant-at-a-time loop the kernel is
 //!   checked against at sizes the materializing engine cannot reach.
 //! * [`adaptive`] — the one epoch driver every folding entry point
@@ -31,9 +32,9 @@
 //! * [`checkpoint`] — versioned JSONL serialization of the full
 //!   accumulator state: interrupt/resume, multi-process split/merge,
 //!   and live incremental analytics, all byte-identical to the
-//!   uninterrupted single-process run. One codec, `Checkpoint<K>`,
-//!   generic over the test kind; `TimelineCheckpoint` and
-//!   `AbCheckpoint` are its two instances.
+//!   uninterrupted single-process run. One codec, `Checkpoint<A>`,
+//!   generic over the test kind's per-stimulus accumulator;
+//!   `TimelineCheckpoint` and `AbCheckpoint` are its two instances.
 //! * [`validation`] — §3.3's hard rules: the humanness (captcha) gate.
 //! * [`filtering`] — the §4.3 validation pipeline: engagement (actions &
 //!   focus), soft rules, control questions, wisdom-of-the-crowd bands.

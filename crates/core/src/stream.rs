@@ -17,14 +17,16 @@
 //! digest (pinned by the `streaming_equivalence` tests).
 //!
 //! This module holds what every sharded entry point shares: the
-//! [`StreamConfig`], the shard accumulators, the admitted-index
-//! pre-pass and the order-pinned shard merge. Production runs go
-//! through the flat kernel ([`crate::flat`]) and the driver of
-//! [`crate::adaptive`].
+//! [`StreamConfig`], the admitted-index pre-pass, and the one shard
+//! fold of both test kinds, `Fold`, generic over the kind's
+//! per-stimulus accumulator, with its checked merge, counters and
+//! digest written once. Production runs go through the flat kernel
+//! ([`crate::flat`]) and the driver of [`crate::adaptive`], whose
+//! cumulative fold becomes the digest as it is.
 //! [`stream_timeline_campaign`] keeps the participant-at-a-time loop as
 //! the timeline reference the kernel is checked against at sizes the
 //! materializing engine cannot reach (the 1M-participant divergence
-//! checks).
+//! checks); it merges its shard folds through the driver's merge.
 //!
 //! ## The admitted-index pre-pass
 //!
@@ -48,8 +50,8 @@ use eyeorg_video::FrameTimeline;
 
 use crate::analysis::BehaviorPoint;
 use crate::campaign::ControlRow;
-use crate::checkpoint::{digest_of, ShardKind};
-use crate::digest::{DigestParams, TimelineDigest};
+use crate::checkpoint::ShardKind;
+use crate::digest::{DigestParams, MergeError, StimulusDigest, TimelineDigest};
 use crate::experiment::{assert_runnable, assign, ExperimentConfig, TimelineStimulus};
 use crate::filtering::{decide, FilterDecision, ParticipantFilter};
 
@@ -69,117 +71,100 @@ impl Default for StreamConfig {
     }
 }
 
-pub(crate) use shard::{AbShard, TlShard};
+pub(crate) use fold::Fold;
 
-/// The shard accumulators, nominally `pub` inside this private module:
-/// the public checkpoint aliases (`checkpoint::TimelineCheckpoint` is
-/// `Checkpoint<TlShard>`) can name them, nothing outside the crate can
-/// reach them.
-mod shard {
-    use crate::digest::{
-        AbStimulusDigest, BehaviorDigest, ControlTally, DigestParams, StimulusDigest,
-    };
-    use crate::experiment::{AbStimulus, TimelineStimulus};
+/// Nominally `pub` inside this private module: the public checkpoint
+/// type's private field can hold it, nothing outside the crate can.
+mod fold {
+    use crate::digest::{BehaviorDigest, ControlTally};
     use crate::filtering::FilterTally;
 
-    /// One shard's fold of a timeline campaign. Filled by the flat
-    /// kernel (`crate::flat`) and the streaming reference below,
-    /// accumulated epoch by epoch by the adaptive driver
-    /// (`crate::adaptive`), and snapshotted at barriers by the
-    /// checkpoint layer (`crate::checkpoint`).
+    /// One shard's fold of a campaign of either kind, generic over the
+    /// kind's per-stimulus accumulator `A`
+    /// ([`crate::digest::StimulusDigest`] for timeline campaigns,
+    /// [`crate::digest::AbStimulusDigest`] for A/B). Filled by the flat
+    /// kernel ([`crate::flat`]) and the streaming reference, accumulated
+    /// epoch by epoch by the driver ([`crate::adaptive`]), and
+    /// snapshotted at barriers by the checkpoint layer
+    /// ([`crate::checkpoint`]).
     #[derive(Debug, Clone)]
-    pub struct TlShard {
-        pub(crate) stimuli: Vec<StimulusDigest>,
+    pub struct Fold<A> {
+        pub(crate) stimuli: Vec<A>,
         pub(crate) behavior: BehaviorDigest,
         pub(crate) filters: FilterTally,
         pub(crate) controls: ControlTally,
         pub(crate) admitted: u64,
         pub(crate) rejected: u64,
-        pub(crate) collected: u64,
+        /// Showings answered (timeline responses collected, A/B votes
+        /// cast), kept or not.
+        pub(crate) answered: u64,
         pub(crate) skipped: u64,
-        /// Gate-admitted participants never served because every stimulus
-        /// they were assigned had already stopped recruiting (adaptive runs
-        /// only; always 0 under an all-live mask). They still consume an
-        /// admitted index so later assignments match the full run.
+        /// Gate-admitted participants never served because every
+        /// stimulus they were assigned had already stopped recruiting
+        /// (adaptive runs only; always 0 under an all-live mask, so
+        /// always 0 for A/B). They still consume an admitted index so
+        /// later assignments match the full run.
         pub(crate) pruned: u64,
     }
+}
 
-    impl TlShard {
-        /// An empty shard fold sized for `stimuli`.
-        pub(crate) fn new(stimuli: &[TimelineStimulus], params: &DigestParams) -> TlShard {
-            TlShard {
-                stimuli: stimuli
-                    .iter()
-                    .map(|st| {
-                        StimulusDigest::new(&st.name, st.video.duration().as_secs_f64(), params)
-                    })
-                    .collect(),
-                behavior: BehaviorDigest::default(),
-                filters: FilterTally::default(),
-                controls: ControlTally::default(),
-                admitted: 0,
-                rejected: 0,
-                collected: 0,
-                skipped: 0,
-                pruned: 0,
-            }
+impl<A: ShardKind> Fold<A> {
+    /// An empty fold sized for `stimuli`.
+    pub(crate) fn fresh(stimuli: &[A::Stimulus], params: &DigestParams) -> Fold<A> {
+        let stimuli = stimuli.iter().map(|st| A::new(st, params)).collect();
+        let (behavior, filters, controls) = Default::default();
+        let [admitted, rejected, answered, skipped, pruned] = [0; 5];
+        Fold { stimuli, behavior, filters, controls, admitted, rejected, answered, skipped, pruned }
+    }
+
+    /// Fold `other` in, checking the stimulus count and every
+    /// stimulus's identity and configuration. On error `self` may be
+    /// part-merged; callers that keep it merge into a clone
+    /// (`Checkpoint::merge`).
+    pub(crate) fn merge_checked(&mut self, other: &Fold<A>) -> Result<(), MergeError> {
+        if self.stimuli.len() != other.stimuli.len() {
+            let (left, right) = (self.stimuli.len(), other.stimuli.len());
+            return Err(MergeError::StimulusCount { left, right });
         }
+        for (a, b) in self.stimuli.iter_mut().zip(&other.stimuli) {
+            a.merge(b)?;
+        }
+        self.behavior.merge(&other.behavior);
+        self.filters.merge(&other.filters);
+        self.controls.merge(&other.controls);
+        self.admitted = self.admitted.saturating_add(other.admitted);
+        self.rejected = self.rejected.saturating_add(other.rejected);
+        self.answered = self.answered.saturating_add(other.answered);
+        self.skipped = self.skipped.saturating_add(other.skipped);
+        self.pruned = self.pruned.saturating_add(other.pruned);
+        Ok(())
+    }
 
-        /// Bump the timeline obs counters from this shard's totals.
-        pub(crate) fn bump_counters(&self) {
-            eyeorg_obs::metrics::CORE_GATE_ADMITTED.add(self.admitted);
-            eyeorg_obs::metrics::CORE_GATE_REJECTED.add(self.rejected);
-            eyeorg_obs::metrics::CORE_RESPONSES_COLLECTED.add(self.collected);
-            eyeorg_obs::metrics::CORE_RESPONSES_SKIPPED.add(self.skipped);
-            // Zero under an all-live mask, so non-adaptive runs (and
-            // ε = 0 adaptive runs) leave the counter untouched.
-            eyeorg_obs::metrics::ADAPTIVE_PARTICIPANTS_SAVED.add(self.pruned);
-            if eyeorg_obs::enabled() {
-                // Zero-adds materialise the per-site label, mirroring
-                // the materializing path (`digest_timeline`).
-                for s in &self.stimuli {
-                    eyeorg_obs::metrics::CORE_RETAINED_PER_SITE.add(&s.name, s.retained());
-                }
-            }
+    /// Fold one campaign's shard folds in, in shard order (the
+    /// accumulators are multiset-determined, so the pinning is
+    /// belt-and-braces on top of exact associativity).
+    pub(crate) fn merge_all(&mut self, folds: &[Fold<A>]) {
+        for fold in folds {
+            // lint:allow(D4): same-campaign shard folds share one construction site
+            self.merge_checked(fold).expect("same-campaign shard folds agree by construction");
         }
     }
 
-    /// One shard's fold of an A/B campaign, filled by the flat kernel
-    /// and snapshotted by the checkpoint layer.
-    #[derive(Debug, Clone)]
-    pub struct AbShard {
-        pub(crate) stimuli: Vec<AbStimulusDigest>,
-        pub(crate) behavior: BehaviorDigest,
-        pub(crate) filters: FilterTally,
-        pub(crate) controls: ControlTally,
-        pub(crate) admitted: u64,
-        pub(crate) rejected: u64,
-        pub(crate) cast: u64,
-        pub(crate) skipped: u64,
+    /// Bump the obs counters from this shard's totals.
+    pub(crate) fn bump_counters(&self) {
+        eyeorg_obs::metrics::CORE_GATE_ADMITTED.add(self.admitted);
+        eyeorg_obs::metrics::CORE_GATE_REJECTED.add(self.rejected);
+        // Zero under an all-live mask, so non-adaptive runs (and
+        // ε = 0 adaptive runs) leave the counter untouched.
+        eyeorg_obs::metrics::ADAPTIVE_PARTICIPANTS_SAVED.add(self.pruned);
+        A::bump_counters(self);
     }
 
-    impl AbShard {
-        /// An empty shard fold sized for `stimuli`.
-        pub(crate) fn new(stimuli: &[AbStimulus]) -> AbShard {
-            AbShard {
-                stimuli: stimuli.iter().map(|st| AbStimulusDigest::new(&st.name)).collect(),
-                behavior: BehaviorDigest::default(),
-                filters: FilterTally::default(),
-                controls: ControlTally::default(),
-                admitted: 0,
-                rejected: 0,
-                cast: 0,
-                skipped: 0,
-            }
-        }
-
-        /// Bump the A/B obs counters from this shard's totals.
-        pub(crate) fn bump_counters(&self) {
-            eyeorg_obs::metrics::CORE_GATE_ADMITTED.add(self.admitted);
-            eyeorg_obs::metrics::CORE_GATE_REJECTED.add(self.rejected);
-            eyeorg_obs::metrics::CORE_AB_VOTES.add(self.cast);
-            eyeorg_obs::metrics::CORE_AB_SKIPS.add(self.skipped);
-        }
+    /// The digest of this fold as a run of `n` participants from
+    /// `service`.
+    pub(crate) fn into_digest(self, service: &dyn RecruitmentService, n: usize) -> A::Digest {
+        let duration_secs = if n == 0 { 0.0 } else { service.arrival(n - 1).as_secs_f64() };
+        A::digest(self, n as u64, service.cost_per_participant() * n as f64, duration_secs)
     }
 }
 
@@ -241,10 +226,10 @@ impl<'a> TlCtx<'a> {
 }
 
 /// The reference's inner loop over participant indices `[lo, hi)` with
-/// admitted-index base `base`, folding into one [`TlShard`] one
+/// admitted-index base `base`, folding into one [`Fold`] one
 /// participant at a time.
-fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> TlShard {
-    let mut fold = TlShard::new(ctx.stimuli, &ctx.params);
+fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> Fold<StimulusDigest> {
+    let mut fold = Fold::<StimulusDigest>::fresh(ctx.stimuli, &ctx.params);
     let mut pi = base;
     for i in lo..hi {
         // Demand-driven generation: pause the trait stream at the class
@@ -279,7 +264,7 @@ fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> TlShard {
                     &mseeds,
                     label,
                 );
-                fold.collected += 1;
+                fold.answered += 1;
                 responses.push((si, resp.submitted.as_secs_f64()));
             }
             sessions.push(session);
@@ -332,30 +317,15 @@ pub fn stream_timeline_campaign(
     let ctx = TlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
     let (bases, _) =
         admitted_bases_range(0, n_participants, shard, threads, &ctx.pop, ctx.recruit_seed, 0);
-    let folds: Vec<TlShard> = par_map_range(bases.len(), threads, |s| {
+    let folds = par_map_range(bases.len(), threads, |s| {
         let lo = s * shard;
         let fold = tl_fold_range(&ctx, lo, (lo + shard).min(n_participants), bases[s]);
         fold.bump_counters();
         fold
     });
-    merge_shards(stimuli, service, n_participants, &sc.params, &folds)
-}
-
-/// Order-pinned merge of shard folds into the final digest (the
-/// accumulators are multiset-determined, so the pinning is
-/// belt-and-braces on top of exact associativity). Shared by every
-/// engine; the same assembly as `Checkpoint::finalize`, whose error
-/// path same-campaign folds cannot reach.
-pub(crate) fn merge_shards<K: ShardKind>(
-    stimuli: &[K::Stimulus],
-    service: &dyn RecruitmentService,
-    n_participants: usize,
-    params: &DigestParams,
-    folds: &[K],
-) -> K::Digest {
-    let digest = digest_of(stimuli, service, n_participants, params, folds);
-    // lint:allow(D4): same-campaign shard folds share one construction site
-    digest.expect("same-campaign shard folds agree by construction")
+    let mut acc = Fold::fresh(stimuli, &sc.params);
+    acc.merge_all(&folds);
+    acc.into_digest(service, n_participants)
 }
 
 /// Pass 1 of every engine: gate admissions per shard over the index

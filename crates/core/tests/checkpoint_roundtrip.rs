@@ -9,11 +9,14 @@
 //! * Interrupt → save → load → resume composes to the uninterrupted
 //!   run's digest fingerprint, adaptive and plain, including an
 //!   interruption after participants have been pruned.
-//! * Split ranges merged through checkpoints equal the single run.
+//! * Split ranges merged through checkpoints equal the single run;
+//!   pieces built over another stimulus list refuse to merge, finalize
+//!   or resume, and a refused merge leaves the receiver unchanged.
 //! * Truncated or corrupted bytes come back as typed
 //!   [`CheckpointError`]s — never a panic (D4 discipline end to end),
 //!   including totals that break `admitted + rejected + pruned ==
-//!   range_hi - range_lo` and would overflow a resumed run.
+//!   range_hi - range_lo` and a drive line counting more epochs than
+//!   the range holds, either of which would overflow a resumed run.
 //! * Configs no engine can serve are refused as typed errors by every
 //!   `Result`-returning entry point.
 //!
@@ -24,6 +27,7 @@
 use std::sync::OnceLock;
 
 use eyeorg_browser::BrowserConfig;
+use eyeorg_core::digest::MergeError;
 use eyeorg_core::prelude::*;
 use eyeorg_crowd::CrowdFlower;
 use eyeorg_stats::Seed;
@@ -227,6 +231,128 @@ fn merge_rejects_gaps_and_mismatches() {
     match acc.merge(&coarse) {
         Err(CheckpointError::ParamsMismatch { .. }) => {}
         other => panic!("expected ParamsMismatch, got {other:?}"),
+    }
+}
+
+/// `stimuli` with one stimulus fewer, and with the same count but the
+/// last stimulus renamed (so a merge gets past the first stimuli before
+/// it fails).
+fn other_stimulus_sets<S: Clone>(stimuli: &[S], rename: impl Fn(&mut S)) -> [Vec<S>; 2] {
+    let mut renamed = stimuli.to_vec();
+    rename(renamed.last_mut().expect("stimuli"));
+    [stimuli[..stimuli.len() - 1].to_vec(), renamed]
+}
+
+/// Whether `err` is the merge error of a fold over `left` stimuli
+/// meeting one over `right` (a renamed stimulus when the counts agree).
+fn is_stimulus_set_error(err: &CheckpointError, left: usize, right: usize) -> bool {
+    match *err {
+        CheckpointError::Merge(MergeError::StimulusCount { left: l, right: r }) => {
+            (l, r) == (left, right)
+        }
+        CheckpointError::Merge(MergeError::StimulusName { .. }) => left == right,
+        _ => false,
+    }
+}
+
+/// Timeline worker checkpoints built over another stimulus list refuse
+/// to merge (the receiver unchanged), to finalize against the run's
+/// stimuli, and to seed a resume — as typed merge errors.
+#[test]
+fn timeline_pieces_over_other_stimuli_are_refused() {
+    let mut acc = TimelineCheckpoint::load(&tl_worker(0, 100, 64, 2048).save()).expect("w0");
+    let before = acc.save();
+    let RunOutcome::Interrupted(driver) =
+        run_checkpointed(&cfg(), &inactive(), None, &first_barrier)
+    else {
+        panic!("interrupts")
+    };
+    for other in other_stimulus_sets(tl_stimuli(), |s| s.name.push_str("-elsewhere")) {
+        let n = other.len();
+        let run = |lo, hi| {
+            let sc = sc(64, 2048);
+            let filters = paper_pipeline();
+            timeline_worker_checkpoint(
+                &other,
+                &CrowdFlower,
+                lo,
+                hi,
+                &cfg(),
+                &filters,
+                Seed(1440),
+                &sc,
+            )
+            .expect("worker checkpoint")
+        };
+        let err = acc.merge(&run(100, 150)).expect_err("other stimuli must not merge");
+        assert!(is_stimulus_set_error(&err, 3, n), "{n} stimuli: {err:?}");
+        assert_eq!(acc.save(), before, "failed merge left the receiver unchanged");
+
+        let err = run(0, 100).finalize(tl_stimuli(), &CrowdFlower).expect_err("finalize");
+        assert!(is_stimulus_set_error(&err, 3, n), "{n} stimuli: {err:?}");
+
+        let err = checkpointed_timeline_campaign(
+            &other,
+            &CrowdFlower,
+            N,
+            &cfg(),
+            &paper_pipeline(),
+            Seed(1440),
+            &sc(32, 2048),
+            &inactive(),
+            AdaptiveBackend::Flat,
+            Some(&driver),
+            &CheckpointConfig { every_shards: 2 },
+            &mut |_| true,
+        )
+        .expect_err("a resume over other stimuli must be refused");
+        assert!(is_stimulus_set_error(&err, n, 3), "{n} stimuli: {err:?}");
+    }
+}
+
+/// The A/B counterpart of [`timeline_pieces_over_other_stimuli_are_refused`].
+#[test]
+fn ab_pieces_over_other_stimuli_are_refused() {
+    let worker = |stimuli: &[AbStimulus], lo, hi| {
+        let filters = paper_pipeline();
+        ab_worker_checkpoint(
+            stimuli,
+            &CrowdFlower,
+            lo,
+            hi,
+            &cfg(),
+            &filters,
+            Seed(1441),
+            &sc(64, 2048),
+        )
+        .expect("ab worker checkpoint")
+    };
+    let mut acc = AbCheckpoint::load(&worker(ab_stimuli(), 0, 100).save()).expect("w0");
+    let before = acc.save();
+    for other in other_stimulus_sets(ab_stimuli(), |s| s.name.push_str("-elsewhere")) {
+        let n = other.len();
+        let err = acc.merge(&worker(&other, 100, 150)).expect_err("other stimuli must not merge");
+        assert!(is_stimulus_set_error(&err, 3, n), "{n} stimuli: {err:?}");
+        assert_eq!(acc.save(), before, "failed merge left the receiver unchanged");
+
+        let err =
+            worker(&other, 0, 100).finalize(ab_stimuli(), &CrowdFlower).expect_err("finalize");
+        assert!(is_stimulus_set_error(&err, 3, n), "{n} stimuli: {err:?}");
+
+        let err = checkpointed_ab_campaign(
+            &other,
+            &CrowdFlower,
+            N,
+            &cfg(),
+            &paper_pipeline(),
+            Seed(1441),
+            &sc(32, 2048),
+            Some(&acc),
+            &CheckpointConfig { every_shards: 2 },
+            &mut |_| true,
+        )
+        .expect_err("a resume over other stimuli must be refused");
+        assert!(is_stimulus_set_error(&err, n, 3), "{n} stimuli: {err:?}");
     }
 }
 
@@ -555,6 +681,40 @@ fn forged_totals_are_refused_before_a_timeline_resume() {
         .expect_err("forged totals must not resume"),
     };
     assert!(matches!(err, CheckpointError::Format { line: 2, .. }), "{err:?}");
+}
+
+/// Every epoch advances at least one participant index, so a drive line
+/// that counts more epochs than the range holds is forged; it is refused
+/// at load time instead of overflowing the resumed driver's epoch count.
+#[test]
+fn forged_epoch_count_is_refused_before_a_timeline_resume() {
+    let RunOutcome::Interrupted(ck) = run_checkpointed(&cfg(), &inactive(), None, &first_barrier)
+    else {
+        panic!("interrupts")
+    };
+    let doc = ck.save();
+    let forged = doc.replacen("\"epochs\":1,", &format!("\"epochs\":{},", u64::MAX), 1);
+    assert_ne!(forged, doc, "the first barrier's drive line counts one epoch");
+    let err = match TimelineCheckpoint::load(&forged) {
+        Err(e) => e,
+        Ok(loaded) => checkpointed_timeline_campaign(
+            tl_stimuli(),
+            &CrowdFlower,
+            N,
+            &cfg(),
+            &paper_pipeline(),
+            Seed(1440),
+            &sc(32, 2048),
+            &inactive(),
+            AdaptiveBackend::Flat,
+            Some(&loaded),
+            &CheckpointConfig { every_shards: 2 },
+            &mut |_| true,
+        )
+        .expect_err("a forged epoch count must not resume"),
+    };
+    let drive_line = doc.lines().count() - 2;
+    assert!(matches!(err, CheckpointError::Format { line, .. } if line == drive_line), "{err:?}");
 }
 
 /// The A/B counterpart: a forged A/B driver checkpoint is refused at

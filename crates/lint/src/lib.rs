@@ -76,8 +76,6 @@
 #![warn(missing_docs)]
 
 mod graph;
-#[doc(hidden)]
-pub mod linelex;
 pub mod token;
 
 use std::collections::BTreeMap;

@@ -6,6 +6,8 @@
 //! must therefore fail. The fixtures are excluded from the workspace
 //! scan (`SKIP_PREFIXES`) precisely because they violate on purpose.
 
+mod linelex;
+
 use std::path::Path;
 
 use eyeorg_lint::{
@@ -220,7 +222,7 @@ fn tokenizer_agrees_with_line_lexer() {
         let src = std::fs::read_to_string(&path).expect("source readable");
         let tokens = eyeorg_lint::token::tokenize(&src);
         let views = eyeorg_lint::token::line_views(&src, &tokens);
-        let mut scrubber = eyeorg_lint::linelex::Scrubber::new();
+        let mut scrubber = linelex::Scrubber::new();
         for (idx, line) in src.lines().enumerate() {
             let old = scrubber.scrub(line);
             let new = &views[idx];

@@ -1,8 +1,9 @@
-//! PR 4's line-oriented lexer, kept verbatim as the reference
-//! implementation for the tokenizer-agreement self-test
-//! (`tests/engine.rs::tokenizer_agrees_with_line_lexer`). The analyzer
-//! itself now runs on [`crate::token`]; this module exists only so the
-//! byte-for-byte compatibility claim stays machine-checked.
+//! The analyzer's original line-oriented lexer, kept verbatim as the
+//! reference implementation for the tokenizer-agreement self-test
+//! (`tokenizer_agrees_with_line_lexer` in `engine.rs`), whose module it
+//! is. The analyzer itself runs on `eyeorg_lint::token`; this module
+//! exists only so the byte-for-byte compatibility claim stays
+//! machine-checked.
 
 /// Cross-line lexer state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
