@@ -11,18 +11,23 @@
 //! The analyzer runs in passes (DESIGN.md §3j): a whole-file Rust
 //! tokenizer ([`token`]) feeds per-line scrubbed views to the line
 //! rules, and a structural pass (`graph`, private) recovers a
-//! per-workspace item graph — fn/impl/mod definitions with
-//! name-resolved-by-path-suffix call edges — for the reachability
-//! rules. Eight rules, each mapped to a way the contract has
-//! historically been broken in systems like this:
+//! per-workspace item graph for the reachability rules. Its call edges
+//! resolve a qualified path the way the code names it — through `use`
+//! items, `pub use` re-exports, `type` aliases and `crate::`/`self::`/
+//! `super::`/`Self::` — so `Vec::new` or `std::process::Command::new`
+//! binds to nothing; only a generic or otherwise unresolvable head and
+//! method calls bind by name alone. Eight rules, each mapped to a way
+//! the contract has historically been broken in systems like this:
 //!
 //! * **D1** — no `HashMap`/`HashSet` in fingerprinted crates (net,
 //!   http, browser, video, core, stats, metrics, crowd, workload).
 //!   Hash iteration order is seeded per-process; any order that escapes
 //!   into output breaks byte-identity. Use `BTreeMap`/`BTreeSet`.
 //! * **D2** — no `Instant::now`/`SystemTime` outside `eyeorg-obs`
-//!   timing internals and `crates/bench`. Fingerprinted values must be
-//!   pure functions of the workload and its seeds, never of the clock.
+//!   timing internals and the two timing harnesses, `crates/bench` and
+//!   `perfbench/`, whose clock reads are their measurements.
+//!   Fingerprinted values must be pure functions of the workload and
+//!   its seeds, never of the clock.
 //! * **D3** — no `Ordering::*` atomics outside `eyeorg-obs`. Ad-hoc
 //!   atomics are exactly where thread-count-dependent behaviour hides;
 //!   the few legitimate uses carry an order-independence proof in a
@@ -45,9 +50,9 @@
 //!   vendored-serde decode path run on bytes from disk and must fail
 //!   with typed errors, never a panic.
 //! * **D8** — no nondeterminism source (hash-ordered collections,
-//!   `available_parallelism`, env reads outside the `EYEORG_*`
-//!   allowlist, thread identity) in any fn that can **reach** a
-//!   digest/fingerprint sink through the call graph.
+//!   `available_parallelism` called or named by path, env reads outside
+//!   the `EYEORG_*` allowlist, thread identity) in any fn that can
+//!   **reach** a digest/fingerprint sink through the call graph.
 //!
 //! Any finding can be waived inline:
 //!
@@ -62,13 +67,8 @@
 //! `// lint:allow(D1, n=2): reason` — and one comment may carry several
 //! waivers for different rules. The reason is mandatory, and a waiver
 //! that never (or only partially) suppresses findings is itself an
-//! error — stale waivers rot into blanket exemptions otherwise.
-//!
-//! Pre-existing findings that predate a rule live in a checked-in
-//! baseline (`crates/lint/lint-baseline.txt`, `path code count` lines):
-//! exact matches are suppressed but stay auditable, a shrunk group is a
-//! `stale-baseline` error, and any growth reports every finding in the
-//! group. `--write-baseline` regenerates it.
+//! error — stale waivers rot into blanket exemptions otherwise. A
+//! waiver is the only way to suppress a finding.
 //!
 //! The crate stays hermetic: no `syn`, no external dependencies.
 
@@ -94,7 +94,7 @@ pub const FINGERPRINTED_CRATES: &[&str] =
 pub enum Rule {
     /// No `HashMap`/`HashSet` in fingerprinted crates.
     D1,
-    /// No wall-clock reads outside `eyeorg-obs` / `crates/bench`.
+    /// No wall-clock reads outside `eyeorg-obs` and the timing harnesses.
     D2,
     /// No `Ordering::*` atomics outside `eyeorg-obs`.
     D3,
@@ -157,7 +157,7 @@ impl Rule {
     pub fn summary(self) -> &'static str {
         match self {
             Rule::D1 => "no HashMap/HashSet in fingerprinted crates (hash order breaks byte-identity)",
-            Rule::D2 => "no wall-clock reads outside eyeorg-obs / crates/bench",
+            Rule::D2 => "no wall-clock reads outside eyeorg-obs and the crates/bench, perfbench harnesses",
             Rule::D3 => "no raw atomic orderings outside eyeorg-obs",
             Rule::D4 => "no unwrap()/expect() in library code without a written invariant",
             Rule::D5 => "no thread::spawn/scope outside eyeorg-stats::par",
@@ -206,8 +206,9 @@ impl Rule {
                  or waive with proof that the order never escapes"
             }
             Rule::D2 => {
-                "wall-clock read outside eyeorg-obs/bench: fingerprinted values must \
-                 be pure functions of the workload and its seeds, never of the clock"
+                "wall-clock read outside eyeorg-obs and the timing harnesses: \
+                 fingerprinted values must be pure functions of the workload and its \
+                 seeds, never of the clock"
             }
             Rule::D3 => {
                 "raw atomic ordering outside eyeorg-obs: ad-hoc atomics are where \
@@ -246,8 +247,8 @@ impl Rule {
 pub struct FileMeta {
     /// Workspace-relative path, used in diagnostics.
     pub display_path: String,
-    /// Crate short name (`net`, `stats`, `serde_json`, ... or `root`
-    /// for the top-level `eyeorg` package).
+    /// Crate short name (`net`, `stats`, `serde_json`, `perfbench`, ...
+    /// or `root` for the top-level `eyeorg` package).
     pub crate_name: String,
     /// Whether the file lives under a `tests/` directory (integration
     /// tests: D4/D5 do not apply).
@@ -276,6 +277,7 @@ impl FileMeta {
             Some(&"crates") | Some(&"vendor") if components.len() > 1 => {
                 components[1].to_owned()
             }
+            Some(&"perfbench") => "perfbench".to_owned(),
             _ => "root".to_owned(),
         };
         let in_tests_dir = components.contains(&"tests");
@@ -303,7 +305,7 @@ impl FileMeta {
         let test_code = in_test_code || self.in_tests_dir;
         match rule {
             Rule::D1 => FINGERPRINTED_CRATES.contains(&self.crate_name.as_str()),
-            Rule::D2 => self.crate_name != "obs" && self.crate_name != "bench",
+            Rule::D2 => !matches!(self.crate_name.as_str(), "obs" | "bench" | "perfbench"),
             Rule::D3 => self.crate_name != "obs",
             Rule::D4 => self.crate_name != "bench" && !test_code && !self.is_entrypoint,
             Rule::D5 => !self.is_par_module && !test_code,
@@ -322,11 +324,9 @@ impl FileMeta {
 pub struct Diagnostic {
     /// Workspace-relative path.
     pub path: String,
-    /// 1-based line number (0 for file-level findings such as
-    /// `stale-baseline`).
+    /// 1-based line number.
     pub line: usize,
-    /// Diagnostic code: a rule code, `unused-waiver`, `bad-waiver`, or
-    /// `stale-baseline`.
+    /// Diagnostic code: a rule code, `unused-waiver` or `bad-waiver`.
     pub code: String,
     /// Human-readable explanation.
     pub message: String,
@@ -347,10 +347,6 @@ pub struct Report {
     pub files: usize,
     /// Number of findings suppressed by inline waivers.
     pub waivers_used: usize,
-    /// Number of findings suppressed by the baseline.
-    pub baseline_suppressed: usize,
-    /// The baseline groups that were applied: (path, code, count).
-    pub baselined: Vec<(String, String, usize)>,
 }
 
 impl Report {
@@ -699,98 +695,6 @@ pub fn lint_source(meta: &FileMeta, source: &str) -> Report {
     analyze_sources(vec![(meta.clone(), source.to_owned())])
 }
 
-// --- baseline --------------------------------------------------------
-
-/// Workspace-relative path of the checked-in baseline.
-pub const BASELINE_PATH: &str = "crates/lint/lint-baseline.txt";
-
-/// Parse a baseline file: `path code count` per line, `#` comments and
-/// blank lines ignored.
-pub fn parse_baseline(text: &str) -> Result<Vec<(String, String, usize)>, String> {
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(path), Some(code), Some(count), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!("baseline line {}: expected `path code count`", idx + 1));
-        };
-        if Rule::parse(code).is_none() {
-            return Err(format!(
-                "baseline line {}: `{code}` is not a rule code (only D1..D8 are baselineable)",
-                idx + 1
-            ));
-        }
-        let count: usize = count
-            .parse()
-            .ok()
-            .filter(|&c| c >= 1)
-            .ok_or_else(|| format!("baseline line {}: bad count `{count}`", idx + 1))?;
-        out.push((path.to_owned(), code.to_owned(), count));
-    }
-    Ok(out)
-}
-
-/// Serialize the rule findings of `report` as baseline text (sorted
-/// `path code count` lines).
-pub fn format_baseline(report: &Report) -> String {
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for d in &report.diagnostics {
-        if Rule::parse(&d.code).is_some() {
-            *counts.entry((d.path.clone(), d.code.clone())).or_default() += 1;
-        }
-    }
-    let mut out = String::from(
-        "# eyeorg-lint baseline: pre-existing findings that predate a rule.\n\
-         # Format: `path code count`. A group is suppressed only on an exact\n\
-         # count match; fewer findings than allowed is a stale-baseline error\n\
-         # and more reports the whole group. Regenerate: lint --write-baseline.\n",
-    );
-    for ((path, code), count) in counts {
-        out.push_str(&format!("{path} {code} {count}\n"));
-    }
-    out
-}
-
-/// Apply a baseline to a report: an exactly-matching group is removed
-/// (counted in `baseline_suppressed`), a shrunk group is removed and
-/// replaced by a `stale-baseline` error, and a grown group is left
-/// fully visible. Diagnostics are re-sorted by (path, line, code).
-pub fn apply_baseline(report: &mut Report, entries: &[(String, String, usize)]) {
-    for (path, code, allowed) in entries {
-        let found = report
-            .diagnostics
-            .iter()
-            .filter(|d| &d.path == path && &d.code == code)
-            .count();
-        if found <= *allowed {
-            report.diagnostics.retain(|d| !(&d.path == path && &d.code == code));
-            report.baseline_suppressed += found;
-            report.baselined.push((path.clone(), code.clone(), found));
-            if found < *allowed {
-                report.diagnostics.push(Diagnostic {
-                    path: path.clone(),
-                    line: 0,
-                    code: "stale-baseline".to_owned(),
-                    message: format!(
-                        "baseline allows {allowed} {code} finding(s) here but only \
-                         {found} remain: regenerate with --write-baseline so fixed \
-                         findings cannot silently return"
-                    ),
-                });
-            }
-        }
-        // found > allowed: a regression — leave every finding visible.
-    }
-    report.diagnostics.sort_by(|a, b| {
-        (&a.path, a.line, &a.code).cmp(&(&b.path, b.line, &b.code))
-    });
-}
-
 // --- JSON report -----------------------------------------------------
 
 fn json_escape(s: &str) -> String {
@@ -816,7 +720,6 @@ pub fn report_to_json(report: &Report) -> String {
     out.push_str("\"version\":1");
     out.push_str(&format!(",\"files\":{}", report.files));
     out.push_str(&format!(",\"waivers_used\":{}", report.waivers_used));
-    out.push_str(&format!(",\"baseline_suppressed\":{}", report.baseline_suppressed));
     out.push_str(&format!(",\"clean\":{}", report.is_clean()));
     out.push_str(",\"diagnostics\":[");
     for (i, d) in report.diagnostics.iter().enumerate() {
@@ -829,18 +732,6 @@ pub fn report_to_json(report: &Report) -> String {
             d.line,
             json_escape(&d.code),
             json_escape(&d.message)
-        ));
-    }
-    out.push_str("],\"baselined\":[");
-    for (i, (path, code, count)) in report.baselined.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"path\":\"{}\",\"code\":\"{}\",\"count\":{}}}",
-            json_escape(path),
-            json_escape(code),
-            count
         ));
     }
     out.push_str("]}");
@@ -890,8 +781,8 @@ fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
-/// Lint every Rust source in the workspace rooted at `root` (no
-/// baseline applied — the raw findings).
+/// Lint every Rust source in the workspace rooted at `root`: the
+/// configuration the CI gate runs.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
     let sources = collect_sources(root)?;
     let mut inputs = Vec::with_capacity(sources.len());
@@ -900,27 +791,6 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
         inputs.push((FileMeta::classify(&rel), text));
     }
     Ok(analyze_sources(inputs))
-}
-
-/// Lint the workspace and apply the checked-in baseline
-/// (`crates/lint/lint-baseline.txt`) when present — the configuration
-/// the CI gate runs.
-pub fn scan_workspace_gated(root: &Path) -> std::io::Result<Report> {
-    let mut report = scan_workspace(root)?;
-    let baseline_path = root.join(BASELINE_PATH);
-    if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)?;
-        match parse_baseline(&text) {
-            Ok(entries) => apply_baseline(&mut report, &entries),
-            Err(msg) => report.diagnostics.push(Diagnostic {
-                path: BASELINE_PATH.to_owned(),
-                line: 0,
-                code: "stale-baseline".to_owned(),
-                message: msg,
-            }),
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -947,6 +817,7 @@ mod tests {
         assert!(meta("crates/lint/src/main.rs").is_entrypoint);
         assert!(meta("examples/quickstart.rs").is_entrypoint);
         assert_eq!(meta("src/lib.rs").crate_name, "root");
+        assert_eq!(meta("perfbench/src/trace.rs").crate_name, "perfbench");
         let v = meta("vendor/serde_json/src/lib.rs");
         assert!(v.is_vendor);
         assert_eq!(v.crate_name, "serde_json");
@@ -1030,6 +901,16 @@ mod tests {
         assert_eq!(codes(&meta("crates/video/src/frame.rs"), src), vec!["D2"]);
         assert!(codes(&meta("crates/obs/src/lib.rs"), src).is_empty());
         assert!(codes(&meta("crates/bench/src/lib.rs"), src).is_empty());
+    }
+
+    #[test]
+    fn d2_scope_ends_at_the_timing_harnesses() {
+        // perfbench's clock reads are its measurements, as bench's are.
+        let src = "let t = Instant::now();\n";
+        assert!(codes(&meta("perfbench/src/harness.rs"), src).is_empty());
+        assert!(codes(&meta("perfbench/src/main.rs"), src).is_empty());
+        assert_eq!(codes(&meta("crates/core/src/flat.rs"), src), vec!["D2"]);
+        assert_eq!(codes(&meta("src/lib.rs"), src), vec!["D2"]);
     }
 
     #[test]
@@ -1346,43 +1227,6 @@ pub fn from_str(bytes: &[u8]) -> u32 {
     }
 
     #[test]
-    fn baseline_roundtrip_and_gating() {
-        let mk = |n: usize| {
-            let mut r = Report { files: 1, ..Report::default() };
-            for i in 0..n {
-                r.diagnostics.push(Diagnostic {
-                    path: "crates/stats/src/modes.rs".to_owned(),
-                    line: i + 1,
-                    code: "D6".to_owned(),
-                    message: "m".to_owned(),
-                });
-            }
-            r
-        };
-        let baseline = parse_baseline("# c\ncrates/stats/src/modes.rs D6 2\n").unwrap();
-        // Exact match: suppressed.
-        let mut r = mk(2);
-        apply_baseline(&mut r, &baseline);
-        assert!(r.is_clean());
-        assert_eq!(r.baseline_suppressed, 2);
-        // Shrunk: stale-baseline error.
-        let mut r = mk(1);
-        apply_baseline(&mut r, &baseline);
-        assert_eq!(r.diagnostics.len(), 1);
-        assert_eq!(r.diagnostics[0].code, "stale-baseline");
-        // Grown: every finding stays visible.
-        let mut r = mk(3);
-        apply_baseline(&mut r, &baseline);
-        assert_eq!(r.diagnostics.len(), 3);
-        // Round trip through the text format.
-        let r = mk(2);
-        let text = format_baseline(&r);
-        assert_eq!(parse_baseline(&text).unwrap(), baseline);
-        // Only rule codes are baselineable.
-        assert!(parse_baseline("a unused-waiver 1\n").is_err());
-    }
-
-    #[test]
     fn json_report_is_stable_and_escaped() {
         let mut r = Report { files: 3, waivers_used: 2, ..Report::default() };
         r.diagnostics.push(Diagnostic {
@@ -1391,14 +1235,12 @@ pub fn from_str(bytes: &[u8]) -> u32 {
             code: "D1".to_owned(),
             message: "say \"no\"\nplease".to_owned(),
         });
-        r.baselined.push(("c.rs".to_owned(), "D6".to_owned(), 4));
         let json = report_to_json(&r);
         assert_eq!(
             json,
-            "{\"version\":1,\"files\":3,\"waivers_used\":2,\"baseline_suppressed\":0,\
-             \"clean\":false,\"diagnostics\":[{\"path\":\"a/b.rs\",\"line\":7,\
-             \"code\":\"D1\",\"message\":\"say \\\"no\\\"\\nplease\"}],\
-             \"baselined\":[{\"path\":\"c.rs\",\"code\":\"D6\",\"count\":4}]}"
+            "{\"version\":1,\"files\":3,\"waivers_used\":2,\"clean\":false,\
+             \"diagnostics\":[{\"path\":\"a/b.rs\",\"line\":7,\"code\":\"D1\",\
+             \"message\":\"say \\\"no\\\"\\nplease\"}]}"
         );
     }
 }

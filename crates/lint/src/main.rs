@@ -18,14 +18,11 @@ FLAGS:
     --root PATH         workspace root to scan (default: auto-detected)
     --format text|json  diagnostic output format on stdout (default: text)
     --json-out PATH     additionally write the JSON report to PATH
-    --baseline PATH     baseline file to apply (default: crates/lint/lint-baseline.txt)
-    --no-baseline       report raw findings, ignoring any baseline file
-    --write-baseline    regenerate the baseline from current findings and exit
     --list-rules        print every rule code with a one-line summary and exit
     --help              print this help and exit
 
 EXIT CODES:
-    0   the tree is clean (after waivers and baseline)
+    0   the tree is clean (after waivers)
     1   findings were reported
     2   usage error or I/O failure
 
@@ -33,15 +30,18 @@ Waive a finding inline with `// lint:allow(RULE): reason`, covering the
 next line (standalone comment) or its own line (trailing comment); add
 `n=K` — `lint:allow(D1, n=2): reason` — when one line carries several
 findings of the same rule. Unused or over-counted waivers are errors.
+A waiver is the only way to suppress a finding.
+
+D7/D8 call edges resolve a path through `use`, `pub use` and `type`
+aliases: a std or prelude head binds to nothing, a workspace path to
+its canonical item, a generic head or a method call to every same-named
+item (DESIGN.md §3j).
 ";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut format = String::from("text");
     let mut json_out: Option<PathBuf> = None;
-    let mut baseline_override: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -58,12 +58,6 @@ fn main() -> ExitCode {
                 Some(p) => json_out = Some(PathBuf::from(p)),
                 None => return usage_err("--json-out needs a path"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_override = Some(PathBuf::from(p)),
-                None => return usage_err("--baseline needs a path"),
-            },
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
             "--list-rules" => {
                 for rule in eyeorg_lint::ALL_RULES {
                     println!("{}  {}", rule.code(), rule.summary());
@@ -96,46 +90,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut report = match eyeorg_lint::scan_workspace(&root) {
+    let report = match eyeorg_lint::scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: failed to scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    let baseline_path = baseline_override
-        .clone()
-        .unwrap_or_else(|| root.join(eyeorg_lint::BASELINE_PATH));
-
-    if write_baseline {
-        let text = eyeorg_lint::format_baseline(&report);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("lint: failed to write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        let entries = text.lines().filter(|l| !l.trim_start().starts_with('#')).count();
-        println!("lint: wrote {} baseline entr(ies) to {}", entries, baseline_path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if !no_baseline && baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match eyeorg_lint::parse_baseline(&text) {
-                Ok(entries) => eyeorg_lint::apply_baseline(&mut report, &entries),
-                Err(msg) => report.diagnostics.push(eyeorg_lint::Diagnostic {
-                    path: eyeorg_lint::BASELINE_PATH.to_owned(),
-                    line: 0,
-                    code: "stale-baseline".to_owned(),
-                    message: msg,
-                }),
-            },
-            Err(e) => {
-                eprintln!("lint: failed to read {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     let json = eyeorg_lint::report_to_json(&report);
     if let Some(path) = &json_out {
@@ -161,18 +122,15 @@ fn main() -> ExitCode {
         }
         if report.is_clean() {
             println!(
-                "lint: clean — {} files scanned, {} waiver(s) honoured, {} \
-                 baselined finding(s)",
-                report.files, report.waivers_used, report.baseline_suppressed
+                "lint: clean — {} files scanned, {} waiver(s) honoured",
+                report.files, report.waivers_used
             );
         } else {
             eprintln!(
-                "lint: {} finding(s) in {} files scanned ({} waiver(s) honoured, \
-                 {} baselined)",
+                "lint: {} finding(s) in {} files scanned ({} waiver(s) honoured)",
                 report.diagnostics.len(),
                 report.files,
-                report.waivers_used,
-                report.baseline_suppressed
+                report.waivers_used
             );
         }
     }

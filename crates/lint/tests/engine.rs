@@ -10,9 +10,7 @@ mod linelex;
 
 use std::path::Path;
 
-use eyeorg_lint::{
-    lint_source, scan_workspace, scan_workspace_gated, FileMeta, Report,
-};
+use eyeorg_lint::{lint_source, scan_workspace, FileMeta, Report};
 
 /// Lint a fixture as though it lived in a fingerprinted library crate,
 /// where every rule applies.
@@ -178,31 +176,18 @@ fn fastpath_module_is_d6_and_d8_covered() {
     );
 }
 
-/// The gate the CI pass enforces: the real tree is clean once the
-/// checked-in baseline is applied. Keeping this as a test means
-/// `cargo test` alone catches a regression even when the lint binary
-/// is not run.
+/// The gate the CI pass enforces: the real tree is clean, every
+/// finding fixed or waived inline with its invariant. Keeping this as a
+/// test means `cargo test` alone catches a regression even when the
+/// lint binary is not run.
 #[test]
-fn workspace_is_clean_under_the_baseline() {
+fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = scan_workspace_gated(&root).expect("workspace readable");
+    let report = scan_workspace(&root).expect("workspace readable");
     assert!(report.files > 50, "scan must cover the tree, saw {} files", report.files);
     let rendered: Vec<String> =
         report.diagnostics.iter().map(|d| d.to_string()).collect();
     assert!(report.is_clean(), "workspace lint findings:\n{}", rendered.join("\n"));
-    assert!(report.baseline_suppressed > 0, "the D6 baseline must be exercised");
-}
-
-/// The raw (un-baselined) scan may only differ from the gated one by
-/// D6 findings: every D7 panic-surface and D8 taint finding must be
-/// waived at source with its invariant, never baselined away.
-#[test]
-fn only_d6_findings_are_baselined() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = scan_workspace(&root).expect("workspace readable");
-    for d in &report.diagnostics {
-        assert_eq!(d.code, "D6", "only D6 may rest on the baseline: {d}");
-    }
 }
 
 /// Tentpole self-test: the token-stream line views must agree with the

@@ -17,7 +17,9 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
         return None;
     }
     let n = x.len() as f64;
+    // lint:allow(D6): one sequential sum in slice index order; the caller fixes the order
     let mx = x.iter().sum::<f64>() / n;
+    // lint:allow(D6): one sequential sum in slice index order; the caller fixes the order
     let my = y.iter().sum::<f64>() / n;
     let mut sxy = 0.0;
     let mut sxx = 0.0;

@@ -105,11 +105,6 @@ impl Ecdf {
         *self.sorted.last().expect("non-empty")
     }
 
-    /// Access the sorted underlying sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Two-sample Kolmogorov–Smirnov statistic: the supremum of
     /// `|F_self(x) - F_other(x)|` over all x. Used by validation tests to
     /// quantify how close paid-participant distributions are to trusted

@@ -23,7 +23,7 @@ impl Histogram {
     /// Returns `None` when `bins == 0` or the range is empty/invalid.
     pub fn with_bins(sample: &[f64], lo: f64, hi: f64, bins: usize) -> Option<Histogram> {
         // NaN-safe: any incomparable bound rejects the range.
-        if bins == 0 || hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
+        if bins == 0 || hi.is_nan() || lo.is_nan() || hi <= lo {
             return None;
         }
         let mut h = Histogram { lo, hi, counts: vec![0; bins], outside: 0 };
@@ -166,12 +166,12 @@ impl Histogram {
     /// Rebuild a histogram from raw state; `from_state(state())` is
     /// bit-identical to the original. Untrusted states are validated
     /// against the [`Histogram::with_bins`] constructor rule (at least
-    /// one bin, `hi > lo` under `partial_cmp`) and come back as a typed
+    /// one bin, `hi > lo` with neither bound NaN) and come back as a typed
     /// error, never a panic.
     pub fn from_state(s: &HistogramState) -> Result<Histogram, crate::stream::StateError> {
         let lo = f64::from_bits(s.lo_bits);
         let hi = f64::from_bits(s.hi_bits);
-        if s.counts.is_empty() || hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
+        if s.counts.is_empty() || hi.is_nan() || lo.is_nan() || hi <= lo {
             return Err(crate::stream::StateError("histogram range/bins invalid"));
         }
         Ok(Histogram { lo, hi, counts: s.counts.clone(), outside: s.outside })

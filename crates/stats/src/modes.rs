@@ -55,6 +55,7 @@ pub fn find_peaks(
     if n == 0 {
         return Vec::new();
     }
+    // lint:allow(D6): a max is order-independent, so the fold has one result whatever the order
     let global_max = s.iter().cloned().fold(0.0_f64, f64::max);
     if global_max <= 0.0 {
         return Vec::new();
@@ -149,7 +150,7 @@ pub fn mode_histogram(sample: &[f64]) -> Option<Histogram> {
     let lo = sample.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = sample.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     // NaN-safe: degenerate or incomparable range collapses to one bin.
-    if hi.partial_cmp(&lo) != Some(std::cmp::Ordering::Greater) {
+    if hi.is_nan() || lo.is_nan() || hi <= lo {
         return Histogram::with_bins(sample, lo - 0.5, lo + 0.5, 1);
     }
     let bins = ((sample.len() as f64).sqrt().ceil() as usize * 2).clamp(8, 64);

@@ -43,10 +43,12 @@ impl Summary {
             return None;
         }
         let n = sample.len();
+        // lint:allow(D6): one sequential sum in slice index order; the caller fixes the order
         let mean = sample.iter().sum::<f64>() / n as f64;
         let variance = if n < 2 {
             0.0
         } else {
+            // lint:allow(D6): one sequential sum in slice index order; the caller fixes the order
             sample.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64
         };
         let mut min = f64::INFINITY;
@@ -93,6 +95,7 @@ pub fn mean(sample: &[f64]) -> Option<f64> {
     if sample.is_empty() {
         None
     } else {
+        // lint:allow(D6): one sequential sum in slice index order; the caller fixes the order
         Some(sample.iter().sum::<f64>() / sample.len() as f64)
     }
 }
@@ -103,6 +106,7 @@ pub fn stdev(sample: &[f64]) -> Option<f64> {
         return None;
     }
     let m = mean(sample)?;
+    // lint:allow(D6): one sequential sum in slice index order; the caller fixes the order
     let var = sample.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (sample.len() - 1) as f64;
     Some(var.sqrt())
 }

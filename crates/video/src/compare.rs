@@ -9,7 +9,6 @@
 
 use crate::capture::Video;
 use crate::frame::Frame;
-use crate::timeline::FrameTimeline;
 
 /// The similarity threshold of the paper's helper: frames differing in at
 /// most this fraction of pixels count as "similar".
@@ -23,7 +22,8 @@ pub const SIMILARITY_THRESHOLD: f64 = 0.01;
 /// This is the *reference* implementation: it renders and diffs every
 /// frame up to `chosen` on each call, so a loop over all frames is
 /// quadratic in renders. Callers that query the same video repeatedly
-/// should build an [`EarliestSimilarTable`] once and index it.
+/// should index [`FrameTimeline::rewind_table`](crate::timeline::FrameTimeline::rewind_table)
+/// instead.
 pub fn earliest_similar_frame(video: &Video, chosen: usize, threshold: f64) -> usize {
     let target = video.frame(chosen);
     for i in 0..=chosen {
@@ -32,54 +32,6 @@ pub fn earliest_similar_frame(video: &Video, chosen: usize, threshold: f64) -> u
         }
     }
     chosen
-}
-
-/// The per-video earliest-similar-frame table: `suggest(chosen)` for
-/// every frame, precomputed in one pass over the materialised timeline.
-///
-/// Building the table costs one timeline materialisation plus one
-/// delta-walk per frame (work proportional to frames × recorded cell
-/// writes), after which each query is a bounds-checked index — against
-/// [`earliest_similar_frame`]'s full render-and-diff rescan per call.
-/// Every entry equals the naive scan exactly: the walk maintains the
-/// same integer differing-cell count `diff_fraction` computes (pinned
-/// by the `table_matches_naive_scan` regression test).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EarliestSimilarTable {
-    table: Vec<usize>,
-}
-
-impl EarliestSimilarTable {
-    /// Build the table at the paper's 1 % threshold.
-    pub fn of(video: &Video) -> EarliestSimilarTable {
-        EarliestSimilarTable::with_threshold(video, SIMILARITY_THRESHOLD)
-    }
-
-    /// Build the table at an arbitrary threshold.
-    pub fn with_threshold(video: &Video, threshold: f64) -> EarliestSimilarTable {
-        let tl = FrameTimeline::of(video);
-        EarliestSimilarTable {
-            table: (0..tl.len())
-                .map(|chosen| tl.compute_rewind_threshold(chosen, threshold))
-                .collect(),
-        }
-    }
-
-    /// Number of frames covered.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the table is empty (never true for a real capture).
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// The earliest similar frame for `chosen` (clamped to the last
-    /// frame, like the rewind helpers).
-    pub fn suggest(&self, chosen: usize) -> usize {
-        self.table[chosen.min(self.table.len().saturating_sub(1))]
-    }
 }
 
 /// The standard rewind suggestion at the paper's 1 % threshold.
@@ -157,27 +109,6 @@ mod tests {
         assert!(is_obvious_mismatch(&v, late, &ctrl));
         // Against the blank opening frame it is not.
         assert!(!is_obvious_mismatch(&v, 0, &ctrl));
-    }
-
-    #[test]
-    fn table_matches_naive_scan() {
-        // The regression pin: the precomputed table must equal the
-        // reference render-and-diff scan at every frame, for the paper
-        // threshold and for looser/stricter ones.
-        let v = video();
-        for threshold in [0.0, SIMILARITY_THRESHOLD, 0.10] {
-            let table = EarliestSimilarTable::with_threshold(&v, threshold);
-            assert_eq!(table.len(), v.frame_count());
-            for chosen in 0..v.frame_count() {
-                assert_eq!(
-                    table.suggest(chosen),
-                    earliest_similar_frame(&v, chosen, threshold),
-                    "chosen {chosen} threshold {threshold}"
-                );
-            }
-            // Out-of-range queries clamp like the rewind helpers.
-            assert_eq!(table.suggest(usize::MAX), table.suggest(v.frame_count() - 1));
-        }
     }
 
     #[test]

@@ -40,10 +40,7 @@ pub mod webpeg;
 
 pub use bitplane::BitGrid;
 pub use capture::Video;
-pub use compare::{
-    control_frame, earliest_similar_frame, rewind_suggestion, EarliestSimilarTable,
-    SIMILARITY_THRESHOLD,
-};
+pub use compare::{control_frame, earliest_similar_frame, rewind_suggestion, SIMILARITY_THRESHOLD};
 pub use encode::{encode, EncodedVideo};
 pub use frame::Frame;
 pub use player::{preload_time, PlaybackResult, PlaybackSim};

@@ -139,20 +139,6 @@ impl FrameTimeline {
         (0..self.frames.len()).map(|chosen| self.rewind_at(chosen)).collect()
     }
 
-    /// [`precompute_rewinds`](Self::precompute_rewinds) with the scans
-    /// spread over `threads` workers (`0` = automatic). Entries already
-    /// memoised are kept; the table is identical to the sequential fill
-    /// for every thread count.
-    pub fn precompute_rewinds_parallel(&mut self, threads: usize) {
-        let threads = eyeorg_stats::resolve_threads(threads);
-        let computed = eyeorg_stats::par_map_range(self.frames.len(), threads, |chosen| {
-            self.rewind_at(chosen)
-        });
-        for (chosen, r) in computed.into_iter().enumerate() {
-            self.rewind_memo.entry(chosen).or_insert(r);
-        }
-    }
-
     /// The rewind scan, incrementally: the reference semantics are "the
     /// first `i` in `0..=chosen` with `diff_fraction(frame i, frame
     /// chosen) <= threshold`". Rather than diffing each pair (O(chosen ×
@@ -163,13 +149,6 @@ impl FrameTimeline {
     /// integers, so `count / len` is bit-identical to what
     /// `diff_fraction` computes on the full grids.
     fn compute_rewind(&self, chosen: usize) -> usize {
-        self.compute_rewind_threshold(chosen, SIMILARITY_THRESHOLD)
-    }
-
-    /// [`compute_rewind`](Self::compute_rewind) at an arbitrary
-    /// similarity threshold (`compare::EarliestSimilarTable` builds its
-    /// per-video tables through this).
-    pub(crate) fn compute_rewind_threshold(&self, chosen: usize, threshold: f64) -> usize {
         let target = self.frames[chosen].cells();
         let len = target.len() as f64;
         let mut differing: i64 = 0; // frame `chosen` vs itself
@@ -177,7 +156,7 @@ impl FrameTimeline {
         for i in (0..=chosen).rev() {
             // `differing` is now the count for frame `i` vs the target.
             debug_assert!(differing >= 0);
-            if differing as f64 / len <= threshold {
+            if differing as f64 / len <= SIMILARITY_THRESHOLD {
                 result = i; // keep walking: earlier qualifying i wins
             }
             if i > 0 {
@@ -241,13 +220,10 @@ mod tests {
         let shared = FrameTimeline::of(&v);
         let mut precomputed = FrameTimeline::of(&v);
         precomputed.precompute_rewinds();
-        let mut par = FrameTimeline::of(&v);
-        par.precompute_rewinds_parallel(4);
         for chosen in 0..v.frame_count() {
             let reference = memoising.rewind(chosen);
             assert_eq!(shared.rewind_at(chosen), reference, "cold &self lookup, frame {chosen}");
             assert_eq!(precomputed.rewind_at(chosen), reference, "precomputed, frame {chosen}");
-            assert_eq!(par.rewind_at(chosen), reference, "parallel precompute, frame {chosen}");
         }
     }
 

@@ -80,11 +80,6 @@ impl Website {
         self.resources.iter().filter(|r| r.kind == kind).count()
     }
 
-    /// Whether the site displays ads.
-    pub fn has_ads(&self) -> bool {
-        self.count_kind(ResourceKind::Ad) > 0
-    }
-
     /// Total above-the-fold paintable area (the denominator of visual
     /// completeness): the sum of visible areas of visual resources,
     /// clipped at the fold.

@@ -35,8 +35,10 @@ step env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
     cargo doc --offline --no-deps --workspace
 # Determinism/panic-surface/taint static analysis (rules D1-D8,
 # DESIGN.md §3e/§3j): exits non-zero with path:line diagnostics on any
-# finding not covered by an inline waiver or the checked-in D6 baseline
-# (crates/lint/lint-baseline.txt). The machine-readable report lands in
+# finding not covered by an inline waiver. D7/D8 follow call edges that
+# resolve a qualified path through `use`, `pub use` and `type` aliases
+# (std and prelude heads bind to nothing); only generic heads and method
+# calls bind by name alone. The machine-readable report lands in
 # results/ so CI uploads it next to the bench artifacts.
 step cargo run -q --release -p eyeorg-lint --bin lint -- --json-out results/LINT_report.json
 # Seeded-interleaving race exerciser: the campaign pipeline and the
