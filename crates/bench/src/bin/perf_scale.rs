@@ -60,8 +60,8 @@ const ALT_SHARD: usize = 8192;
 /// draws), which capped the ratio near 1.5x (Amdahl). The §3k fast
 /// path shrank that model term for **both** engines — draw-exact, so
 /// byte-identity holds — which lowers the ceiling on the *ratio* even
-/// as both absolute times improve; `perf_model` now gates the model
-/// term itself (1.8x gate), and this floor protects the flat engine's
+/// as both absolute times improve; perfbench's `crowd-1m` workload
+/// times the model end to end, and this floor protects the flat engine's
 /// remaining structural win (arena batching + bulk seeding) from
 /// regressing: post-fast-path the ratio measures ~1.3x on the
 /// reference box, and the floor sits a noise margin below it. The

@@ -41,6 +41,6 @@ pub mod trace;
 pub use config::{BrowserConfig, CpuCosts, DeviceProfile};
 pub use extensions::AdBlocker;
 pub use har::{to_har, to_har_json};
-pub use loader::{load_page, load_page_reference, load_page_with_conns, load_repeats};
+pub use loader::{load_page, load_page_with_conns, load_repeats};
 pub use paint::{PaintEvent, PaintKind};
 pub use trace::{LoadTrace, ResourceTrace, SkipReason};

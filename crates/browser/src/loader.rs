@@ -114,15 +114,6 @@ pub fn load_page_with_conns(
     (trace, conns)
 }
 
-/// [`load_page`] with the network simulator's burst batching disabled —
-/// the per-segment reference path. The trace is identical to
-/// [`load_page`]'s (`loader_behavior::reference_path_produces_identical_traces`
-/// checks it); this entry point only exists so the comparison can be
-/// made end to end.
-pub fn load_page_reference(site: &Website, cfg: &BrowserConfig, seed: Seed) -> LoadTrace {
-    Loader::new(site, cfg, seed, false).run().0
-}
-
 /// [`load_page`] once per seed: returns exactly
 /// `seeds.iter().map(|s| load_page(site, cfg, *s))`, and adds exactly
 /// what those loads add to the obs counters.
@@ -921,7 +912,7 @@ mod tests {
 
     use super::*;
     use eyeorg_net::NetworkProfile;
-    use eyeorg_workload::{ad_heavy, generate_site, SiteClass};
+    use eyeorg_workload::{ad_heavy, alexa_like, generate_site, SiteClass};
 
     /// Load five repeats of several sites under `cfg`, check every trace
     /// against its plain load, and count the paths the traces took.
@@ -964,5 +955,29 @@ mod tests {
         // latency, so no repeat can share the driver's prefix.
         assert_eq!(paths.get(&Path::Driver), Some(&12), "{paths:?}");
         assert_eq!(paths.get(&Path::ResolverMismatch), Some(&48), "{paths:?}");
+    }
+
+    /// With the network simulator's burst batching turned off (the
+    /// per-segment reference path), a real browser load must be
+    /// byte-identical to the default path — across site classes,
+    /// protocols, and lossy network profiles.
+    #[test]
+    fn reference_path_produces_identical_traces() {
+        let shaped = BrowserConfig::new().with_network(NetworkProfile::dsl());
+        let h2 = BrowserConfig::new().with_protocol(Protocol::Http2);
+        let mut sites = vec![
+            generate_site(Seed(300), 0, SiteClass::News),
+            generate_site(Seed(301), 1, SiteClass::Blog),
+            generate_site(Seed(302), 2, SiteClass::Ecommerce),
+        ];
+        sites.extend(alexa_like(Seed(2016), 3));
+        for (i, site) in sites.iter().enumerate() {
+            for (ci, cfg) in [&BrowserConfig::new(), &shaped, &h2].into_iter().enumerate() {
+                let seed = Seed(800 + i as u64);
+                let batched = load_page(site, cfg, seed);
+                let reference = Loader::new(site, cfg, seed, false).run().0;
+                assert_eq!(batched, reference, "site {i} config {ci}: traces diverge");
+            }
+        }
     }
 }

@@ -343,28 +343,3 @@ fn server_push_accelerates_first_paint() {
     }
     assert!(wins * 3 >= total * 2, "push should help first paint: {wins}/{total}");
 }
-
-#[test]
-fn reference_path_produces_identical_traces() {
-    // `load_page_reference` turns off the network simulator's burst
-    // batching; a real browser load over it must be byte-identical to
-    // the default path — across site classes, protocols, and lossy
-    // network profiles.
-    use eyeorg_browser::load_page_reference;
-    let shaped = BrowserConfig::new().with_network(NetworkProfile::dsl());
-    let h2 = BrowserConfig::new().with_protocol(Protocol::Http2);
-    let mut sites = vec![
-        generate_site(Seed(300), 0, SiteClass::News),
-        generate_site(Seed(301), 1, SiteClass::Blog),
-        generate_site(Seed(302), 2, SiteClass::Ecommerce),
-    ];
-    sites.extend(alexa_like(Seed(2016), 3));
-    for (i, site) in sites.iter().enumerate() {
-        for (ci, cfg) in [&BrowserConfig::new(), &shaped, &h2].into_iter().enumerate() {
-            let seed = Seed(800 + i as u64);
-            let batched = load_page(site, cfg, seed);
-            let reference = load_page_reference(site, cfg, seed);
-            assert_eq!(batched, reference, "site {i} config {ci}: traces diverge");
-        }
-    }
-}

@@ -9,7 +9,7 @@
 //!   was faster", No-Difference responses excluded — Fig. 8b/8c);
 //! * Δ-bucketed agreement per PLT metric (Fig. 8a).
 
-use eyeorg_crowd::VideoSession;
+use eyeorg_crowd::{total_time_on_site, ModelSeeds, VideoSession};
 use eyeorg_net::SimDuration;
 use eyeorg_stats::{percentile_band, Summary};
 
@@ -249,7 +249,9 @@ pub fn behavior_points(campaign: &impl Campaign) -> Vec<BehaviorPoint> {
         .enumerate()
         .map(|(pi, p)| {
             let sessions = groups.sessions(pi);
-            BehaviorPoint::of(pi, sessions, eyeorg_crowd::total_time_on_site(sessions, p))
+            let instructions = ModelSeeds::of(p.seed).instructions();
+            let total = total_time_on_site(sessions, &p.persona(), instructions);
+            BehaviorPoint::of(pi, sessions, total)
         })
         .collect()
 }

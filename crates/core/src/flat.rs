@@ -73,14 +73,11 @@
 //! fold to the streaming reference) across shard sizes and thread
 //! counts.
 
-use eyeorg_crowd::fastpath::{
-    ab_control_seeded, judge_pair_seeded, session_seed, timeline_control_seeded,
-    timeline_response_seeded, total_time_on_site_seeded, video_session_from_rng,
-    video_session_seeded,
-};
 use eyeorg_crowd::{
-    AbAnswer, ModelSeeds, Participant, Persona, PopulationProfile, ReadyTimes, RecruitmentService,
-    SessionProfile, TestKind, TimelineResponse, TimelineStimulusProfile, VideoSession,
+    ab_control, judge_pair, timeline_control_passes, timeline_response, total_time_on_site,
+    video_session, AbAnswer, ModelSeeds, Participant, Persona, PopulationProfile, ReadyTimes,
+    RecruitmentService, SessionProfile, TestKind, TimelineResponse, TimelineStimulusProfile,
+    VideoSession,
 };
 use eyeorg_stats::rng::Rng;
 use eyeorg_stats::{par_map_range, par_map_range_scratch, resolve_threads, Seed};
@@ -183,11 +180,11 @@ impl Plane for TlPlane {
     }
 
     fn control(&self, p: &Persona, seeds: &ModelSeeds) -> bool {
-        timeline_control_seeded(p, seeds, &self.ctrl_label)
+        timeline_control_passes(p, seeds.perception(&self.ctrl_label))
     }
 
     fn answer(&self, _: usize, _: u64, p: &Persona, seeds: &ModelSeeds) -> TimelineResponse {
-        timeline_response_seeded(&self.profile, &self.rewinds, p, seeds, &self.label)
+        timeline_response(&self.profile, &self.rewinds, p, seeds.perception(&self.label))
     }
 
     fn push_answer(acc: &mut StimulusDigest, response: TimelineResponse) {
@@ -254,7 +251,7 @@ impl Plane for AbPlane {
     }
 
     fn control(&self, p: &Persona, seeds: &ModelSeeds) -> bool {
-        ab_control_seeded(self.ready_a.get(p.readiness), p, seeds, &self.label).1
+        ab_control(self.ready_a.get(p.readiness), p, seeds.abjudge(&self.label)).1
     }
 
     /// The judgment, drawn in presentation space and mapped back to
@@ -263,7 +260,7 @@ impl Plane for AbPlane {
         let (a, b) = (self.ready_a.get(p.readiness), self.ready_b.get(p.readiness));
         let a_left = a_on_left(self.side_seed, pi, si);
         let (l, r) = if a_left { (a, b) } else { (b, a) };
-        match (judge_pair_seeded(l, r, p, seeds, &self.label), a_left) {
+        match (judge_pair(l, r, p, seeds.abjudge(&self.label)), a_left) {
             (AbAnswer::NoDifference, _) => AbVerdict::NoDifference,
             (AbAnswer::Left, true) | (AbAnswer::Right, false) => AbVerdict::AFaster,
             (AbAnswer::Left, false) | (AbAnswer::Right, true) => AbVerdict::BFaster,
@@ -534,13 +531,13 @@ impl<'a, P: Plane> Kernel<'a, P> {
             arena.seed_buf.extend(
                 arena.stim_rows[si]
                     .iter()
-                    .map(|&cell| session_seed(&arena.seeds[cell as usize / k], plane.label())),
+                    .map(|&cell| arena.seeds[cell as usize / k].session_seed(plane.label())),
             );
             Rng::seed_block(&arena.seed_buf, &mut arena.rngs);
             for (j, &cell) in arena.stim_rows[si].iter().enumerate() {
                 let cell = cell as usize;
                 let row = cell / k;
-                let session = video_session_from_rng(
+                let session = video_session(
                     plane.session(),
                     &arena.personas[row],
                     P::TEST,
@@ -584,7 +581,7 @@ impl<'a, P: Plane> Kernel<'a, P> {
             }
             let d = decide(self.filters, &arena.row_buf, control.as_slice());
             fold.filters.record(d);
-            let total = total_time_on_site_seeded(&arena.row_buf, p, mseeds);
+            let total = total_time_on_site(&arena.row_buf, p, mseeds.instructions());
             fold.behavior.push(&BehaviorPoint::of(my_pi as usize, &arena.row_buf, total));
             if d == FilterDecision::Kept {
                 for cell in cbase..cbase + k {
@@ -630,8 +627,8 @@ pub(crate) fn serve<P: Plane>(
             .iter()
             .map(|&si| {
                 let plane = &planes[si];
-                let session =
-                    video_session_seeded(plane.session(), &p, P::TEST, &seeds, plane.label());
+                let rng = seeds.behavior(plane.label());
+                let session = video_session(plane.session(), &p, P::TEST, rng);
                 let answer = (!session.skipped).then(|| plane.answer(si, pi as u64, &p, &seeds));
                 plane.row(si, pi, session, answer)
             })

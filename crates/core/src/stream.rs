@@ -41,10 +41,10 @@
 //! regeneration cost is two cheap participant draws per index — far
 //! below one video session.
 
-use eyeorg_crowd::fastpath::{
-    self, timeline_control_seeded, timeline_response_shared_seeded, video_session_seeded,
+use eyeorg_crowd::{
+    timeline_control_passes, timeline_response_shared, total_time_on_site, video_session,
+    ModelSeeds, RecruitmentService, SessionProfile, TestKind,
 };
-use eyeorg_crowd::{ModelSeeds, RecruitmentService, SessionProfile, TestKind};
 use eyeorg_stats::{par_map_range, resolve_threads, Seed};
 use eyeorg_video::FrameTimeline;
 
@@ -252,17 +252,16 @@ fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> Fold<Stimu
         let mut responses: Vec<(usize, f64)> = Vec::with_capacity(picks.len());
         for &si in &picks {
             let label = &ctx.labels[si];
-            let session =
-                video_session_seeded(&ctx.profiles[si], &p, TestKind::Timeline, &mseeds, label);
+            let rng = mseeds.behavior(label);
+            let session = video_session(&ctx.profiles[si], &p, TestKind::Timeline, rng);
             if session.skipped {
                 fold.skipped += 1;
             } else {
-                let resp = timeline_response_shared_seeded(
+                let resp = timeline_response_shared(
                     &ctx.stimuli[si].video,
                     &ctx.frames[si],
                     &p,
-                    &mseeds,
-                    label,
+                    mseeds.perception(label),
                 );
                 fold.answered += 1;
                 responses.push((si, resp.submitted.as_secs_f64()));
@@ -270,7 +269,8 @@ fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> Fold<Stimu
             sessions.push(session);
         }
         let control = ctx.cfg.with_controls.then(|| {
-            let passed = timeline_control_seeded(&p, &mseeds, &ctx.ctrl_labels[picks[0]]);
+            let rng = mseeds.perception(&ctx.ctrl_labels[picks[0]]);
+            let passed = timeline_control_passes(&p, rng);
             ControlRow { participant: my_pi as usize, passed }
         });
         if let Some(c) = &control {
@@ -284,7 +284,7 @@ fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> Fold<Stimu
                 fold.stimuli[si].push(secs);
             }
         }
-        let total = fastpath::total_time_on_site_seeded(&sessions, &p, &mseeds);
+        let total = total_time_on_site(&sessions, &p, mseeds.instructions());
         fold.behavior.push(&BehaviorPoint::of(my_pi as usize, &sessions, total));
     }
     fold

@@ -9,11 +9,9 @@
 //! Fig. 8a.
 
 use eyeorg_net::SimTime;
-use eyeorg_video::Video;
 use eyeorg_stats::rng::Rng;
 
-use crate::participant::{Participant, ParticipantClass, Persona};
-use crate::perception::true_ready_time;
+use crate::participant::{ParticipantClass, Persona};
 
 /// The three allowed answers (a hard rule: participants must pick one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,34 +49,10 @@ fn lapse_rate(class: ParticipantClass) -> f64 {
 }
 
 /// Judge a pair of ready moments (already extracted for this
-/// participant's criterion). Exposed separately from [`ab_response`] so
-/// controls (same video, one side delayed) reuse the same psychophysics.
+/// participant's criterion). `rng` is the participant's judgment stream
+/// for the stimulus's label
+/// ([`ModelSeeds::abjudge`](crate::ModelSeeds::abjudge)).
 pub fn judge_pair(
-    left_ready: SimTime,
-    right_ready: SimTime,
-    participant: &Participant,
-    label: &str,
-) -> AbAnswer {
-    judge_pair_flat(left_ready, right_ready, &participant.persona(), label)
-}
-
-/// [`judge_pair`] from a trait-core [`Persona`] — the batch engine's
-/// entry point (ready moments come from precomputed per-stimulus
-/// tables). Bit-identical to [`judge_pair`] for matching inputs.
-pub fn judge_pair_flat(
-    left_ready: SimTime,
-    right_ready: SimTime,
-    participant: &Persona,
-    label: &str,
-) -> AbAnswer {
-    judge_pair_with_rng(left_ready, right_ready, participant, judge_rng(participant.seed, label))
-}
-
-/// [`judge_pair_flat`] with the judgment-stream RNG supplied by the
-/// caller — the fast-path entry (RNG built from a hoisted
-/// per-participant `"abjudge"` parent instead of a per-cell double
-/// derivation).
-pub(crate) fn judge_pair_with_rng(
     left_ready: SimTime,
     right_ready: SimTime,
     participant: &Persona,
@@ -91,8 +65,8 @@ pub(crate) fn judge_pair_with_rng(
             _ => AbAnswer::NoDifference,
         };
     }
-    let zl: f64 = crate::dist_normal(&mut rng);
-    let zr: f64 = crate::dist_normal(&mut rng);
+    let zl = rng.standard_normal();
+    let zr = rng.standard_normal();
     let l = left_ready.as_secs_f64() * (participant.perception_noise * zl).exp();
     let r = right_ready.as_secs_f64() * (participant.perception_noise * zr).exp();
     // Weber scaling: harder to tell 10.0 s from 10.4 s than 1.0 s from
@@ -112,47 +86,36 @@ pub(crate) fn judge_pair_with_rng(
     }
 }
 
-/// Full A/B response for two captures shown side by side.
-pub fn ab_response(
-    left: &Video,
-    right: &Video,
-    participant: &Participant,
-    label: &str,
-) -> AbAnswer {
-    let l = true_ready_time(left, participant.readiness);
-    let r = true_ready_time(right, participant.readiness);
-    judge_pair(l, r, participant, label)
-}
-
-/// The §3.3 A/B control: both sides show the same capture, the right one
-/// delayed three seconds. Returns `(answer, passed)`; the correct answer
-/// is [`AbAnswer::Left`].
-pub fn ab_control(video: &Video, participant: &Participant, label: &str) -> (AbAnswer, bool) {
-    let ready = true_ready_time(video, participant.readiness);
-    ab_control_flat(ready, &participant.persona(), label)
-}
-
-/// [`ab_control`] with the control video's ready moment (under this
-/// participant's criterion) already extracted — the batch engine reads
-/// it from a per-stimulus table instead of rescanning the paint stream.
-pub fn ab_control_flat(ready: SimTime, participant: &Persona, label: &str) -> (AbAnswer, bool) {
+/// The §3.3 A/B control: both sides show the same capture (ready at
+/// `ready` under this participant's criterion), the right one delayed
+/// three seconds. Returns `(answer, passed)`; the correct answer is
+/// [`AbAnswer::Left`]. `rng` is the judgment stream of the control's
+/// label, as for [`judge_pair`].
+pub fn ab_control(ready: SimTime, participant: &Persona, rng: Rng) -> (AbAnswer, bool) {
     let delayed = ready + eyeorg_net::SimDuration::from_secs(3);
-    let answer = judge_pair_flat(ready, delayed, participant, label);
+    let answer = judge_pair(ready, delayed, participant, rng);
     (answer, answer == AbAnswer::Left)
-}
-
-fn judge_rng(seed: eyeorg_stats::Seed, label: &str) -> Rng {
-    Rng::seed_from_u64(seed.derive("abjudge").derive(label).value())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::participant::PopulationProfile;
+    use crate::participant::{Participant, PopulationProfile};
+    use crate::perception::true_ready_time;
+    use crate::ModelSeeds;
     use eyeorg_stats::Seed;
 
     fn pop() -> Vec<Participant> {
         PopulationProfile::paid().generate(Seed(10), 600)
+    }
+
+    fn judge_pair(l: SimTime, r: SimTime, p: &Participant, label: &str) -> AbAnswer {
+        super::judge_pair(l, r, &p.persona(), ModelSeeds::of(p.seed).abjudge(label))
+    }
+
+    fn ab_control(v: &eyeorg_video::Video, p: &Participant, label: &str) -> (AbAnswer, bool) {
+        let ready = true_ready_time(v, p.readiness);
+        super::ab_control(ready, &p.persona(), ModelSeeds::of(p.seed).abjudge(label))
     }
 
     fn vote_share(

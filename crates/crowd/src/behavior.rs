@@ -20,7 +20,7 @@ use eyeorg_net::{SimDuration, SimTime};
 use eyeorg_video::{preload_time, Video};
 use eyeorg_stats::rng::Rng;
 
-use crate::participant::{Participant, ParticipantClass, ParticipantType, Persona};
+use crate::participant::{ParticipantClass, ParticipantType, Persona};
 
 /// The experiment type the behaviour differs across.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,41 +80,12 @@ impl SessionProfile {
     }
 }
 
-/// Simulate the behaviour of one participant on one video.
+/// Simulate the behaviour of one participant on one stimulus. `rng` is
+/// the participant's behaviour stream for the stimulus's label
+/// ([`ModelSeeds::behavior`](crate::ModelSeeds::behavior), or one cell
+/// of a [`ModelSeeds::session_seed`](crate::ModelSeeds::session_seed)
+/// plane expanded with `Rng::seed_block`).
 pub fn video_session(
-    video: &Video,
-    participant: &Participant,
-    kind: TestKind,
-    video_label: &str,
-) -> VideoSession {
-    video_session_profiled(
-        &SessionProfile::of(video, kind),
-        &participant.persona(),
-        kind,
-        video_label,
-    )
-}
-
-/// [`video_session`] against precomputed per-stimulus constants and a
-/// trait-core [`Persona`] — the flat campaign engine's entry point.
-/// Bit-identical to [`video_session`] for matching inputs (the wrapper
-/// above *is* this function).
-pub fn video_session_profiled(
-    profile: &SessionProfile,
-    participant: &Persona,
-    kind: TestKind,
-    video_label: &str,
-) -> VideoSession {
-    video_session_with_rng(profile, participant, kind, behavior_rng(participant.seed, video_label))
-}
-
-/// The draw sequence behind [`video_session_profiled`], with the leaf
-/// RNG supplied by the caller. The fast path derives that RNG from a
-/// hoisted per-participant `"behavior"` parent (or a bulk-expanded
-/// per-stimulus seed plane) instead of re-deriving
-/// `seed → "behavior" → label` per cell; for an RNG seeded from the same
-/// `(participant, label)` pair the output is bit-identical.
-pub(crate) fn video_session_with_rng(
     profile: &SessionProfile,
     participant: &Persona,
     kind: TestKind,
@@ -188,7 +159,7 @@ pub(crate) fn video_session_with_rng(
     let out_of_focus = if rng.random_bool(p_distract) {
         // Lognormal-ish episode: median ~4 s, occasionally much longer;
         // waits on slow transfers breed longer absences.
-        let z: f64 = crate::dist_normal(&mut rng);
+        let z = rng.standard_normal();
         let scale = 4.0 * (1.0 + load_secs / 25.0);
         SimDuration::from_secs_f64((scale * (0.9 * z).exp()).clamp(0.3, 120.0))
     } else {
@@ -245,14 +216,15 @@ fn video_bytes_estimate(video: &Video, kind: TestKind) -> u64 {
     }
 }
 
-/// Time spent reading the instructions before the first video.
-pub fn instruction_time_persona(participant: &Persona) -> SimDuration {
-    instruction_time_with_rng(participant, behavior_rng(participant.seed, "instructions"))
-}
-
-/// [`instruction_time_persona`] with the `"instructions"`-stream RNG
-/// supplied by the caller (fast-path entry).
-pub(crate) fn instruction_time_with_rng(participant: &Persona, mut rng: Rng) -> SimDuration {
+/// A participant's total time across their assigned videos (the Fig. 4a
+/// "time spent on site" statistic): the instruction-reading time, drawn
+/// from `rng` ([`ModelSeeds::instructions`](crate::ModelSeeds::instructions)),
+/// plus each session's time, summed left to right.
+pub fn total_time_on_site(
+    sessions: &[VideoSession],
+    participant: &Persona,
+    mut rng: Rng,
+) -> SimDuration {
     let secs = match participant.class {
         ParticipantClass::Diligent => rng.random_range(20.0..60.0),
         ParticipantClass::Average => rng.random_range(12.0..40.0),
@@ -261,25 +233,7 @@ pub(crate) fn instruction_time_with_rng(participant: &Persona, mut rng: Rng) -> 
         ParticipantClass::Frenetic => rng.random_range(3.0..15.0),
         ParticipantClass::Bot => rng.random_range(0.1..1.0),
     };
-    SimDuration::from_secs_f64(secs)
-}
-
-fn behavior_rng(seed: eyeorg_stats::Seed, label: &str) -> Rng {
-    Rng::seed_from_u64(seed.derive("behavior").derive(label).value())
-}
-
-/// A participant's total time across their assigned videos (the Fig. 4a
-/// "time spent on site" statistic).
-pub fn total_time_on_site(sessions: &[VideoSession], participant: &Participant) -> SimDuration {
-    total_time_on_site_persona(sessions, &participant.persona())
-}
-
-/// [`total_time_on_site`] from a trait-core [`Persona`].
-pub fn total_time_on_site_persona(
-    sessions: &[VideoSession],
-    participant: &Persona,
-) -> SimDuration {
-    let mut total = instruction_time_persona(participant);
+    let mut total = SimDuration::from_secs_f64(secs);
     for s in sessions {
         total = total + s.time_spent;
     }
@@ -299,7 +253,8 @@ pub fn submitted_at(start: SimTime, sessions: &[VideoSession], idx: usize) -> Si
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::participant::PopulationProfile;
+    use crate::participant::{Participant, PopulationProfile};
+    use crate::ModelSeeds;
     use eyeorg_browser::{load_page, BrowserConfig};
     use eyeorg_stats::Seed;
     use eyeorg_workload::{generate_site, SiteClass};
@@ -308,6 +263,11 @@ mod tests {
         let site = generate_site(Seed(40), 0, SiteClass::Blog);
         let trace = load_page(&site, &BrowserConfig::new(), Seed(40));
         Video::capture(trace, 10, SimDuration::from_secs(4))
+    }
+
+    fn video_session(v: &Video, p: &Participant, kind: TestKind, label: &str) -> VideoSession {
+        let profile = SessionProfile::of(v, kind);
+        super::video_session(&profile, &p.persona(), kind, ModelSeeds::of(p.seed).behavior(label))
     }
 
     #[test]
@@ -413,7 +373,8 @@ mod tests {
             let sessions: Vec<VideoSession> = (0..6)
                 .map(|i| video_session(&v, p, TestKind::Timeline, &format!("v{i}")))
                 .collect();
-            let total = total_time_on_site(&sessions, p);
+            let total =
+                total_time_on_site(&sessions, &p.persona(), ModelSeeds::of(p.seed).instructions());
             let sum: f64 = sessions.iter().map(|s| s.time_spent.as_secs_f64()).sum();
             assert!(total.as_secs_f64() >= sum, "total includes instruction time");
             let end = submitted_at(SimTime::ZERO, &sessions, 5);

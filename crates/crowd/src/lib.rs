@@ -11,7 +11,8 @@
 //! 700-seek outliers, and the three interpretations of "ready to use"
 //! behind Fig. 9's response modes.
 //!
-//! * [`participant`] — demographics, phenotypes, trait generation.
+//! * [`participant`] — demographics, phenotypes, trait generation, and
+//!   the seed policy of every response draw ([`ModelSeeds`]).
 //! * [`perception`] — the timeline test: ready-moment extraction, noisy
 //!   perception, slider overshoot, frame-helper negotiation.
 //! * [`abjudge`] — the A/B test: JND-based Left/Right/NoDifference.
@@ -19,38 +20,29 @@
 //! * [`service`] — CrowdFlower/Microworkers/Trusted recruitment with the
 //!   paper's cost and arrival anchors.
 //!
-//! Everything derives from per-participant seeds: a campaign re-run with
-//! the same seed reproduces every response bit for bit.
+//! Each draw has one entry in its home module, taking the per-stimulus
+//! constants, the participant's [`Persona`] and its leaf RNG. Every leaf
+//! RNG comes from [`ModelSeeds`], the one place the per-participant seed
+//! policy is written down, so a campaign re-run with the same seed
+//! reproduces every response bit for bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod abjudge;
 pub mod behavior;
-pub mod fastpath;
 pub mod participant;
 pub mod perception;
 pub mod service;
 
-pub use abjudge::{ab_control, ab_control_flat, ab_response, judge_pair, judge_pair_flat, AbAnswer};
-pub use fastpath::ModelSeeds;
-pub use behavior::{
-    total_time_on_site, total_time_on_site_persona, video_session, video_session_profiled,
-    SessionProfile, TestKind, VideoSession,
-};
+pub use abjudge::{ab_control, judge_pair, AbAnswer};
+pub use behavior::{total_time_on_site, video_session, SessionProfile, TestKind, VideoSession};
 pub use participant::{
-    Gender, Participant, ParticipantClass, ParticipantType, Persona, PopulationProfile,
-    ReadinessCriterion, TraitCursor,
+    Gender, ModelSeeds, Participant, ParticipantClass, ParticipantType, Persona,
+    PopulationProfile, ReadinessCriterion, TraitCursor,
 };
 pub use perception::{
-    timeline_control_passes, timeline_control_passes_flat, timeline_response,
-    timeline_response_flat, timeline_response_shared, true_ready_time, ReadyTimes,
-    TimelineResponse, TimelineStimulusProfile,
+    timeline_control_passes, timeline_response, timeline_response_shared, true_ready_time,
+    ReadyTimes, TimelineResponse, TimelineStimulusProfile,
 };
 pub use service::{CrowdFlower, Microworkers, Recruitment, RecruitmentService, TrustedChannel};
-
-/// One standard-normal draw (Box–Muller), shared by the perception and
-/// behaviour models.
-pub(crate) fn dist_normal(rng: &mut eyeorg_stats::rng::Rng) -> f64 {
-    rng.standard_normal()
-}

@@ -96,11 +96,6 @@ pub struct Participant {
 }
 
 impl Participant {
-    /// The participant's private RNG for a given activity label.
-    pub fn rng(&self, label: &str) -> Rng {
-        Rng::seed_from_u64(self.seed.derive(label).value())
-    }
-
     /// The allocation-free trait view of this participant (everything the
     /// behaviour/perception/judgment models consume). The flat campaign
     /// engine generates [`Persona`]s directly; this accessor lets the
@@ -149,6 +144,75 @@ pub struct Persona {
     pub overshoot: f64,
     /// Private RNG stream seed.
     pub seed: Seed,
+}
+
+/// The seed policy of the response models: every draw a participant
+/// makes comes from the leaf stream `seed → activity → label`, with
+/// activity `"behavior"` (sessions, instructions), `"perception"`
+/// (timeline responses and controls) or `"abjudge"` (A/B judgments and
+/// controls), and no stream shared between activities or labels. This
+/// is the only code that writes that derivation down.
+///
+/// Two consequences the campaign kernel relies on:
+///
+/// 1. **Hoisting.** The activity parent depends only on the
+///    participant, so it is derived once per participant and each
+///    per-cell leaf costs a single label hash.
+/// 2. **Elision.** A draw whose value is never consumed can be skipped
+///    (whole streams) or advanced value-free (draws feeding later ones
+///    on the same stream) without perturbing any consumed draw — see
+///    [`TraitCursor`] and `Rng::skip_u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModelSeeds {
+    behavior: Seed,
+    perception: Seed,
+    abjudge: Seed,
+}
+
+impl ModelSeeds {
+    /// Derive all three activity parents from a participant seed.
+    #[inline]
+    pub fn of(seed: Seed) -> ModelSeeds {
+        ModelSeeds {
+            behavior: seed.derive("behavior"),
+            perception: seed.derive("perception"),
+            abjudge: seed.derive("abjudge"),
+        }
+    }
+
+    /// The raw leaf seed of a behaviour stream — what the flat kernel's
+    /// per-stimulus seed plane stores before bulk-expanding generator
+    /// states with `Rng::seed_block`.
+    #[inline]
+    pub fn session_seed(&self, label: &str) -> u64 {
+        self.behavior.derive(label).value()
+    }
+
+    /// The behaviour stream for one stimulus label (a video session).
+    #[inline]
+    pub fn behavior(&self, label: &str) -> Rng {
+        Rng::seed_from_u64(self.session_seed(label))
+    }
+
+    /// The behaviour stream of the instruction-reading time.
+    #[inline]
+    pub fn instructions(&self) -> Rng {
+        self.behavior("instructions")
+    }
+
+    /// The perception stream for one stimulus label (a timeline
+    /// response), or a `"ctrl-"`-prefixed label (a timeline control).
+    #[inline]
+    pub fn perception(&self, label: &str) -> Rng {
+        Rng::seed_from_u64(self.perception.derive(label).value())
+    }
+
+    /// The judgment stream for one A/B stimulus label (a vote or an A/B
+    /// control).
+    #[inline]
+    pub fn abjudge(&self, label: &str) -> Rng {
+        Rng::seed_from_u64(self.abjudge.derive(label).value())
+    }
 }
 
 /// A weighted mixture compiled into a cumulative-threshold prefix table.
@@ -496,6 +560,35 @@ fn pick_weighted_ref<T: Copy>(rng: &mut Rng, mix: &[(T, f64)]) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every leaf stream [`ModelSeeds`] hands out is
+    /// `seed → activity → label`, for both pools.
+    #[test]
+    fn model_seeds_follow_the_seed_policy() {
+        let draws = |mut rng: Rng| -> [u64; 4] { std::array::from_fn(|_| rng.next_u64()) };
+        for pool in [PopulationProfile::paid(), PopulationProfile::trusted()] {
+            for i in 0..150 {
+                let seed = pool.generate_persona(Seed(91), i).seed;
+                let seeds = ModelSeeds::of(seed);
+                let leaf_seed =
+                    |activity: &str, label: &str| seed.derive(activity).derive(label).value();
+                let leaf = |activity: &str, label: &str| {
+                    draws(Rng::seed_from_u64(leaf_seed(activity, label)))
+                };
+                for label in ["tl-0", "tl-5", "ab-3", "ctrl-tl-0"] {
+                    assert_eq!(seeds.session_seed(label), leaf_seed("behavior", label), "{label}");
+                    assert_eq!(draws(seeds.behavior(label)), leaf("behavior", label), "{label}");
+                    assert_eq!(
+                        draws(seeds.perception(label)),
+                        leaf("perception", label),
+                        "{label}"
+                    );
+                    assert_eq!(draws(seeds.abjudge(label)), leaf("abjudge", label), "{label}");
+                }
+                assert_eq!(draws(seeds.instructions()), leaf("behavior", "instructions"));
+            }
+        }
+    }
 
     /// Every mixture the population model draws from, as raw
     /// `(item, weight)` lists — the input both selectors classify.

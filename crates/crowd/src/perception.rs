@@ -17,7 +17,7 @@ use eyeorg_net::SimTime;
 use eyeorg_video::{FrameTimeline, Video};
 use eyeorg_stats::rng::Rng;
 
-use crate::participant::{Participant, ParticipantClass, Persona, ReadinessCriterion};
+use crate::participant::{ParticipantClass, Persona, ReadinessCriterion};
 
 /// The moment a page becomes "ready" under a given criterion, extracted
 /// from the capture's viewport-visible paint stream.
@@ -184,101 +184,16 @@ pub struct TimelineResponse {
     pub accepted_helper: bool,
 }
 
-/// Simulate one participant answering one timeline test.
-///
-/// `video_label` identifies the video so that the same participant gives
-/// independent (but reproducible) answers across their six videos.
-///
-/// Convenience wrapper that materialises the frame timeline per call;
-/// campaign-scale simulation should hoist the per-stimulus constants
-/// once and use [`timeline_response_flat`].
-pub fn timeline_response(
-    video: &Video,
-    participant: &Participant,
-    video_label: &str,
-) -> TimelineResponse {
-    let mut frames = FrameTimeline::of(video);
-    timeline_response_with(video, &mut |i| frames.rewind(i), participant, video_label)
-}
-
-/// [`timeline_response`] against a *shared* frame timeline, with one
-/// immutable [`FrameTimeline`] per stimulus (rewinds precomputed)
-/// serving every worker thread. Bit-identical to [`timeline_response`]
-/// for the same inputs.
-pub fn timeline_response_shared(
-    video: &Video,
-    frames: &FrameTimeline,
-    participant: &Participant,
-    video_label: &str,
-) -> TimelineResponse {
-    timeline_response_with(video, &mut |i| frames.rewind_at(i), participant, video_label)
-}
-
-/// Core of the timeline interaction, abstracted over how a rewind is
-/// looked up (memoising `&mut` path vs. shared precomputed path).
-fn timeline_response_with(
-    video: &Video,
-    rewind: &mut dyn FnMut(usize) -> usize,
-    participant: &Participant,
-    video_label: &str,
-) -> TimelineResponse {
-    timeline_response_shared_with_rng(
-        video,
-        rewind,
-        &participant.persona(),
-        response_rng(participant.seed, video_label),
-    )
-}
-
-/// The shared-timeline path with the leaf RNG supplied by the caller —
-/// the streaming engine's fast-path entry (it hoists the per-participant
-/// `"perception"` parent derivation out of its stimulus loop).
-pub(crate) fn timeline_response_shared_with_rng(
-    video: &Video,
-    rewind: &mut dyn FnMut(usize) -> usize,
-    participant: &Persona,
-    rng: Rng,
-) -> TimelineResponse {
-    let clock = FrameClock::of(video);
-    // Ready moment and first-visible floor are looked up lazily: the
-    // clicker/bot branch never consults them, and eagerly extracting all
-    // three criteria would triple this path's paint-stream scans.
-    timeline_response_core(
-        &clock,
-        &mut |criterion| (true_ready_time(video, criterion), first_visible_us(video)),
-        rewind,
-        participant,
-        rng,
-    )
-}
-
-/// [`timeline_response`] against fully precomputed per-stimulus
-/// constants and a flat rewind table — the batch engine's inner-loop
-/// entry point: no `Video`, no timeline, no allocation. Bit-identical
-/// to [`timeline_response_shared`] for matching inputs (both funnel
-/// into the same core).
+/// Simulate one participant answering one timeline test, against the
+/// stimulus's precomputed constants and flat rewind table — the
+/// kernel's inner-loop entry: no `Video`, no timeline, no allocation.
 ///
 /// `rewinds[i]` must be the rewind suggestion for frame `i`
-/// (`FrameTimeline::rewind_table`).
-pub fn timeline_response_flat(
-    profile: &TimelineStimulusProfile,
-    rewinds: &[usize],
-    participant: &Persona,
-    video_label: &str,
-) -> TimelineResponse {
-    timeline_response_flat_with_rng(
-        profile,
-        rewinds,
-        participant,
-        response_rng(participant.seed, video_label),
-    )
-}
-
-/// [`timeline_response_flat`] with the leaf RNG supplied by the caller —
-/// the flat engine's fast-path entry (RNG built from a hoisted
-/// per-participant `"perception"` parent instead of a per-cell
-/// double derivation).
-pub(crate) fn timeline_response_flat_with_rng(
+/// (`FrameTimeline::rewind_table`); `rng` is the participant's
+/// perception stream for the stimulus's label
+/// ([`ModelSeeds::perception`](crate::ModelSeeds::perception)), so the
+/// same participant answers their videos independently but reproducibly.
+pub fn timeline_response(
     profile: &TimelineStimulusProfile,
     rewinds: &[usize],
     participant: &Persona,
@@ -288,6 +203,28 @@ pub(crate) fn timeline_response_flat_with_rng(
         &profile.clock,
         &mut |criterion| (profile.ready.get(criterion), profile.first_visible_us),
         &mut |i| rewinds[i],
+        participant,
+        rng,
+    )
+}
+
+/// [`timeline_response`] against the capture and a shared
+/// [`FrameTimeline`] (rewinds precomputed), for the streaming reference.
+/// Bit-identical to [`timeline_response`] for the same stimulus, persona
+/// and `rng`. The ready moment and first-visible floor are looked up
+/// lazily: the clicker/bot branch never consults them, and eagerly
+/// extracting all three criteria would triple this path's paint-stream
+/// scans.
+pub fn timeline_response_shared(
+    video: &Video,
+    frames: &FrameTimeline,
+    participant: &Persona,
+    rng: Rng,
+) -> TimelineResponse {
+    timeline_response_core(
+        &FrameClock::of(video),
+        &mut |criterion| (true_ready_time(video, criterion), first_visible_us(video)),
+        &mut |i| frames.rewind_at(i),
         participant,
         rng,
     )
@@ -337,7 +274,7 @@ fn timeline_response_core(
     let (ready, first_visible) = ready_of(participant.readiness);
     // Multiplicative perception noise (Weber-like: error scales with the
     // magnitude being judged).
-    let z: f64 = crate::dist_normal(&mut rng);
+    let z = rng.standard_normal();
     // Participants are *watching* the video: no one coherent reports
     // "ready" on a frame where nothing has appeared yet, so perception
     // is floored at the first viewport-visible paint.
@@ -380,21 +317,9 @@ fn timeline_response_core(
 
 /// Outcome of the timeline control question (a nearly-blank frame is
 /// proposed as the rewind; §3.3): `true` = the participant correctly
-/// kept their own choice.
-pub fn timeline_control_passes(participant: &Participant, video_label: &str) -> bool {
-    timeline_control_passes_flat(&participant.persona(), &format!("ctrl-{video_label}"))
-}
-
-/// [`timeline_control_passes`] with the derived control label (the
-/// `"ctrl-"`-prefixed video label) already built — the batch engine
-/// precomputes the string once per stimulus instead of once per row.
-pub fn timeline_control_passes_flat(participant: &Persona, ctrl_label: &str) -> bool {
-    timeline_control_with_rng(participant, response_rng(participant.seed, ctrl_label))
-}
-
-/// [`timeline_control_passes_flat`] with the control-stream RNG supplied
-/// by the caller (fast-path entry).
-pub(crate) fn timeline_control_with_rng(participant: &Persona, mut rng: Rng) -> bool {
+/// kept their own choice. `rng` is the participant's perception stream
+/// for the `"ctrl-"`-prefixed label of the control video.
+pub fn timeline_control_passes(participant: &Persona, mut rng: Rng) -> bool {
     let reject_p = match participant.class {
         ParticipantClass::Diligent => 0.995,
         ParticipantClass::Average => 0.98,
@@ -406,14 +331,11 @@ pub(crate) fn timeline_control_with_rng(participant: &Persona, mut rng: Rng) -> 
     rng.random_bool(reject_p)
 }
 
-fn response_rng(seed: eyeorg_stats::Seed, label: &str) -> Rng {
-    Rng::seed_from_u64(seed.derive("perception").derive(label).value())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::participant::PopulationProfile;
+    use crate::participant::{Participant, PopulationProfile};
+    use crate::ModelSeeds;
     use eyeorg_stats::Seed;
     use eyeorg_browser::{load_page, BrowserConfig};
     use eyeorg_net::SimDuration;
@@ -425,6 +347,19 @@ mod tests {
         Video::capture(trace, 10, SimDuration::from_secs(5))
     }
 
+    /// One participant's answer on `v` under `label`.
+    fn timeline_response(v: &Video, p: &Participant, label: &str) -> TimelineResponse {
+        let mut tl = FrameTimeline::of(v);
+        tl.precompute_rewinds();
+        timeline_response_shared(v, &tl, &p.persona(), ModelSeeds::of(p.seed).perception(label))
+    }
+
+    /// One participant's control answer on the video labelled `label`.
+    fn timeline_control_passes(p: &Participant, label: &str) -> bool {
+        let rng = ModelSeeds::of(p.seed).perception(&format!("ctrl-{label}"));
+        super::timeline_control_passes(&p.persona(), rng)
+    }
+
     #[test]
     fn flat_profile_path_matches_shared_path() {
         let v = video();
@@ -434,13 +369,11 @@ mod tests {
         let profile = TimelineStimulusProfile::of(&v);
         let pop = PopulationProfile::paid().generate(Seed(66), 150);
         for p in &pop {
-            let shared = timeline_response_shared(&v, &tl, p, "tl-3");
-            let flat = timeline_response_flat(&profile, &table, &p.persona(), "tl-3");
+            let (persona, seeds) = (p.persona(), ModelSeeds::of(p.seed));
+            let shared = timeline_response_shared(&v, &tl, &persona, seeds.perception("tl-3"));
+            let flat =
+                super::timeline_response(&profile, &table, &persona, seeds.perception("tl-3"));
             assert_eq!(shared, flat, "class {:?}", p.class);
-            assert_eq!(
-                timeline_control_passes(p, "tl-3"),
-                timeline_control_passes_flat(&p.persona(), "ctrl-tl-3"),
-            );
         }
     }
 

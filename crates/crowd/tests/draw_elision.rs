@@ -1,7 +1,6 @@
-//! Draw-elision soundness properties for the behavioural-model fast
-//! path.
+//! Draw-elision soundness properties for the behavioural model.
 //!
-//! The fast path's licence to skip work rests on one invariant: every
+//! The campaign kernel's licence to skip work rests on one invariant: every
 //! draw the model takes derives from `persona.seed ⊕ activity ⊕
 //! per-stimulus label` with **no shared RNG stream**, so a draw whose
 //! value is never consumed can be elided without perturbing any drawn
@@ -22,14 +21,10 @@
 //! exist to catch early (at the crowd layer, with field-level
 //! assertions instead of an opaque digest mismatch).
 
-use eyeorg_crowd::fastpath::{
-    ab_control_seeded, instruction_time_seeded, judge_pair_seeded, session_seed,
-    timeline_control_seeded, timeline_response_seeded, total_time_on_site_seeded,
-    video_session_from_rng, video_session_seeded,
-};
 use eyeorg_crowd::{
-    true_ready_time, ModelSeeds, Persona, PopulationProfile, ReadinessCriterion, SessionProfile,
-    TestKind, TimelineStimulusProfile, VideoSession,
+    ab_control, judge_pair, timeline_control_passes, timeline_response, total_time_on_site,
+    true_ready_time, video_session, ModelSeeds, Persona, PopulationProfile, ReadinessCriterion,
+    SessionProfile, TestKind, TimelineStimulusProfile, VideoSession,
 };
 use eyeorg_browser::{load_page, BrowserConfig};
 use eyeorg_net::SimDuration;
@@ -58,14 +53,14 @@ fn serve_all(
 ) -> (Vec<VideoSession>, Vec<f64>, bool, SimDuration) {
     let sessions: Vec<VideoSession> = labels
         .iter()
-        .map(|l| video_session_seeded(sprof, p, TestKind::Timeline, seeds, l))
+        .map(|l| video_session(sprof, p, TestKind::Timeline, seeds.behavior(l)))
         .collect();
     let responses: Vec<f64> = labels
         .iter()
-        .map(|l| timeline_response_seeded(tprof, rewinds, p, seeds, l).submitted.as_secs_f64())
+        .map(|l| timeline_response(tprof, rewinds, p, seeds.perception(l)).submitted.as_secs_f64())
         .collect();
-    let control = timeline_control_seeded(p, seeds, "ctrl-tl-0");
-    let total = total_time_on_site_seeded(&sessions, p, seeds);
+    let control = timeline_control_passes(p, seeds.perception("ctrl-tl-0"));
+    let total = total_time_on_site(&sessions, p, seeds.instructions());
     (sessions, responses, control, total)
 }
 
@@ -96,8 +91,7 @@ fn isolated_values_match_full_serve() {
             // Each response with all sessions, the control, the other
             // responses and the time accounting elided.
             for (j, label) in labels.iter().enumerate() {
-                let lone =
-                    timeline_response_seeded(&tprof, &rewinds, &p, &seeds, label);
+                let lone = timeline_response(&tprof, &rewinds, &p, seeds.perception(label));
                 assert_eq!(
                     lone.submitted.as_secs_f64(),
                     responses[j],
@@ -106,52 +100,41 @@ fn isolated_values_match_full_serve() {
             }
             // Each session with everything else elided.
             for (j, label) in labels.iter().enumerate() {
-                let lone = video_session_seeded(&sprof, &p, TestKind::Timeline, &seeds, label);
+                let lone = video_session(&sprof, &p, TestKind::Timeline, seeds.behavior(label));
                 assert_eq!(lone, sessions[j], "session {label} participant {i}");
             }
             // Control and behaviour independent of response elision.
             assert_eq!(
-                timeline_control_seeded(&p, &seeds, "ctrl-tl-0"),
+                timeline_control_passes(&p, seeds.perception("ctrl-tl-0")),
                 control,
                 "control participant {i}"
             );
             assert_eq!(
-                total_time_on_site_seeded(&sessions, &p, &seeds),
+                total_time_on_site(&sessions, &p, seeds.instructions()),
                 total,
                 "total time participant {i}"
             );
-            let instruction = instruction_time_seeded(&p, &seeds);
+            let instruction = total_time_on_site(&[], &p, seeds.instructions());
             // A/B streams stay untouched by everything above.
-            let judged = judge_pair_seeded(
-                ready,
-                ready + SimDuration::from_millis(600),
-                &p,
-                &seeds,
-                "ab-1",
-            );
-            let ab_ctrl = ab_control_seeded(ready, &p, &seeds, "ab-0");
+            let later = ready + SimDuration::from_millis(600);
+            let judged = judge_pair(ready, later, &p, seeds.abjudge("ab-1"));
+            let ab_ctrl = ab_control(ready, &p, seeds.abjudge("ab-0"));
             let (sessions2, ..) = serve_all(&p, &seeds, &sprof, &tprof, &rewinds, &labels);
             assert_eq!(sessions2, sessions, "timeline replay after judging, participant {i}");
             assert_eq!(
-                judge_pair_seeded(
-                    ready,
-                    ready + SimDuration::from_millis(600),
-                    &p,
-                    &seeds,
-                    "ab-1"
-                ),
+                judge_pair(ready, later, &p, seeds.abjudge("ab-1")),
                 judged,
                 "judgment replay participant {i}"
             );
             // Replay after the intervening timeline serve: the A/B
             // control and instruction streams must be untouched by it.
             assert_eq!(
-                ab_control_seeded(ready, &p, &seeds, "ab-0"),
+                ab_control(ready, &p, seeds.abjudge("ab-0")),
                 ab_ctrl,
                 "ab control replay participant {i}"
             );
             assert_eq!(
-                instruction_time_seeded(&p, &seeds),
+                total_time_on_site(&[], &p, seeds.instructions()),
                 instruction,
                 "instruction replay participant {i}"
             );
@@ -208,13 +191,13 @@ fn bulk_seed_plane_matches_scalar_cells() {
     let mut rngs = Vec::new();
     for si in 0..6 {
         let label = format!("tl-{si}");
-        let plane: Vec<u64> = seeds.iter().map(|s| session_seed(s, &label)).collect();
+        let plane: Vec<u64> = seeds.iter().map(|s| s.session_seed(&label)).collect();
         Rng::seed_block(&plane, &mut rngs);
         assert_eq!(rngs.len(), personas.len(), "label {label}");
         for (j, (p, ms)) in personas.iter().zip(&seeds).enumerate() {
             assert_eq!(
-                video_session_from_rng(&sprof, p, TestKind::Timeline, rngs[j].clone()),
-                video_session_seeded(&sprof, p, TestKind::Timeline, ms, &label),
+                video_session(&sprof, p, TestKind::Timeline, rngs[j].clone()),
+                video_session(&sprof, p, TestKind::Timeline, ms.behavior(&label)),
                 "label {label} cell {j}"
             );
         }

@@ -20,7 +20,10 @@
 //! parameter. A head it cannot resolve (a generic parameter, an opaque
 //! glob, a trait path) and every method call bind by name alone, within
 //! the caller's crate dependency closure — an over-approximation, the
-//! right direction for the two rules that consume the graph:
+//! right direction for the two rules that consume the graph. A path
+//! passed as an argument without being called (`.map(decode)`) is a
+//! call too, but binds only where it resolves to a workspace path: a
+//! local's name binds to nothing.
 //!
 //! * **D7** — no panic site may be *reachable* from a function marked
 //!   `// lint:entrypoint(untrusted)` (the checkpoint load/merge surface
@@ -147,6 +150,9 @@ struct Call {
     segs: Vec<String>,
     /// `recv.name(…)`: the receiver's type is unknown.
     method: bool,
+    /// A path passed as a value (`.map(decode)`): binds only where it
+    /// resolves to a workspace path, so a local's name binds to nothing.
+    value: bool,
 }
 
 /// A potential panic site inside a fn body.
@@ -713,6 +719,12 @@ impl<'a, 't> Parser<'a, 't> {
         // Path / call detection: collect `a::b::c` and look for `(`.
         let (segs, complete) = self.take_path(name);
         let is_call = complete && self.peek_punct(0, "(");
+        // A fn passed by path as an argument (`.map(decode)`) is called
+        // by the callee it is passed to.
+        let value = complete
+            && !is_call
+            && matches!(prev, Some((TokenKind::Punct, "(" | ",")))
+            && (self.peek_punct(0, ")") || self.peek_punct(0, ","));
         // Sources named anywhere in the path. `available_parallelism`
         // counts only when called or named by path: a local or a field
         // of that name holds a value already read.
@@ -728,7 +740,7 @@ impl<'a, 't> Parser<'a, 't> {
                 _ => {}
             }
         }
-        if !is_call {
+        if !is_call && !value {
             return;
         }
         // `..Type::default()` (struct update) follows a `.` but is a path.
@@ -742,7 +754,8 @@ impl<'a, 't> Parser<'a, 't> {
             && segs[segs.len() - 2] == "env"
             && matches!(callee.as_str(), "var" | "var_os" | "vars" | "vars_os")
         {
-            let arg_allowed = matches!(callee.as_str(), "var" | "var_os")
+            let arg_allowed = is_call
+                && matches!(callee.as_str(), "var" | "var_os")
                 && self.peek_sig(1).is_some_and(|t| {
                     t.kind == TokenKind::Str
                         && self.text(t).trim_matches(|c| c == 'b' || c == '"').starts_with("EYEORG_")
@@ -755,7 +768,7 @@ impl<'a, 't> Parser<'a, 't> {
             self.note_source(line, "thread identity (`thread::current`)".to_owned());
         }
         if let Some(f) = self.fn_stack.last().copied() {
-            self.fns[f].calls.push(Call { segs, method });
+            self.fns[f].calls.push(Call { segs, method, value });
         }
     }
 
@@ -1019,6 +1032,7 @@ pub fn analyze(files: &[FileInput<'_>]) -> Vec<TaintFinding> {
     let resolve = |caller: &FnItem, call: &Call| -> Vec<usize> {
         match resolver.call_target(caller, call) {
             Target::Outside => Vec::new(),
+            Target::Unknown if call.value => Vec::new(),
             Target::Unknown => call.segs.last().map_or(Vec::new(), |n| candidates(caller, n)),
             Target::Path(want) => {
                 let cands = want.last().map_or(Vec::new(), |n| candidates(caller, n));

@@ -125,11 +125,11 @@ fn streaming_accumulator_modules_are_d1_covered() {
         // nondeterministic container there skews the decision sequence.
         "crates/core/src/adaptive.rs",
         "crates/video/src/bitplane.rs",
-        // The behavioural-model fast path (PR 10) derives every session,
+        // `ModelSeeds` derives the leaf stream of every session,
         // response and control draw the engines fingerprint; an
-        // order-seeded container there would poison all three engines
-        // at once.
-        "crates/crowd/src/fastpath.rs",
+        // order-seeded container there would poison every engine at
+        // once.
+        "crates/crowd/src/participant.rs",
     ] {
         let meta = FileMeta::classify(path);
         let report = lint_source(&meta, bad);
@@ -141,13 +141,14 @@ fn streaming_accumulator_modules_are_d1_covered() {
     }
 }
 
-/// The fast-path module hands out raw seeds and folds float draws, so
-/// beyond D1 it must also sit under D6 (float ordering/accumulation)
-/// and D8 (machine-dependent taint reaching a seed/fingerprint sink).
-/// Snippets are shaped on `tests/fixtures/d6_bad.rs` / `d8_bad.rs`.
+/// The module holding `ModelSeeds` hands out raw seeds and folds float
+/// draws, so beyond D1 it must also sit under D6 (float
+/// ordering/accumulation) and D8 (machine-dependent taint reaching a
+/// seed/fingerprint sink). Snippets are shaped on
+/// `tests/fixtures/d6_bad.rs` / `d8_bad.rs`.
 #[test]
-fn fastpath_module_is_d6_and_d8_covered() {
-    let meta = FileMeta::classify("crates/crowd/src/fastpath.rs");
+fn model_seeds_module_is_d6_and_d8_covered() {
+    let meta = FileMeta::classify("crates/crowd/src/participant.rs");
 
     let d6_bad = "pub fn spread(xs: &[f64]) -> f64 {\n\
                       let mut v = xs.to_vec();\n\
@@ -157,7 +158,7 @@ fn fastpath_module_is_d6_and_d8_covered() {
     let report = lint_source(&meta, d6_bad);
     assert!(
         codes(&report).contains(&"D6"),
-        "fastpath.rs must be under D6 coverage, got {:?}",
+        "participant.rs must be under D6 coverage, got {:?}",
         report.diagnostics
     );
 
@@ -171,7 +172,7 @@ fn fastpath_module_is_d6_and_d8_covered() {
     let report = lint_source(&meta, d8_bad);
     assert!(
         codes(&report).contains(&"D8"),
-        "fastpath.rs must be under D8 coverage, got {:?}",
+        "participant.rs must be under D8 coverage, got {:?}",
         report.diagnostics
     );
 }

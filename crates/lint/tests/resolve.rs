@@ -2,10 +2,11 @@
 //!
 //! Each case is a small multi-file workspace. A panic reached through
 //! a path the code really names (a `pub use` re-export, `Self::`, a
-//! `type` alias, a trait default body, a generic parameter) must still
-//! be found; a path that leaves the workspace (`std`, a primitive, a
-//! prelude type) or names a derived method must bind to nothing, even
-//! when a same-named workspace item would panic.
+//! `type` alias, a trait default body, a generic parameter, a fn passed
+//! by path as an argument) must still be found; a path that leaves the
+//! workspace (`std`, a primitive, a prelude type), names a derived
+//! method or names a local must bind to nothing, even when a same-named
+//! workspace item would panic.
 
 use eyeorg_lint::{analyze_sources, FileMeta};
 
@@ -89,6 +90,39 @@ impl Loader {
         ("crates/stats/src/lib.rs", STATS_LIB),
     ]);
     assert_eq!(got, vec![d7("crates/core/src/checkpoint.rs", 10)]);
+}
+
+#[test]
+fn a_panic_through_a_fn_passed_by_path_is_found() {
+    let src = "\
+// lint:entrypoint(untrusted)
+pub fn load(lines: &[&[u8]]) -> Vec<u8> {
+    lines.iter().map(|l| *l).map(decode).collect()
+}
+
+fn decode(bytes: &[u8]) -> u8 {
+    bytes[0]
+}
+";
+    let got = findings(&[("crates/core/src/checkpoint.rs", src)]);
+    assert_eq!(got, vec![d7("crates/core/src/checkpoint.rs", 7)]);
+}
+
+#[test]
+fn a_local_passed_as_an_argument_binds_to_nothing() {
+    let src = "\
+// lint:entrypoint(untrusted)
+pub fn load(bytes: &[u8]) -> usize {
+    let decode = bytes.len();
+    usize::max(decode, 1)
+}
+";
+    let got = findings(&[
+        ("crates/core/src/checkpoint.rs", src),
+        ("crates/stats/src/decoy.rs", STATS_DECOY),
+        ("crates/stats/src/lib.rs", STATS_LIB),
+    ]);
+    assert_eq!(got, vec![]);
 }
 
 #[test]

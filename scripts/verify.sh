@@ -50,14 +50,6 @@ step env EYEORG_THREADS=4 cargo run -q --release -p eyeorg-lint --bin stress
 # The deterministic run report (results/RUN_report.json, uploaded by
 # CI); crates/bench/tests/run_report_golden.rs pins its counter section.
 step cargo run -q --release -p eyeorg-bench --bin run_report
-# Behavioural-model fast-path gate (DESIGN.md §3k): the smoke run exits
-# non-zero when the demand-driven model path (trait cursors, hoisted
-# seed parents, bulk-seeded sessions, draw-elided responses) diverges
-# from the pre-fast-path reference on any scenario checksum, or when
-# the measured model-path speedup falls below the smoke regression
-# floor. Writes results/BENCH_model.json (uploaded by CI; the full-size
-# run is `perf_model` with no flags and gates the 1.8x target).
-step cargo run -q --release -p eyeorg-bench --bin perf_model -- --smoke
 # Adaptive early stopping at scale (DESIGN.md §3h): exits non-zero
 # unless the adaptive 1M-participant campaign simulates >= 3x fewer
 # participants than the full run with every UPLT percentile inside the
