@@ -21,10 +21,10 @@
 //! Participants are processed in index order in fixed-size **epochs**
 //! ([`AdaptiveConfig::epoch`]). Each epoch is one [`crate::flat`]
 //! kernel epoch over the next index range, sharded and parallelised
-//! like any other flat run; at the epoch
-//! **barrier** the epoch's shard folds are merged (shard order) into a
-//! cumulative fold — which at the end becomes the digest as it is, with
-//! no second merge — and the stopping rule runs on that merged state:
+//! like any other flat run, whose per-worker folds the kernel merges
+//! into the driver's cumulative fold — which at the end becomes the
+//! digest as it is, with no second merge. At the epoch **barrier** the
+//! stopping rule runs on that merged state:
 //! a live stimulus stops when its UPLT confidence half-width — the max
 //! of the [`Moments`](eyeorg_stats::stream::Moments) mean-CI half-width
 //! and the sketch-resolution-aware median interval from
@@ -36,9 +36,11 @@
 //! ## Why the output is byte-identical across executions
 //!
 //! Decisions are taken **only at barriers**, on state that is a pure
-//! function of (seed, config, processed index range, mask): shard folds
-//! merge in shard order, every accumulator is multiset-determined, and
-//! the mask consumed by an epoch is fixed before the epoch starts. So
+//! function of (seed, config, processed index range, mask): every
+//! accumulator is exactly multiset-determined, so the kernel's
+//! per-worker folds merge to the same state whichever worker folded
+//! which shard, and the mask consumed by an epoch is fixed before the
+//! epoch starts. So
 //! the decision sequence — and with it every digest and counter
 //! fingerprint — is invariant under shard size, thread count, and the
 //! PR 4 chaos-seed exerciser (pinned by the `adaptive_stopping` tests
@@ -319,7 +321,7 @@ impl<A: ShardKind> DriveState<A> {
 }
 
 /// The epoch loop: from `st`, fold the next `epoch` indices through
-/// `kernel` under the mask, merge in shard order, and hand the state to
+/// `kernel` under the mask into the state's fold, and hand the state to
 /// `barrier`, which may change the mask and returns `false` to
 /// interrupt. Runs until `budget` indices are processed or nothing is
 /// live; returns the state and whether it got there. Epochs are pure
@@ -335,8 +337,7 @@ pub(crate) fn drive_resumable<P: Plane>(
     while st.processed < budget && st.stop.live.iter().any(|&l| l) {
         let lo = st.processed;
         let hi = lo.saturating_add(epoch.max(1)).min(budget);
-        let (folds, range_admitted) = kernel.epoch(lo, hi, st.admitted, &st.stop.live);
-        st.acc.merge_all(&folds);
+        let range_admitted = kernel.epoch(lo, hi, st.admitted, &st.stop.live, &mut st.acc);
         st.admitted += range_admitted;
         st.processed = hi;
         st.stop.epochs += 1;

@@ -13,10 +13,10 @@
 //! tests and the `resume` and `merge3` cells of `campaign_golden`).
 //!
 //! One codec serves both test kinds. [`Checkpoint<A>`] holds the one
-//! shard fold (`stream::Fold`) over the kind's per-stimulus accumulator
+//! fold type (`stream::Fold`) over the kind's per-stimulus accumulator
 //! `A` ([`StimulusDigest`] or [`AbStimulusDigest`]), and a small
 //! crate-private trait on `A` supplies only what differs: the kind tag
-//! and drive-line flag, the per-stimulus constructor and checked merge,
+//! and drive-line flag, the per-stimulus constructors and checked merge,
 //! the totals and stimulus line shapes, the digest struct and the
 //! answer counters. `save`, `load`, `merge`, `finalize`, the resume
 //! state, the driver checkpoint and the worker body are written once;
@@ -92,7 +92,7 @@
 //! snapshot's `counter_fingerprint` equals the uninterrupted run's.
 //! Worker processes likewise reset first, so a worker checkpoint's
 //! counters are exactly its range's contribution (counter totals are
-//! per-shard sums, hence partition-independent).
+//! sums over folds, hence partition-independent).
 
 use std::collections::BTreeMap;
 
@@ -450,9 +450,9 @@ mod kind {
     use super::*;
 
     /// What a test kind's per-stimulus accumulator supplies to the one
-    /// shard fold ([`Fold`]) and the one checkpoint codec: only what
+    /// fold type ([`Fold`]) and the one checkpoint codec: only what
     /// differs between the kinds.
-    pub trait ShardKind: Clone + std::fmt::Debug + Send + Sized {
+    pub trait ShardKind: Clone + std::fmt::Debug + Send + Sync + Sized {
         /// The header's `kind` tag.
         const TAG: &'static str;
         /// Whether files carry a drive line (adaptive driver state).
@@ -466,6 +466,9 @@ mod kind {
         fn params(p: DigestParams) -> DigestParams;
         /// An empty accumulator for stimulus `st`.
         fn new(st: &Self::Stimulus, params: &DigestParams) -> Self;
+        /// An empty partial of this accumulator, in its regime, to fold
+        /// into and merge back into it.
+        fn empty_like(&self) -> Self;
         /// Fold another shard's accumulator for the same stimulus in,
         /// checking identity and configuration first.
         fn merge(&mut self, other: &Self) -> Result<(), MergeError>;
@@ -498,6 +501,10 @@ impl ShardKind for StimulusDigest {
 
     fn new(st: &TimelineStimulus, params: &DigestParams) -> StimulusDigest {
         StimulusDigest::new(&st.name, st.video.duration().as_secs_f64(), params)
+    }
+
+    fn empty_like(&self) -> StimulusDigest {
+        StimulusDigest::empty_like(self)
     }
 
     fn merge(&mut self, other: &StimulusDigest) -> Result<(), MergeError> {
@@ -572,6 +579,10 @@ impl ShardKind for AbStimulusDigest {
 
     fn new(st: &AbStimulus, _: &DigestParams) -> AbStimulusDigest {
         AbStimulusDigest::new(&st.name)
+    }
+
+    fn empty_like(&self) -> AbStimulusDigest {
+        AbStimulusDigest::new(&self.name)
     }
 
     fn merge(&mut self, other: &AbStimulusDigest) -> Result<(), MergeError> {

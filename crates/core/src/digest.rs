@@ -25,15 +25,17 @@
 //!
 //! Digest merges are only meaningful between accumulators built from
 //! the same stimulus under the same [`DigestParams`]; anything else is
-//! either a programming error (shard folds of one campaign always
+//! either a programming error (partial folds of one campaign always
 //! agree by construction) or **untrusted input** (a checkpoint file
 //! from disk, see `crate::checkpoint`). The fallible merges therefore
 //! return [`MergeError`] — carrying both sides' identity/configuration
 //! so a mismatch names exactly what disagreed — instead of panicking.
-//! The one internal shard merge (`stream::Fold::merge_all`), whose
-//! inputs share one construction site, discharges the `Result` with a
-//! documented `expect` waiver; the checkpoint layer propagates it as a
-//! typed error to its caller.
+//! The one internal merge (`stream::Fold::merge_all`), which folds the
+//! kernel's per-worker folds (and the reference's shard folds) into
+//! one campaign fold, relies on exact multiset-determinism rather than
+//! merge order; its inputs share one construction site, so it
+//! discharges the `Result` with a documented `expect` waiver. The
+//! checkpoint layer propagates it as a typed error to its caller.
 
 use eyeorg_stats::{Histogram, Moments, QuantileSketch};
 
@@ -210,6 +212,19 @@ impl StimulusDigest {
             uplt: Moments::new(),
             hist: fixed_hist(duration_secs, params.hist_bins),
             sketch: fixed_sketch(duration_secs, params.sketch_bins, params.exact_cap),
+        }
+    }
+
+    /// Empty accumulators with this digest's identity and binning, the
+    /// sketch in this digest's regime
+    /// ([`QuantileSketch::empty_like`]): a partial to fold responses
+    /// into and merge back into `self`, and nowhere else.
+    pub fn empty_like(&self) -> StimulusDigest {
+        StimulusDigest {
+            name: self.name.clone(),
+            uplt: Moments::new(),
+            hist: self.hist.empty_like(),
+            sketch: self.sketch.empty_like(),
         }
     }
 
@@ -617,5 +632,37 @@ impl RowTail {
         }
         let admitted = campaign.participants().len() as u64;
         RowTail { behavior, controls, admitted, rejected: recruited as u64 - admitted }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn values(k: usize) -> impl Iterator<Item = f64> {
+        (0..k).map(|i| ((i * 7919) % 1000) as f64 / 100.0)
+    }
+
+    #[test]
+    fn empty_like_partials_merge_like_direct_pushes() {
+        let params = DigestParams { hist_bins: 16, sketch_bins: 32, exact_cap: 8 };
+        let mut spilled = StimulusDigest::new("s", 10.0, &params);
+        values(50).for_each(|v| spilled.push(v));
+        assert!(!spilled.sketch.is_exact());
+        for k in [0usize, 3, 8, 9, 200] {
+            let mut partial = spilled.empty_like();
+            let mut direct = spilled.clone();
+            for v in values(k + 5).skip(5) {
+                partial.push(v);
+                direct.push(v);
+            }
+            let mut merged = spilled.clone();
+            merged.merge(&partial).unwrap();
+            assert_eq!(format!("{merged:?}"), format!("{direct:?}"), "k={k}");
+        }
+        // An exact digest's partial is a fresh digest.
+        let mut exact = StimulusDigest::new("s", 10.0, &params);
+        values(5).for_each(|v| exact.push(v));
+        assert_eq!(exact.empty_like(), StimulusDigest::new("s", 10.0, &params));
     }
 }

@@ -19,13 +19,15 @@
 //!    precomputed labels, the response/readiness constants, the
 //!    [`SessionProfile`], and (timeline) the full rewind table — the
 //!    inner loop never touches a `Video` again.
-//! 2. Each shard works out of a reusable **arena** (`Scratch`) owned
-//!    by its worker thread (via [`par_map_range_scratch`]): flat
-//!    per-cell arrays for personas, picks, sessions, and the
+//! 2. Each worker thread owns one reusable **arena** (`Scratch`) and
+//!    one fold (via [`par_fold_range`]), and every shard it claims
+//!    runs out of that arena and folds into that fold. The arena holds
+//!    flat per-cell arrays for personas, picks, sessions, and the
 //!    per-stimulus row index, plus the per-stimulus **seed plane**
 //!    (`seed_buf`) and its bulk-expanded generator block (`rngs`).
 //!    After the first shard warms the capacities up, the inner loop
-//!    allocates nothing.
+//!    allocates nothing, and an epoch holds one fold per worker
+//!    however many shards it has.
 //! 3. Within a shard the work runs **stimulus-blocked**: pass A draws
 //!    trait cursors and gates them (finishing traits only for served
 //!    rows), pass B assigns stimuli and builds the per-stimulus cell
@@ -34,17 +36,17 @@
 //!    into a flat plane and expanding them into xoshiro256++ states in
 //!    one block — and pass D/E answers controls and walks rows in
 //!    ascending order folding filters, answers, and behaviour into the
-//!    shard accumulators. Slider responses and A/B judgments are
+//!    worker's fold. Slider responses and A/B judgments are
 //!    **demand-driven**: they are drawn at push time, only for cells
 //!    whose value actually reaches a live digest (kept row, non-skipped
 //!    session, live stimulus).
 //!
 //! ## One skeleton, two kinds
 //!
-//! The shard fold (`Kernel::fold_range`: gate → assign →
+//! The shard pass (`Kernel::fold_range`: gate → assign →
 //! stimulus-blocked serve → row walk) and the epoch around it are
 //! written once, generic over `Plane`, and so is the row-keeping
-//! `serve`. Both kinds fold into the one shard fold (`stream::Fold`),
+//! `serve`. Both kinds fold into the one fold type (`stream::Fold`),
 //! whose gate, answer and per-participant totals the kernel keeps
 //! itself. A test kind supplies only its per-stimulus plane, its answer
 //! and control draws, what one showing (A/B: its show tallies) and one
@@ -62,16 +64,22 @@
 //! is immaterial*: reordering pass C by stimulus instead of by
 //! participant, bulk-seeding a whole stimulus block, or not drawing a
 //! response whose value no accumulator consumes reads the exact same
-//! bits everywhere else. What does carry order is the push sequence
-//! into each accumulator, and pass E replays it exactly as
-//! `digest_timeline`/`digest_ab` fold the rows of `serve`: rows
-//! ascending, slots in presentation order. Counters (gate, responses,
-//! filters, controls) are pure totals and are bumped in pass C
-//! regardless of whether the value is later consumed. The
+//! bits everywhere else. Nor does push order reach the digest: every
+//! accumulator is exactly multiset-determined (fixed-point `i128`
+//! moments, integer bins and tallies, a quantile sketch whose state
+//! depends only on the multiset of values), so a worker folds the
+//! shards it claims in claim order, and `Kernel::epoch` merges the
+//! per-worker folds into the driver's fold in whatever grouping the
+//! schedule produced. (Pass E still walks rows ascending, slots in
+//! presentation order — the order `digest_timeline`/`digest_ab` fold
+//! the rows of `serve`.) Counters (gate, responses, filters, controls)
+//! are pure totals, counted in pass C regardless of whether the value
+//! is later consumed and bumped once per worker fold. The
 //! `streaming_equivalence`, `streaming_counters` and `campaign_golden`
 //! tests pin the fold to the digest of the kept rows (and the timeline
-//! fold to the streaming reference) across shard sizes and thread
-//! counts.
+//! fold to the streaming reference, which merges shard folds in shard
+//! order) across shard sizes and thread counts, and the `stress`
+//! exerciser across chaos-seeded schedules.
 
 use eyeorg_crowd::{
     ab_control, judge_pair, timeline_control_passes, timeline_response, total_time_on_site,
@@ -80,14 +88,14 @@ use eyeorg_crowd::{
     VideoSession,
 };
 use eyeorg_stats::rng::Rng;
-use eyeorg_stats::{par_map_range, par_map_range_scratch, resolve_threads, Seed};
+use eyeorg_stats::{par_fold_range, par_map_range, resolve_threads, Seed};
 use eyeorg_video::FrameTimeline;
 
 use crate::adaptive::{drive_resumable, DriveState};
 use crate::analysis::BehaviorPoint;
 use crate::campaign::{AbRow, AbVerdict, ControlRow, TimelineRow};
 use crate::checkpoint::ShardKind;
-use crate::digest::{AbDigest, AbStimulusDigest, DigestParams, StimulusDigest, TimelineDigest};
+use crate::digest::{AbDigest, AbStimulusDigest, StimulusDigest, TimelineDigest};
 use crate::experiment::{
     a_on_left, assert_runnable, assign, assign_into, AbStimulus, ExperimentConfig, TimelineStimulus,
 };
@@ -366,7 +374,6 @@ pub(crate) struct Kernel<'a, P: Plane> {
     filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
     recruit_seed: Seed,
     assign_seed: Seed,
-    params: DigestParams,
     /// Showings per participant.
     k: usize,
     pub(crate) threads: usize,
@@ -397,7 +404,6 @@ impl<'a, P: Plane> Kernel<'a, P> {
             filters,
             recruit_seed: seed.derive("recruit"),
             assign_seed: seed.derive(P::ASSIGN),
-            params: sc.params,
             k: cfg.videos_per_participant.min(stimuli.len()),
             threads,
             shard: sc.shard_size.max(1),
@@ -410,18 +416,24 @@ impl<'a, P: Plane> Kernel<'a, P> {
         admitted_bases_range(0, lo, self.shard, self.threads, &self.pop, self.recruit_seed, 0).1
     }
 
-    /// One epoch: shard participant indices `[lo, hi)`, fold each shard
-    /// under the per-stimulus `live` mask from per-worker arenas (pass 1
-    /// computes the shards' admitted bases, continuing from
-    /// `base_admitted`), and return the folds in shard order plus the
-    /// range's gate-admission count.
+    /// One epoch: shard participant indices `[lo, hi)` (pass 1 computes
+    /// the shards' admitted bases, continuing from `base_admitted`),
+    /// fold every shard a worker claims under the per-stimulus `live`
+    /// mask into that worker's one fold, merge the workers' folds into
+    /// `acc`, and return the range's gate-admission count. Each worker
+    /// fold starts as `acc.empty_like()`, so once `acc`'s sketches have
+    /// spilled the workers bin from their first push; such partials are
+    /// merged here and never leave the kernel. Which worker folds which
+    /// shard follows the schedule: `acc` ends the same because every
+    /// accumulator is multiset-determined and its merge exact.
     pub(crate) fn epoch(
         &self,
         lo: usize,
         hi: usize,
         base_admitted: u64,
         live: &[bool],
-    ) -> (Vec<Fold<P::Acc>>, u64) {
+        acc: &mut Fold<P::Acc>,
+    ) -> u64 {
         let shard = self.shard;
         let (bases, range_admitted) = admitted_bases_range(
             lo,
@@ -432,35 +444,37 @@ impl<'a, P: Plane> Kernel<'a, P> {
             self.recruit_seed,
             base_admitted,
         );
-        let folds = par_map_range_scratch(
-            (hi - lo).div_ceil(shard),
+        let workers = par_fold_range(
+            bases.len(),
             self.threads,
-            || Scratch::new(self.stimuli.len()),
-            |arena, s| {
+            || (Scratch::new(self.stimuli.len()), acc.empty_like()),
+            |(arena, fold), s| {
                 let slo = lo + s * shard;
-                let fold = self.fold_range(arena, slo, (slo + shard).min(hi), bases[s], live);
-                fold.bump_counters();
-                fold
+                self.fold_range(arena, fold, slo, (slo + shard).min(hi), bases[s], live);
             },
         );
-        (folds, range_admitted)
+        for (_, fold) in &workers {
+            fold.bump_counters();
+        }
+        acc.merge_all(workers.iter().map(|(_, fold)| fold));
+        range_admitted
     }
 
     /// Fold participant indices `[lo, hi)` with admitted-index base
-    /// `base` under the per-stimulus `live` mask — the stimulus-blocked
-    /// column passes, replaying exactly the materializing engine's draw
-    /// and push sequences.
+    /// `base` under the per-stimulus `live` mask into `fold` — the
+    /// stimulus-blocked column passes, replaying exactly the
+    /// materializing engine's draw and push sequences.
     fn fold_range(
         &self,
         arena: &mut Scratch,
+        fold: &mut Fold<P::Acc>,
         lo: usize,
         hi: usize,
         base: u64,
         live: &[bool],
-    ) -> Fold<P::Acc> {
+    ) {
         let all_live = live.iter().all(|&l| l);
         let k = self.k;
-        let mut fold = Fold::fresh(self.stimuli, &self.params);
         arena.reset();
 
         // Pass A: humanness gate (and, under an adaptive mask, whole-
@@ -497,7 +511,7 @@ impl<'a, P: Plane> Kernel<'a, P> {
             arena.personas.push(p);
         }
         let rows = arena.personas.len();
-        fold.admitted = rows as u64;
+        fold.admitted += rows as u64;
         arena.size_cells(rows * k);
 
         // Pass B: assignment + per-stimulus cell index. (Under a mask
@@ -593,7 +607,6 @@ impl<'a, P: Plane> Kernel<'a, P> {
                 }
             }
         }
-        fold
     }
 }
 

@@ -9,16 +9,18 @@
 //! from the campaign seed (`generate_one` is index-addressed, so no
 //! participant list is ever materialized), runs the gate → assignment
 //! → behaviour → perception → filter pipeline inline, and folds the
-//! results into the mergeable accumulators of [`crate::digest`]. Shards
-//! execute via `par_map_range` and merge in shard-index order; since
-//! every accumulator's state is multiset-determined, the digest — and
-//! the obs `counter_fingerprint` — is byte-identical at any thread
-//! count and any shard size, and equal to the materializing path's
-//! digest (pinned by the `streaming_equivalence` tests).
+//! results into the mergeable accumulators of [`crate::digest`]. The
+//! flat kernel's epoch folds every shard a worker claims into that
+//! worker's one fold and merges the per-worker folds; since every
+//! accumulator's state is exactly multiset-determined, the merged
+//! digest — and the obs `counter_fingerprint` — is byte-identical
+//! whichever worker folded which shard, at any thread count and any
+//! shard size, and equal to the materializing path's digest (pinned by
+//! the `streaming_equivalence` tests).
 //!
 //! This module holds what every sharded entry point shares: the
-//! [`StreamConfig`], the admitted-index pre-pass, and the one shard
-//! fold of both test kinds, `Fold`, generic over the kind's
+//! [`StreamConfig`], the admitted-index pre-pass, and the one fold
+//! type of both test kinds, `Fold`, generic over the kind's
 //! per-stimulus accumulator, with its checked merge, counters and
 //! digest written once. Production runs go through the flat kernel
 //! ([`crate::flat`]) and the driver of [`crate::adaptive`], whose
@@ -26,7 +28,9 @@
 //! [`stream_timeline_campaign`] keeps the participant-at-a-time loop as
 //! the timeline reference the kernel is checked against at sizes the
 //! materializing engine cannot reach (the 1M-participant divergence
-//! checks); it merges its shard folds through the driver's merge.
+//! checks). It keeps one fold per shard and merges them in shard
+//! order, so the kernel's schedule-grouped merge is checked against a
+//! fixed one.
 //!
 //! ## The admitted-index pre-pass
 //!
@@ -79,7 +83,7 @@ mod fold {
     use crate::digest::{BehaviorDigest, ControlTally};
     use crate::filtering::FilterTally;
 
-    /// One shard's fold of a campaign of either kind, generic over the
+    /// A fold of (part of) a campaign of either kind, generic over the
     /// kind's per-stimulus accumulator `A`
     /// ([`crate::digest::StimulusDigest`] for timeline campaigns,
     /// [`crate::digest::AbStimulusDigest`] for A/B). Filled by the flat
@@ -111,7 +115,16 @@ mod fold {
 impl<A: ShardKind> Fold<A> {
     /// An empty fold sized for `stimuli`.
     pub(crate) fn fresh(stimuli: &[A::Stimulus], params: &DigestParams) -> Fold<A> {
-        let stimuli = stimuli.iter().map(|st| A::new(st, params)).collect();
+        Fold::empty(stimuli.iter().map(|st| A::new(st, params)).collect())
+    }
+
+    /// An empty partial of this fold ([`ShardKind::empty_like`] per
+    /// stimulus), to fold into and merge back into it.
+    pub(crate) fn empty_like(&self) -> Fold<A> {
+        Fold::empty(self.stimuli.iter().map(A::empty_like).collect())
+    }
+
+    fn empty(stimuli: Vec<A>) -> Fold<A> {
         let (behavior, filters, controls) = Default::default();
         let [admitted, rejected, answered, skipped, pruned] = [0; 5];
         Fold { stimuli, behavior, filters, controls, admitted, rejected, answered, skipped, pruned }
@@ -140,13 +153,17 @@ impl<A: ShardKind> Fold<A> {
         Ok(())
     }
 
-    /// Fold one campaign's shard folds in, in shard order (the
-    /// accumulators are multiset-determined, so the pinning is
-    /// belt-and-braces on top of exact associativity).
-    pub(crate) fn merge_all(&mut self, folds: &[Fold<A>]) {
+    /// Fold partial folds of this campaign in: the kernel's per-worker
+    /// folds, or the reference's shard folds. Every accumulator is
+    /// multiset-determined and merges exactly, so neither the order nor
+    /// the grouping of the partials reaches the result.
+    pub(crate) fn merge_all<'f>(&mut self, folds: impl IntoIterator<Item = &'f Fold<A>>)
+    where
+        A: 'f,
+    {
         for fold in folds {
-            // lint:allow(D4): same-campaign shard folds share one construction site
-            self.merge_checked(fold).expect("same-campaign shard folds agree by construction");
+            // lint:allow(D4): partials of one campaign are built from its stimuli and params (Fold::fresh or empty_like)
+            self.merge_checked(fold).expect("partial folds of one campaign agree by construction");
         }
     }
 

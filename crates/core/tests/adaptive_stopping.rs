@@ -94,6 +94,49 @@ fn inactive_config_is_byte_identical_to_streaming() {
     }
 }
 
+/// With `exact_cap = 8` the driver's sketches spill within the first
+/// epochs, so every later epoch's worker folds start spilled and bin
+/// from their first push. The digest must still equal the streaming
+/// reference's, which merges fresh exact shard folds in shard order.
+#[test]
+fn spilled_driver_regime_matches_streaming() {
+    let sc = |shard_size| StreamConfig {
+        shard_size,
+        params: DigestParams { exact_cap: 8, ..DigestParams::default() },
+    };
+    let n = 400;
+    let reference = stream_timeline_campaign(
+        tl_stimuli(),
+        &CrowdFlower,
+        n,
+        &cfg(0),
+        &paper_pipeline(),
+        Seed(970),
+        &sc(16),
+    );
+    assert!(reference.stimuli.iter().all(|s| !s.sketch.is_exact()));
+    for threads in [1usize, 2, 4] {
+        for shard in [1usize, 16] {
+            let out = adaptive_timeline_campaign(
+                tl_stimuli(),
+                &CrowdFlower,
+                n,
+                &cfg(threads),
+                &paper_pipeline(),
+                Seed(970),
+                &sc(shard),
+                &inactive(37),
+                AdaptiveBackend::Flat,
+            );
+            assert_eq!(
+                out.digest.fingerprint(),
+                reference.fingerprint(),
+                "threads={threads} shard={shard}"
+            );
+        }
+    }
+}
+
 /// An epsilon that reliably fires on this 4-stimulus workload well
 /// before a 1200-participant budget runs out (UPLT spreads are a few
 /// seconds; half-widths cross 0.5 s after a few hundred kept responses).

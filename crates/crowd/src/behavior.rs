@@ -16,7 +16,7 @@
 //! * 1–2 % of paid participants skip interacting with some video;
 //! * frenetic participants produce hundreds of seeks in minutes.
 
-use eyeorg_net::{SimDuration, SimTime};
+use eyeorg_net::SimDuration;
 use eyeorg_video::{preload_time, Video};
 use eyeorg_stats::rng::Rng;
 
@@ -240,16 +240,6 @@ pub fn total_time_on_site(
     total
 }
 
-/// Timestamp helper: convert a per-session wall duration into a
-/// "submitted at" instant given a session start.
-pub fn submitted_at(start: SimTime, sessions: &[VideoSession], idx: usize) -> SimTime {
-    let mut t = start;
-    for s in sessions.iter().take(idx + 1) {
-        t += s.time_spent;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,8 +367,6 @@ mod tests {
                 total_time_on_site(&sessions, &p.persona(), ModelSeeds::of(p.seed).instructions());
             let sum: f64 = sessions.iter().map(|s| s.time_spent.as_secs_f64()).sum();
             assert!(total.as_secs_f64() >= sum, "total includes instruction time");
-            let end = submitted_at(SimTime::ZERO, &sessions, 5);
-            assert!((end.as_secs_f64() - sum).abs() < 1e-6);
         }
     }
 }

@@ -12,6 +12,16 @@
 //! 4 worker threads, and fails loudly unless every combination produces
 //! the same campaign digest and the same counter fingerprint.
 //!
+//! The row-keeping campaign merges its results in index order; the
+//! folding kernel behind `flat_timeline_campaign`, `flat_ab_campaign`
+//! and `adaptive_timeline_campaign` does not — each worker folds every
+//! shard it claims into its own fold, so the schedule decides which
+//! worker folds which shard, and only the exact, multiset-determined
+//! merge keeps the digest stable. Those three run here too, over
+//! 20,000 participants in 64-participant shards (the adaptive run in
+//! 1,000-participant epochs, so later epochs start from spilled
+//! sketches and stop stimuli under a mask).
+//!
 //! A second phase hammers the per-key `OnceLock` cells of the shared
 //! capture cache: many workers race overlapping keys on a fresh cache
 //! and every winner must hand all losers the *same allocation*, with
@@ -34,6 +44,9 @@ use eyeorg_workload::{alexa_like, Website};
 const SITES: usize = 6;
 const REPEATS: usize = 2;
 const PARTICIPANTS: usize = 80;
+/// Crowd size and shard size of the folding-kernel rounds.
+const KERNEL_PARTICIPANTS: usize = 20_000;
+const KERNEL_SHARD: usize = 64;
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const CHAOS_SEEDS: [u64; 3] = [0, 0x9e37_79b9_7f4a_7c15, 0x00c0_ffee_d00d_cafe];
 
@@ -70,6 +83,56 @@ fn campaign_round(sites: &[Website], threads: usize, chaos: u64) -> (u64, String
         run_timeline_campaign(stimuli, &CrowdFlower, PARTICIPANTS, &cfg, seed.derive("run"));
     let fp = eyeorg_obs::snapshot("stress", threads).counter_fingerprint();
     (digest(&campaign), fp)
+}
+
+/// One folding-kernel run under the given schedule perturbation:
+/// fresh counters, then `run` at `threads`. Returns (output digest,
+/// counter fingerprint).
+fn kernel_round<T: std::fmt::Debug>(
+    threads: usize,
+    chaos: u64,
+    run: impl Fn(&ExperimentConfig, &StreamConfig) -> T,
+) -> (u64, String) {
+    eyeorg_obs::reset();
+    set_chaos_seed(chaos);
+    let cfg = ExperimentConfig { threads, ..ExperimentConfig::default() };
+    let sc = StreamConfig { shard_size: KERNEL_SHARD, ..StreamConfig::default() };
+    let out = run(&cfg, &sc);
+    (digest(&out), eyeorg_obs::snapshot("stress", threads).counter_fingerprint())
+}
+
+/// Run `round` at every thread count × chaos seed and count the
+/// combinations whose (digest, counter fingerprint) differ from the
+/// first one's.
+fn sweep(what: &str, round: &dyn Fn(usize, u64) -> (u64, String)) -> u32 {
+    let mut failures = 0u32;
+    let mut baseline: Option<(u64, String)> = None;
+    for &threads in &THREAD_COUNTS {
+        for &chaos in &CHAOS_SEEDS {
+            let got = round(threads, chaos);
+            match &baseline {
+                None => {
+                    println!("{what:<8} threads={threads} chaos={chaos:#018x} digest={:#018x} (baseline)", got.0);
+                    baseline = Some(got);
+                }
+                Some(base) => {
+                    if *base == got {
+                        println!(
+                            "{what:<8} threads={threads} chaos={chaos:#018x} digest={:#018x} ok",
+                            got.0
+                        );
+                    } else {
+                        failures += 1;
+                        let which = if base.0 != got.0 { "digest" } else { "counter fingerprint" };
+                        eprintln!(
+                            "DIVERGENCE: {what} threads={threads} chaos={chaos:#018x}: {which} differs from baseline"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    failures
 }
 
 /// Race `workers × per_worker` requests over `distinct` overlapping keys
@@ -117,30 +180,45 @@ fn main() -> ExitCode {
     eyeorg_obs::enable();
     let sites = alexa_like(Seed(2016).derive("stress-sites"), SITES);
 
-    let mut failures = 0u32;
-    let mut baseline: Option<(u64, String)> = None;
-    for &threads in &THREAD_COUNTS {
-        for &chaos in &CHAOS_SEEDS {
-            let round = campaign_round(&sites, threads, chaos);
-            match &baseline {
-                None => {
-                    println!("campaign threads={threads} chaos={chaos:#018x} digest={:#018x} (baseline)", round.0);
-                    baseline = Some(round);
-                }
-                Some(base) => {
-                    if *base == round {
-                        println!("campaign threads={threads} chaos={chaos:#018x} digest={:#018x} ok", round.0);
-                    } else {
-                        failures += 1;
-                        let what = if base.0 != round.0 { "campaign digest" } else { "counter fingerprint" };
-                        eprintln!(
-                            "DIVERGENCE: threads={threads} chaos={chaos:#018x}: {what} differs from baseline"
-                        );
-                    }
-                }
-            }
-        }
-    }
+    let mut failures = sweep("campaign", &|threads, chaos| campaign_round(&sites, threads, chaos));
+
+    // The kernel rounds share one set of captures: the schedule under
+    // test is the kernel's, not the capture fan-out's.
+    let seed = Seed(2016).derive("stress-kernel");
+    let capture = CaptureConfig { repeats: REPEATS, ..CaptureConfig::default() };
+    let browser = BrowserConfig::new();
+    let tl = timeline_stimuli(&sites, &browser, &capture, seed.derive("cap"));
+    let ab = protocol_ab_stimuli(&sites, &browser, &capture, seed.derive("cap-ab"));
+    let filters = paper_pipeline();
+    let n = KERNEL_PARTICIPANTS;
+    failures += sweep("flat-tl", &|threads, chaos| {
+        kernel_round(threads, chaos, |cfg, sc| {
+            flat_timeline_campaign(&tl, &CrowdFlower, n, cfg, &filters, seed, sc)
+        })
+    });
+    failures += sweep("flat-ab", &|threads, chaos| {
+        kernel_round(threads, chaos, |cfg, sc| {
+            flat_ab_campaign(&ab, &CrowdFlower, n, cfg, &filters, seed, sc)
+        })
+    });
+    // Stops fall at barriers 1 to 8, and all but one stimulus spill.
+    let ac = AdaptiveConfig { epoch: 1_000, epsilon: 0.05, min_n: 500, max_n: 0 };
+    failures += sweep("adaptive", &|threads, chaos| {
+        kernel_round(threads, chaos, |cfg, sc| {
+            let out = adaptive_timeline_campaign(
+                &tl,
+                &CrowdFlower,
+                n,
+                cfg,
+                &filters,
+                seed,
+                sc,
+                &ac,
+                AdaptiveBackend::Flat,
+            );
+            (out.digest, out.decisions)
+        })
+    });
 
     for &threads in &THREAD_COUNTS {
         for &chaos in &CHAOS_SEEDS {

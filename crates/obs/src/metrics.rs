@@ -114,7 +114,7 @@ pub static CORE_RETAINED_PER_SITE: LabeledCounter =
 // --- adaptive: the early-stopping campaign driver ---
 //
 // Determinism note: these are bumped only from the adaptive driver's
-// single-threaded epoch-barrier loop and from order-pinned shard folds,
+// single-threaded epoch-barrier loop and from the kernel's fold totals,
 // and only when an adaptive rule (`epsilon > 0` or `max_n > 0`) is
 // actually in force — an `epsilon = 0` adaptive run leaves all three at
 // zero, which keeps its counter fingerprint byte-identical to the

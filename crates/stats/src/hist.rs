@@ -71,6 +71,11 @@ impl Histogram {
         Histogram::with_bins(&[], lo, hi, bins)
     }
 
+    /// An empty histogram with this one's binning.
+    pub fn empty_like(&self) -> Histogram {
+        Histogram { lo: self.lo, hi: self.hi, counts: vec![0; self.counts.len()], outside: 0 }
+    }
+
     /// Record one observation (out-of-range and non-finite values count
     /// toward [`Histogram::outside`], exactly as batch construction does).
     pub fn record(&mut self, v: f64) {
@@ -322,6 +327,20 @@ mod tests {
         }
         assert!(left.merge(&right));
         assert_eq!(left, batch);
+    }
+
+    #[test]
+    fn empty_like_merges_like_direct_records() {
+        let mut h = Histogram::with_bins(&[0.1, 0.5, 1.9], 0.0, 2.0, 4).unwrap();
+        assert_eq!(h.empty_like(), Histogram::empty(0.0, 2.0, 4).unwrap());
+        let mut partial = h.empty_like();
+        let mut direct = h.clone();
+        for v in [0.2, 1.0, 1.5, -0.5, 2.5, f64::NAN] {
+            partial.record(v);
+            direct.record(v);
+        }
+        assert!(h.merge(&partial));
+        assert_eq!(h, direct);
     }
 
     #[test]

@@ -27,6 +27,12 @@
 //! pays thread spawn + contention for zero speedup (the PR 1 bench
 //! showed 0.3–0.4× "speedups" exactly because of that).
 //!
+//! [`par_fold_range`] claims indices the same way but returns one
+//! folded state per worker instead of one result per index: which
+//! worker folds which index follows the schedule, so its callers'
+//! folds must be exactly commutative and associative, and the merged
+//! states are then identical for every thread count too.
+//!
 //! No external dependencies: plain `std::thread::scope` and
 //! `AtomicUsize`.
 
@@ -39,7 +45,8 @@ use std::sync::OnceLock;
 // permuted thread schedules: with a non-zero chaos seed every worker
 // sprinkles seed-derived `yield_now` calls through its claim/execute
 // loop, perturbing which worker claims which chunk and when. The merged
-// output must not change — results are pinned by index — so any
+// output must not change — results are pinned by index, or (for
+// `par_fold_range`) merged by an exactly commutative fold — so any
 // divergence under chaos is a real interleaving bug, caught on stable
 // without a race detector.
 
@@ -210,57 +217,63 @@ where
     slots.into_iter().map(|s| s.expect("every index claimed")).collect()
 }
 
-/// [`par_map_range`] with per-worker scratch: each worker calls `make`
-/// once and threads the resulting state through every item it claims.
-/// The flat campaign engine uses this as its shard *arena* — reusable
-/// `Vec` capacity that makes the per-shard inner loop allocation-free.
+/// Fold `0..n` on `threads` workers into per-worker states: each worker
+/// calls `make` once and folds every index it claims into its state
+/// with `f(&mut state, i)`; the workers' states come back (at most
+/// `threads` of them, at least one) for the caller to merge. The flat
+/// campaign kernel uses this to fold every shard a worker claims into
+/// one worker-owned campaign fold, so a run holds one fold per worker,
+/// not one per shard.
 ///
-/// Determinism contract: `f(scratch, i)`'s *result* must depend only on
-/// `i` (and captured immutable state) — the scratch is for allocation
-/// reuse, never for carrying data between items. Which items share a
-/// scratch varies with scheduling, so any result-visible leakage would
-/// be nondeterministic; callers must clear per-item state at the top of
-/// `f`, exactly as if the scratch were freshly `make()`d.
+/// Determinism contract: the fold must be exactly associative and
+/// commutative — merging the returned states, in any order, must equal
+/// folding `0..n` into one state. Which worker folds which index, and
+/// how many states there are, vary with the schedule; only a merge that
+/// is blind to grouping and order keeps the result stable. Integer
+/// tallies, fixed-point sums and multiset-determined sketches qualify;
+/// float sums and order-keeping buffers do not.
 ///
-/// With an effective pool of 1 this is one `make()` followed by
-/// `(0..n).map(|i| f(&mut scratch, i)).collect()` — the maximal-reuse
-/// sequential path.
-pub fn par_map_range_scratch<S, R, M, F>(n: usize, threads: usize, make: M, f: F) -> Vec<R>
+/// With an effective pool of 1 (or `n <= 1`) this is one `make()`
+/// followed by `(0..n).for_each(|i| f(&mut state, i))`: exactly one
+/// state, even for `n = 0`.
+pub fn par_fold_range<S, M, F>(n: usize, threads: usize, make: M, f: F) -> Vec<S>
 where
-    R: Send,
+    S: Send,
     M: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
+    F: Fn(&mut S, usize) + Sync,
 {
     let pool = effective_pool(threads).min(n);
     if pool <= 1 || n <= 1 {
-        let mut scratch = make();
-        return (0..n).map(|i| f(&mut scratch, i)).collect();
+        let mut state = make();
+        for i in 0..n {
+            f(&mut state, i);
+        }
+        return vec![state];
     }
     let chunk = chunk_size(n, pool);
     let next = AtomicUsize::new(0);
     let make = &make;
     let f = &f;
-    let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..pool)
             .map(|worker| {
                 let next = &next;
                 scope.spawn(move || {
-                    let mut scratch = make();
-                    let mut out: Vec<(usize, R)> = Vec::new();
+                    let mut state = make();
                     let mut chaos_step = 0u64;
                     loop {
                         chaos_yield(worker, &mut chaos_step);
-                        // lint:allow(D3): relaxed chunk claiming only permutes which worker computes which index; results are merged back in index order below, so no claim order reaches any output
+                        // lint:allow(D3): relaxed chunk claiming decides which worker folds which index; the caller's fold is exactly commutative and associative, so merging the worker states in any grouping gives one result and no claim order reaches any output
                         let start = next.fetch_add(chunk, Ordering::Relaxed);
                         if start >= n {
                             break;
                         }
                         for i in start..(start + chunk).min(n) {
                             chaos_yield(worker, &mut chaos_step);
-                            out.push((i, f(&mut scratch, i)));
+                            f(&mut state, i);
                         }
                     }
-                    out
+                    state
                 })
             })
             .collect();
@@ -269,16 +282,7 @@ where
             // lint:allow(D4): a panicking work item must propagate, not be swallowed into a partial result
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    });
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for buf in per_worker.drain(..) {
-        for (i, r) in buf {
-            debug_assert!(slots[i].is_none(), "index {i} produced twice");
-            slots[i] = Some(r);
-        }
-    }
-    // lint:allow(D4): the chunked claim loop visits every index in 0..n exactly once, so every slot is filled
-    slots.into_iter().map(|s| s.expect("every index claimed")).collect()
+    })
 }
 
 /// Map `f` over owned `items` on `threads` workers; `f` receives
@@ -335,29 +339,79 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scratch_map_matches_plain_map_at_any_thread_count() {
-        let work = |scratch: &mut Vec<u64>, i: usize| {
-            // Per-item state is cleared at the top, as the contract
-            // requires; the scratch only donates its capacity.
-            scratch.clear();
-            let mut rng = crate::rng::Rng::seed_from_u64(Seed(11).derive_index("s", i as u64).value());
-            for _ in 0..50 {
-                scratch.push(rng.next_u64());
-            }
-            scratch.iter().fold(0u64, |a, &x| a.wrapping_add(x))
-        };
-        let plain = par_map_range(97, 1, |i| work(&mut Vec::new(), i));
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                par_map_range_scratch(97, threads, Vec::new, work),
-                plain,
-                "threads={threads}"
-            );
+    /// An exactly commutative, associative fold state: wrapping sums,
+    /// an xor, integer bins, and the sorted multiset of folded indices.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    struct Tally {
+        sum: u64,
+        xor: u64,
+        bins: [u64; 7],
+        seen: Vec<usize>,
+    }
+
+    impl Tally {
+        fn fold(&mut self, i: usize) {
+            let mut rng =
+                crate::rng::Rng::seed_from_u64(Seed(11).derive_index("s", i as u64).value());
+            let v = rng.next_u64();
+            self.sum = self.sum.wrapping_add(v);
+            self.xor ^= v;
+            self.bins[(v % 7) as usize] += 1;
+            self.seen.push(i);
         }
-        // Degenerate sizes.
-        assert_eq!(par_map_range_scratch(0, 4, Vec::<u8>::new, |_, i| i), Vec::<usize>::new());
-        assert_eq!(par_map_range_scratch(1, 4, Vec::<u8>::new, |_, i| i * 3), vec![0]);
+
+        fn merge(mut self, other: &Tally) -> Tally {
+            self.sum = self.sum.wrapping_add(other.sum);
+            self.xor ^= other.xor;
+            for (b, o) in self.bins.iter_mut().zip(&other.bins) {
+                *b += o;
+            }
+            self.seen.extend(&other.seen);
+            self.seen.sort_unstable();
+            self
+        }
+    }
+
+    fn fold_merged(n: usize, threads: usize) -> (usize, Tally) {
+        let states = par_fold_range(n, threads, Tally::default, Tally::fold);
+        let count = states.len();
+        (count, states.iter().fold(Tally::default(), Tally::merge))
+    }
+
+    /// The chaos seeds of the `stress` exerciser in `crates/lint`.
+    const CHAOS_SEEDS: [u64; 3] = [0, 0x9e37_79b9_7f4a_7c15, 0x00c0_ffee_d00d_cafe];
+
+    #[test]
+    fn fold_merges_to_the_sequential_fold_under_any_schedule() {
+        for n in [0, 1, 2, 7, 97, 257] {
+            let (count, seq) = fold_merged(n, 1);
+            assert_eq!(count, 1, "a pool of 1 returns exactly one state (n={n})");
+            assert_eq!(seq.seen, (0..n).collect::<Vec<_>>(), "every index folded once (n={n})");
+            for chaos in CHAOS_SEEDS {
+                set_chaos_seed(chaos);
+                for threads in [1, 2, 4] {
+                    let (count, merged) = fold_merged(n, threads);
+                    assert!(
+                        (1..=threads).contains(&count),
+                        "n={n} threads={threads}: {count} states"
+                    );
+                    assert_eq!(merged, seq, "n={n} threads={threads} chaos={chaos:#x}");
+                }
+            }
+            set_chaos_seed(0);
+        }
+    }
+
+    #[test]
+    fn fold_of_zero_and_one_items_is_one_state() {
+        for threads in [1, 2, 4, 8] {
+            let empty = par_fold_range(0, threads, Tally::default, Tally::fold);
+            assert_eq!(empty, vec![Tally::default()], "threads={threads}");
+            let one = par_fold_range(1, threads, Tally::default, Tally::fold);
+            let mut expected = Tally::default();
+            expected.fold(0);
+            assert_eq!(one, vec![expected], "threads={threads}");
+        }
     }
 
     #[test]

@@ -359,6 +359,31 @@ impl QuantileSketch {
         })
     }
 
+    /// An empty sketch with this one's construction parameters, in this
+    /// one's regime: once `self` has spilled, the new sketch bins from
+    /// its first push, since merging it back into `self` would bin its
+    /// exact sample anyway. That makes it a partial of `self` only:
+    /// merging it into `self` equals pushing its values into `self`
+    /// directly, but while it holds no more than `exact_cap` values it
+    /// breaks the rule that the regime follows the count, so it must
+    /// not be merged into an exact sketch, serialized, or read out.
+    pub fn empty_like(&self) -> QuantileSketch {
+        let mut s = QuantileSketch {
+            exact: Vec::new(),
+            counts: Vec::new(),
+            spilled: false,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            n: 0,
+            rejected: 0,
+            ..*self
+        };
+        if self.spilled {
+            s.spill();
+        }
+        s
+    }
+
     /// Fold one observation. Out-of-range values clamp to the nearest
     /// bin once spilled (their exact value still drives `min`/`max`).
     pub fn push(&mut self, v: f64) {
@@ -410,6 +435,10 @@ impl QuantileSketch {
         {
             return false;
         }
+        debug_assert!(
+            self.spilled || !other.spilled || other.n > self.exact_cap as u64,
+            "a spilled partial holding at most exact_cap values merges only into a spilled sketch"
+        );
         self.n += other.n;
         self.rejected += other.rejected;
         self.min = self.min.min(other.min);
@@ -611,6 +640,9 @@ impl QuantileSketch {
             let binned: u64 = s.counts.iter().fold(0u64, |a, &c| a.saturating_add(c));
             if binned != s.n {
                 return Err(StateError("spilled bin counts disagree with n"));
+            }
+            if s.n <= s.exact_cap as u64 {
+                return Err(StateError("spilled sketch holds no more than its cap"));
             }
         } else {
             if !s.counts.is_empty() {
@@ -866,6 +898,12 @@ mod tests {
         assert!(corrupt(&|s| s.counts.pop().map(|_| ()).unwrap_or(())).is_err()); // arity
         assert!(corrupt(&|s| s.n += 1).is_err()); // bin sum disagrees
         assert!(corrupt(&|s| s.exact_bits = vec![1.0f64.to_bits()]).is_err()); // sample while spilled
+        assert!(corrupt(&|s| {
+            s.counts = vec![0; 8];
+            s.counts[3] = 4;
+            s.n = 4;
+        })
+        .is_err()); // spilled at or below its cap (4)
     }
 
     /// Serialize `v` and check the exact JSON, then read it back.
@@ -1105,6 +1143,41 @@ mod tests {
                     "n={n} cap={cap} chunk={chunk}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn empty_like_of_a_spilled_sketch_merges_like_direct_pushes() {
+        let mut spilled = QuantileSketch::new(0.0, 10.0, 64, 32).unwrap();
+        for &v in &sample(100) {
+            spilled.push(v);
+        }
+        assert!(!spilled.is_exact());
+        // k below, at and above exact_cap, plus a rejected value.
+        for k in [0usize, 1, 5, 32, 33, 400] {
+            let values: Vec<f64> = sample(k + 17).split_off(17);
+            let mut partial = spilled.empty_like();
+            let mut direct = spilled.clone();
+            for &v in values.iter().chain([f64::NAN].iter()) {
+                partial.push(v);
+                direct.push(v);
+            }
+            let mut merged = spilled.clone();
+            assert!(merged.merge(&partial));
+            assert_eq!(merged.state(), direct.state(), "k={k}");
+        }
+    }
+
+    #[test]
+    fn empty_like_of_an_exact_sketch_is_new() {
+        let fresh = QuantileSketch::new(0.0, 10.0, 64, 32).unwrap();
+        let mut some = fresh.clone();
+        for &v in &sample(20) {
+            some.push(v);
+        }
+        assert!(some.is_exact());
+        for sk in [&fresh, &some] {
+            assert_eq!(sk.empty_like().state(), fresh.state());
         }
     }
 

@@ -92,22 +92,11 @@ impl FrameTimeline {
     }
 
     /// Earliest frame within [`SIMILARITY_THRESHOLD`] of frame `chosen`
-    /// (the rewind helper), memoised per chosen index.
-    pub fn rewind(&mut self, chosen: usize) -> usize {
-        let chosen = chosen.min(self.frames.len().saturating_sub(1));
-        if let Some(&r) = self.rewind_memo.get(&chosen) {
-            return r;
-        }
-        let result = self.compute_rewind(chosen);
-        self.rewind_memo.insert(chosen, result);
-        result
-    }
-
-    /// [`rewind`](Self::rewind) through a shared reference: answers from
-    /// the memo when present, otherwise recomputes without storing (the
-    /// scan is pure, so the answer is identical either way). Combine with
-    /// [`precompute_rewinds`](Self::precompute_rewinds) to serve many
-    /// concurrent readers with memo-hit cost.
+    /// (the rewind helper; `chosen` clamps to the last frame). Answers
+    /// from the memo when present, otherwise recomputes without storing
+    /// (the scan is pure, so the answer is identical either way).
+    /// Combine with [`precompute_rewinds`](Self::precompute_rewinds) to
+    /// serve many concurrent readers with memo-hit cost.
     pub fn rewind_at(&self, chosen: usize) -> usize {
         let chosen = chosen.min(self.frames.len().saturating_sub(1));
         if let Some(&r) = self.rewind_memo.get(&chosen) {
@@ -198,9 +187,9 @@ mod tests {
     #[test]
     fn rewind_matches_reference_implementation() {
         let v = video();
-        let mut tl = FrameTimeline::of(&v);
+        let tl = FrameTimeline::of(&v);
         for chosen in [0, 3, v.frame_count() / 2, v.frame_count() - 1] {
-            assert_eq!(tl.rewind(chosen), rewind_suggestion(&v, chosen), "chosen {chosen}");
+            assert_eq!(tl.rewind_at(chosen), rewind_suggestion(&v, chosen), "chosen {chosen}");
         }
         // Every frame of a longer capture, through the precomputed table.
         let site = &eyeorg_workload::alexa_like(Seed(2016), 1)[0];
@@ -216,12 +205,11 @@ mod tests {
     #[test]
     fn shared_lookup_matches_memoising_path() {
         let v = video();
-        let mut memoising = FrameTimeline::of(&v);
         let shared = FrameTimeline::of(&v);
         let mut precomputed = FrameTimeline::of(&v);
         precomputed.precompute_rewinds();
         for chosen in 0..v.frame_count() {
-            let reference = memoising.rewind(chosen);
+            let reference = rewind_suggestion(&v, chosen);
             assert_eq!(shared.rewind_at(chosen), reference, "cold &self lookup, frame {chosen}");
             assert_eq!(precomputed.rewind_at(chosen), reference, "precomputed, frame {chosen}");
         }
@@ -244,12 +232,15 @@ mod tests {
     #[test]
     fn rewind_memoised_and_clamped() {
         let v = video();
+        let cold = FrameTimeline::of(&v);
         let mut tl = FrameTimeline::of(&v);
+        tl.precompute_rewinds();
         let last = tl.len() - 1;
-        let a = tl.rewind(last);
-        let b = tl.rewind(last); // memo hit
-        assert_eq!(a, b);
-        // Out-of-range chosen clamps to the final frame.
-        assert_eq!(tl.rewind(usize::MAX), a);
+        let a = tl.rewind_at(last); // memo hit
+        assert_eq!(a, cold.rewind_at(last));
+        assert_eq!(a, rewind_suggestion(&v, last));
+        // Out-of-range chosen clamps to the final frame, memoised or not.
+        assert_eq!(tl.rewind_at(usize::MAX), a);
+        assert_eq!(cold.rewind_at(usize::MAX), a);
     }
 }

@@ -41,9 +41,10 @@ step env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
 # calls bind by name alone. The machine-readable report lands in
 # results/ so CI uploads it next to the bench artifacts.
 step cargo run -q --release -p eyeorg-lint --bin lint -- --json-out results/LINT_report.json
-# Seeded-interleaving race exerciser: the campaign pipeline and the
-# capture cache's per-key OnceLock cells must produce identical digests
-# and counters at 1/2/4 threads under adversarial yield schedules. The
+# Seeded-interleaving race exerciser: the campaign pipeline, the folding
+# kernel (one-shot timeline and A/B, adaptive) and the capture cache's
+# per-key OnceLock cells must produce identical digests and counters at
+# 1/2/4 threads under adversarial yield schedules. The
 # explicit EYEORG_THREADS pin bypasses the hardware clamp so real
 # multi-thread pools run even on 1-core CI boxes.
 step env EYEORG_THREADS=4 cargo run -q --release -p eyeorg-lint --bin stress

@@ -7,7 +7,7 @@
 use eyeorg_browser::{load_page, BrowserConfig};
 use eyeorg_net::NetworkProfile;
 use eyeorg_stats::{Rng, Seed};
-use eyeorg_video::{CaptureConfig, FrameTimeline, Video};
+use eyeorg_video::{rewind_suggestion, CaptureConfig, FrameTimeline, Video};
 use eyeorg_workload::{
     Discovery, Origin, OriginRef, Rect, Resource, ResourceId, ResourceKind, Website,
 };
@@ -159,11 +159,13 @@ fn any_capture_is_coherent() {
         let video = Video::capture(trace, 10, eyeorg_net::SimDuration::from_secs(2));
         assert!(video.frame_count() >= 2, "case {case}");
         assert!(video.frame(0).painted_fraction() <= 0.01, "case {case}: capture starts blank");
-        let mut tl = FrameTimeline::of(&video);
+        let tl = FrameTimeline::of(&video);
         let n = tl.len();
         assert_eq!(n, video.frame_count(), "case {case}");
         for chosen in [n / 3, n - 1] {
-            assert!(tl.rewind(chosen) <= chosen, "case {case}: rewind went forward");
+            let rewind = tl.rewind_at(chosen);
+            assert!(rewind <= chosen, "case {case}: rewind went forward");
+            assert_eq!(rewind, rewind_suggestion(&video, chosen), "case {case}");
         }
     }
 }
