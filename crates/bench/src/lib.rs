@@ -1,8 +1,8 @@
 //! # eyeorg-bench
 //!
 //! The reproduction harness: one module (and one binary) per table and
-//! figure of the paper's evaluation, plus the `perf_*` timing binaries
-//! and the `ablation_quality` binary for DESIGN.md's ablation candidates.
+//! figure of the paper's evaluation, plus the `run_report` binary and
+//! the `ablation_quality` binary for DESIGN.md's ablation candidates.
 //!
 //! Each `figN_*` module exposes a function that builds whatever campaigns
 //! it needs at the requested [`Scale`], computes the paper's quantity,
@@ -94,38 +94,6 @@ impl Scale {
     pub fn capture(&self) -> CaptureConfig {
         CaptureConfig { repeats: self.repeats, ..CaptureConfig::default() }
     }
-}
-
-/// Execution-environment metadata block shared by every `BENCH_*.json`
-/// writer: the machine's `available_parallelism`, the raw
-/// `EYEORG_THREADS` override (JSON `null` when unset), and the worker
-/// pool an automatic (`threads = 0`) campaign actually gets after the
-/// override/hardware clamp. Returned as a `"key": value` fragment (no
-/// surrounding braces) so callers splice it into their hand-rolled
-/// JSON objects.
-///
-/// Also warns on stderr when the effective pool degrades to a single
-/// worker — thread-sweep numbers from such a run read ~1x by
-/// construction and should not be mistaken for a scaling regression.
-pub fn env_metadata_json() -> String {
-    let cpus = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let env_raw = std::env::var("EYEORG_THREADS").ok();
-    let pool = eyeorg_stats::effective_pool(eyeorg_stats::resolve_threads(0));
-    if pool <= 1 {
-        eprintln!(
-            "warning: effective worker pool is 1 (available_parallelism={cpus}, \
-             EYEORG_THREADS={}); parallel sweeps will read ~1x",
-            env_raw.as_deref().unwrap_or("unset")
-        );
-    }
-    let env_json = match &env_raw {
-        Some(v) => format!("\"{}\"", v.escape_default()),
-        None => String::from("null"),
-    };
-    format!(
-        "\"environment\": {{\"available_parallelism\": {cpus}, \
-         \"eyeorg_threads_env\": {env_json}, \"effective_auto_pool\": {pool}}}"
-    )
 }
 
 /// Format a `(x, y)` series as CSV with a header.

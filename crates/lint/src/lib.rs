@@ -813,7 +813,7 @@ mod tests {
         assert!(meta("crates/stats/src/par.rs").is_par_module);
         assert!(meta("crates/stats/src/stream.rs").is_stream_module);
         assert!(meta("crates/core/tests/determinism.rs").in_tests_dir);
-        assert!(meta("crates/bench/src/bin/perf_scale.rs").is_entrypoint);
+        assert!(meta("crates/bench/src/bin/run_report.rs").is_entrypoint);
         assert!(meta("crates/lint/src/main.rs").is_entrypoint);
         assert!(meta("examples/quickstart.rs").is_entrypoint);
         assert_eq!(meta("src/lib.rs").crate_name, "root");

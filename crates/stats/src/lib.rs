@@ -57,8 +57,8 @@ pub use ecdf::Ecdf;
 pub use hist::{Histogram, HistogramState};
 pub use modes::{classify_shape, find_peaks, DistributionShape, ShapeParams};
 pub use par::{
-    default_threads, effective_pool, par_fold_range, par_map_indexed, par_map_range,
-    parse_thread_override, resolve_threads, set_chaos_seed, MAX_THREAD_OVERRIDE,
+    default_threads, effective_pool, par_fold_range, par_map_range, parse_thread_override,
+    resolve_threads, set_chaos_seed, MAX_THREAD_OVERRIDE,
 };
 pub use quantile::{percentile, percentile_band};
 pub use rng::Rng;

@@ -285,42 +285,6 @@ where
     })
 }
 
-/// Map `f` over owned `items` on `threads` workers; `f` receives
-/// `(index, item)` and results come back in item order, byte-identical
-/// to the sequential run.
-///
-/// With an effective pool of 1 this is exactly
-/// `items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect()`.
-pub fn par_map_indexed<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let pool = effective_pool(threads).min(items.len());
-    if pool <= 1 || items.len() <= 1 {
-        return items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    // Hand each item to exactly one worker by index. The items vector
-    // itself is never shared mutably: each cell is taken once by the
-    // worker that claimed its index.
-    let cells: Vec<std::sync::Mutex<Option<T>>> =
-        items.into_iter().map(|x| std::sync::Mutex::new(Some(x))).collect();
-    let cells_ref = &cells;
-    let f = &f;
-    par_map_range(cells_ref.len(), threads, move |i| {
-        let item = cells_ref[i]
-            .lock()
-            // A poisoned cell still holds a valid Option; panics in `f`
-            // propagate through the worker join, not through the lock.
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-            // lint:allow(D4): par_map_range hands each index to exactly one worker, so the cell is taken exactly once
-            .expect("each index claimed once");
-        f(i, item)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,18 +379,9 @@ mod tests {
     }
 
     #[test]
-    fn indexed_map_preserves_order_and_items() {
-        let items: Vec<String> = (0..40).map(|i| format!("item-{i}")).collect();
-        let expected: Vec<String> = items.iter().enumerate().map(|(i, s)| format!("{i}:{s}")).collect();
-        let got = par_map_indexed(items, 4, |i, s| format!("{i}:{s}"));
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn zero_and_one_items_work_at_any_thread_count() {
         assert_eq!(par_map_range(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(par_map_range(1, 8, |i| i * 2), vec![0]);
-        assert_eq!(par_map_indexed(Vec::<u8>::new(), 8, |_, x| x), Vec::<u8>::new());
     }
 
     #[test]

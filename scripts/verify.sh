@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, lint, and the timing gates. Run from
-# the repository root.
+# Tier-1 verification: build, test, lint, stress and the run report.
+# Run from the repository root.
 #
 # Every step runs even when an earlier one fails, so one red step cannot
 # hide the others; the script then lists the failed steps and exits
@@ -23,7 +23,10 @@ step cargo test -q -p eyeorg-core --test campaign_golden -- --exact resume
 # Includes the campaign goldens (crates/core/tests/campaign_golden.rs):
 # fixed-seed campaign digests, obs counters and adaptive decisions pinned
 # across engines, shard sizes, thread counts, checkpoint resume and a
-# three-process worker split/merge.
+# three-process worker split/merge; and the 1M-participant scale claims
+# (crates/bench/tests/scale_claims.rs): adaptive stopping simulates >= 3x
+# fewer participants with every UPLT percentile in tolerance, and the
+# digest's retained bytes stay bounded.
 step cargo test -q --workspace
 # perfbench/ is a Cargo workspace of its own, so the two lines above
 # never compile it. Its self-test builds it against the current crates
@@ -39,7 +42,7 @@ step env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
 # resolve a qualified path through `use`, `pub use` and `type` aliases
 # (std and prelude heads bind to nothing); only generic heads and method
 # calls bind by name alone. The machine-readable report lands in
-# results/ so CI uploads it next to the bench artifacts.
+# results/ so CI uploads it next to the run report.
 step cargo run -q --release -p eyeorg-lint --bin lint -- --json-out results/LINT_report.json
 # Seeded-interleaving race exerciser: the campaign pipeline, the folding
 # kernel (one-shot timeline and A/B, adaptive) and the capture cache's
@@ -51,11 +54,6 @@ step env EYEORG_THREADS=4 cargo run -q --release -p eyeorg-lint --bin stress
 # The deterministic run report (results/RUN_report.json, uploaded by
 # CI); crates/bench/tests/run_report_golden.rs pins its counter section.
 step cargo run -q --release -p eyeorg-bench --bin run_report
-# Adaptive early stopping at scale (DESIGN.md §3h): exits non-zero
-# unless the adaptive 1M-participant campaign simulates >= 3x fewer
-# participants than the full run with every UPLT percentile inside the
-# declared tolerance (writes results/BENCH_adaptive.json).
-step cargo run -q --release -p eyeorg-bench --bin perf_adaptive
 
 if ((${#failed[@]})); then
     echo "verify.sh: ${#failed[@]} step(s) failed:" >&2
