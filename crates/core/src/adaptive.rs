@@ -224,8 +224,9 @@ pub(crate) fn stop_at_barrier(st: &mut DriveState<StimulusDigest>, ac: &Adaptive
 /// the exact semantics and the determinism argument).
 ///
 /// With an inactive config (`epsilon = 0`, `max_n = 0`) this is
-/// byte-identical to [`crate::flat::flat_timeline_campaign`] /
-/// [`crate::stream::stream_timeline_campaign`] on the same inputs,
+/// byte-identical to [`crate::flat::flat_timeline_campaign`] and to the
+/// row path digested shard by shard
+/// ([`crate::stream::stream_timeline_campaign`]) on the same inputs,
 /// digest and counter fingerprint alike.
 #[allow(clippy::too_many_arguments)] // mirrors the engine entry points it wraps
 pub fn adaptive_timeline_campaign(

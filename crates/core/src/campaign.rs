@@ -22,11 +22,11 @@
 use std::sync::Arc;
 
 use eyeorg_crowd::{Participant, Recruitment, RecruitmentService, TimelineResponse, VideoSession};
-use eyeorg_stats::Seed;
+use eyeorg_stats::{resolve_threads, Seed};
 use eyeorg_video::Video;
 
 use crate::experiment::{assert_runnable, AbStimulus, ExperimentConfig, TimelineStimulus};
-use crate::flat::{serve, AbPlane, TlPlane};
+use crate::flat::{planes, serve, AbPlane, TlPlane};
 
 /// One timeline showing: participant × video with the full
 /// instrumentation.
@@ -131,10 +131,30 @@ pub fn run_timeline_campaign(
     assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.timeline_campaign");
     let recruitment: Recruitment = service.recruit(seed.derive("recruit"), n_participants);
+    let planes = planes(&stimuli, seed, resolve_threads(cfg.threads));
+    TimelineCampaign {
+        recruitment_cost_usd: recruitment.cost_usd,
+        recruitment_duration_secs: recruitment.arrivals.last().map_or(0.0, |d| d.as_secs_f64()),
+        ..timeline_campaign(&stimuli, &planes, recruitment.participants, 0, cfg, seed)
+    }
+}
+
+/// Gate the `recruited` participants and serve the admitted ones, whose
+/// admitted indices run from `base`: the timeline campaign body, run
+/// over a whole drive by [`run_timeline_campaign`] and shard by shard by
+/// the streaming reference. Recruitment economics are left at zero.
+pub(crate) fn timeline_campaign(
+    stimuli: &[TimelineStimulus],
+    planes: &[TlPlane],
+    recruited: Vec<Participant>,
+    base: u64,
+    cfg: &ExperimentConfig,
+    seed: Seed,
+) -> TimelineCampaign {
     // Hard rules first: the humanness gate turns scripts away before any
     // response is collected (§3.3).
-    let gate = crate::validation::captcha_gate(recruitment.participants);
-    let (rows, controls) = serve::<TlPlane>(&stimuli, &gate.admitted, cfg, seed);
+    let gate = crate::validation::captcha_gate(recruited);
+    let (rows, controls) = serve(planes, &gate.admitted, base, cfg, seed);
     if eyeorg_obs::enabled() {
         // Rows come in participant order at any thread count, so these
         // totals are thread-count independent too.
@@ -144,14 +164,10 @@ pub fn run_timeline_campaign(
     }
     TimelineCampaign {
         stimuli_names: stimuli.iter().map(|s| s.name.clone()).collect(),
-        videos: stimuli.into_iter().map(|s| s.video).collect(),
+        videos: stimuli.iter().map(|s| s.video.clone()).collect(),
         participants: gate.admitted,
-        recruitment_cost_usd: recruitment.cost_usd,
-        recruitment_duration_secs: recruitment
-            .arrivals
-            .last()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
+        recruitment_cost_usd: 0.0,
+        recruitment_duration_secs: 0.0,
         rows,
         controls,
     }
@@ -169,7 +185,8 @@ pub fn run_ab_campaign(
     let _t = eyeorg_obs::phase_timer("core.ab_campaign");
     let recruitment: Recruitment = service.recruit(seed.derive("recruit"), n_participants);
     let gate = crate::validation::captcha_gate(recruitment.participants);
-    let (rows, controls) = serve::<AbPlane>(&stimuli, &gate.admitted, cfg, seed);
+    let planes = planes::<AbPlane>(&stimuli, seed, resolve_threads(cfg.threads));
+    let (rows, controls) = serve(&planes, &gate.admitted, 0, cfg, seed);
     if eyeorg_obs::enabled() {
         let votes = rows.iter().filter(|r| r.verdict.is_some()).count() as u64;
         eyeorg_obs::metrics::CORE_AB_VOTES.add(votes);
@@ -181,11 +198,7 @@ pub fn run_ab_campaign(
         b_videos: stimuli.into_iter().map(|s| s.b).collect(),
         participants: gate.admitted,
         recruitment_cost_usd: recruitment.cost_usd,
-        recruitment_duration_secs: recruitment
-            .arrivals
-            .last()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0),
+        recruitment_duration_secs: recruitment.arrivals.last().map_or(0.0, |d| d.as_secs_f64()),
         rows,
         controls,
     }

@@ -11,10 +11,11 @@
 //! * [`digest_timeline`] / [`digest_ab`] fold a **materialized**
 //!   campaign plus its filter report — the small-campaign path, exact
 //!   by construction;
-//! * the sharded engines (`flat::flat_timeline_campaign` /
-//!   `flat::flat_ab_campaign`, and the `stream::stream_timeline_campaign`
-//!   reference) build the same digest shard by shard without ever
-//!   materializing the rows.
+//! * the flat kernel (`flat::flat_timeline_campaign` /
+//!   `flat::flat_ab_campaign`) builds the same digest shard by shard
+//!   without ever materializing the rows; the timeline reference
+//!   (`stream::stream_timeline_campaign`) applies [`digest_timeline`]'s
+//!   fold to one shard's rows at a time and merges the shard folds.
 //!
 //! Equality of digests is compared through [`TimelineDigest::fingerprint`]
 //! (the canonical `Debug` rendering of the full accumulator state), so
@@ -33,15 +34,18 @@
 //! The one internal merge (`stream::Fold::merge_all`), which folds the
 //! kernel's per-worker folds (and the reference's shard folds) into
 //! one campaign fold, relies on exact multiset-determinism rather than
-//! merge order; its inputs share one construction site, so it
-//! discharges the `Result` with a documented `expect` waiver. The
-//! checkpoint layer propagates it as a typed error to its caller.
+//! merge order; its inputs are all built from the campaign's stimuli
+//! and params, so it discharges the `Result` with a documented
+//! `expect` waiver. The checkpoint layer propagates it as a typed error
+//! to its caller.
 
 use eyeorg_stats::{Histogram, Moments, QuantileSketch};
 
 use crate::analysis::AbTally;
 use crate::campaign::{AbCampaign, Campaign, TimelineCampaign};
+use crate::checkpoint::ShardKind;
 use crate::filtering::{FilterReport, FilterTally};
+use crate::stream::Fold;
 
 /// Accumulator sizing shared by both digest construction paths. The
 /// parameters are part of the digest's identity: comparing digests
@@ -530,109 +534,89 @@ pub fn digest_timeline(
     recruited: usize,
     params: &DigestParams,
 ) -> TimelineDigest {
-    let mut stimuli: Vec<StimulusDigest> = campaign
-        .stimuli_names
-        .iter()
-        .zip(&campaign.videos)
-        .map(|(name, video)| StimulusDigest::new(name, video.duration().as_secs_f64(), params))
-        .collect();
-    let mut collected = 0u64;
-    let mut skipped = 0u64;
+    let fold = fold_timeline(campaign, report, recruited, params);
+    let (cost, secs) = (campaign.recruitment_cost_usd, campaign.recruitment_duration_secs);
+    StimulusDigest::digest(fold, recruited as u64, cost, secs)
+}
+
+/// [`digest_timeline`] as the fold the digest is made of: what the
+/// streaming reference merges shard by shard.
+pub(crate) fn fold_timeline(
+    campaign: &TimelineCampaign,
+    report: &FilterReport,
+    recruited: usize,
+    params: &DigestParams,
+) -> Fold<StimulusDigest> {
+    let stimuli = campaign.stimuli_names.iter().zip(&campaign.videos);
+    let stimuli =
+        stimuli.map(|(name, v)| StimulusDigest::new(name, v.duration().as_secs_f64(), params));
+    let mut fold = row_fold(stimuli.collect(), campaign, report, recruited);
     for row in &campaign.rows {
         match row.response {
             Some(resp) => {
-                collected += 1;
+                fold.answered += 1;
                 if report.kept.contains(&row.participant) {
-                    stimuli[row.stimulus].push(resp.submitted.as_secs_f64());
+                    fold.stimuli[row.stimulus].push(resp.submitted.as_secs_f64());
                 }
             }
-            None => skipped += 1,
+            None => fold.skipped += 1,
         }
     }
     if eyeorg_obs::enabled() {
         // Mirror of `analysis::uplt_samples`: zero-adds still
         // materialise the label, so fully-filtered sites stay visible.
-        for s in &stimuli {
+        for s in &fold.stimuli {
             eyeorg_obs::metrics::CORE_RETAINED_PER_SITE.add(&s.name, s.retained());
         }
     }
-    let tail = RowTail::of(campaign, recruited);
-    TimelineDigest {
-        stimuli,
-        recruited: recruited as u64,
-        admitted: tail.admitted,
-        rejected: tail.rejected,
-        recruitment_cost_usd: campaign.recruitment_cost_usd,
-        recruitment_duration_secs: campaign.recruitment_duration_secs,
-        responses_collected: collected,
-        responses_skipped: skipped,
-        behavior: tail.behavior,
-        filters: FilterTally::of_report(report),
-        controls: tail.controls,
-    }
+    fold
 }
 
 /// Fold a materialized A/B campaign (plus its filter report) into a
 /// digest. Same contract as [`digest_timeline`].
 pub fn digest_ab(campaign: &AbCampaign, report: &FilterReport, recruited: usize) -> AbDigest {
-    let mut stimuli: Vec<AbStimulusDigest> =
-        campaign.stimuli_names.iter().map(|n| AbStimulusDigest::new(n)).collect();
-    let mut cast = 0u64;
-    let mut skipped = 0u64;
+    let stimuli = campaign.stimuli_names.iter().map(|n| AbStimulusDigest::new(n)).collect();
+    let mut fold = row_fold(stimuli, campaign, report, recruited);
     for row in &campaign.rows {
-        let s = &mut stimuli[row.stimulus];
+        let s = &mut fold.stimuli[row.stimulus];
         s.shows += 1;
         if row.a_left {
             s.a_left_shows += 1;
         }
         match row.verdict {
             Some(v) => {
-                cast += 1;
+                fold.answered += 1;
                 if report.kept.contains(&row.participant) {
                     s.tally.record(v);
                 }
             }
-            None => skipped += 1,
+            None => fold.skipped += 1,
         }
     }
-    let tail = RowTail::of(campaign, recruited);
-    AbDigest {
-        stimuli,
-        recruited: recruited as u64,
-        admitted: tail.admitted,
-        rejected: tail.rejected,
-        recruitment_cost_usd: campaign.recruitment_cost_usd,
-        recruitment_duration_secs: campaign.recruitment_duration_secs,
-        votes_cast: cast,
-        votes_skipped: skipped,
-        behavior: tail.behavior,
-        filters: FilterTally::of_report(report),
-        controls: tail.controls,
-    }
+    let (cost, secs) = (campaign.recruitment_cost_usd, campaign.recruitment_duration_secs);
+    AbStimulusDigest::digest(fold, recruited as u64, cost, secs)
 }
 
-/// What both kinds' row digests fold besides the answers: behaviour
-/// over every participant, the control outcomes, and the gate totals.
-struct RowTail {
-    behavior: BehaviorDigest,
-    controls: ControlTally,
-    admitted: u64,
-    rejected: u64,
-}
-
-impl RowTail {
-    fn of(campaign: &impl Campaign, recruited: usize) -> RowTail {
-        let mut behavior = BehaviorDigest::default();
-        for point in crate::analysis::behavior_points(campaign) {
-            behavior.push(&point);
-        }
-        let mut controls = ControlTally::default();
-        for c in campaign.controls() {
-            controls.record(c.passed);
-        }
-        let admitted = campaign.participants().len() as u64;
-        RowTail { behavior, controls, admitted, rejected: recruited as u64 - admitted }
+/// A fold of `stimuli` holding what both kinds' row digests fold
+/// besides the answers: behaviour over every participant, the filter
+/// and control outcomes, and the gate totals.
+fn row_fold<A: ShardKind>(
+    stimuli: Vec<A>,
+    campaign: &impl Campaign,
+    report: &FilterReport,
+    recruited: usize,
+) -> Fold<A> {
+    let mut fold = Fold::empty(stimuli);
+    for point in crate::analysis::behavior_points(campaign) {
+        fold.behavior.push(&point);
     }
+    for c in campaign.controls() {
+        fold.controls.record(c.passed);
+    }
+    fold.filters = FilterTally::of_report(report);
+    fold.admitted = campaign.participants().len() as u64;
+    fold.rejected = recruited as u64 - fold.admitted;
+    fold
 }
 
 #[cfg(test)]

@@ -3,16 +3,15 @@
 //! This module holds the one per-participant campaign pipeline for
 //! both test kinds — assign, session, answer, control — and runs it
 //! two ways. It either keeps every showing as a row (`serve`, behind
-//! [`crate::campaign::run_timeline_campaign`] and
-//! [`crate::campaign::run_ab_campaign`]) or folds a digest
-//! (`Kernel::epoch`, called only by the epoch driver of
+//! [`crate::campaign::run_timeline_campaign`],
+//! [`crate::campaign::run_ab_campaign`] and, one shard at a time, the
+//! timeline reference [`crate::stream::stream_timeline_campaign`]) or
+//! folds a digest (`Kernel::epoch`, called only by the epoch driver of
 //! [`crate::adaptive`], which [`flat_timeline_campaign`],
 //! [`flat_ab_campaign`] and every other folding entry point run).
 //! Both draw every value from the same per-stimulus planes and the same
-//! `Plane` answer and control methods.
-//! [`crate::stream::stream_timeline_campaign`] remains only as the
-//! participant-at-a-time timeline reference the fold is checked
-//! against. The fold runs the pipeline in **structure-of-arrays** form:
+//! `Plane` answer and control methods. The fold runs the pipeline in
+//! **structure-of-arrays** form:
 //!
 //! 1. All per-stimulus constants are hoisted into *planes* (one
 //!    `TlPlane`/`AbPlane` per stimulus) built once per campaign:
@@ -76,10 +75,11 @@
 //! are pure totals, counted in pass C regardless of whether the value
 //! is later consumed and bumped once per worker fold. The
 //! `streaming_equivalence`, `streaming_counters` and `campaign_golden`
-//! tests pin the fold to the digest of the kept rows (and the timeline
-//! fold to the streaming reference, which merges shard folds in shard
-//! order) across shard sizes and thread counts, and the `stress`
-//! exerciser across chaos-seeded schedules.
+//! tests pin the fold to the digest of the kept rows (for timeline
+//! campaigns also to the rows' digests taken shard by shard and merged
+//! in shard order, the streaming reference) across shard sizes and
+//! thread counts, and the `stress` exerciser across chaos-seeded
+//! schedules.
 
 use eyeorg_crowd::{
     ab_control, judge_pair, timeline_control_passes, timeline_response, total_time_on_site,
@@ -137,12 +137,14 @@ pub(crate) trait Plane: Sized + Send + Sync {
     fn answer(&self, si: usize, pi: u64, p: &Persona, seeds: &ModelSeeds) -> Self::Answer;
     /// Fold one kept answer into its stimulus's accumulator.
     fn push_answer(acc: &mut Self::Acc, answer: Self::Answer);
-    /// The row of one showing of stimulus `si` to admitted participant
-    /// `pi`; `answer` is `None` when the session was skipped.
+    /// The row of one showing of stimulus `si` to participant `pi` of
+    /// the served list, admitted index `admitted`; `answer` is `None`
+    /// when the session was skipped.
     fn row(
         &self,
         si: usize,
         pi: usize,
+        admitted: u64,
         session: VideoSession,
         answer: Option<Self::Answer>,
     ) -> Self::Row;
@@ -203,6 +205,7 @@ impl Plane for TlPlane {
         &self,
         si: usize,
         pi: usize,
+        _: u64,
         session: VideoSession,
         response: Option<TimelineResponse>,
     ) -> TimelineRow {
@@ -283,10 +286,11 @@ impl Plane for AbPlane {
         &self,
         si: usize,
         pi: usize,
+        admitted: u64,
         session: VideoSession,
         verdict: Option<AbVerdict>,
     ) -> AbRow {
-        let a_left = a_on_left(self.side_seed, pi as u64, si);
+        let a_left = a_on_left(self.side_seed, admitted, si);
         AbRow { participant: pi, stimulus: si, a_left, session, verdict }
     }
 }
@@ -610,40 +614,42 @@ impl<'a, P: Plane> Kernel<'a, P> {
     }
 }
 
-/// Every stimulus's plane, hoisted in parallel.
-fn planes<P: Plane>(stimuli: &[P::Stimulus], seed: Seed, threads: usize) -> Vec<P> {
+/// Every stimulus's plane, hoisted in parallel: built once per campaign
+/// and shared by every shard the kernel folds or `serve` keeps.
+pub(crate) fn planes<P: Plane>(stimuli: &[P::Stimulus], seed: Seed, threads: usize) -> Vec<P> {
     par_map_range(stimuli.len(), threads, |si| P::of(si, &stimuli[si], seed))
 }
 
-/// Serve the gate-admitted `participants` in index order and keep
-/// every showing as a row — the kernel's per-participant pipeline,
-/// participant-at-a-time and without a fold: assign the videos, draw
-/// each session from the plane's [`SessionProfile`], draw an answer
-/// for every showing not skipped, then ask the control question on the
-/// first video. Participants are independent work items (every draw is
-/// keyed by the participant's own seed), so the parallel map merged in
-/// index order is byte-identical at any thread count.
+/// Serve the gate-admitted `participants`, whose admitted indices run
+/// from `base`, in index order and keep every showing as a row — the
+/// kernel's per-participant pipeline without a fold: assign the videos,
+/// draw each session from the plane's [`SessionProfile`], draw an
+/// answer for every showing not skipped, then ask the control question
+/// on the first video. Every draw is keyed by the admitted index; rows
+/// and controls carry the index into `participants`. Participants are
+/// independent work items, so the parallel map merged in index order is
+/// byte-identical at any thread count.
 pub(crate) fn serve<P: Plane>(
-    stimuli: &[P::Stimulus],
+    planes: &[P],
     participants: &[Participant],
+    base: u64,
     cfg: &ExperimentConfig,
     seed: Seed,
 ) -> (Vec<P::Row>, Vec<ControlRow>) {
-    let threads = resolve_threads(cfg.threads);
-    let planes = planes::<P>(stimuli, seed, threads);
     let assign_seed = seed.derive(P::ASSIGN);
-    let per_participant = par_map_range(participants.len(), threads, |pi| {
+    let per_participant = par_map_range(participants.len(), resolve_threads(cfg.threads), |pi| {
+        let admitted = base + pi as u64;
         let p = participants[pi].persona();
         let seeds = ModelSeeds::of(p.seed);
-        let picks = assign(assign_seed, pi as u64, stimuli.len(), cfg.videos_per_participant);
+        let picks = assign(assign_seed, admitted, planes.len(), cfg.videos_per_participant);
         let rows: Vec<P::Row> = picks
             .iter()
             .map(|&si| {
                 let plane = &planes[si];
                 let rng = seeds.behavior(plane.label());
                 let session = video_session(plane.session(), &p, P::TEST, rng);
-                let answer = (!session.skipped).then(|| plane.answer(si, pi as u64, &p, &seeds));
-                plane.row(si, pi, session, answer)
+                let answer = (!session.skipped).then(|| plane.answer(si, admitted, &p, &seeds));
+                plane.row(si, pi, admitted, session, answer)
             })
             .collect();
         let control = cfg
@@ -681,10 +687,11 @@ fn one_shot<P: Plane>(
 /// Run a timeline campaign through the flat kernel.
 ///
 /// Byte-identical to `run_timeline_campaign` + `filter_timeline` +
-/// `digest_timeline` and to [`crate::stream::stream_timeline_campaign`]
-/// on the same inputs — digest *and* obs counter fingerprint — at any
-/// shard size and thread count (pinned by the `streaming_equivalence`
-/// and `streaming_counters` tests).
+/// `digest_timeline`, whole or shard by shard
+/// ([`crate::stream::stream_timeline_campaign`]), on the same inputs —
+/// digest *and* obs counter fingerprint — at any shard size and thread
+/// count (pinned by the `streaming_equivalence` and `streaming_counters`
+/// tests).
 pub fn flat_timeline_campaign(
     stimuli: &[TimelineStimulus],
     service: &dyn RecruitmentService,

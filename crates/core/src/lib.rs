@@ -15,7 +15,8 @@
 //!   campaigns whose every showing is kept as a row for row-level
 //!   analysis, grouped by participant in one pass for its consumers.
 //! * [`flat`] — the one per-participant campaign pipeline for both test
-//!   kinds, which either keeps rows (for [`campaign`]) or folds them
+//!   kinds, which either keeps rows (for [`campaign`] and the streaming
+//!   reference) or folds them
 //!   shard by shard into bounded-memory digests, in structure-of-arrays
 //!   form (per-stimulus planes, per-worker arena scratch,
 //!   stimulus-blocked inner loop) — byte-identical digests, memory
@@ -23,8 +24,9 @@
 //! * [`stream`] — what the sharded entry points share (the one shard
 //!   fold of both test kinds, generic over the per-stimulus
 //!   accumulator, and the admitted-index pre-pass) and the streaming
-//!   timeline reference, a participant-at-a-time loop the kernel is
-//!   checked against at sizes the materializing engine cannot reach.
+//!   timeline reference: the materializing path run one shard at a
+//!   time, which the kernel is checked against at crowd sizes whose
+//!   rows do not fit in memory at once.
 //! * [`adaptive`] — the one epoch driver every folding entry point
 //!   runs the kernel through, and the adaptive stopping rule.
 //! * [`digest`] — mergeable campaign digests and the materializing

@@ -6,9 +6,9 @@
 //! The sharded engines run the same seeded per-participant generation
 //! **shard by shard** instead: the participant range is split into
 //! fixed-size shards, each shard worker regenerates its participants
-//! from the campaign seed (`generate_one` is index-addressed, so no
-//! participant list is ever materialized), runs the gate → assignment
-//! → behaviour → perception → filter pipeline inline, and folds the
+//! from the campaign seed (participant generation is index-addressed,
+//! so no participant list is ever materialized), runs the gate →
+//! assignment → behaviour → perception → filter pipeline, and folds the
 //! results into the mergeable accumulators of [`crate::digest`]. The
 //! flat kernel's epoch folds every shard a worker claims into that
 //! worker's one fold and merges the per-worker folds; since every
@@ -25,39 +25,38 @@
 //! digest written once. Production runs go through the flat kernel
 //! ([`crate::flat`]) and the driver of [`crate::adaptive`], whose
 //! cumulative fold becomes the digest as it is.
-//! [`stream_timeline_campaign`] keeps the participant-at-a-time loop as
-//! the timeline reference the kernel is checked against at sizes the
-//! materializing engine cannot reach (the 1M-participant divergence
-//! checks). It keeps one fold per shard and merges them in shard
-//! order, so the kernel's schedule-grouped merge is checked against a
-//! fixed one.
+//! [`stream_timeline_campaign`] is the timeline reference the kernel is
+//! checked against at crowd sizes whose rows do not fit in memory at
+//! once (perfbench's 1M-participant `--record`): the materializing path
+//! itself — gate, `flat::serve`, `filter_timeline`, `digest_timeline`'s
+//! fold — run one shard at a time, its shard folds merged in shard
+//! order. It
+//! shares the planes and the response model with the kernel, but not
+//! the column passes, the gate pre-pass or the schedule-grouped merge.
 //!
 //! ## The admitted-index pre-pass
 //!
 //! Stimulus assignment is keyed by the participant's *admitted* index
 //! (the count of gate-admitted participants before them), which depends
 //! on every earlier gate decision. A shard can't know its base offset
-//! locally, so the engines run two passes: pass 1 counts gate
-//! admissions per shard (pure — `validation::captcha_admits` draws only
-//! from the participant's own seed stream and bumps nothing), a
+//! locally, so the kernel runs two passes: pass 1 counts gate
+//! admissions per shard (pure — `validation::captcha_admits_gate` draws
+//! only from the participant's own seed stream and bumps nothing), a
 //! sequential prefix sum turns the counts into per-shard bases, and
 //! pass 2 generates, serves, filters, and folds with those bases. The
 //! regeneration cost is two cheap participant draws per index — far
-//! below one video session.
+//! below one video session. The reference runs its shards in order
+//! instead and carries the base from each shard's gate to the next.
 
-use eyeorg_crowd::{
-    timeline_control_passes, timeline_response_shared, total_time_on_site, video_session,
-    ModelSeeds, RecruitmentService, SessionProfile, TestKind,
-};
+use eyeorg_crowd::RecruitmentService;
 use eyeorg_stats::{par_map_range, resolve_threads, Seed};
-use eyeorg_video::FrameTimeline;
 
-use crate::analysis::BehaviorPoint;
-use crate::campaign::ControlRow;
+use crate::campaign::timeline_campaign;
 use crate::checkpoint::ShardKind;
-use crate::digest::{DigestParams, MergeError, StimulusDigest, TimelineDigest};
-use crate::experiment::{assert_runnable, assign, ExperimentConfig, TimelineStimulus};
-use crate::filtering::{decide, FilterDecision, ParticipantFilter};
+use crate::digest::{fold_timeline, DigestParams, MergeError, TimelineDigest};
+use crate::experiment::{assert_runnable, ExperimentConfig, TimelineStimulus};
+use crate::filtering::{filter_timeline, ParticipantFilter};
+use crate::flat::{planes, TlPlane};
 
 /// Sharding configuration for the sharded engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +123,7 @@ impl<A: ShardKind> Fold<A> {
         Fold::empty(self.stimuli.iter().map(A::empty_like).collect())
     }
 
-    fn empty(stimuli: Vec<A>) -> Fold<A> {
+    pub(crate) fn empty(stimuli: Vec<A>) -> Fold<A> {
         let (behavior, filters, controls) = Default::default();
         let [admitted, rejected, answered, skipped, pruned] = [0; 5];
         Fold { stimuli, behavior, filters, controls, admitted, rejected, answered, skipped, pruned }
@@ -162,7 +161,7 @@ impl<A: ShardKind> Fold<A> {
         A: 'f,
     {
         for fold in folds {
-            // lint:allow(D4): partials of one campaign are built from its stimuli and params (Fold::fresh or empty_like)
+            // lint:allow(D4): partials of one campaign are built from its stimuli and params (Fold::fresh, empty_like or fold_timeline)
             self.merge_checked(fold).expect("partial folds of one campaign agree by construction");
         }
     }
@@ -185,139 +184,23 @@ impl<A: ShardKind> Fold<A> {
     }
 }
 
-/// Everything the reference's timeline shard fold reads: the shared
-/// read-only campaign state, with the per-stimulus frame timelines,
-/// labels and session profiles built once per campaign.
-struct TlCtx<'a> {
-    stimuli: &'a [TimelineStimulus],
-    frames: Vec<FrameTimeline>,
-    pop: eyeorg_crowd::PopulationProfile,
-    cfg: &'a ExperimentConfig,
-    filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
-    recruit_seed: Seed,
-    assign_seed: Seed,
-    params: DigestParams,
-    /// Per-stimulus `"tl-{si}"` labels, formatted once per campaign
-    /// instead of once per (participant, stimulus) cell.
-    labels: Vec<String>,
-    /// Per-stimulus `"ctrl-tl-{si}"` control labels.
-    ctrl_labels: Vec<String>,
-    /// Per-stimulus behaviour-model constants.
-    profiles: Vec<SessionProfile>,
-}
-
-impl<'a> TlCtx<'a> {
-    fn new(
-        stimuli: &'a [TimelineStimulus],
-        service: &dyn RecruitmentService,
-        cfg: &'a ExperimentConfig,
-        filters: &'a [Box<dyn ParticipantFilter + Send + Sync>],
-        seed: Seed,
-        params: DigestParams,
-        threads: usize,
-    ) -> TlCtx<'a> {
-        // Shared read-only frame timelines, as in the parallel
-        // materializing engine.
-        let frames = par_map_range(stimuli.len(), threads, |si| {
-            let mut tl = FrameTimeline::of(&stimuli[si].video);
-            tl.precompute_rewinds();
-            tl
-        });
-        TlCtx {
-            stimuli,
-            frames,
-            pop: service.population(),
-            cfg,
-            filters,
-            recruit_seed: seed.derive("recruit"),
-            assign_seed: seed.derive("timeline"),
-            params,
-            labels: (0..stimuli.len()).map(|si| format!("tl-{si}")).collect(),
-            ctrl_labels: (0..stimuli.len()).map(|si| format!("ctrl-tl-{si}")).collect(),
-            profiles: stimuli
-                .iter()
-                .map(|st| SessionProfile::of(&st.video, TestKind::Timeline))
-                .collect(),
-        }
-    }
-}
-
-/// The reference's inner loop over participant indices `[lo, hi)` with
-/// admitted-index base `base`, folding into one [`Fold`] one
-/// participant at a time.
-fn tl_fold_range(ctx: &TlCtx<'_>, lo: usize, hi: usize, base: u64) -> Fold<StimulusDigest> {
-    let mut fold = Fold::<StimulusDigest>::fresh(ctx.stimuli, &ctx.params);
-    let mut pi = base;
-    for i in lo..hi {
-        // Demand-driven generation: pause the trait stream at the class
-        // draw, gate on the (independent) captcha stream, and pay for
-        // the remaining trait draws only when the participant is
-        // actually served.
-        let cur = ctx.pop.start_traits(ctx.recruit_seed, i as u64);
-        if !crate::validation::captcha_admits_gate(cur.seed(), cur.class()) {
-            fold.rejected += 1;
-            continue;
-        }
-        let my_pi = pi;
-        pi += 1;
-        let picks =
-            assign(ctx.assign_seed, my_pi, ctx.stimuli.len(), ctx.cfg.videos_per_participant);
-        let p = cur.finish(&ctx.pop);
-        let mseeds = ModelSeeds::of(p.seed);
-        fold.admitted += 1;
-        let mut sessions = Vec::with_capacity(picks.len());
-        let mut responses: Vec<(usize, f64)> = Vec::with_capacity(picks.len());
-        for &si in &picks {
-            let label = &ctx.labels[si];
-            let rng = mseeds.behavior(label);
-            let session = video_session(&ctx.profiles[si], &p, TestKind::Timeline, rng);
-            if session.skipped {
-                fold.skipped += 1;
-            } else {
-                let resp = timeline_response_shared(
-                    &ctx.stimuli[si].video,
-                    &ctx.frames[si],
-                    &p,
-                    mseeds.perception(label),
-                );
-                fold.answered += 1;
-                responses.push((si, resp.submitted.as_secs_f64()));
-            }
-            sessions.push(session);
-        }
-        let control = ctx.cfg.with_controls.then(|| {
-            let rng = mseeds.perception(&ctx.ctrl_labels[picks[0]]);
-            let passed = timeline_control_passes(&p, rng);
-            ControlRow { participant: my_pi as usize, passed }
-        });
-        if let Some(c) = &control {
-            fold.controls.record(c.passed);
-        }
-        let ctrl_refs: Vec<&ControlRow> = control.iter().collect();
-        let d = decide(ctx.filters, &sessions, &ctrl_refs);
-        fold.filters.record(d);
-        if d == FilterDecision::Kept {
-            for &(si, secs) in &responses {
-                fold.stimuli[si].push(secs);
-            }
-        }
-        let total = total_time_on_site(&sessions, &p, mseeds.instructions());
-        fold.behavior.push(&BehaviorPoint::of(my_pi as usize, &sessions, total));
-    }
-    fold
-}
-
 /// Run a timeline campaign through the streaming reference: `n`
 /// participants from `service`, gated, served, filtered by `filters`,
-/// and folded shard by shard into a [`TimelineDigest`] — without
-/// materializing rows, one participant at a time.
+/// and digested shard by shard into a [`TimelineDigest`], in memory
+/// proportional to a shard.
 ///
-/// Byte-identical to `run_timeline_campaign` + `filter_timeline` +
-/// `digest_timeline` and to [`crate::flat::flat_timeline_campaign`] on
-/// the same inputs (digest *and* counter fingerprint), at any thread
-/// count and shard size. Production runs use the flat kernel; this is
-/// the reference it is checked against at sizes the materializing
-/// engine cannot reach.
+/// Each shard is the materializing path on participant indices
+/// `[lo, hi)`: the participants are generated by index, gated by
+/// `validation::captcha_gate` and served as rows at the shard's
+/// admitted-index base (the admissions of every earlier shard), then
+/// `filter_timeline` and `digest_timeline`'s fold digest them, and the
+/// shard folds merge in shard order. The result is byte-identical to
+/// `run_timeline_campaign` + `filter_timeline` + `digest_timeline` over
+/// the whole crowd and to [`crate::flat::flat_timeline_campaign`] on the
+/// same inputs (digest *and* counter fingerprint), at any thread count
+/// and shard size. Production runs use the flat kernel; this is the
+/// reference it is checked against at crowd sizes whose rows do not fit
+/// in memory at once.
 pub fn stream_timeline_campaign(
     stimuli: &[TimelineStimulus],
     service: &dyn RecruitmentService,
@@ -329,23 +212,22 @@ pub fn stream_timeline_campaign(
 ) -> TimelineDigest {
     assert_runnable(stimuli.len(), cfg);
     let _t = eyeorg_obs::phase_timer("core.stream_timeline");
-    let threads = resolve_threads(cfg.threads);
+    let planes = planes::<TlPlane>(stimuli, seed, resolve_threads(cfg.threads));
+    let (pop, recruit_seed) = (service.population(), seed.derive("recruit"));
     let shard = sc.shard_size.max(1);
-    let ctx = TlCtx::new(stimuli, service, cfg, filters, seed, sc.params, threads);
-    let (bases, _) =
-        admitted_bases_range(0, n_participants, shard, threads, &ctx.pop, ctx.recruit_seed, 0);
-    let folds = par_map_range(bases.len(), threads, |s| {
-        let lo = s * shard;
-        let fold = tl_fold_range(&ctx, lo, (lo + shard).min(n_participants), bases[s]);
-        fold.bump_counters();
-        fold
-    });
     let mut acc = Fold::fresh(stimuli, &sc.params);
-    acc.merge_all(&folds);
+    for lo in (0..n_participants).step_by(shard) {
+        let hi = (lo + shard).min(n_participants);
+        let recruited = (lo..hi).map(|i| pop.generate_one(recruit_seed, i as u64)).collect();
+        // The admissions merged so far are this shard's admitted base.
+        let campaign = timeline_campaign(stimuli, &planes, recruited, acc.admitted, cfg, seed);
+        let report = filter_timeline(&campaign, filters);
+        acc.merge_all([&fold_timeline(&campaign, &report, hi - lo, &sc.params)]);
+    }
     acc.into_digest(service, n_participants)
 }
 
-/// Pass 1 of every engine: gate admissions per shard over the index
+/// Pass 1 of the kernel: gate admissions per shard over the index
 /// range `[lo, hi)`, prefix-summed into each shard's base admitted
 /// index, continuing the sequence from `base` (the admissions in
 /// `[0, lo)`).

@@ -10,7 +10,7 @@
 //! why the *after-the-fact* filters of §4.3 only ever see human
 //! pathologies (sloppiness, distraction), not automation.
 
-use eyeorg_crowd::{Participant, ParticipantClass, Persona};
+use eyeorg_crowd::{Participant, ParticipantClass};
 use eyeorg_stats::rng::Rng;
 
 /// Pass probability of the humanness check for a real person (misfires
@@ -33,19 +33,10 @@ pub struct GateReport {
 
 /// Whether one participant passes the "I'm not a robot" gate.
 ///
-/// Pure and side-effect free (the decision draws only from the
-/// participant's own derived seed stream), so the sharded streaming
-/// engine can evaluate it in its counting pre-pass without touching the
-/// obs counters; [`captcha_gate`] applies it to a whole cohort and
-/// reports totals.
+/// Pure and side-effect free: the decision draws only from the
+/// participant's own derived seed stream and bumps no obs counter;
+/// [`captcha_gate`] applies it to a whole cohort and reports totals.
 pub fn captcha_admits(p: &Participant) -> bool {
-    captcha_admits_persona(&p.persona())
-}
-
-/// [`captcha_admits`] from a trait-core [`Persona`] — what the flat
-/// engine's gate column evaluates (the decision reads only the seed and
-/// the class, both of which the persona carries).
-pub fn captcha_admits_persona(p: &Persona) -> bool {
     captcha_admits_gate(p.seed, p.class)
 }
 

@@ -42,7 +42,7 @@ pub use participant::{
     PopulationProfile, ReadinessCriterion, TraitCursor,
 };
 pub use perception::{
-    timeline_control_passes, timeline_response, timeline_response_shared, true_ready_time,
-    ReadyTimes, TimelineResponse, TimelineStimulusProfile,
+    timeline_control_passes, timeline_response, true_ready_time, ReadyTimes, TimelineResponse,
+    TimelineStimulusProfile,
 };
 pub use service::{CrowdFlower, Microworkers, Recruitment, RecruitmentService, TrustedChannel};

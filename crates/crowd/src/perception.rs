@@ -14,7 +14,7 @@
 //! two is precisely what Fig. 7 quantifies.
 
 use eyeorg_net::SimTime;
-use eyeorg_video::{FrameTimeline, Video};
+use eyeorg_video::Video;
 use eyeorg_stats::rng::Rng;
 
 use crate::participant::{ParticipantClass, Persona, ReadinessCriterion};
@@ -197,51 +197,9 @@ pub fn timeline_response(
     profile: &TimelineStimulusProfile,
     rewinds: &[usize],
     participant: &Persona,
-    rng: Rng,
-) -> TimelineResponse {
-    timeline_response_core(
-        &profile.clock,
-        &mut |criterion| (profile.ready.get(criterion), profile.first_visible_us),
-        &mut |i| rewinds[i],
-        participant,
-        rng,
-    )
-}
-
-/// [`timeline_response`] against the capture and a shared
-/// [`FrameTimeline`] (rewinds precomputed), for the streaming reference.
-/// Bit-identical to [`timeline_response`] for the same stimulus, persona
-/// and `rng`. The ready moment and first-visible floor are looked up
-/// lazily: the clicker/bot branch never consults them, and eagerly
-/// extracting all three criteria would triple this path's paint-stream
-/// scans.
-pub fn timeline_response_shared(
-    video: &Video,
-    frames: &FrameTimeline,
-    participant: &Persona,
-    rng: Rng,
-) -> TimelineResponse {
-    timeline_response_core(
-        &FrameClock::of(video),
-        &mut |criterion| (true_ready_time(video, criterion), first_visible_us(video)),
-        &mut |i| frames.rewind_at(i),
-        participant,
-        rng,
-    )
-}
-
-/// The single implementation behind every timeline-response entry point.
-/// `ready_of(criterion)` returns the true ready moment under `criterion`
-/// plus the first-visible floor in µs; it is only consulted on the
-/// coherent-participant branch. `rng` must be seeded from the
-/// participant's `"perception"` stream for the video's label.
-fn timeline_response_core(
-    clock: &FrameClock,
-    ready_of: &mut dyn FnMut(ReadinessCriterion) -> (SimTime, f64),
-    rewind: &mut dyn FnMut(usize) -> usize,
-    participant: &Persona,
     mut rng: Rng,
 ) -> TimelineResponse {
+    let clock = &profile.clock;
     let dur_us = clock.dur_us;
 
     if matches!(participant.class, ParticipantClass::RandomClicker | ParticipantClass::Bot)
@@ -260,8 +218,7 @@ fn timeline_response_core(
         let slider_frame = clock.frame_index_at(t);
         let slider = clock.frame_time(slider_frame);
         // Blindly accepts whatever the helper proposes.
-        let helper_frame = rewind(slider_frame);
-        let helper = clock.frame_time(helper_frame);
+        let helper = clock.frame_time(rewinds[slider_frame]);
         return TimelineResponse {
             perceived: t,
             slider,
@@ -271,16 +228,15 @@ fn timeline_response_core(
         };
     }
 
-    let (ready, first_visible) = ready_of(participant.readiness);
+    let ready = profile.ready.get(participant.readiness);
     // Multiplicative perception noise (Weber-like: error scales with the
     // magnitude being judged).
     let z = rng.standard_normal();
     // Participants are *watching* the video: no one coherent reports
     // "ready" on a frame where nothing has appeared yet, so perception
     // is floored at the first viewport-visible paint.
-    let perceived_us = (ready.as_micros() as f64
-        * (participant.perception_noise * z).exp())
-    .max(first_visible);
+    let perceived_us = (ready.as_micros() as f64 * (participant.perception_noise * z).exp())
+        .max(profile.first_visible_us);
     let perceived = SimTime::from_micros(perceived_us.min(dur_us as f64) as u64);
     // Scrubbing overshoot: participants settle late, then (maybe) let
     // the helper pull them back.
@@ -291,8 +247,7 @@ fn timeline_response_core(
     let slider_frame = clock.frame_index_at(SimTime::from_micros(slider_us as u64));
     let slider = clock.frame_time(slider_frame);
 
-    let helper_frame = rewind(slider_frame);
-    let helper = clock.frame_time(helper_frame);
+    let helper = clock.frame_time(rewinds[slider_frame]);
 
     // Acceptance: participants accept the rewind when it does not
     // contradict their internal ready moment by much.
@@ -339,6 +294,7 @@ mod tests {
     use eyeorg_stats::Seed;
     use eyeorg_browser::{load_page, BrowserConfig};
     use eyeorg_net::SimDuration;
+    use eyeorg_video::FrameTimeline;
     use eyeorg_workload::{generate_site, SiteClass};
 
     fn video() -> Video {
@@ -351,30 +307,15 @@ mod tests {
     fn timeline_response(v: &Video, p: &Participant, label: &str) -> TimelineResponse {
         let mut tl = FrameTimeline::of(v);
         tl.precompute_rewinds();
-        timeline_response_shared(v, &tl, &p.persona(), ModelSeeds::of(p.seed).perception(label))
+        let (profile, rewinds) = (TimelineStimulusProfile::of(v), tl.rewind_table());
+        let rng = ModelSeeds::of(p.seed).perception(label);
+        super::timeline_response(&profile, &rewinds, &p.persona(), rng)
     }
 
     /// One participant's control answer on the video labelled `label`.
     fn timeline_control_passes(p: &Participant, label: &str) -> bool {
         let rng = ModelSeeds::of(p.seed).perception(&format!("ctrl-{label}"));
         super::timeline_control_passes(&p.persona(), rng)
-    }
-
-    #[test]
-    fn flat_profile_path_matches_shared_path() {
-        let v = video();
-        let mut tl = FrameTimeline::of(&v);
-        tl.precompute_rewinds();
-        let table = tl.rewind_table();
-        let profile = TimelineStimulusProfile::of(&v);
-        let pop = PopulationProfile::paid().generate(Seed(66), 150);
-        for p in &pop {
-            let (persona, seeds) = (p.persona(), ModelSeeds::of(p.seed));
-            let shared = timeline_response_shared(&v, &tl, &persona, seeds.perception("tl-3"));
-            let flat =
-                super::timeline_response(&profile, &table, &persona, seeds.perception("tl-3"));
-            assert_eq!(shared, flat, "class {:?}", p.class);
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, test, lint, stress and the run report.
+# Tier-1 verification: build, test, lint, stress, the run report and a
+# check that the tracked results/ files are up to date.
 # Run from the repository root.
 #
 # Every step runs even when an earlier one fails, so one red step cannot
@@ -51,9 +52,13 @@ step cargo run -q --release -p eyeorg-lint --bin lint -- --json-out results/LINT
 # explicit EYEORG_THREADS pin bypasses the hardware clamp so real
 # multi-thread pools run even on 1-core CI boxes.
 step env EYEORG_THREADS=4 cargo run -q --release -p eyeorg-lint --bin stress
-# The deterministic run report (results/RUN_report.json, uploaded by
-# CI); crates/bench/tests/run_report_golden.rs pins its counter section.
+# The run report (results/RUN_report.json, uploaded by CI). Git ignores
+# it, since its timing section changes every run;
+# crates/bench/tests/run_report_golden.rs pins its counter section.
 step cargo run -q --release -p eyeorg-bench --bin run_report
+# The tracked results must be what this tree produces: a change that
+# moves results/LINT_report.json without re-recording it fails here.
+step git diff --exit-code -- results/
 
 if ((${#failed[@]})); then
     echo "verify.sh: ${#failed[@]} step(s) failed:" >&2
