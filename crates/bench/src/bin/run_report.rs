@@ -78,12 +78,6 @@ fn main() {
         assert!(retained > 0, "a healthy campaign retains responses");
         assert!(votes > 0, "a healthy campaign collects votes");
     });
-    eyeorg_obs::time_phase("report.encode", || {
-        // Encode one served video, as webpeg would before upload, so the
-        // encoder counters are exercised end to end.
-        let encoded = eyeorg_video::encode(&tl.videos[0]);
-        assert!(!encoded.packets.is_empty());
-    });
 
     let report = eyeorg_obs::snapshot("run-report", threads);
     std::fs::create_dir_all(

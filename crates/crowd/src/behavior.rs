@@ -17,8 +17,8 @@
 //! * frenetic participants produce hundreds of seeks in minutes.
 
 use eyeorg_net::SimDuration;
-use eyeorg_video::{preload_time, Video};
 use eyeorg_stats::rng::Rng;
+use eyeorg_video::Video;
 
 use crate::participant::{ParticipantClass, ParticipantType, Persona};
 
@@ -197,16 +197,16 @@ pub fn video_session(
 }
 
 /// Size of what this participant must download for the test: the capture
-/// itself for a timeline test, or a two-sided splice for A/B. We estimate
-/// from the capture's duration and grid rather than running the encoder
-/// per participant (the encoder is exercised separately; per-response
-/// encoding would dominate campaign runtime for no modelling gain).
+/// itself for a timeline test; for A/B, both captures spliced side by side
+/// into one file (§3.2, "if playback stalls, both sides are affected
+/// equally"), so twice the bytes. This closed form in the frame count is
+/// the model of the download: no frames are encoded or spliced.
 fn video_bytes_estimate(video: &Video, kind: TestKind) -> u64 {
     let frames = video.frame_count() as u64;
     // The analysis grid is 64×36, but what participants download is the
-    // real 1280×720 webm webpeg produced; we scale the delta-codec size
-    // model to capture resolution (≈33 kB keyframes, ≈4 kB deltas),
-    // giving the 0.5–5 MB files whose transfer times drive Fig. 5.
+    // 1280×720 webm webpeg produced: a delta codec at that resolution,
+    // ≈33 kB keyframes every 50 frames and ≈4 kB per frame, giving the
+    // 0.5–5 MB files whose transfer times drive Fig. 5.
     let per_frame = 4_000u64;
     let keyframes = frames / 50 + 1;
     let base = frames * per_frame + keyframes * 33_000;
@@ -214,6 +214,15 @@ fn video_bytes_estimate(video: &Video, kind: TestKind) -> u64 {
         TestKind::Timeline => base,
         TestKind::Ab => base * 2,
     }
+}
+
+/// Time to download `bytes` at `bandwidth_bps` (bits per second).
+///
+/// # Panics
+/// Panics when the bandwidth is zero.
+fn preload_time(bytes: u64, bandwidth_bps: u64) -> SimDuration {
+    assert!(bandwidth_bps > 0, "bandwidth must be positive");
+    SimDuration::from_micros((bytes * 8).saturating_mul(1_000_000) / bandwidth_bps)
 }
 
 /// A participant's total time across their assigned videos (the Fig. 4a
@@ -258,6 +267,39 @@ mod tests {
     fn video_session(v: &Video, p: &Participant, kind: TestKind, label: &str) -> VideoSession {
         let profile = SessionProfile::of(v, kind);
         super::video_session(&profile, &p.persona(), kind, ModelSeeds::of(p.seed).behavior(label))
+    }
+
+    #[test]
+    fn preload_scales_with_size_and_bandwidth() {
+        assert_eq!(preload_time(1_000_000, 8_000_000), SimDuration::from_secs(1));
+        assert_eq!(preload_time(1_000_000, 4_000_000), SimDuration::from_secs(2));
+        assert_eq!(preload_time(0, 1_000_000), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn ab_preload_is_the_splice_of_both_sides() {
+        // An A/B pair is one file holding both captures, so its preload
+        // is twice the timeline preload of the same capture, up to
+        // `preload_time`'s rounding down to whole microseconds.
+        let v = video();
+        let pop = PopulationProfile::paid().generate(Seed(48), 400);
+        let (mut skipped, mut served) = (0, 0);
+        for p in &pop {
+            let tl = video_session(&v, p, TestKind::Timeline, "v1");
+            let ab = video_session(&v, p, TestKind::Ab, "v1");
+            assert_eq!(tl.skipped, ab.skipped, "the skip draw does not depend on the kind");
+            let (tl_us, ab_us) = (tl.video_load.as_micros(), ab.video_load.as_micros());
+            assert!(
+                (2 * tl_us..=2 * tl_us + 1).contains(&ab_us),
+                "A/B {ab_us} µs vs timeline {tl_us} µs"
+            );
+            if ab.skipped {
+                skipped += 1;
+            } else {
+                served += 1;
+            }
+        }
+        assert!(skipped > 0 && served > 0, "{skipped} skipped, {served} served");
     }
 
     #[test]

@@ -72,11 +72,16 @@ pub static BROWSER_MAIN_THREAD_CPU_US: Counter = Counter::new("browser.main_thre
 /// Per-load distribution of simulated main-thread busy time (ms).
 pub static BROWSER_LOAD_CPU_MS: Histogram = Histogram::new("browser.load_cpu_ms");
 
-// --- video: capture, encoding, and the shared capture cache ---
+// --- video: capture and the shared capture cache ---
 
 /// Videos captured from load traces.
 pub static VIDEO_CAPTURES: Counter = Counter::new("video.captures");
-/// Frames encoded by the webpeg encoder.
+/// Frames encoded into video files. The crowd models downloads in closed
+/// form and no code encodes frames, so this reads 0.
+// Kept registered because perfbench's `fingerprints.txt` hashes, and the
+// `ckpt_*.jsonl` fixtures' counters lines carry, every registered counter,
+// zeros included. It goes with the next fingerprint re-record (ROADMAP
+// items 1 and 11).
 pub static VIDEO_FRAMES_ENCODED: Counter = Counter::new("video.frames_encoded");
 /// Per-capture frame-count distribution.
 pub static VIDEO_FRAMES_PER_CAPTURE: Histogram = Histogram::new("video.frames_per_capture");

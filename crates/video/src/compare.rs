@@ -1,14 +1,13 @@
-//! Frame comparison: the rewind-frame helper and control frames.
+//! Frame comparison: the rewind-frame helper.
 //!
 //! §3.2 of the paper: after a participant picks a frame on the timeline,
 //! Eyeorg shows them "the earliest similar frame (no more than 1 %
 //! different in a pixel-by-pixel comparison)" and lets them accept the
-//! rewind or keep their choice (Fig. 3a). As a control (§3.3), the
-//! platform occasionally proposes "a nearly-blank rewind frame" instead
-//! and checks the participant rejects it (Fig. 3b).
+//! rewind or keep their choice (Fig. 3a). The §3.3 control, "a
+//! nearly-blank rewind frame" the participant must reject (Fig. 3b), is
+//! a participant-side draw: `eyeorg_crowd::perception::timeline_control_passes`.
 
 use crate::capture::Video;
-use crate::frame::Frame;
 
 /// The similarity threshold of the paper's helper: frames differing in at
 /// most this fraction of pixels count as "similar".
@@ -37,25 +36,6 @@ pub fn earliest_similar_frame(video: &Video, chosen: usize, threshold: f64) -> u
 /// The standard rewind suggestion at the paper's 1 % threshold.
 pub fn rewind_suggestion(video: &Video, chosen: usize) -> usize {
     earliest_similar_frame(video, chosen, SIMILARITY_THRESHOLD)
-}
-
-/// A nearly-blank control frame for the §3.3 control question: visually
-/// obvious nonsense that a diligent participant must reject. We use the
-/// video's first frame, which for a page-load capture is the blank page
-/// (and synthesize a blank if the capture somehow starts painted).
-pub fn control_frame(video: &Video) -> Frame {
-    let f = video.frame(0);
-    if f.painted_fraction() < 0.05 {
-        f
-    } else {
-        Frame::blank(f.width(), f.height())
-    }
-}
-
-/// Whether a frame would look "drastically different" from the
-/// participant's chosen frame — the property the control relies on.
-pub fn is_obvious_mismatch(video: &Video, chosen: usize, candidate: &Frame) -> bool {
-    video.frame(chosen).diff_fraction(candidate) > 0.25
 }
 
 #[cfg(test)]
@@ -97,18 +77,6 @@ mod tests {
     fn rewind_of_blank_start_is_frame_zero() {
         let v = video();
         assert_eq!(rewind_suggestion(&v, 0), 0);
-    }
-
-    #[test]
-    fn control_frame_is_nearly_blank_and_obvious() {
-        let v = video();
-        let ctrl = control_frame(&v);
-        assert!(ctrl.painted_fraction() < 0.05);
-        // Against a loaded page the control is an obvious mismatch.
-        let late = v.frame_count() - 1;
-        assert!(is_obvious_mismatch(&v, late, &ctrl));
-        // Against the blank opening frame it is not.
-        assert!(!is_obvious_mismatch(&v, 0, &ctrl));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! each cell holds an 8-bit "appearance" value. Appearance values are
 //! content hashes, not colours — two cells are "the same pixels" iff
 //! their values match, which is all that frame comparison (the 1 %
-//! rewind-frame helper, Fig. 3) and delta encoding need.
+//! rewind-frame helper, Fig. 3) needs.
 
 use std::sync::Arc;
 
@@ -40,16 +40,6 @@ impl Frame {
     pub fn blank(width: u32, height: u32) -> Frame {
         assert!(width > 0 && height > 0, "frame grid must be non-empty");
         Frame { width, height, cells: Arc::new(vec![BLANK; (width * height) as usize]) }
-    }
-
-    /// Build a frame from raw row-major cells.
-    ///
-    /// # Panics
-    /// Panics when `cells.len() != width * height` or the grid is empty.
-    pub fn from_cells(width: u32, height: u32, cells: Vec<u8>) -> Frame {
-        assert!(width > 0 && height > 0, "frame grid must be non-empty");
-        assert_eq!(cells.len(), (width * height) as usize, "cell count mismatch");
-        Frame { width, height, cells: Arc::new(cells) }
     }
 
     /// Whether two frames share the same cell buffer (their contents are
@@ -163,8 +153,7 @@ impl Frame {
         count_diff_bytes(&self.cells, &other.cells) as f64 / self.cells.len() as f64
     }
 
-    /// Fraction of cells that are not blank (used to synthesise the
-    /// nearly-blank control frame check). Word-parallel like
+    /// Fraction of cells that are not blank. Word-parallel like
     /// [`diff_fraction`](Self::diff_fraction).
     pub fn painted_fraction(&self) -> f64 {
         count_ne_bytes(&self.cells, BLANK) as f64 / self.cells.len() as f64
@@ -186,27 +175,6 @@ impl Frame {
     /// [`BLANK`].
     pub fn painted_plane(&self) -> BitGrid {
         packed_ne(&self.cells, BLANK)
-    }
-
-    /// Concatenate two frames side by side (for A/B splices), separated
-    /// by a 1-cell divider column.
-    ///
-    /// # Panics
-    /// Panics when heights differ.
-    pub fn side_by_side(&self, right: &Frame) -> Frame {
-        assert_eq!(self.height, right.height, "frame heights differ");
-        let w = self.width + 1 + right.width;
-        let mut cells = vec![BLANK; (w * self.height) as usize];
-        for y in 0..self.height {
-            for x in 0..self.width {
-                cells[(y * w + x) as usize] = self.get(x, y);
-            }
-            cells[(y * w + self.width) as usize] = 0; // divider
-            for x in 0..right.width {
-                cells[(y * w + self.width + 1 + x) as usize] = right.get(x, y);
-            }
-        }
-        Frame::from_cells(w, self.height, cells)
     }
 }
 
@@ -257,18 +225,6 @@ mod tests {
         assert_eq!(f.get(0, 0), 3);
         assert_eq!(f.get(31, 17), 3);
         assert_eq!(f.get(32, 18), BLANK);
-    }
-
-    #[test]
-    fn side_by_side_layout() {
-        let mut l = Frame::blank(3, 2);
-        l.fill_rect_scaled(&Rect { x: 0, y: 0, w: 3, h: 2 }, 1.0, 1.0, 50);
-        let r = Frame::blank(3, 2);
-        let s = l.side_by_side(&r);
-        assert_eq!(s.width(), 7);
-        assert_eq!(s.get(0, 0), 50);
-        assert_eq!(s.get(3, 0), 0); // divider
-        assert_eq!(s.get(4, 0), BLANK);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # eyeorg-video
 //!
 //! webpeg's video pipeline: capturing page loads as frame sequences and
-//! everything the platform does with them.
+//! comparing their frames.
 //!
 //! Eyeorg's central design decision (§3.1 of the paper) is to show every
 //! participant the *same video* of a page loading, decoupling the
@@ -14,16 +14,15 @@
 //! * [`capture`] — [`capture::Video`]: lazy frame rendering from a load
 //!   trace; visual-completeness queries.
 //! * [`webpeg`] — repeat-5-keep-median capture orchestration.
-//! * [`encode`](mod@encode) — an honest delta codec whose byte sizes
-//!   feed the video delivery model.
-//! * [`compare`] — the 1 % rewind-frame helper and blank control frames
-//!   (Fig. 3).
-//! * [`splice`] — side-by-side A/B splicing with artificial-delay
-//!   controls.
+//! * [`compare`] — the 1 % rewind-frame helper (Fig. 3a).
 //! * [`timeline`] — materialised frame sequences with memoised rewind
 //!   lookups (what campaign-scale response simulation uses).
-//! * [`player`] — participant-side preload/playback (video load times
-//!   drive the engagement effects of Fig. 5).
+//!
+//! How participants *receive* the videos — download size, preload,
+//! A/B pairs spliced into one file, the 3 s-delayed A/B control — is
+//! modelled in closed form by the crowd (`eyeorg_crowd::behavior` and
+//! `eyeorg_crowd::abjudge`), per stimulus and participant, not by
+//! encoding or splicing frames here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,20 +30,14 @@
 pub mod bitplane;
 pub mod capture;
 pub mod compare;
-pub mod encode;
 pub mod frame;
-pub mod player;
-pub mod splice;
 pub mod timeline;
 pub mod webpeg;
 
 pub use bitplane::BitGrid;
 pub use capture::Video;
-pub use compare::{control_frame, earliest_similar_frame, rewind_suggestion, SIMILARITY_THRESHOLD};
-pub use encode::{encode, EncodedVideo};
+pub use compare::{earliest_similar_frame, rewind_suggestion, SIMILARITY_THRESHOLD};
 pub use frame::Frame;
-pub use player::{preload_time, PlaybackResult, PlaybackSim};
-pub use splice::{control_splice, AbOrder, SplicedVideo};
 pub use timeline::FrameTimeline;
 pub use webpeg::{
     capture_all, capture_median, shared_capture_cache, CaptureCache, CaptureConfig,

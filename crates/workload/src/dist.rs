@@ -3,27 +3,14 @@
 //! Real-web quantities (object sizes, object counts, think times) are
 //! heavy-tailed; HTTP Archive-era measurements are conventionally fit
 //! with log-normals. The workspace RNG (`eyeorg_stats::rng`) ships only
-//! uniform/Bernoulli/normal primitives, so the transforms live here: a
-//! Box–Muller standard normal, log-normal on top of it, and a bounded
-//! Pareto for the occasional monster object.
+//! uniform/Bernoulli/normal primitives, so the transforms live here:
+//! normal and log-normal draws on top of [`Rng::standard_normal`].
 
 use eyeorg_stats::rng::Rng;
 
-/// One standard-normal draw via the Box–Muller transform.
-///
-/// Uses both transform outputs' *first* value only — wasting the second
-/// costs one extra uniform pair every other call but keeps the sampler
-/// stateless, which matters for reproducibility across call sites.
-pub fn standard_normal(rng: &mut Rng) -> f64 {
-    // Guard u1 away from 0 so ln() stays finite.
-    let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.random_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 /// Normal with the given mean and standard deviation.
 pub fn normal(rng: &mut Rng, mean: f64, stdev: f64) -> f64 {
-    mean + stdev * standard_normal(rng)
+    mean + stdev * rng.standard_normal()
 }
 
 /// Log-normal parameterised by the *median* and the shape `sigma`
@@ -32,7 +19,7 @@ pub fn normal(rng: &mut Rng, mean: f64, stdev: f64) -> f64 {
 /// "typical object is X KB" statements.
 pub fn lognormal_median(rng: &mut Rng, median: f64, sigma: f64) -> f64 {
     assert!(median > 0.0, "log-normal median must be positive");
-    median * (sigma * standard_normal(rng)).exp()
+    median * (sigma * rng.standard_normal()).exp()
 }
 
 /// Log-normal clamped into `[lo, hi]` — corpus quantities (bytes, counts,
@@ -40,17 +27,6 @@ pub fn lognormal_median(rng: &mut Rng, median: f64, sigma: f64) -> f64 {
 /// occasionally produce degenerate sites.
 pub fn lognormal_clamped(rng: &mut Rng, median: f64, sigma: f64, lo: f64, hi: f64) -> f64 {
     lognormal_median(rng, median, sigma).clamp(lo, hi)
-}
-
-/// Bounded Pareto draw on `[lo, hi]` with shape `alpha` (smaller alpha =
-/// heavier tail). Used for the rare very large object.
-pub fn bounded_pareto(rng: &mut Rng, alpha: f64, lo: f64, hi: f64) -> f64 {
-    assert!(alpha > 0.0 && lo > 0.0 && hi > lo);
-    let u: f64 = rng.random_range(0.0..1.0);
-    let la = lo.powf(alpha);
-    let ha = hi.powf(alpha);
-    // Inverse-CDF of the bounded Pareto.
-    (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
 }
 
 /// Integer draw from a clamped log-normal (rounding to nearest).
@@ -63,17 +39,6 @@ mod tests {
     use super::*;
     fn rng() -> Rng {
         Rng::seed_from_u64(42)
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut r = rng();
-        let n = 200_000;
-        let draws: Vec<f64> = (0..n).map(|_| standard_normal(&mut r)).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
     }
 
     #[test]
@@ -96,33 +61,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_pareto_in_range_and_heavy_tailed() {
-        let mut r = rng();
-        let draws: Vec<f64> = (0..50_000).map(|_| bounded_pareto(&mut r, 1.2, 1.0, 1000.0)).collect();
-        assert!(draws.iter().all(|&v| (1.0..=1000.0).contains(&v)));
-        // Heavy tail: the mean should far exceed the median.
-        let mut sorted = draws.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = sorted[draws.len() / 2];
-        let mean = draws.iter().sum::<f64>() / draws.len() as f64;
-        assert!(mean > 2.0 * median, "mean {mean}, median {median}");
-    }
-
-    #[test]
     fn count_draw_within_bounds() {
         let mut r = rng();
         for _ in 0..1000 {
             let c = lognormal_count(&mut r, 75.0, 0.6, 5, 300);
             assert!((5..=300).contains(&c));
-        }
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let mut a = rng();
-        let mut b = rng();
-        for _ in 0..100 {
-            assert_eq!(standard_normal(&mut a), standard_normal(&mut b));
         }
     }
 }
